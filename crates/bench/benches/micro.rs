@@ -1,12 +1,18 @@
 //! Micro-benchmarks of the hot substrate paths: the wire codec, identifier
 //! sets (the values indirect consensus shuffles around), the event queue
-//! and the FIFO resources of the simulator.
+//! and the FIFO resources of the simulator, and the two per-frame stages
+//! of the TCP event loop (outbound lanes, in-place frame decode).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use iabc_net::codec::{write_frame_into, RecvBuffer, Tagged, TaggedOwned};
+use iabc_net::queue::Lanes;
+use iabc_net::BufferPool;
 use iabc_sim::queue::EventQueue;
 use iabc_sim::resource::FifoResource;
 use iabc_types::wire::{Decode, Encode};
-use iabc_types::{quorum, Duration, IdSet, MsgId, ProcessId, Time};
+use iabc_types::{
+    quorum, CodecError, Duration, IdSet, MsgId, Payload, ProcessId, Time, TrafficClass, WireSize,
+};
 
 fn ids(n: u64) -> IdSet {
     IdSet::from_ids((0..n).map(|s| MsgId::new(ProcessId::new((s % 5) as u16), s)))
@@ -87,9 +93,86 @@ fn quorums(c: &mut Criterion) {
     });
 }
 
+/// A 64 B frame of either traffic class: the size of the benchmark's
+/// small workloads, where per-frame cost is all there is.
+#[derive(Clone, Debug)]
+struct Frame {
+    ordering: bool,
+    body: Payload,
+}
+
+impl Frame {
+    fn new(i: usize) -> Frame {
+        Frame { ordering: i % 2 == 1, body: Payload::zeroed(64) }
+    }
+}
+
+impl WireSize for Frame {
+    fn wire_size(&self) -> usize {
+        1 + self.body.wire_size()
+    }
+    fn traffic_class(&self) -> TrafficClass {
+        if self.ordering { TrafficClass::Ordering } else { TrafficClass::Bulk }
+    }
+}
+
+impl Encode for Frame {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.ordering.encode(buf);
+        self.body.encode(buf);
+    }
+}
+
+impl Decode for Frame {
+    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok(Frame { ordering: bool::decode(buf)?, body: Payload::decode(buf)? })
+    }
+}
+
+/// The event loop's queue stage: a handler's sends go into a peer's
+/// lanes, the flush that ends the pass drains them. 1 frame is the serial
+/// critical path, 1024 a saturated pass.
+fn outbound_lanes(c: &mut Criterion) {
+    for frames in [1usize, 64, 1024] {
+        let batch: Vec<Frame> = (0..frames).map(Frame::new).collect();
+        let mut lanes: Lanes<Frame> = Lanes::new();
+        c.bench_function(&format!("net/lanes_push_drain_{frames}"), |b| {
+            b.iter(|| {
+                for f in &batch {
+                    lanes.push(f.clone());
+                }
+                lanes.drain().map(|f| f.wire_size()).sum::<usize>()
+            })
+        });
+    }
+}
+
+/// The event loop's receive stage: 64 frames land in the pooled arena in
+/// one read (here: one copy) and are decoded in place, one by one.
+fn recv_buffer(c: &mut Criterion) {
+    let mut wire = Vec::new();
+    for i in 0..64 {
+        write_frame_into(&Tagged { from: ProcessId::new(1), msg: &Frame::new(i) }, &mut wire)
+            .expect("a 64 B frame is under MAX_FRAME");
+    }
+    let pool = BufferPool::new();
+    let mut recv = RecvBuffer::new(&pool);
+    c.bench_function("net/recv_buffer_next_frame_64", |b| {
+        b.iter(|| {
+            recv.spare(wire.len())[..wire.len()].copy_from_slice(black_box(&wire));
+            recv.commit(wire.len());
+            let mut bytes = 0usize;
+            while let Some(t) = recv.next_frame::<TaggedOwned<Frame>>().expect("well-formed") {
+                bytes += t.msg.body.len();
+            }
+            bytes
+        })
+    });
+}
+
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = codec, idset_ops, event_queue, resources, quorums
+    targets = codec, idset_ops, event_queue, resources, quorums, outbound_lanes, recv_buffer
 }
 criterion_main!(micro);

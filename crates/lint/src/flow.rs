@@ -211,9 +211,21 @@ pub const EVENT_LOOP_FILES: &[&str] = &[
 /// accounted for with a reasoned `lint:allow(E1)` at its call site.
 pub const EVENT_LOOP_SANCTIONED_FILES: &[&str] = &["crates/net/src/poll.rs"];
 
+/// The `Node` callbacks the loop hosts. Handlers now run on the loop, so
+/// a blocking call inside a `Node` stalls that process's I/O (as it
+/// stalled the node thread before) — that is the node's contract, not the
+/// transport's: E1 polices the code the transport owns and stops at this
+/// boundary instead of flagging every path into a protocol stack.
+pub const EVENT_LOOP_HOSTED_CALLBACKS: &[&str] =
+    &["on_start", "on_message", "on_command", "on_timer"];
+
 fn rule_e1(graph: &CallGraph, findings: &mut Vec<Finding>) {
-    let blocking = graph
-        .transitive_blocking_where(|f| EVENT_LOOP_SANCTIONED_FILES.contains(&f.file.as_str()));
+    let blocking = graph.transitive_blocking_where(|f| {
+        let file = f.file.as_str();
+        EVENT_LOOP_SANCTIONED_FILES.contains(&file)
+            || (EVENT_LOOP_HOSTED_CALLBACKS.contains(&f.name.as_str())
+                && !EVENT_LOOP_FILES.contains(&file))
+    });
     for (i, f) in graph.fns.iter().enumerate() {
         if !EVENT_LOOP_FILES.contains(&f.file.as_str()) {
             continue;

@@ -16,7 +16,7 @@
 //! | `W2` | narrowing or float→int `as`-casts on wire-facing integers in `types`/`net` without a visible bound check |
 //! | `O1` | inconsistent lock acquisition order across the workspace (static deadlock detector) |
 //! | `B1` | blocking I/O / sleeps / cross-object waits while a `.lock()` guard is live |
-//! | `E1` | blocking operations (direct or through the call graph) in the event-driven transport's I/O loop — one loop serves every connection, so a parked loop stalls the whole process |
+//! | `E1` | blocking operations (direct or through the call graph) in the event-driven transport's I/O loop — one loop serves every connection, so a parked loop stalls the whole process. Handlers now run on the loop, so a blocking call inside a `Node` stalls that process's I/O (as it stalled the node thread before); the rule stops at that boundary |
 //! | `L1` | crate-layering violations in `Cargo.toml` dependencies |
 //! | `A1` | malformed `lint:allow` annotations (reason is mandatory) |
 //!

@@ -212,6 +212,25 @@ fn e1_sanctions_the_poller_shims() {
     );
 }
 
+#[test]
+fn e1_stops_at_the_hosted_node_callbacks() {
+    // The loop hosts the node: `on_message` and friends run on the loop
+    // thread, and what a node does inside them is the node's contract.
+    // The same blocking body behind any other name is still the loop's.
+    let host = |callee: &str| format!("fn deliver(n: &mut N, m: M) {{ n.{callee}(m); }}\n");
+    let node = |name: &str| format!("impl Stack {{ pub fn {name}(&mut self, m: M) {{ self.log.write_all(&m.0); }} }}\n");
+    let quiet = analyze_files(&[
+        ("crates/net/src/event_loop.rs".to_string(), host("on_message")),
+        ("crates/core/src/stack.rs".to_string(), node("on_message")),
+    ]);
+    assert!(quiet.iter().all(|f| f.rule != "E1"), "{quiet:?}");
+    let loud = analyze_files(&[
+        ("crates/net/src/event_loop.rs".to_string(), host("persist")),
+        ("crates/core/src/stack.rs".to_string(), node("persist")),
+    ]);
+    assert!(loud.iter().any(|f| f.rule == "E1"), "{loud:?}");
+}
+
 // --- A1: allow hygiene -------------------------------------------------
 
 #[test]

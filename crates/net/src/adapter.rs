@@ -1,12 +1,11 @@
-//! The node adapter shared by both TCP transports: forwards remote sends
-//! into per-peer outbound queues.
+//! The node adapter of the thread-per-connection transport: forwards
+//! remote sends into per-peer outbound queues.
 
 use std::sync::Arc;
 
 use iabc_runtime::Node;
 use iabc_types::{Encode, ProcessId};
 
-use crate::event_loop::Waker;
 use crate::queue::PeerQueue;
 
 /// `outbound[i][j]`: the queue feeding the `i → j` connection's drainer
@@ -14,16 +13,13 @@ use crate::queue::PeerQueue;
 pub(crate) type OutboundMesh<M> = Vec<Vec<Option<Arc<PeerQueue<M>>>>>;
 
 /// Adapter node: intercepts `Send` actions for remote peers and enqueues
-/// them for the peer connection's drainer; self-sends and everything else
-/// pass through. With a [`Waker`] attached (the event-driven transport),
-/// one wake per action batch tells the I/O loop the queues changed; the
-/// threaded transport passes `None` (its flushers park on the queue
-/// condvar instead).
+/// them for the peer connection's flusher (parked on the queue condvar);
+/// self-sends and everything else pass through to the hosting
+/// [`crate::ThreadCluster`].
 pub(crate) struct MsgOverTcp<N: Node> {
     pub(crate) node: N,
     pub(crate) me: ProcessId,
     pub(crate) writers: Vec<Option<Arc<PeerQueue<N::Msg>>>>,
-    pub(crate) waker: Option<Arc<Waker>>,
 }
 
 impl<N: Node> std::fmt::Debug for MsgOverTcp<N> {
@@ -73,19 +69,16 @@ where
     N::Msg: Encode,
 {
     /// Rewrites remote sends into outbound-queue pushes, keeping
-    /// everything else; wakes the I/O loop once per action batch if any
-    /// push landed.
+    /// everything else.
     fn redirect(&mut self, ctx: &mut iabc_runtime::Context<N::Msg, N::Output>) {
         use iabc_runtime::Action;
         let actions = ctx.take_actions();
-        let mut pushed = false;
         for action in actions {
             match action {
                 Action::Send { to, msg } if to != self.me => {
                     if let Some(queue) = &self.writers[to.as_usize()] {
                         // A dead peer's queue is closed: drops silently.
                         queue.enqueue(msg);
-                        pushed = true;
                     }
                 }
                 other => {
@@ -98,11 +91,6 @@ where
                         Action::Output(o) => ctx.output(o),
                     }
                 }
-            }
-        }
-        if pushed {
-            if let Some(waker) = &self.waker {
-                waker.wake();
             }
         }
     }

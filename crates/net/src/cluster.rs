@@ -1,13 +1,13 @@
 //! In-process thread cluster: one thread per node, channels as links.
 
-use std::collections::BinaryHeap;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use iabc_runtime::{Action, Context, Node, TimerId};
+use iabc_runtime::{Action, Context, Node};
 use iabc_types::{ProcessId, Time};
 
+use crate::timers::TimerHeap;
 use crate::NetOutput;
 
 enum Input<M, C> {
@@ -16,27 +16,26 @@ enum Input<M, C> {
     Stop,
 }
 
-/// A pending wall-clock timer.
-struct PendingTimer {
-    due: Instant,
-    timer: TimerId,
-}
-
-impl PartialEq for PendingTimer {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.timer == other.timer
+/// Collects outputs from `rx` until `count` have arrived, `timeout`
+/// elapses, or every producer is gone.
+pub(crate) fn collect_outputs<O>(
+    rx: &Receiver<NetOutput<O>>,
+    count: usize,
+    timeout: std::time::Duration,
+) -> Vec<NetOutput<O>> {
+    let deadline = Instant::now() + timeout;
+    let mut out = Vec::new();
+    while out.len() < count {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            break;
+        }
+        match rx.recv_timeout(left) {
+            Ok(rec) => out.push(rec),
+            Err(_) => break,
+        }
     }
-}
-impl Eq for PendingTimer {}
-impl PartialOrd for PendingTimer {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PendingTimer {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.due.cmp(&self.due) // min-heap
-    }
+    out
 }
 
 /// Runs `n` nodes on `n` OS threads connected by in-process channels.
@@ -122,20 +121,7 @@ where
 
     /// Collects outputs for (wall-clock) `dur`, then returns them.
     pub fn run_for(&mut self, dur: std::time::Duration) -> Vec<NetOutput<N::Output>> {
-        let deadline = Instant::now() + dur;
-        let mut out = Vec::new();
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match self.outputs.recv_timeout(deadline - now) {
-                Ok(rec) => out.push(rec),
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        out
+        collect_outputs(&self.outputs, usize::MAX, dur)
     }
 
     /// Collects outputs until `count` have arrived or `timeout` elapses —
@@ -148,20 +134,7 @@ where
         count: usize,
         timeout: std::time::Duration,
     ) -> Vec<NetOutput<N::Output>> {
-        let deadline = Instant::now() + timeout;
-        let mut out = Vec::with_capacity(count);
-        while out.len() < count {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match self.outputs.recv_timeout(deadline - now) {
-                Ok(rec) => out.push(rec),
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        out
+        collect_outputs(&self.outputs, count, timeout)
     }
 
     /// Stops all node threads and waits for them.
@@ -186,7 +159,7 @@ fn node_loop<N>(
 ) where
     N: Node,
 {
-    let mut timers: BinaryHeap<PendingTimer> = BinaryHeap::new();
+    let mut timers = TimerHeap::new();
     let now_time = |epoch: Instant| Time::from_nanos(epoch.elapsed().as_nanos() as u64);
 
     // Start the node.
@@ -197,16 +170,15 @@ fn node_loop<N>(
     loop {
         // Fire due timers.
         let now = Instant::now();
-        while timers.peek().is_some_and(|t| t.due <= now) {
-            let Some(t) = timers.pop() else { break };
+        while let Some(timer) = timers.pop_due(now) {
             let mut ctx = Context::new(me, n, now_time(epoch));
-            node.on_timer(t.timer, &mut ctx);
+            node.on_timer(timer, &mut ctx);
             apply::<N>(me, &mut ctx, &mut timers, &peers, &out_tx, epoch);
         }
         // Wait for input until the next timer is due.
         let wait = timers
-            .peek()
-            .map(|t| t.due.saturating_duration_since(Instant::now()))
+            .next_due()
+            .map(|due| due.saturating_duration_since(Instant::now()))
             .unwrap_or(std::time::Duration::from_millis(50));
         match rx.recv_timeout(wait) {
             Ok(Input::Msg(from, msg)) => {
@@ -229,7 +201,7 @@ fn node_loop<N>(
 fn apply<N: Node>(
     me: ProcessId,
     ctx: &mut Context<N::Msg, N::Output>,
-    timers: &mut BinaryHeap<PendingTimer>,
+    timers: &mut TimerHeap,
     peers: &[Sender<Input<N::Msg, N::Command>>],
     out_tx: &Sender<NetOutput<N::Output>>,
     epoch: Instant,
@@ -240,7 +212,7 @@ fn apply<N: Node>(
                 let _ = peers[to.as_usize()].send(Input::Msg(me, msg));
             }
             Action::SetTimer { delay, timer } => {
-                timers.push(PendingTimer { due: Instant::now() + delay.into(), timer });
+                timers.push(Instant::now() + delay.into(), timer);
             }
             Action::Work { .. } => {} // real CPUs charge themselves
             Action::Output(output) => {
@@ -257,6 +229,7 @@ fn apply<N: Node>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iabc_runtime::TimerId;
     use iabc_types::WireSize;
 
     #[derive(Clone, Debug)]

@@ -6,12 +6,13 @@
 //! * [`ThreadCluster`] — one OS thread per process, crossbeam channels as
 //!   links, wall-clock timers. In-process, zero configuration.
 //! * [`TcpCluster`] — length-prefixed frames over loop-back TCP sockets,
-//!   all I/O driven by **one event-loop thread per process** ([`poll`]
-//!   readiness, pooled buffers, decode-in-place). Exercises the real
-//!   codec path end to end.
-//! * [`ThreadedTcpCluster`] — the prior thread-per-connection transport
-//!   (`2·(n−1)` blocking I/O threads per process), kept as the control
-//!   arm of the `loopback_cluster` bench.
+//!   **one thread per process**: an event loop ([`poll`] readiness,
+//!   pooled buffers, decode-in-place) that also runs the node's handlers
+//!   inline, so a frame goes socket → `on_message` → socket without
+//!   leaving the thread. Exercises the real codec path end to end.
+//! * [`ThreadedTcpCluster`] — the first, thread-per-connection transport
+//!   (`2·(n−1)` blocking I/O threads plus a node thread per process),
+//!   kept as the control arm of the `loopback_cluster` bench.
 //!
 //! All three drive any [`Node`](iabc_runtime::Node) implementation — the very
 //! same [`AbcastNode`](iabc_core::AbcastNode) state machines the simulator
@@ -22,13 +23,14 @@ pub mod codec;
 pub mod netfault;
 pub mod poll;
 pub mod pool;
+pub mod queue;
 pub mod tcp;
 pub mod tcp_threaded;
 
 pub(crate) mod adapter;
 pub(crate) mod event_loop;
-pub(crate) mod queue;
 pub(crate) mod reconnect;
+pub(crate) mod timers;
 
 pub use cluster::ThreadCluster;
 pub use netfault::{NetFaultPlan, NetFaultReport, NetFaultStats};

@@ -4,7 +4,7 @@
 //! grammar — peer-pair partition windows over time plus seeded per-frame
 //! drop / duplicate probabilities — for the event-driven transport. The
 //! shim sits at the outbound boundary: the event loop consults it when a
-//! frame leaves a [`crate::queue::PeerQueue`] for the wire, and once per
+//! frame leaves a peer's [`crate::queue::Lanes`] for the wire, and once per
 //! tick to enforce partitions, which it realizes the only way a real
 //! transport can — by severing the connection and gating reconnect
 //! attempts until the window closes. Delay and reorder verdicts exist

@@ -15,7 +15,7 @@
 //! tolerate spurious readiness anyway, `poll(2)` is allowed to lie too)
 //! if slower.
 
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -157,7 +157,10 @@ impl Poller {
             std::thread::sleep(timeout);
             return Ok(0);
         }
-        let millis = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+        // `poll(2)` counts whole milliseconds. A sub-millisecond remainder
+        // rounds *up*: rounded down, a deadline 0.4 ms away turns the park
+        // into a spin of zero-timeout polls until it is due.
+        let millis = i32::try_from(timeout.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX);
         sys::poll(&mut self.fds, millis)?;
         let mut ready = 0;
         for (fd, &slot) in self.fds.iter().zip(&self.slots) {
@@ -243,14 +246,14 @@ mod sys {
     }
 }
 
-/// The write end of the event loop's wake channel. Shared by every node
-/// thread of a process (writes go through `&self`); a one-byte write
-/// nudges the loop out of [`Poller::wait`].
+/// The write end of the event loop's wake channel. Used by whichever
+/// threads hand the loop a command or ask it to stop (writes go through
+/// `&self`); a one-byte write nudges the loop out of [`Poller::wait`].
 ///
 /// On Linux this is the classic **self-pipe**: `pipe2(2)` with both ends
 /// nonblocking. A pipe write is several times cheaper than pushing a byte
-/// through the loop-back TCP stack, and the wake channel is the hottest
-/// syscall site of the transport — every first push after a drain pays it.
+/// through the loop-back TCP stack, and every command that finds the loop
+/// parked pays it.
 /// Elsewhere a nonblocking loop-back TCP pair stands in (std offers no
 /// portable pipe), trading some wake latency for zero platform code.
 #[derive(Debug)]
@@ -454,7 +457,7 @@ mod pipe_sys {
 
 /// Nonblocking write through a shared reference (`Write` is implemented
 /// for `&TcpStream`); same contract as [`try_write`]. For wakers, which
-/// are invoked concurrently from many node threads.
+/// may be invoked concurrently from several threads.
 ///
 /// # Errors
 ///
@@ -560,24 +563,6 @@ pub fn connect_loopback(addr: &std::net::SocketAddr) -> io::Result<TcpStream> {
     Ok(stream)
 }
 
-/// Nonblocking vectored write: `Ok(None)` on `WouldBlock`, else the byte
-/// count the kernel accepted in one gather (may land mid-slice). Retries
-/// `EINTR`.
-///
-/// # Errors
-///
-/// Propagates I/O errors other than `WouldBlock`/`Interrupted`.
-pub fn try_write_vectored(stream: &mut TcpStream, slices: &[IoSlice<'_>]) -> io::Result<Option<usize>> {
-    loop {
-        match stream.write_vectored(slices) {
-            Ok(n) => return Ok(Some(n)),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -618,6 +603,19 @@ mod tests {
         assert_eq!(try_read(&mut b, &mut byte).unwrap(), Some(1));
         assert_eq!(byte[0], b'x');
         assert_eq!(try_read(&mut b, &mut byte).unwrap(), None, "drained socket would block");
+    }
+
+    #[test]
+    fn a_sub_millisecond_timeout_parks_instead_of_spinning() {
+        let (_a, b) = pair();
+        let mut poller = Poller::new();
+        let mut out = Vec::new();
+        let timeout = Duration::from_micros(400);
+        let t0 = std::time::Instant::now();
+        let n = poller.wait(&[(&b, Interest::READ)], &mut out, timeout).unwrap();
+        if n == 0 {
+            assert!(t0.elapsed() >= timeout, "returned after {:?}", t0.elapsed());
+        }
     }
 
     #[test]
@@ -682,27 +680,5 @@ mod tests {
             .unwrap();
         assert!(n >= 1 && out[0].readable);
         rx.drain_wakes();
-    }
-
-    #[test]
-    fn vectored_write_gathers_across_slices() {
-        let (mut a, mut b) = pair();
-        let n = try_write_vectored(&mut a, &[IoSlice::new(b"ab"), IoSlice::new(b"cd")])
-            .unwrap()
-            .unwrap();
-        assert_eq!(n, 4);
-        let mut poller = Poller::new();
-        let mut out = Vec::new();
-        let mut got = Vec::new();
-        let mut scratch = [0u8; 8];
-        while got.len() < 4 {
-            match try_read(&mut b, &mut scratch).unwrap() {
-                Some(n) => got.extend_from_slice(&scratch[..n]),
-                None => {
-                    poller.wait(&[(&b, Interest::READ)], &mut out, Duration::from_secs(5)).unwrap();
-                }
-            }
-        }
-        assert_eq!(got, b"abcd");
     }
 }

@@ -1,7 +1,7 @@
 //! Per-peer reconnect state machine of the TCP event loop.
 //!
-//! When an outbound connection dies, the peer's [`crate::queue::PeerQueue`]
-//! flips into down-mode and this machine schedules reconnect attempts:
+//! When an outbound connection dies, the peer's [`crate::queue::Lanes`]
+//! flip into down-mode and this machine schedules reconnect attempts:
 //! the first one immediately, every later one after an exponentially
 //! growing, jittered delay capped at [`RECONNECT_CAP`]. At most one
 //! attempt is ever in flight per peer — [`Reconnector::due_attempt`]

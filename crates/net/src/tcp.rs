@@ -1,74 +1,82 @@
-//! TCP cluster: nodes connected by loop-back TCP sockets, all I/O driven
-//! by one event loop per process.
+//! TCP cluster: nodes connected by loop-back TCP sockets, one thread per
+//! process.
 //!
-//! Every node runs the same loop as the thread cluster, but links are real
-//! sockets and messages travel through the wire codec — the closest
-//! in-process analogue of the paper's cluster deployment.
+//! Links are real sockets and messages travel through the wire codec —
+//! the closest in-process analogue of the paper's cluster deployment.
 //!
-//! # The I/O architecture: one nonblocking loop per process
+//! # The I/O architecture: the node runs on its process's poll loop
 //!
-//! A node thread never touches a socket. Each process owns a single
-//! [`crate::event_loop`] thread that drives all of its `2·(n−1)` streams
-//! through a `poll(2)`-based readiness loop ([`crate::poll`]):
+//! A process is a single [`crate::event_loop`] thread, `iabc-io-<p>`. It
+//! drives all of the process's `2·(n−1)` streams through a `poll(2)`-based
+//! readiness loop ([`crate::poll`]) **and hosts the [`Node`] itself**:
 //!
-//! * **Outbound**: `Send` actions enqueue into the peer's two-lane
-//!   [`crate::queue::PeerQueue`] and wake the loop (one coalesced wake per
-//!   action batch). The loop drains each queue — ordering frames ahead of
-//!   bulk — encodes the batch into pooled scratch and pushes it with a
-//!   single vectored write; partial writes park the remainder and re-arm
+//! * **Inbound**: sockets read straight into pooled receive buffers,
+//!   frames decode **in place** from those bytes
+//!   ([`iabc_types::Decode::decode_in_place`]) and are passed directly to
+//!   `on_message` — no re-assembly copy, no channel, no second thread.
+//! * **Outbound**: the handler's `Send` actions go into the peer's
+//!   two-lane [`crate::queue::Lanes`], owned by the loop. At the end of
+//!   the same pass the loop drains each peer's lanes — ordering frames
+//!   ahead of bulk — encodes the batch into pooled scratch and pushes it
+//!   with one write; partial writes park the remainder and arm
 //!   writability. Under load this coalesces many frames per syscall and
 //!   keeps consensus traffic from queueing behind payload floods inside
 //!   the transport, mirroring the simulator's priority lane.
-//! * **Inbound**: sockets read straight into pooled receive buffers and
-//!   frames decode **in place** from those bytes
-//!   ([`iabc_types::Decode::decode_in_place`]), going to the node's input
-//!   channel with no re-assembly copy and no relay thread.
+//! * **Timers** feed a deadline heap that bounds the loop's park;
+//!   **self-sends** go to a loop-local FIFO delivered after the current
+//!   handler returns.
 //!
-//! The previous architecture — a blocking reader thread per connection
-//! plus a flusher thread per peer, `2·(n−1)` I/O threads per process —
-//! survives as [`crate::tcp_threaded::ThreadedTcpCluster`], the
+//! Only three things cross a thread: application **commands**
+//! ([`TcpCluster::send_command`] → a per-process channel plus a wake that
+//! costs a pipe byte only when the loop is parked), **outputs** (the
+//! shared channel [`TcpCluster::run_for`] reads, each output stamped as
+//! it is emitted) and **stop**. Back-pressure therefore lands on the
+//! application: while a connected peer's lanes are at
+//! [`crate::queue::MAX_OUTBOUND_FRAMES`] the loop leaves commands in
+//! their channel, and never stops reading sockets (see
+//! [`crate::event_loop`]).
+//!
+//! The first architecture — a blocking reader thread per connection plus
+//! a flusher thread per peer, `2·(n−1)` I/O threads and a node thread per
+//! process — survives as [`crate::tcp_threaded::ThreadedTcpCluster`], the
 //! measured control for the `loopback_cluster` bench.
 //!
 //! # Lock discipline
 //!
-//! All transport locking lives in [`crate::queue`] (one mutex per peer
-//! queue, no I/O under a guard — see its module docs) and
-//! [`crate::pool`]. The event loop itself never blocks: lint rule `E1`
-//! mechanically enforces that its module set reaches the kernel only
-//! through the sanctioned nonblocking shims in [`crate::poll`].
+//! The frame path takes no lock: lanes, timers and the node belong to
+//! the loop thread. What remains is the command and output channels and
+//! [`crate::pool`]'s free list. The event loop never blocks: lint rule
+//! `E1` mechanically enforces that its module set reaches the kernel only
+//! through the sanctioned nonblocking shims in [`crate::poll`]. A node
+//! handler that blocks stalls its own process's I/O.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::Instant;
 
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use iabc_runtime::Node;
 use iabc_types::{Decode, Encode, ProcessId};
 
-use crate::adapter::{MsgOverTcp, OutboundMesh};
-use crate::cluster::ThreadCluster;
-use crate::event_loop::{self, EventLoopHandle, LoopTopology, OutboundLink, Waker};
+use crate::cluster::collect_outputs;
+use crate::event_loop::{self, EventLoopHandle, LoopTopology, OutboundLink, Process, Waker};
 use crate::netfault::{NetFaultPlan, NetFaultReport, NetFaultStats};
 use crate::poll::wake_channel;
-use crate::queue::PeerQueue;
-
-/// Per-process outbound links (connected stream + feeding queue + the
-/// peer's reconnect address), handed to that process's event loop.
-type WriterConns<M> = Vec<Vec<OutboundLink<M>>>;
 use crate::NetOutput;
 
 /// A mesh of loop-back TCP connections between `n` local "processes",
-/// with one event-driven I/O thread per process.
+/// each one thread: an event loop that hosts the process's node.
 ///
-/// Internally each process still runs its node on a thread (this is a
-/// test/demo vehicle, not a deployment platform), but every message
-/// crosses a real socket through the wire codec, so the full
+/// This is a test/demo vehicle, not a deployment platform, but every
+/// message crosses a real socket through the wire codec, so the full
 /// encode → TCP → decode-in-place path is exercised.
 pub struct TcpCluster<N: Node>
 where
     N::Msg: Encode,
 {
-    inner: ThreadCluster<MsgOverTcp<N>>,
-    outbound: OutboundMesh<N::Msg>,
+    commands: Vec<Sender<N::Command>>,
+    outputs: Receiver<NetOutput<N::Output>>,
     io_loops: Vec<EventLoopHandle>,
     fault_stats: Vec<Arc<NetFaultStats>>,
 }
@@ -82,7 +90,8 @@ where
 {
     /// Binds `n` loop-back listeners, connects the full mesh (blocking
     /// handshakes, so the cluster is fully wired before this returns),
-    /// and starts the node threads and per-process event loops.
+    /// and starts one event-loop thread per process, which runs the
+    /// node's `on_start` first.
     ///
     /// # Panics
     ///
@@ -94,8 +103,9 @@ where
 
     /// [`TcpCluster::start`] with an optional nemesis fault plan. Every
     /// process's event loop gets a clone of the plan, so both endpoints
-    /// of a partitioned pair sever their half of the link. `None` keeps
-    /// the frame path entirely fault-layer-free (the plan is never
+    /// of a partitioned pair sever their half of the link; its windows
+    /// count from the same instant as [`NetOutput::at`]. `None` keeps the
+    /// frame path entirely fault-layer-free (the plan is never
     /// consulted), so fault-off wire traffic is byte-identical to a
     /// cluster started through [`TcpCluster::start`].
     ///
@@ -124,59 +134,33 @@ where
             // lint:allow(P1): bootstrap, documented panic, no remote input yet
             listeners.iter().map(|l| l.local_addr().expect("local addr")).collect();
 
-        // One wake channel + waker per process, created up front: the node
-        // adapters (built by ThreadCluster::start) and the event loops
-        // (spawned last) share them.
-        let mut wake_rxs = Vec::with_capacity(n);
-        let mut wakers: Vec<Arc<Waker>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            // lint:allow(P1): bootstrap wake channel, documented panic, no remote input yet
-            let (tx, rx) = wake_channel().expect("wake channel");
-            wake_rxs.push(rx);
-            wakers.push(Arc::new(Waker::new(tx)));
-        }
-
-        // Outbound side: from i to j (i != j), a connected stream plus the
-        // queue that feeds it, owned by process i's event loop.
-        let mut outbound: OutboundMesh<N::Msg> = (0..n).map(|_| vec![]).collect();
-        let mut writer_conns: WriterConns<N::Msg> = (0..n).map(|_| vec![]).collect();
-        for (i, row) in outbound.iter_mut().enumerate() {
+        // Outbound side: from i to j (i != j), a connected stream owned by
+        // process i's event loop.
+        let mut outbound: Vec<Vec<OutboundLink>> = (0..n).map(|_| vec![]).collect();
+        for (i, links) in outbound.iter_mut().enumerate() {
             for (j, addr) in addrs.iter().enumerate() {
                 if i == j {
-                    row.push(None);
-                } else {
-                    // lint:allow(P1): bootstrap connect, documented panic, no remote input yet
-                    let mut stream = TcpStream::connect(addr).expect("connect to peer");
-                    // lint:allow(P1): bootstrap, documented panic, no remote input yet
-                    stream.set_nodelay(true).expect("nodelay");
-                    // Identify ourselves so the acceptor can route. Written
-                    // while the stream is still blocking — the handshake is
-                    // part of the start barrier.
-                    // lint:allow(P1): bootstrap handshake, documented panic, no remote input yet — lint:allow(W2): i < n and start() asserts n fits in u16
-                    stream.write_all(&(i as u16).to_le_bytes()).expect("handshake");
-                    // lint:allow(P1): bootstrap, documented panic, no remote input yet
-                    stream.set_nonblocking(true).expect("nonblocking");
-                    let queue = Arc::new(PeerQueue::new());
-                    writer_conns[i].push(OutboundLink {
-                        // lint:allow(W2): j < n and start() asserts n fits in u16
-                        peer: ProcessId::new(j as u16),
-                        addr: Some(*addr),
-                        stream,
-                        queue: Arc::clone(&queue),
-                    });
-                    row.push(Some(queue));
+                    continue;
                 }
+                // lint:allow(P1): bootstrap connect, documented panic, no remote input yet
+                let mut stream = TcpStream::connect(addr).expect("connect to peer");
+                // lint:allow(P1): bootstrap, documented panic, no remote input yet
+                stream.set_nodelay(true).expect("nodelay");
+                // Identify ourselves so the acceptor can route. Written
+                // while the stream is still blocking — the handshake is
+                // part of the start barrier.
+                // lint:allow(P1): bootstrap handshake, documented panic, no remote input yet — lint:allow(W2): i < n and start() asserts n fits in u16
+                stream.write_all(&(i as u16).to_le_bytes()).expect("handshake");
+                // lint:allow(P1): bootstrap, documented panic, no remote input yet
+                stream.set_nonblocking(true).expect("nonblocking");
+                links.push(OutboundLink {
+                    // lint:allow(W2): j < n and start() asserts n fits in u16
+                    peer: ProcessId::new(j as u16),
+                    addr: Some(*addr),
+                    stream,
+                });
             }
         }
-
-        let writers_for_nodes = outbound.clone();
-        let wakers_for_nodes = wakers.clone();
-        let inner = ThreadCluster::start(n, move |p| MsgOverTcp {
-            node: factory(p),
-            me: p,
-            writers: writers_for_nodes[p.as_usize()].clone(),
-            waker: Some(Arc::clone(&wakers_for_nodes[p.as_usize()])),
-        });
 
         // Inbound side: accept n-1 connections per listener (blocking — the
         // start barrier again), read the 2-byte sender handshake, then flip
@@ -200,37 +184,49 @@ where
             inbound_conns.push(accepted);
         }
 
-        // Spawn the event loops last, now that the node threads exist to
-        // inject into. Each loop keeps its process's listener (flipped
-        // nonblocking) so severed peers can redial mid-run.
+        // The mesh is wired: start the processes. Each loop keeps its
+        // listener (flipped nonblocking) so severed peers can redial
+        // mid-run.
+        let epoch = Instant::now();
+        let (out_tx, outputs) = unbounded();
+        let mut commands = Vec::with_capacity(n);
         let mut io_loops = Vec::with_capacity(n);
         let mut fault_stats = Vec::with_capacity(n);
-        for (j, ((inbound, writers), listener)) in
-            inbound_conns.into_iter().zip(writer_conns).zip(listeners).enumerate()
+        for (j, ((inbound, outbound), listener)) in
+            inbound_conns.into_iter().zip(outbound).zip(listeners).enumerate()
         {
             // lint:allow(W2): j < n and start() asserts n fits in u16
             let me = ProcessId::new(j as u16);
-            let inject = inner.message_injector(me);
             // lint:allow(P1): bootstrap, documented panic, no remote input yet
             listener.set_nonblocking(true).expect("nonblocking listener");
+            // lint:allow(P1): bootstrap wake channel, documented panic, no remote input yet
+            let (wake_tx, wake_rx) = wake_channel().expect("wake channel");
+            let (cmd_tx, cmd_rx) = unbounded();
+            commands.push(cmd_tx);
             let stats = Arc::new(NetFaultStats::default());
             fault_stats.push(Arc::clone(&stats));
             io_loops.push(event_loop::spawn(
-                me,
+                Process {
+                    me,
+                    n,
+                    epoch,
+                    node: factory(me),
+                    commands: cmd_rx,
+                    outputs: out_tx.clone(),
+                },
                 LoopTopology {
                     listener: Some(listener),
                     inbound,
-                    outbound: writers,
+                    outbound,
                     faults: faults.clone(),
                     stats,
                 },
-                wake_rxs.remove(0),
-                Arc::clone(&wakers[j]),
-                inject,
+                wake_rx,
+                Arc::new(Waker::new(wake_tx)),
             ));
         }
 
-        TcpCluster { inner, outbound, io_loops, fault_stats }
+        TcpCluster { commands, outputs, io_loops, fault_stats }
     }
 
     /// Per-process fault/reconnect counter snapshots (indexed by process
@@ -239,14 +235,19 @@ where
         self.fault_stats.iter().map(|s| s.report()).collect()
     }
 
-    /// Sends an application command to process `p`.
+    /// Sends an application command to process `p`: queues it and wakes
+    /// `p`'s loop, which takes it on its current or next pass — unless a
+    /// connected peer of `p` is a full queue behind, in which case it
+    /// waits in the channel until that peer drains.
     pub fn send_command(&self, p: ProcessId, cmd: N::Command) {
-        self.inner.send_command(p, cmd);
+        // A send to a stopped process is not an error for the caller.
+        let _ = self.commands[p.as_usize()].send(cmd);
+        self.io_loops[p.as_usize()].waker.wake();
     }
 
     /// Collects outputs for (wall-clock) `dur`.
     pub fn run_for(&mut self, dur: std::time::Duration) -> Vec<NetOutput<N::Output>> {
-        self.inner.run_for(dur)
+        collect_outputs(&self.outputs, usize::MAX, dur)
     }
 
     /// Collects outputs until `count` have arrived or `timeout` elapses —
@@ -257,28 +258,14 @@ where
         count: usize,
         timeout: std::time::Duration,
     ) -> Vec<NetOutput<N::Output>> {
-        self.inner.wait_for_outputs(count, timeout)
+        collect_outputs(&self.outputs, count, timeout)
     }
 
-    /// Stops node threads, event loops, and sockets. Never hangs on a
-    /// dead peer: outbound backlog is flushed best-effort, not awaited.
+    /// Stops every process and closes its sockets. Never hangs on a dead
+    /// peer: each loop does one last nonblocking pass — whatever the
+    /// kernel takes of its backlog without blocking is flushed, the rest
+    /// dropped — then its sockets come down and its node is dropped.
     pub fn shutdown(self) {
-        // Closing the queues stops new frames and lets each loop drain its
-        // backlog; the wakes make that prompt.
-        for row in &self.outbound {
-            for q in row.iter().flatten() {
-                q.close();
-            }
-        }
-        for l in &self.io_loops {
-            l.waker.wake();
-        }
-        // Node threads stop next — a node blocked in a backpressure push
-        // was released by the close above.
-        self.inner.shutdown();
-        // Finally the loops: one last nonblocking flush pass, then the
-        // sockets come down. Bounded by a poll tick even if a peer's
-        // socket went silent without closing.
         for l in &self.io_loops {
             l.stop();
         }
@@ -291,8 +278,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iabc_runtime::Context;
-    use iabc_types::{CodecError, TrafficClass, WireSize};
+    use crate::queue::tests::Blob;
+    use iabc_runtime::{Context, TimerId};
+    use iabc_types::{CodecError, Time, TrafficClass, WireSize};
 
     #[derive(Clone, Debug, PartialEq)]
     struct Num(u32);
@@ -397,5 +385,131 @@ mod tests {
             assert_eq!(outs.len(), 2);
             cluster.shutdown();
         }
+    }
+
+    #[test]
+    fn self_sends_wait_for_the_handler_and_keep_fifo_order() {
+        // p1, on frame 0 from p0, self-sends 1 and 2 *before* reporting 0;
+        // handling 1 self-sends 3. Delivered after the issuing handler
+        // returned and in issue order, p1 reports 0, 1, 2, 3.
+        struct Chain;
+        impl Node for Chain {
+            type Msg = Num;
+            type Command = ();
+            type Output = u32;
+            fn on_command(&mut self, _cmd: (), ctx: &mut Context<Num, u32>) {
+                ctx.send(ProcessId::new(1), Num(0));
+            }
+            fn on_message(&mut self, _from: ProcessId, m: Num, ctx: &mut Context<Num, u32>) {
+                match m.0 {
+                    0 => {
+                        ctx.send(ctx.me(), Num(1));
+                        ctx.send(ctx.me(), Num(2));
+                    }
+                    1 => ctx.send(ctx.me(), Num(3)),
+                    _ => {}
+                }
+                ctx.output(m.0);
+            }
+        }
+        let mut cluster = TcpCluster::start(2, |_| Chain);
+        cluster.send_command(ProcessId::new(0), ());
+        let outs = cluster.wait_for_outputs(4, std::time::Duration::from_secs(5));
+        assert!(outs.iter().all(|o| o.process == ProcessId::new(1)));
+        assert_eq!(outs.iter().map(|o| o.output).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn timers_fire_on_wall_clock() {
+        struct Alarm;
+        impl Node for Alarm {
+            type Msg = Num;
+            type Command = ();
+            type Output = u64;
+            fn on_start(&mut self, ctx: &mut Context<Num, u64>) {
+                ctx.set_timer(iabc_types::Duration::from_millis(20), TimerId::new(1, 5));
+            }
+            fn on_timer(&mut self, t: TimerId, ctx: &mut Context<Num, u64>) {
+                ctx.output(t.data());
+            }
+        }
+        let mut cluster = TcpCluster::start(1, |_| Alarm);
+        let outs = cluster.wait_for_outputs(1, std::time::Duration::from_millis(300));
+        assert_eq!(outs.len(), 1);
+        assert_eq!(outs[0].output, 5);
+        // `at` is stamped on the loop as the timer fires: the deadline
+        // bounds the park, so it is not a TICK late.
+        assert!(outs[0].at >= Time::from_nanos(15_000_000), "fired too early: {:?}", outs[0].at);
+        let latest = std::time::Duration::from_millis(20) + event_loop::TICK;
+        assert!(
+            std::time::Duration::from_nanos(outs[0].at.as_nanos()) <= latest,
+            "fired more than a tick late: {:?}",
+            outs[0].at
+        );
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn a_single_process_cluster_serves_commands_and_timers_without_sockets() {
+        // n = 1: no peers, no streams — just the wake channel, the local
+        // FIFO and the deadline heap.
+        struct Solo;
+        impl Node for Solo {
+            type Msg = Num;
+            type Command = u32;
+            type Output = u64;
+            fn on_command(&mut self, cmd: u32, ctx: &mut Context<Num, u64>) {
+                ctx.send_to_all(Num(cmd));
+            }
+            fn on_message(&mut self, _from: ProcessId, m: Num, ctx: &mut Context<Num, u64>) {
+                ctx.output(u64::from(m.0));
+                ctx.set_timer(iabc_types::Duration::from_millis(5), TimerId::new(1, u64::from(m.0) + 1));
+            }
+            fn on_timer(&mut self, t: TimerId, ctx: &mut Context<Num, u64>) {
+                ctx.output(t.data());
+            }
+        }
+        let mut cluster = TcpCluster::start(1, |_| Solo);
+        cluster.send_command(ProcessId::new(0), 7);
+        let outs = cluster.wait_for_outputs(2, std::time::Duration::from_secs(5));
+        assert_eq!(outs.iter().map(|o| o.output).collect::<Vec<_>>(), vec![7, 8]);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn mutual_flood_from_one_handler_each_drains_both_ways() {
+        // Both processes emit 16 MiB for the other from a single handler
+        // call, at the same time: both park on a partial write. A loop
+        // that stopped reading while parked would leave both waiting for
+        // the other to drain, forever.
+        const FLOOD: u32 = 4096;
+        struct Flooder {
+            got: u32,
+        }
+        impl Node for Flooder {
+            type Msg = Blob;
+            type Command = ();
+            type Output = u32;
+            fn on_command(&mut self, _cmd: (), ctx: &mut Context<Blob, u32>) {
+                for i in 0..FLOOD {
+                    // Even ids: all on the bulk lane, FIFO end to end.
+                    ctx.send_to_others(Blob { id: 2 * i, len: 4096 });
+                }
+            }
+            fn on_message(&mut self, _from: ProcessId, m: Blob, ctx: &mut Context<Blob, u32>) {
+                assert_eq!(m.id, 2 * self.got, "frames must arrive in order");
+                self.got += 1;
+                if self.got == FLOOD {
+                    ctx.output(self.got);
+                }
+            }
+        }
+        let mut cluster = TcpCluster::start(2, |_| Flooder { got: 0 });
+        cluster.send_command(ProcessId::new(0), ());
+        cluster.send_command(ProcessId::new(1), ());
+        let outs = cluster.wait_for_outputs(2, std::time::Duration::from_secs(30));
+        assert_eq!(outs.len(), 2, "both floods must drain");
+        cluster.shutdown();
     }
 }

@@ -173,8 +173,6 @@ where
             node: factory(p),
             me: p,
             writers: writers_for_nodes[p.as_usize()].clone(),
-            // Flushers park on the queue condvar; no loop to wake.
-            waker: None,
         });
 
         // Reader threads: accept n-1 inbound connections per listener and
