@@ -1,9 +1,12 @@
 //! Micro-benchmarks of the hot substrate paths: the wire codec, identifier
 //! sets (the values indirect consensus shuffles around), the event queue
-//! and the FIFO resources of the simulator, and the two per-frame stages
-//! of the TCP event loop (outbound lanes, in-place frame decode).
+//! and the FIFO resources of the simulator, the two per-frame stages of
+//! the TCP event loop (outbound lanes, in-place frame decode), and one
+//! whole fault-free consensus instance.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use iabc_consensus::testing::LoopNet;
+use iabc_consensus::{AlwaysHeld, CtIndirect};
 use iabc_net::codec::{write_frame_into, RecvBuffer, Tagged, TaggedOwned};
 use iabc_net::queue::Lanes;
 use iabc_net::BufferPool;
@@ -170,9 +173,28 @@ fn recv_buffer(c: &mut Criterion) {
     });
 }
 
+/// One fault-free indirect-CT instance at n = 3, start to finish: three
+/// proposes, then the 3(n − 1) = 6 remote frames (and the coordinator's
+/// two self-sends) handled in FIFO order until everyone has decided.
+fn ct_instance(c: &mut Criterion) {
+    let n = 3;
+    let proposal = ids(4);
+    c.bench_function("consensus/ct_instance_n3", |b| {
+        b.iter(|| {
+            let mut net =
+                LoopNet::new(n, |p| CtIndirect::<IdSet>::new(p, n), || Box::new(AlwaysHeld));
+            for p in ProcessId::all(n) {
+                net.propose(p, black_box(proposal.clone()));
+            }
+            net.run();
+            net.frames.len()
+        })
+    });
+}
+
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = codec, idset_ops, event_queue, resources, quorums, outbound_lanes, recv_buffer
+    targets = codec, idset_ops, event_queue, resources, quorums, outbound_lanes, recv_buffer, ct_instance
 }
 criterion_main!(micro);

@@ -16,6 +16,50 @@
 //!
 //! [`CtConsensus`] is the original; [`CtIndirect`](crate::CtIndirect) (in
 //! its own module) is Algorithm 2.
+//!
+//! # Round shape: park after the ack
+//!
+//! A fault-free instance costs one proposal, one round of acks and one
+//! decision: `3(n − 1)` remote frames. Round 1 has no estimate phase, acks
+//! go to the coordinator only, and a process that **acked** round `r`
+//! *parks* — it waits in `r` for the decision instead of opening `r + 1` at
+//! once as the textbook algorithm does (an estimate, a second proposal and
+//! the replies to both, in every instance). Decisions are disseminated by
+//! the [`InstanceManager`](crate::InstanceManager), not here.
+//!
+//! A parked process leaves `r` only on evidence that `r` is dead: its
+//! detector suspects `coord(r)`, or it sees a frame of a round `> r`, or a
+//! `CtNack` of `r`. A refuser nacks the coordinator only, as in the textbook;
+//! the coordinator that abandons `r` on it **forwards it to everyone**: at
+//! `n ≥ 5` coordinator + refuser are not a majority of the next round's
+//! estimates, an acker that never heard would wait forever, and a refuser
+//! that crashes mid-send may reach the coordinator alone. Leaving early is
+//! always safe — the textbook algorithm does it unconditionally.
+//!
+//! Liveness. Take the lowest round `r` in which a correct `p` is parked
+//! forever undecided, `c = coord(r)`; nobody is stuck below `r`, so every
+//! correct process reaches `r`, receives the proposal and answers `c`.
+//!
+//! * *`c` crashes* — before its `Decide`, or while forwarding a nack: by
+//!   strong completeness `p` suspects `c` and enters `r + 1`, where the
+//!   ackers' timestamped estimates re-propose the locked value. *While
+//!   sending the `Decide`*: whoever received it relays it once its detector
+//!   suspects `c` (the manager's rule). *After*: quasi-reliable channels
+//!   deliver it.
+//! * *`c` correct*: every correct process's answer reaches it, and a
+//!   majority of them are correct. A nack before a majority of acks (a
+//!   failed `rcv(v)`, a suspicion of `c` before its proposal came, `c`'s own
+//!   — it may propose a value it does not hold): `c` abandons `r` and its
+//!   forward un-parks `p`, whether or not the refuser is still alive. A
+//!   majority of acks first: `c` decides and `p` learns the decision
+//!   wherever it is by then; a refuser whose nack never left changes nothing.
+//! * *A false suspicion at one process `q` only*: before its ack this is a
+//!   refusal; after it `q` moves on silently, its estimate un-parks
+//!   `coord(r + 1)` at most, and `c` still decides on `q`'s ack.
+//!
+//! So nobody stays parked forever and rounds keep passing until one
+//! decides; the textbook ◇S argument (eventually a correct, unsuspected
+//! coordinator whose value — Hypothesis A — everyone holds) is unchanged.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -25,7 +69,7 @@ use iabc_types::{quorum, ProcessId, ProcessSet};
 
 use crate::msg::{ConsDest, ConsMsg};
 use crate::value::ConsensusValue;
-use crate::{ConsEnv, ConsOut, SingleConsensus};
+use crate::{ConsEnv, ConsOut, Membership, SingleConsensus};
 
 /// The variation points between the original CT algorithm and Algorithm 2.
 pub trait CtPolicy: fmt::Debug + Default + 'static {
@@ -82,6 +126,9 @@ enum Wait {
     CoordEstimates,
     /// Phase 3: waiting for the coordinator's proposal (or its suspicion).
     Proposal,
+    /// Phase 3 done: acked the proposal, waiting for the decision or for
+    /// evidence that the round is dead (see the module docs).
+    Parked,
     /// Phase 4: waiting for `⌈(n+1)/2⌉` acks or one nack (coordinator).
     CoordAcks,
     /// Decided.
@@ -90,17 +137,7 @@ enum Wait {
 
 /// The Chandra–Toueg round machine, parameterized by a [`CtPolicy`].
 pub struct CtMachine<V, P: CtPolicy> {
-    me: ProcessId,
-    n: usize,
-    /// Added to the round number when selecting the coordinator, so that
-    /// consecutive consensus instances rotate their round-1 coordinator
-    /// (load balancing; coordinator work would otherwise pile onto one
-    /// process across every instance of the atomic broadcast reduction).
-    coord_offset: u64,
-    /// Processes that never participate in consensus (learners / read
-    /// replicas). Coordinator rotation skips them and quorums count only
-    /// the remaining actives. Empty by default — the classic algorithm.
-    passive: ProcessSet,
+    members: Membership,
     /// Current round `r_p` (1-based; 0 before `propose`).
     round: u64,
     /// `estimate_p`: the value this process vouches for.
@@ -111,7 +148,6 @@ pub struct CtMachine<V, P: CtPolicy> {
     /// (`estimate_c` in Algorithm 2) — also the value it decides on.
     current_proposal: Option<V>,
     wait: Wait,
-    decided: bool,
     /// Phase-1 estimates received, per round: sender → (estimate, ts).
     estimates: BTreeMap<u64, BTreeMap<ProcessId, (V, u64)>>,
     /// Proposals received, per round (buffered if we are behind).
@@ -120,6 +156,9 @@ pub struct CtMachine<V, P: CtPolicy> {
     acks: BTreeMap<u64, BTreeSet<ProcessId>>,
     /// Nack senders per round.
     nacks: BTreeMap<u64, BTreeSet<ProcessId>>,
+    /// Highest round any received frame belonged to: a frame of a round
+    /// above ours proves that somebody abandoned ours.
+    highest_seen: u64,
     _policy: PhantomData<P>,
 }
 
@@ -127,11 +166,10 @@ impl<V: ConsensusValue, P: CtPolicy> fmt::Debug for CtMachine<V, P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CtMachine")
             .field("policy", &P::NAME)
-            .field("me", &self.me)
+            .field("me", &self.members.me)
             .field("round", &self.round)
             .field("ts", &self.ts)
             .field("wait", &self.wait)
-            .field("decided", &self.decided)
             .finish()
     }
 }
@@ -167,27 +205,18 @@ impl<V: ConsensusValue, P: CtPolicy> CtMachine<V, P> {
     /// Panics if `n == 0`, if `passive` names a process outside the
     /// system, or if no active process remains.
     pub fn with_membership(me: ProcessId, n: usize, offset: u64, passive: ProcessSet) -> Self {
-        assert!(n > 0, "system must have at least one process");
-        assert!(
-            passive.difference(ProcessSet::full(n)).is_empty(),
-            "passive set names processes outside the system"
-        );
-        assert!(passive.len() < n, "at least one process must stay active");
         CtMachine {
-            me,
-            n,
-            coord_offset: offset,
-            passive,
+            members: Membership::new(me, n, offset, passive),
             round: 0,
             estimate: None,
             ts: 0,
             current_proposal: None,
             wait: Wait::NotStarted,
-            decided: false,
             estimates: BTreeMap::new(),
             proposals: BTreeMap::new(),
             acks: BTreeMap::new(),
             nacks: BTreeMap::new(),
+            highest_seen: 0,
             _policy: PhantomData,
         }
     }
@@ -195,23 +224,7 @@ impl<V: ConsensusValue, P: CtPolicy> CtMachine<V, P> {
     /// The majority quorum `⌈(a+1)/2⌉` over the `a` *active* processes
     /// (all `n` when no passive set is configured).
     fn quorum(&self) -> usize {
-        quorum::majority(self.n - self.passive.len())
-    }
-
-    fn coord(&self, round: u64) -> ProcessId {
-        if self.passive.is_empty() {
-            return ProcessId::coordinator_of_round(round + self.coord_offset, self.n);
-        }
-        // Rotate over the sorted active ids only: a passive process never
-        // coordinates, so no round is wasted waiting to suspect a replica
-        // that by design stays silent.
-        let actives = self.n - self.passive.len();
-        let idx = ((round + self.coord_offset) % actives as u64) as usize;
-        ProcessId::all(self.n)
-            .filter(|p| !self.passive.contains(*p))
-            .nth(idx)
-            // lint:allow(P1): local invariant, not remote data — the constructor asserts at least one active process
-            .expect("at least one active process")
+        quorum::majority(self.members.actives())
     }
 
     /// Current round (for tests and debugging).
@@ -224,40 +237,21 @@ impl<V: ConsensusValue, P: CtPolicy> CtMachine<V, P> {
         self.estimate.as_ref()
     }
 
-    /// Current timestamp `ts_p` (for tests and debugging).
-    pub fn ts(&self) -> u64 {
-        self.ts
-    }
-
-    /// Decides `value` (exactly once) and R-broadcasts the decision:
-    /// the local delivery plus an eager relay on first receipt gives the
-    /// reliable-broadcast semantics of Algorithm 2 lines 37–41.
+    /// Decides `value`. Reporting it is all this machine does: the
+    /// [`InstanceManager`](crate::InstanceManager) announces the decision.
     fn decide(&mut self, value: V, out: &mut ConsOut<V>) {
-        if self.decided {
-            return;
-        }
-        self.decided = true;
         self.wait = Wait::Done;
-        out.sends.push((ConsDest::Others, ConsMsg::Decide { value: value.clone() }));
         out.decision = Some(value);
-        // Round-keyed buffers are dead weight now.
-        self.estimates.clear();
-        self.proposals.clear();
-        self.acks.clear();
-        self.nacks.clear();
     }
 
     /// Advances to the next round and performs its entry steps. Loops when
-    /// a round resolves immediately (e.g. the next coordinator is already
+    /// a round resolves immediately (the next coordinator is already
     /// suspected).
     fn enter_next_round(&mut self, env: &ConsEnv<'_, V>, out: &mut ConsOut<V>) {
         loop {
-            if self.decided {
-                return;
-            }
             self.round += 1;
             let r = self.round;
-            let c = self.coord(r);
+            let c = self.members.coord(r);
             self.current_proposal = None;
 
             // Phase 1: send the current estimate to the round's coordinator
@@ -269,33 +263,26 @@ impl<V: ConsensusValue, P: CtPolicy> CtMachine<V, P> {
                     .push((ConsDest::To(c), ConsMsg::CtEstimate { round: r, estimate, ts: self.ts }));
             }
 
-            if c == self.me {
+            if c == self.members.me {
                 if r == 1 {
                     // Phase 2, first round: propose our own estimate
                     // (Algorithm 2 line 20).
                     // lint:allow(P1): local invariant, not remote data — propose() sets the estimate before round 1 starts
                     let proposal = self.estimate.clone().expect("estimate set at propose");
                     self.broadcast_proposal(proposal, out);
-                    return;
+                } else {
+                    // Phase 2: gather ⌈(n+1)/2⌉ estimates (line 15).
+                    self.wait = Wait::CoordEstimates;
+                    self.try_select_proposal(out);
                 }
-                // Phase 2: gather ⌈(n+1)/2⌉ estimates (line 15).
-                self.wait = Wait::CoordEstimates;
-                if self.try_select_proposal(env, out) {
-                    return;
-                }
-                return; // still gathering
+                return;
             }
 
             // Phase 3 as a non-coordinator: the proposal may already be
             // buffered, or the coordinator may already be suspected.
             self.wait = Wait::Proposal;
-            if let Some(v) = self.proposals.get(&r).cloned() {
+            if let Some(v) = self.proposals.remove(&r) {
                 self.handle_proposal(v, env, out);
-                if self.wait == Wait::Proposal {
-                    // handle_proposal advanced us via recursion guard; cannot
-                    // happen, but keep the loop well-founded.
-                    return;
-                }
                 return;
             }
             if env.suspected.contains(c) {
@@ -311,12 +298,10 @@ impl<V: ConsensusValue, P: CtPolicy> CtMachine<V, P> {
     /// Phase 2 completion check: with a majority of estimates for the
     /// current round, select the one with the largest timestamp
     /// (deterministic tie-break: smallest sender id) and broadcast it.
-    /// Returns `true` if a proposal went out.
-    fn try_select_proposal(&mut self, _env: &ConsEnv<'_, V>, out: &mut ConsOut<V>) -> bool {
-        let r = self.round;
-        let Some(received) = self.estimates.get(&r) else { return false };
+    fn try_select_proposal(&mut self, out: &mut ConsOut<V>) {
+        let Some(received) = self.estimates.get(&self.round) else { return };
         if received.len() < self.quorum() {
-            return false;
+            return;
         }
         let (_, (value, _ts)) = received
             .iter()
@@ -331,7 +316,6 @@ impl<V: ConsensusValue, P: CtPolicy> CtMachine<V, P> {
             self.estimate = Some(selected.clone());
         }
         self.broadcast_proposal(selected, out);
-        true
     }
 
     /// Sends the round proposal to everyone (self included) and moves to
@@ -342,11 +326,22 @@ impl<V: ConsensusValue, P: CtPolicy> CtMachine<V, P> {
         self.wait = Wait::CoordAcks;
     }
 
+    /// Whether the current round is known not to decide through us waiting:
+    /// its coordinator is suspected, somebody nacked it, or somebody is
+    /// already in a later round.
+    fn round_is_dead(&self, env: &ConsEnv<'_, V>) -> bool {
+        let r = self.round;
+        self.highest_seen > r
+            || self.nacks.get(&r).is_some_and(|s| !s.is_empty())
+            || env.suspected.contains(self.members.coord(r))
+    }
+
     /// Phase 3: react to the coordinator's proposal for the current round.
     fn handle_proposal(&mut self, v: V, env: &ConsEnv<'_, V>, out: &mut ConsOut<V>) {
         let r = self.round;
-        let c = self.coord(r);
-        if P::accept_proposal(&v, env, out) {
+        let c = self.members.coord(r);
+        let accepted = P::accept_proposal(&v, env, out);
+        if accepted {
             // Adopt: estimate_p ← v, ts_p ← r (Algorithm 2 lines 26–28).
             self.estimate = Some(v);
             self.ts = r;
@@ -355,12 +350,16 @@ impl<V: ConsensusValue, P: CtPolicy> CtMachine<V, P> {
             // Refuse: the proposal's messages are missing (lines 29–30).
             out.sends.push((ConsDest::To(c), ConsMsg::CtNack { round: r }));
         }
-        if c != self.me {
-            // Non-coordinators proceed to the next round immediately.
+        if c == self.members.me {
+            // The coordinator stays in Phase 4 (Wait::CoordAcks) — its own
+            // ack/nack just sent will be counted like everyone else's.
+            return;
+        }
+        if accepted && !self.round_is_dead(env) {
+            self.wait = Wait::Parked; // the decision is on its way
+        } else {
             self.enter_next_round(env, out);
         }
-        // The coordinator stays in Phase 4 (Wait::CoordAcks) — its own
-        // ack/nack just sent will be counted like everyone else's.
     }
 
     /// Phase 4 completion check: decide on a majority of acks; abandon the
@@ -371,7 +370,9 @@ impl<V: ConsensusValue, P: CtPolicy> CtMachine<V, P> {
             return;
         }
         if self.nacks.get(&r).is_some_and(|s| !s.is_empty()) {
-            // Someone refused: next round (Algorithm 2 line 35, nack arm).
+            // Someone refused: next round (Algorithm 2 line 35, nack arm) —
+            // and tell whoever acked and parked that this one is dead.
+            out.sends.push((ConsDest::Others, ConsMsg::CtNack { round: r }));
             self.enter_next_round(env, out);
             return;
         }
@@ -398,77 +399,63 @@ impl<V: ConsensusValue, P: CtPolicy> SingleConsensus<V> for CtMachine<V, P> {
         env: &ConsEnv<'_, V>,
         out: &mut ConsOut<V>,
     ) {
-        if self.decided {
+        if self.wait == Wait::Done {
             return;
         }
+        // A `Decide` has no round: the InstanceManager learns decisions.
+        let Some(round) = msg.round().filter(|&r| r >= self.round) else { return };
+        self.highest_seen = self.highest_seen.max(round);
+        let current = round == self.round;
         match msg {
-            ConsMsg::Decide { value } => {
-                // R-deliver of a decision: decide and relay (lines 38–41).
-                self.decide(value, out);
-            }
-            ConsMsg::CtEstimate { round, estimate, ts } => {
-                if round < self.round {
-                    return; // stale
-                }
+            ConsMsg::CtEstimate { estimate, ts, .. } => {
                 self.estimates.entry(round).or_default().insert(from, (estimate, ts));
-                if self.wait == Wait::CoordEstimates && round == self.round {
-                    self.try_select_proposal(env, out);
+                if current && self.wait == Wait::CoordEstimates {
+                    self.try_select_proposal(out);
                 }
             }
-            ConsMsg::CtProposal { round, estimate } => {
-                if round < self.round {
-                    return; // stale
-                }
-                if round == self.round
+            ConsMsg::CtProposal { estimate, .. } => {
+                if current
                     && (self.wait == Wait::Proposal
-                        || (self.wait == Wait::CoordAcks && from == self.me))
+                        || (self.wait == Wait::CoordAcks && from == self.members.me))
                 {
                     self.handle_proposal(estimate, env, out);
                 } else {
                     self.proposals.insert(round, estimate);
                 }
             }
-            ConsMsg::CtAck { round } => {
-                if round < self.round {
-                    return;
-                }
+            ConsMsg::CtAck { .. } => {
                 self.acks.entry(round).or_default().insert(from);
-                if round == self.round {
+                if current {
                     self.check_acks(env, out);
                 }
             }
-            ConsMsg::CtNack { round } => {
-                if round < self.round {
-                    return;
-                }
+            ConsMsg::CtNack { .. } => {
                 self.nacks.entry(round).or_default().insert(from);
-                if round == self.round {
+                if current {
                     self.check_acks(env, out);
                 }
             }
             // MR traffic does not belong to this algorithm.
-            ConsMsg::MrPhase1 { .. } | ConsMsg::MrPhase2 { .. } => {}
+            ConsMsg::Decide { .. } | ConsMsg::MrPhase1 { .. } | ConsMsg::MrPhase2 { .. } => {}
         }
-    }
-
-    fn on_suspect(&mut self, p: ProcessId, env: &ConsEnv<'_, V>, out: &mut ConsOut<V>) {
-        if self.decided || self.wait != Wait::Proposal {
-            return;
-        }
-        let c = self.coord(self.round);
-        if p == c {
-            // Phase 3, suspicion arm (Algorithm 2 lines 31–32).
-            out.sends.push((ConsDest::To(c), ConsMsg::CtNack { round: self.round }));
+        if self.wait == Wait::Parked && self.round_is_dead(env) {
             self.enter_next_round(env, out);
         }
     }
 
-    fn has_decided(&self) -> bool {
-        self.decided
-    }
-
-    fn name(&self) -> &'static str {
-        P::NAME
+    fn on_suspect(&mut self, p: ProcessId, env: &ConsEnv<'_, V>, out: &mut ConsOut<V>) {
+        let c = self.members.coord(self.round);
+        if self.wait == Wait::Done || p != c {
+            return;
+        }
+        if self.wait == Wait::Proposal {
+            // Phase 3, suspicion arm (Algorithm 2 lines 31–32).
+            out.sends.push((ConsDest::To(c), ConsMsg::CtNack { round: self.round }));
+            self.enter_next_round(env, out);
+        } else if self.wait == Wait::Parked {
+            // Already acked: nothing to refuse, the round is just dead to us.
+            self.enter_next_round(env, out);
+        }
     }
 }
 
@@ -541,13 +528,13 @@ mod tests {
         net.propose(p(0), ids(&[0]));
         net.propose(p(2), ids(&[2]));
         net.run(); // drains: everyone stuck waiting for p1
-        assert!(!net.algos[0].has_decided());
+        assert!(net.decisions[0].is_none());
         // ◇S eventually suspects p1 at both correct processes.
         net.suspect_at(p(0), p(1));
         net.suspect_at(p(2), p(1));
         net.run();
         // Round 2's coordinator is p2: its estimate gets decided.
-        assert!(net.algos[0].has_decided() && net.algos[2].has_decided());
+        assert!(net.decisions[0].is_some() && net.decisions[2].is_some());
         assert_eq!(net.decisions[0], net.decisions[2]);
     }
 
@@ -557,12 +544,12 @@ mod tests {
         net.propose(p(1), ids(&[1]));
         net.propose(p(2), ids(&[2]));
         net.run(); // p1+p2 reach a decision without p0 (majority = 2)
-        assert!(net.algos[1].has_decided());
-        assert!(!net.algos[0].has_decided());
+        assert!(net.decisions[1].is_some());
+        assert!(net.decisions[0].is_none());
         // p0 proposes later and decides from the relayed Decide.
         net.propose(p(0), ids(&[0]));
         net.run();
-        assert!(net.algos[0].has_decided());
+        assert!(net.decisions[0].is_some());
         assert_eq!(net.decisions[0], net.decisions[1]);
     }
 
@@ -583,9 +570,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "propose may be called only once")]
     fn double_propose_panics() {
-        let mut net = net(3);
-        net.propose(p(0), ids(&[0]));
-        net.propose(p(0), ids(&[0]));
+        let mut algo = CtConsensus::<IdSet>::new(p(0), 3);
+        let env = ConsEnv::new(&AlwaysHeld, ProcessSet::new());
+        algo.propose(ids(&[0]), &env, &mut ConsOut::new());
+        algo.propose(ids(&[0]), &env, &mut ConsOut::new());
     }
 
     #[test]
@@ -604,10 +592,227 @@ mod tests {
         }
         net.run();
         for q in [0u16, 3, 4] {
-            assert!(net.algos[q as usize].has_decided(), "p{q} undecided");
+            assert!(net.decisions[q as usize].is_some(), "p{q} undecided");
         }
         assert_eq!(net.decisions[0], net.decisions[3]);
         assert_eq!(net.decisions[3], net.decisions[4]);
+    }
+
+    // ---- Round shape: exact frame counts and the liveness of parking ----
+
+    use crate::ct_indirect::CtIndirect;
+    use crate::value::{HeldIds, RcvOracle};
+    use std::cell::Cell;
+
+    type Arm = fn(&ConsMsg<IdSet>) -> bool;
+    const PROPOSAL: Arm = |m| matches!(m, ConsMsg::CtProposal { .. });
+    const ESTIMATE: Arm = |m| matches!(m, ConsMsg::CtEstimate { .. });
+    const ACK: Arm = |m| matches!(m, ConsMsg::CtAck { .. });
+    const NACK: Arm = |m| matches!(m, ConsMsg::CtNack { .. });
+    const DECIDE: Arm = |m| matches!(m, ConsMsg::Decide { .. });
+
+    /// Holds `msgs(v)` from the second time it is asked: the payload that
+    /// arrives one round late (Hypothesis A at work).
+    #[derive(Debug, Default)]
+    struct HeldFromSecondAsk(Cell<bool>);
+
+    impl RcvOracle<IdSet> for HeldFromSecondAsk {
+        fn rcv(&self, _v: &IdSet) -> bool {
+            self.0.replace(true)
+        }
+    }
+
+    fn indirect(n: usize) -> LoopNet<IdSet, CtIndirect<IdSet>> {
+        LoopNet::new(n, |q| CtIndirect::new(q, n), || Box::new(AlwaysHeld))
+    }
+
+    fn propose_all<A: SingleConsensus<IdSet> + Send + 'static>(net: &mut LoopNet<IdSet, A>, n: usize) {
+        for q in 0..n as u16 {
+            net.propose(p(q), ids(&[q as u64]));
+        }
+    }
+
+    /// Delivers FIFO until `done(net)` holds (checked after every delivery).
+    fn run_until<A: SingleConsensus<IdSet> + Send + 'static>(
+        net: &mut LoopNet<IdSet, A>,
+        done: impl Fn(&LoopNet<IdSet, A>) -> bool,
+    ) {
+        while !done(net) {
+            let (from, to, msg) = net.pop_front().expect("quiescent before the condition held");
+            net.deliver_one(from, to, msg);
+        }
+    }
+
+    fn assert_fault_free_budget<A: SingleConsensus<IdSet> + Send + 'static>(
+        mut net: LoopNet<IdSet, A>,
+        n: usize,
+    ) {
+        propose_all(&mut net, n);
+        net.run();
+        assert_eq!(net.common_decision(), ids(&[1]), "n={n}: the round-1 coordinator's value");
+        for (arm, name) in [(PROPOSAL, "CtProposal"), (ACK, "CtAck"), (DECIDE, "Decide")] {
+            assert_eq!(net.count_frames(arm), n - 1, "n={n}: {name} frames");
+        }
+        assert_eq!(net.frames.len(), 3 * (n - 1), "n={n}: and nothing else");
+    }
+
+    #[test]
+    fn a_fault_free_instance_costs_exactly_three_n_minus_one_frames() {
+        for n in [3, 5, 7] {
+            assert_fault_free_budget(net(n), n); // direct_ct_messages' machine
+            assert_fault_free_budget(indirect(n), n); // indirect_ct's
+        }
+    }
+
+    #[test]
+    fn a_refused_round_costs_a_bounded_extra_and_round_two_decides() {
+        // Only the round-1 coordinator p1 holds message 9, which it
+        // proposes: all n − 1 others refuse. However many refuse, a refused
+        // round costs 4(n − 1) frames — its proposal, one answer each, the
+        // coordinator's forward of the first nack, and the n − 1 estimates
+        // that open round 2 — and round 2 is a fault-free round: 7(n − 1)
+        // frames in all, 14 at n = 3.
+        for n in [3usize, 5] {
+            let mut net = LoopNet::new(n, |q| CtIndirect::<IdSet>::new(q, n), || {
+                Box::new(HeldIds { held: ids(&[1]), cost_per_id: iabc_types::Duration::ZERO })
+            });
+            net.set_oracle(
+                p(1),
+                Box::new(HeldIds { held: ids(&[1, 9]), cost_per_id: iabc_types::Duration::ZERO }),
+            );
+            for q in 0..n as u16 {
+                net.propose(p(q), if q == 1 { ids(&[9]) } else { ids(&[1]) });
+            }
+            net.run();
+            assert_eq!(net.common_decision(), ids(&[1]), "n={n}");
+            let by_arm = [PROPOSAL, NACK, ESTIMATE, ACK, DECIDE].map(|arm| net.count_frames(arm));
+            assert_eq!(by_arm, [2 * (n - 1), 2 * (n - 1), n - 1, n - 1, n - 1], "n={n}");
+            assert_eq!(net.frames.len(), 7 * (n - 1), "n={n}");
+        }
+    }
+
+    #[test]
+    fn one_refusal_unparks_every_acker() {
+        // p0 lacks the proposal's message when asked (it arrives later), so
+        // it nacks; everyone else acks and parks. The coordinator abandons
+        // the round on that nack, and only its forward tells the ackers: at
+        // n = 5 coordinator + refuser are two of the three estimates round 2
+        // needs, so a nack that stopped at the coordinator would wedge the
+        // instance.
+        for n in [3usize, 5] {
+            let mut net = indirect(n);
+            net.set_oracle(p(0), Box::<HeldFromSecondAsk>::default());
+            propose_all(&mut net, n);
+            net.run();
+            assert_eq!(net.common_decision(), ids(&[1]), "n={n}: the value round 1 locked");
+            assert_eq!(net.count_frames(NACK), n, "n={n}: p0's nack and p1's forward");
+            assert_eq!(
+                net.count_frames(|m| matches!(m, ConsMsg::CtEstimate { round: 2, .. })),
+                n - 1,
+                "n={n}: everybody entered round 2"
+            );
+        }
+    }
+
+    #[test]
+    fn a_refuser_that_crashes_mid_send_still_unparks_every_acker() {
+        // p0 suspects the coordinator p1, refuses round 1 and dies: of all
+        // it sent, only the nack to p1 left. p1 abandons the round; without
+        // its forward p1 + coord(2) are 2 of the 3 estimates round 2 needs
+        // at n = 5, and the parked ackers would never supply the third.
+        for n in [3usize, 5] {
+            let mut net = indirect(n);
+            net.suspect_at(p(0), p(1));
+            net.propose(p(0), ids(&[0]));
+            net.drop_queued(|from, to, m| from == p(0) && !(to == p(1) && NACK(m)));
+            net.crash(p(0));
+            for q in 1..n as u16 {
+                net.propose(p(q), ids(&[q as u64]));
+            }
+            net.run();
+            for q in 1..n as u16 {
+                net.suspect_at(p(q), p(0));
+            }
+            net.run();
+            assert!((1..n).all(|q| net.decisions[q].is_some()), "n={n}: every survivor decides");
+        }
+    }
+
+    #[test]
+    fn coordinator_crash_before_the_decide_unparks_on_suspicion() {
+        for n in [3usize, 5] {
+            let mut net = indirect(n);
+            propose_all(&mut net, n);
+            net.crash(p(1)); // its proposal is out, its acks will go unread
+            net.run();
+            assert!((0..n).all(|q| net.decisions[q].is_none()), "n={n}: everyone is parked");
+            assert_eq!(net.count_frames(ESTIMATE), 0, "n={n}: nobody opened round 2");
+            for q in (0..n as u16).filter(|&q| q != 1) {
+                net.suspect_at(p(q), p(1));
+            }
+            net.run();
+            assert_eq!(net.common_decision(), ids(&[1]), "n={n}: the locked value survives");
+        }
+    }
+
+    #[test]
+    fn coordinator_crash_mid_decide_is_repaired_by_the_one_learner() {
+        for n in [3usize, 5] {
+            let mut net = indirect(n);
+            propose_all(&mut net, n);
+            run_until(&mut net, |net| net.decisions[1].is_some());
+            // p1 dies mid-announcement: only p0's copy made it to the wire.
+            let lost = net.drop_queued(|from, to, m| from == p(1) && to != p(0) && DECIDE(m));
+            assert_eq!(lost, n - 2);
+            net.crash(p(1));
+            net.run();
+            assert!(net.decisions[0].is_some());
+            assert!((2..n).all(|q| net.decisions[q].is_none()), "n={n}: the rest still parked");
+            assert_eq!(net.count_frames(DECIDE), n - 1, "n={n}: learning relayed nothing");
+            for q in (0..n as u16).filter(|&q| q != 1) {
+                net.suspect_at(p(q), p(1));
+            }
+            net.run();
+            assert_eq!(net.common_decision(), ids(&[1]), "n={n}");
+            let relayed = net.frames.iter().filter(|(from, _, m)| *from == p(0) && DECIDE(m)).count();
+            assert!(relayed >= n - 1, "n={n}: p0 relays what the suspect taught it");
+        }
+    }
+
+    #[test]
+    fn coordinator_crash_after_the_decide_needs_nothing_more() {
+        for n in [3usize, 5] {
+            let mut net = indirect(n);
+            propose_all(&mut net, n);
+            run_until(&mut net, |net| net.decisions[1].is_some());
+            net.crash(p(1));
+            net.run();
+            assert_eq!(net.common_decision(), ids(&[1]), "n={n}");
+            assert_eq!(net.frames.len(), 3 * (n - 1), "n={n}: still the fault-free budget");
+        }
+    }
+
+    #[test]
+    fn a_false_suspicion_at_one_process_only_is_survived() {
+        for n in [3usize, 5] {
+            // Before its ack: p0 refuses round 1 outright, the coordinator
+            // abandons it and a later round decides (whatever value).
+            let mut net = indirect(n);
+            net.suspect_at(p(0), p(1));
+            propose_all(&mut net, n);
+            net.run();
+            net.common_decision();
+            assert_eq!(net.count_frames(NACK), n, "n={n}: p0's nack and p1's forward");
+
+            // After its ack: p0 un-parks silently; its ack still counts.
+            let mut net = indirect(n);
+            propose_all(&mut net, n);
+            run_until(&mut net, |net| net.frames.iter().any(|(from, _, m)| *from == p(0) && ACK(m)));
+            net.suspect_at(p(0), p(1));
+            net.run();
+            assert_eq!(net.common_decision(), ids(&[1]), "n={n}: suspicion after the ack");
+            assert_eq!(net.count_frames(NACK), 0, "n={n}: an acker has nothing to refuse");
+        }
     }
 
     #[test]
@@ -618,7 +823,7 @@ mod tests {
         // Rounds rotate over the sorted actives {p0, p1, p2} only: the
         // learner p3 never coordinates, so no round stalls on a process
         // that by design answers nothing.
-        let coords: Vec<_> = (1..=6).map(|r| m.coord(r)).collect();
+        let coords: Vec<_> = (1..=6).map(|r| m.members.coord(r)).collect();
         assert_eq!(coords, vec![p(1), p(2), p(0), p(1), p(2), p(0)]);
         assert_eq!(m.quorum(), 2, "majority of the 3 actives, not of all 4");
     }
@@ -630,7 +835,7 @@ mod tests {
             let member: CtConsensus<IdSet> =
                 CtMachine::with_membership(p(1), 4, offset, ProcessSet::new());
             for r in 1..=9 {
-                assert_eq!(classic.coord(r), member.coord(r));
+                assert_eq!(classic.members.coord(r), member.members.coord(r));
             }
             assert_eq!(classic.quorum(), member.quorum());
         }

@@ -104,6 +104,59 @@ impl<'a, V> ConsEnv<'a, V> {
     }
 }
 
+/// Who takes part in an instance and who coordinates which round — the
+/// part of the two round machines that is the same.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Membership {
+    pub(crate) me: ProcessId,
+    n: usize,
+    /// Added to the round number when selecting the coordinator, so that
+    /// consecutive consensus instances rotate their round-1 coordinator
+    /// (coordinator work would otherwise pile onto one process across
+    /// every instance of the atomic broadcast reduction).
+    coord_offset: u64,
+    /// Processes that never participate in consensus (learners / read
+    /// replicas): rotation skips them and quorums count only the actives.
+    passive: ProcessSet,
+}
+
+impl Membership {
+    /// # Panics
+    ///
+    /// Panics if `n == 0`, if `passive` names a process outside the
+    /// system, or if no active process remains.
+    pub(crate) fn new(me: ProcessId, n: usize, coord_offset: u64, passive: ProcessSet) -> Self {
+        assert!(n > 0, "system must have at least one process");
+        assert!(
+            passive.difference(ProcessSet::full(n)).is_empty(),
+            "passive set names processes outside the system"
+        );
+        assert!(passive.len() < n, "at least one process must stay active");
+        Membership { me, n, coord_offset, passive }
+    }
+
+    /// Number of active processes: the `n` every quorum is computed over.
+    pub(crate) fn actives(&self) -> usize {
+        self.n - self.passive.len()
+    }
+
+    /// The coordinator of `round`.
+    pub(crate) fn coord(&self, round: u64) -> ProcessId {
+        if self.passive.is_empty() {
+            return ProcessId::coordinator_of_round(round + self.coord_offset, self.n);
+        }
+        // Rotate over the sorted active ids only: a passive process never
+        // coordinates, so no round is wasted waiting to suspect a replica
+        // that by design stays silent.
+        let idx = ((round + self.coord_offset) % self.actives() as u64) as usize;
+        ProcessId::all(self.n)
+            .filter(|p| !self.passive.contains(*p))
+            .nth(idx)
+            // lint:allow(P1): local invariant, not remote data — the constructor asserts at least one active process
+            .expect("at least one active process")
+    }
+}
+
 /// A single-instance consensus state machine.
 ///
 /// The composed node (or the [`InstanceManager`]) calls `propose` exactly
@@ -126,12 +179,6 @@ pub trait SingleConsensus<V: ConsensusValue>: fmt::Debug {
 
     /// Informs the instance that `p` is now suspected.
     fn on_suspect(&mut self, p: ProcessId, env: &ConsEnv<'_, V>, out: &mut ConsOut<V>);
-
-    /// Whether this instance has decided.
-    fn has_decided(&self) -> bool;
-
-    /// Short human-readable algorithm name used in experiment reports.
-    fn name(&self) -> &'static str;
 }
 
 #[doc(hidden)]
@@ -142,6 +189,10 @@ pub mod testing {
     //! injection, plus built-in Uniform Agreement checking on every
     //! decision.
     //!
+    //! Each process runs its state machine as instance 1 of a real
+    //! [`InstanceManager`], so buffering before `propose` and the whole
+    //! decision dissemination policy are the production ones.
+    //!
     //! Exposed (doc-hidden) so integration and property tests outside this
     //! crate can drive the algorithms without an executor.
 
@@ -149,35 +200,41 @@ pub mod testing {
 
     use super::*;
 
-    /// Messages for a process that has not yet proposed are buffered, like
-    /// the real [`InstanceManager`] does.
+    /// The instance every [`LoopNet`] process runs.
+    const K: u64 = 1;
+
     pub struct LoopNet<V: ConsensusValue, A: SingleConsensus<V>> {
-        pub algos: Vec<A>,
+        pub mgrs: Vec<InstanceManager<V, A>>,
         pub oracles: Vec<Box<dyn RcvOracle<V>>>,
         pub suspected: Vec<ProcessSet>,
         pub crashed: Vec<bool>,
-        pub proposed: Vec<bool>,
         pub decisions: Vec<Option<V>>,
+        /// Every remote frame put on the wire so far: (from, to, frame).
+        pub frames: Vec<(ProcessId, ProcessId, ConsMsg<V>)>,
         queue: VecDeque<(ProcessId, ProcessId, ConsMsg<V>)>,
-        inbox: Vec<VecDeque<(ProcessId, ConsMsg<V>)>>,
         n: usize,
     }
 
-    impl<V: ConsensusValue, A: SingleConsensus<V>> LoopNet<V, A> {
+    impl<V: ConsensusValue, A: SingleConsensus<V> + Send + 'static> LoopNet<V, A> {
         pub fn new(
             n: usize,
             mut make: impl FnMut(ProcessId) -> A,
             mut oracle: impl FnMut() -> Box<dyn RcvOracle<V>>,
         ) -> Self {
+            let mgrs = ProcessId::all(n)
+                .map(|p| {
+                    let mut algo = Some(make(p));
+                    InstanceManager::new(move |_k| algo.take().expect("LoopNet runs one instance"))
+                })
+                .collect();
             LoopNet {
-                algos: ProcessId::all(n).map(&mut make).collect(),
+                mgrs,
                 oracles: (0..n).map(|_| oracle()).collect(),
                 suspected: vec![ProcessSet::new(); n],
                 crashed: vec![false; n],
-                proposed: vec![false; n],
                 decisions: vec![None; n],
+                frames: Vec::new(),
                 queue: VecDeque::new(),
-                inbox: (0..n).map(|_| VecDeque::new()).collect(),
                 n,
             }
         }
@@ -188,36 +245,30 @@ pub mod testing {
         }
 
         /// Marks `p` crashed: it stops processing (messages it already sent
-        /// still deliver — crash-after-send semantics).
+        /// still deliver — crash-after-send semantics; see
+        /// [`LoopNet::drop_queued`] for a crash mid-send).
         pub fn crash(&mut self, p: ProcessId) {
             self.crashed[p.as_usize()] = true;
         }
 
         /// Makes `at`'s detector suspect `target` and notifies the algorithm.
         pub fn suspect_at(&mut self, at: ProcessId, target: ProcessId) {
-            self.suspected[at.as_usize()].insert(target);
-            if self.crashed[at.as_usize()] || !self.proposed[at.as_usize()] {
+            let i = at.as_usize();
+            self.suspected[i].insert(target);
+            if self.crashed[i] {
                 return;
             }
-            let i = at.as_usize();
-            let env = ConsEnv::new(self.oracles[i].as_ref(), self.suspected[i]);
-            let mut out = ConsOut::new();
-            self.algos[i].on_suspect(target, &env, &mut out);
+            let mut out = MgrOut::new();
+            self.mgrs[i].on_suspect(target, self.oracles[i].as_ref(), self.suspected[i], &mut out);
             self.dispatch(at, out);
         }
 
         pub fn propose(&mut self, p: ProcessId, v: V) {
             let i = p.as_usize();
             assert!(!self.crashed[i], "cannot propose at a crashed process");
-            self.proposed[i] = true;
-            let env = ConsEnv::new(self.oracles[i].as_ref(), self.suspected[i]);
-            let mut out = ConsOut::new();
-            self.algos[i].propose(v, &env, &mut out);
+            let mut out = MgrOut::new();
+            self.mgrs[i].propose(K, v, self.oracles[i].as_ref(), self.suspected[i], &mut out);
             self.dispatch(p, out);
-            // Flush messages buffered before the propose.
-            while let Some((from, msg)) = self.inbox[i].pop_front() {
-                self.deliver(from, p, msg);
-            }
         }
 
         fn deliver(&mut self, from: ProcessId, to: ProcessId, msg: ConsMsg<V>) {
@@ -225,18 +276,13 @@ pub mod testing {
             if self.crashed[i] {
                 return;
             }
-            if !self.proposed[i] {
-                self.inbox[i].push_back((from, msg));
-                return;
-            }
-            let env = ConsEnv::new(self.oracles[i].as_ref(), self.suspected[i]);
-            let mut out = ConsOut::new();
-            self.algos[i].on_message(from, msg, &env, &mut out);
+            let mut out = MgrOut::new();
+            self.mgrs[i].on_message(K, from, msg, self.oracles[i].as_ref(), self.suspected[i], &mut out);
             self.dispatch(to, out);
         }
 
-        fn dispatch(&mut self, from: ProcessId, out: ConsOut<V>) {
-            if let Some(v) = out.decision {
+        fn dispatch(&mut self, from: ProcessId, out: MgrOut<V>) {
+            for (_, v) in out.decisions {
                 let i = from.as_usize();
                 assert!(self.decisions[i].is_none(), "uniform integrity violated at {from}");
                 // Uniform agreement across the whole run:
@@ -250,21 +296,20 @@ pub mod testing {
                 }
                 self.decisions[i] = Some(v);
             }
-            for (dest, msg) in out.sends {
-                match dest {
-                    ConsDest::To(q) => self.queue.push_back((from, q, msg)),
-                    ConsDest::All => {
-                        for q in ProcessId::all(self.n) {
-                            self.queue.push_back((from, q, msg.clone()));
-                        }
+            for (_, dest, msg) in out.sends {
+                for q in ProcessId::all(self.n) {
+                    let addressed = match dest {
+                        ConsDest::To(to) => q == to,
+                        ConsDest::All => true,
+                        ConsDest::Others => q != from,
+                    };
+                    if !addressed {
+                        continue;
                     }
-                    ConsDest::Others => {
-                        for q in ProcessId::all(self.n) {
-                            if q != from {
-                                self.queue.push_back((from, q, msg.clone()));
-                            }
-                        }
+                    if q != from {
+                        self.frames.push((from, q, msg.clone()));
                     }
+                    self.queue.push_back((from, q, msg.clone()));
                 }
             }
         }
@@ -295,9 +340,16 @@ pub mod testing {
             self.queue.len()
         }
 
-        /// Removes the `idx`-th queued message (for test schedulers).
-        pub fn remove_at(&mut self, idx: usize) -> Option<(ProcessId, ProcessId, ConsMsg<V>)> {
-            self.queue.remove(idx)
+        /// Drops every queued message `lost(from, to, msg)` selects — what a
+        /// sender that crashed mid-send never put on the wire. Returns how
+        /// many were dropped.
+        pub fn drop_queued(
+            &mut self,
+            lost: impl Fn(ProcessId, ProcessId, &ConsMsg<V>) -> bool,
+        ) -> usize {
+            let before = self.queue.len();
+            self.queue.retain(|(from, to, msg)| !lost(*from, *to, msg));
+            before - self.queue.len()
         }
 
         /// Delivers one message taken via [`LoopNet::pop_front`].
@@ -330,6 +382,11 @@ pub mod testing {
                 steps += 1;
                 assert!(steps < 200_000, "livelock under random scheduling");
             }
+        }
+
+        /// Remote frames sent so far that `pick` selects.
+        pub fn count_frames(&self, pick: impl Fn(&ConsMsg<V>) -> bool) -> usize {
+            self.frames.iter().filter(|(_, _, m)| pick(m)).count()
         }
 
         /// The decision shared by all live processes.

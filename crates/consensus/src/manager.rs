@@ -7,9 +7,28 @@
 //! * buffers messages for instances this process has not yet proposed in
 //!   (they are flushed when `propose(k, …)` happens),
 //! * routes messages of running instances to their state machine,
-//! * answers messages of already-decided instances with the decision (a
-//!   cheap retransmission path for processes that lost the decide relay),
-//! * fans failure-detector suspicions out to every running instance.
+//! * fans failure-detector suspicions out to every running instance,
+//! * disseminates decisions — the one place that does.
+//!
+//! # How a decision spreads
+//!
+//! *Announce once*: the process whose state machine reaches the decision
+//! sends `Decide` to the others. *Learn*: a process that receives one
+//! decides and stays silent — fault-free, a relay carries nothing the
+//! receiver lacks. *Relay on suspicion*: a learner remembers its teacher
+//! and, when its failure detector suspects it (at learning time or later),
+//! sends the decision to everyone, once: the teacher may have crashed
+//! mid-send. *Repair stragglers*: a frame for a decided instance comes from
+//! a process still working on it and is answered with the decision — but
+//! not a `CtAck`, whose sender is parked waiting for the very `Decide` the
+//! quorum's owner has already sent it.
+//!
+//! If one correct process decides, all do: follow "learned from" back to
+//! the announcer. If every link's source is correct the announcer's own
+//! sends arrive; else the first broken link is held by a process that (by
+//! strong completeness) suspects its source and relays to all. The relay
+//! cache is the `Done` slots [`InstanceManager::gc_decided_below`] keeps,
+//! so callers keep at least a pipeline window of them.
 
 use std::collections::BTreeMap;
 
@@ -59,7 +78,12 @@ impl<V> Default for MgrOut<V> {
 
 enum Slot<V, A> {
     Running(A),
-    Done(V),
+    Done {
+        value: V,
+        /// Whose `Decide` taught us the value — `None` once everyone has
+        /// been sent it by us (we announced it, or relayed it already).
+        learned_from: Option<ProcessId>,
+    },
 }
 
 /// Manages the numbered instances of one consensus algorithm type `A`.
@@ -72,9 +96,8 @@ pub struct InstanceManager<V, A> {
     /// [`InstanceManager::note_proposed`]) — the basis of per-instance
     /// decision-latency reporting for adaptive pipeline controllers.
     proposed_at: BTreeMap<u64, Time>,
-    highest_started: u64,
     /// Instances strictly below this were garbage-collected; their traffic
-    /// is dropped (peers learn decisions from each other's relays).
+    /// is dropped.
     gc_floor: u64,
 }
 
@@ -82,7 +105,6 @@ impl<V, A> std::fmt::Debug for InstanceManager<V, A> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InstanceManager")
             .field("instances", &self.slots.len())
-            .field("highest_started", &self.highest_started)
             .field("pending", &self.pending.len())
             .finish()
     }
@@ -97,7 +119,6 @@ impl<V: ConsensusValue, A: SingleConsensus<V>> InstanceManager<V, A> {
             slots: BTreeMap::new(),
             pending: BTreeMap::new(),
             proposed_at: BTreeMap::new(),
-            highest_started: 0,
             gc_floor: 0,
         }
     }
@@ -118,37 +139,12 @@ impl<V: ConsensusValue, A: SingleConsensus<V>> InstanceManager<V, A> {
         self.proposed_at.remove(&k).map(|at| decided_at.elapsed_since(at))
     }
 
-    /// Number of proposal timestamps awaiting their decision (for tests
-    /// and footprint probes).
-    pub fn latency_probes(&self) -> usize {
-        self.proposed_at.len()
-    }
-
-    /// Highest instance number proposed in so far (0 = none).
-    pub fn highest_started(&self) -> u64 {
-        self.highest_started
-    }
-
     /// The decision of instance `k`, if it has decided.
     pub fn decision(&self, k: u64) -> Option<&V> {
         match self.slots.get(&k)? {
-            Slot::Done(v) => Some(v),
-            Slot::Running(a) => {
-                debug_assert!(!a.has_decided(), "decided instance still Running");
-                None
-            }
+            Slot::Done { value, .. } => Some(value),
+            Slot::Running(_) => None,
         }
-    }
-
-    /// Whether instance `k` was proposed in and has not decided yet.
-    pub fn is_running(&self, k: u64) -> bool {
-        matches!(self.slots.get(&k), Some(Slot::Running(_)))
-    }
-
-    /// Number of instances proposed in and not yet decided — the manager's
-    /// view of the pipeline occupancy.
-    pub fn running_count(&self) -> usize {
-        self.slots.values().filter(|s| matches!(s, Slot::Running(_))).count()
     }
 
     /// Instance numbers currently running (proposed, undecided), ascending.
@@ -191,7 +187,6 @@ impl<V: ConsensusValue, A: SingleConsensus<V>> InstanceManager<V, A> {
                 self.on_message(k, from, msg, rcv, suspected, out);
             }
         }
-        self.highest_started = self.highest_started.max(k);
     }
 
     /// Routes a message of instance `k`.
@@ -212,14 +207,28 @@ impl<V: ConsensusValue, A: SingleConsensus<V>> InstanceManager<V, A> {
                 // Not started here yet: buffer until Algorithm 1 proposes.
                 self.pending.entry(k).or_default().push((from, msg));
             }
-            Some(Slot::Done(v)) => {
-                // Help stragglers: answer anything but a Decide with the
-                // decision (the sender is evidently still working on k).
-                if !matches!(msg, ConsMsg::Decide { .. }) {
-                    out.sends.push((k, ConsDest::To(from), ConsMsg::Decide { value: v.clone() }));
+            Some(Slot::Done { value, .. }) => {
+                // Repair stragglers: the sender is evidently still working
+                // on k. Not for a Decide (it knows) nor a CtAck (it waits
+                // for the Decide the decider has already sent it).
+                if !matches!(msg, ConsMsg::Decide { .. } | ConsMsg::CtAck { .. }) {
+                    let value = value.clone();
+                    out.sends.push((k, ConsDest::To(from), ConsMsg::Decide { value }));
                 }
             }
             Some(Slot::Running(algo)) => {
+                if let ConsMsg::Decide { value } = msg {
+                    // Learn; relay at once if the teacher is already
+                    // suspected (it may have crashed mid-announcement).
+                    let mut learned_from = Some(from);
+                    if suspected.contains(from) {
+                        out.sends.push((k, ConsDest::Others, ConsMsg::Decide { value: value.clone() }));
+                        learned_from = None;
+                    }
+                    self.slots.insert(k, Slot::Done { value: value.clone(), learned_from });
+                    out.decisions.push((k, value));
+                    return;
+                }
                 let env = ConsEnv::new(rcv, suspected);
                 let mut local = ConsOut::new();
                 algo.on_message(from, msg, &env, &mut local);
@@ -228,7 +237,8 @@ impl<V: ConsensusValue, A: SingleConsensus<V>> InstanceManager<V, A> {
         }
     }
 
-    /// Fans a new suspicion out to every running instance.
+    /// Fans a new suspicion out to every running instance, and relays the
+    /// cached decisions learned from `p`.
     pub fn on_suspect(
         &mut self,
         p: ProcessId,
@@ -244,12 +254,20 @@ impl<V: ConsensusValue, A: SingleConsensus<V>> InstanceManager<V, A> {
                 self.absorb(k, local, out);
             }
         }
+        for (&k, slot) in &mut self.slots {
+            if let Slot::Done { value, learned_from } = slot {
+                if *learned_from == Some(p) {
+                    *learned_from = None;
+                    out.sends.push((k, ConsDest::Others, ConsMsg::Decide { value: value.clone() }));
+                }
+            }
+        }
     }
 
     /// Garbage-collects decided instances strictly below `k`, keeping the
-    /// `keep_last` most recent of them as a retransmission cache for
-    /// stragglers (their `Done` slots answer late messages with the
-    /// decision). Running instances are never collected.
+    /// `keep_last` most recent of them as the cache that straggler repair
+    /// and relay-on-suspicion are served from (see the module docs).
+    /// Running instances are never collected.
     ///
     /// Returns the number of slots freed. The atomic broadcast layer calls
     /// this as instances complete; in an infinite execution it bounds the
@@ -260,7 +278,7 @@ impl<V: ConsensusValue, A: SingleConsensus<V>> InstanceManager<V, A> {
         let doomed: Vec<u64> = self
             .slots
             .range(..cutoff)
-            .filter_map(|(i, s)| matches!(s, Slot::Done(_)).then_some(*i))
+            .filter_map(|(i, s)| matches!(s, Slot::Done { .. }).then_some(*i))
             .collect();
         for i in &doomed {
             self.slots.remove(i);
@@ -279,16 +297,18 @@ impl<V: ConsensusValue, A: SingleConsensus<V>> InstanceManager<V, A> {
         self.slots.len()
     }
 
-    /// Merges a per-instance output buffer into the manager output,
-    /// transitioning the slot if the instance decided.
+    /// Merges a per-instance output buffer into the manager output. If the
+    /// instance reached its decision here, announces it and retires the
+    /// state machine.
     fn absorb(&mut self, k: u64, local: ConsOut<V>, out: &mut MgrOut<V>) {
         out.work += local.work;
         for (dest, msg) in local.sends {
             out.sends.push((k, dest, msg));
         }
-        if let Some(v) = local.decision {
-            self.slots.insert(k, Slot::Done(v.clone()));
-            out.decisions.push((k, v));
+        if let Some(value) = local.decision {
+            out.sends.push((k, ConsDest::Others, ConsMsg::Decide { value: value.clone() }));
+            self.slots.insert(k, Slot::Done { value: value.clone(), learned_from: None });
+            out.decisions.push((k, value));
         }
     }
 }
@@ -329,7 +349,7 @@ mod tests {
             assert!(guard < 100);
         }
         assert_eq!(m.decision(1), Some(&ids(&[1])));
-        assert!(!m.is_running(1));
+        assert!(m.running_instances().is_empty());
     }
 
     #[test]
@@ -445,19 +465,106 @@ mod tests {
         assert_eq!(m.slot_count(), 3);
         assert!(m.decision(1).is_none(), "pruned");
         assert!(m.decision(3).is_some(), "cached");
-        assert!(m.is_running(5), "running instances are never collected");
-        // A straggler asking about a pruned instance is simply buffered
-        // again (it will learn the decision from its own peers' relays).
+        assert_eq!(m.running_instances(), vec![5], "running instances are never collected");
+        // A straggler asking about a pruned instance gets no answer and is
+        // not buffered either (the decided log is its way to catch up).
         let mut out = MgrOut::new();
         m.on_message(
             1,
             p(1),
-            ConsMsg::CtAck { round: 1 },
+            ConsMsg::CtEstimate { round: 2, estimate: ids(&[1]), ts: 0 },
             &AlwaysHeld,
             ProcessSet::new(),
             &mut out,
         );
         assert!(out.sends.is_empty());
+        assert_eq!(m.pending_messages(), 0);
+    }
+
+    #[test]
+    fn done_instances_do_not_answer_a_stale_ack() {
+        let mut m = mgr(1, 3); // p1 coordinates round 1
+        let mut out = MgrOut::new();
+        m.propose(1, ids(&[1]), &AlwaysHeld, ProcessSet::new(), &mut out);
+        for from in [1, 0] {
+            m.on_message(1, p(from), ConsMsg::CtAck { round: 1 }, &AlwaysHeld, ProcessSet::new(), &mut out);
+        }
+        assert_eq!(m.decision(1), Some(&ids(&[1])), "own ack + p0's = majority");
+        // p2's ack arrives late. p2 is parked waiting for the Decide the
+        // announcement already carries to it: a reply would be a duplicate.
+        let mut out = MgrOut::new();
+        m.on_message(1, p(2), ConsMsg::CtAck { round: 1 }, &AlwaysHeld, ProcessSet::new(), &mut out);
+        assert!(out.sends.is_empty());
+    }
+
+    fn decide_sends(out: &MgrOut<IdSet>) -> Vec<(u64, ConsDest)> {
+        out.sends
+            .iter()
+            .filter(|(_, _, m)| matches!(m, ConsMsg::Decide { .. }))
+            .map(|(k, dest, _)| (*k, *dest))
+            .collect()
+    }
+
+    #[test]
+    fn the_decider_announces_once_and_a_learner_stays_silent() {
+        let mut decider = mgr(1, 3);
+        let mut out = MgrOut::new();
+        decider.propose(1, ids(&[1]), &AlwaysHeld, ProcessSet::new(), &mut out);
+        for from in [1, 0] {
+            decider.on_message(1, p(from), ConsMsg::CtAck { round: 1 }, &AlwaysHeld, ProcessSet::new(), &mut out);
+        }
+        assert_eq!(decide_sends(&out), vec![(1, ConsDest::Others)]);
+
+        let mut learner = mgr(0, 3);
+        let mut out = MgrOut::new();
+        learner.propose(1, ids(&[0]), &AlwaysHeld, ProcessSet::new(), &mut out);
+        let decide = ConsMsg::Decide { value: ids(&[1]) };
+        learner.on_message(1, p(1), decide.clone(), &AlwaysHeld, ProcessSet::new(), &mut out);
+        assert_eq!(out.decisions, vec![(1, ids(&[1]))]);
+        assert!(decide_sends(&out).is_empty(), "learning relays nothing");
+        // A duplicate Decide is neither re-decided nor answered.
+        let mut out = MgrOut::new();
+        learner.on_message(1, p(1), decide, &AlwaysHeld, ProcessSet::new(), &mut out);
+        assert!(!out.has_effects());
+    }
+
+    #[test]
+    fn a_learner_relays_once_when_its_teacher_is_suspected() {
+        let mut m = mgr(0, 3);
+        let mut out = MgrOut::new();
+        for k in 1..=2u64 {
+            m.propose(k, ids(&[k]), &AlwaysHeld, ProcessSet::new(), &mut out);
+        }
+        // Instance 1 learned from p1, instance 2 from p2.
+        for (k, from) in [(1, 1), (2, 2)] {
+            let decide = ConsMsg::Decide { value: ids(&[k]) };
+            m.on_message(k, p(from), decide, &AlwaysHeld, ProcessSet::new(), &mut out);
+        }
+        let mut suspected = ProcessSet::new();
+        suspected.insert(p(1));
+        let mut out = MgrOut::new();
+        m.on_suspect(p(1), &AlwaysHeld, suspected, &mut out);
+        assert_eq!(decide_sends(&out), vec![(1, ConsDest::Others)], "only what p1 taught us");
+        // Everyone has been sent it now: a second suspicion relays nothing.
+        let mut out = MgrOut::new();
+        m.on_suspect(p(1), &AlwaysHeld, suspected, &mut out);
+        assert!(!out.has_effects());
+    }
+
+    #[test]
+    fn learning_from_an_already_suspected_teacher_relays_at_once() {
+        let mut m = mgr(0, 3);
+        let mut suspected = ProcessSet::new();
+        suspected.insert(p(1));
+        let mut out = MgrOut::new();
+        m.propose(1, ids(&[0]), &AlwaysHeld, suspected, &mut out);
+        let mut out = MgrOut::new();
+        m.on_message(1, p(1), ConsMsg::Decide { value: ids(&[1]) }, &AlwaysHeld, suspected, &mut out);
+        assert_eq!(out.decisions, vec![(1, ids(&[1]))]);
+        assert_eq!(decide_sends(&out), vec![(1, ConsDest::Others)]);
+        let mut out = MgrOut::new();
+        m.on_suspect(p(1), &AlwaysHeld, suspected, &mut out);
+        assert!(decide_sends(&out).is_empty(), "already relayed");
     }
 
     #[test]
@@ -477,7 +584,6 @@ mod tests {
         m.propose(1, ids(&[1]), &AlwaysHeld, ProcessSet::new(), &mut out);
         m.propose(2, ids(&[2]), &AlwaysHeld, ProcessSet::new(), &mut out);
         m.propose(3, ids(&[3]), &AlwaysHeld, ProcessSet::new(), &mut out);
-        assert_eq!(m.running_count(), 3);
         assert_eq!(m.running_instances(), vec![1, 2, 3]);
         // Decide the middle instance out of order: occupancy shrinks.
         m.on_message(
@@ -488,7 +594,6 @@ mod tests {
             ProcessSet::new(),
             &mut out,
         );
-        assert_eq!(m.running_count(), 2);
         assert_eq!(m.running_instances(), vec![1, 3]);
     }
 
@@ -498,14 +603,12 @@ mod tests {
         let mut out = MgrOut::new();
         m.propose(1, ids(&[1]), &AlwaysHeld, ProcessSet::new(), &mut out);
         m.note_proposed(1, Time::ZERO + Duration::from_millis(10));
-        assert_eq!(m.latency_probes(), 1);
         let lat = m.decision_latency(1, Time::ZERO + Duration::from_millis(14));
         assert_eq!(lat, Some(Duration::from_millis(4)));
         // The timestamp is consumed: a second read reports nothing.
         assert_eq!(m.decision_latency(1, Time::ZERO + Duration::from_millis(20)), None);
         // Unrecorded instances report nothing.
         assert_eq!(m.decision_latency(7, Time::ZERO + Duration::from_millis(20)), None);
-        assert_eq!(m.latency_probes(), 0);
     }
 
     #[test]
@@ -533,15 +636,5 @@ mod tests {
         assert_eq!(m.decision_latency(3, Time::ZERO + Duration::from_secs(1)), None);
         assert!(m.decision_latency(2, Time::ZERO + Duration::from_secs(1)).is_some());
         assert!(m.decision_latency(5, Time::ZERO + Duration::from_secs(1)).is_some());
-    }
-
-    #[test]
-    fn highest_started_tracks_proposals() {
-        let mut m = mgr(0, 3);
-        assert_eq!(m.highest_started(), 0);
-        let mut out = MgrOut::new();
-        m.propose(1, ids(&[1]), &AlwaysHeld, ProcessSet::new(), &mut out);
-        m.propose(2, ids(&[2]), &AlwaysHeld, ProcessSet::new(), &mut out);
-        assert_eq!(m.highest_started(), 2);
     }
 }

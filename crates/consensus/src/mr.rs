@@ -25,7 +25,7 @@ use iabc_types::{quorum, ProcessId, ProcessSet};
 
 use crate::msg::{ConsDest, ConsMsg};
 use crate::value::ConsensusValue;
-use crate::{ConsEnv, ConsOut, SingleConsensus};
+use crate::{ConsEnv, ConsOut, Membership, SingleConsensus};
 
 /// The variation points between the original MR algorithm and Algorithm 3.
 pub trait MrPolicy: fmt::Debug + Default + 'static {
@@ -103,19 +103,11 @@ enum Wait {
 
 /// The Mostéfaoui–Raynal round machine, parameterized by an [`MrPolicy`].
 pub struct MrMachine<V, P: MrPolicy> {
-    me: ProcessId,
-    n: usize,
-    /// Round-offset for coordinator rotation across instances (see
-    /// [`crate::ct::CtMachine::with_coord_offset`]).
-    coord_offset: u64,
-    /// Processes that never participate in consensus (learners / read
-    /// replicas); see [`crate::ct::CtMachine::with_membership`].
-    passive: ProcessSet,
+    members: Membership,
     round: u64,
     /// `estimate_p`.
     estimate: Option<V>,
     wait: Wait,
-    decided: bool,
     /// Coordinator Phase 1 broadcasts, per round.
     phase1: BTreeMap<u64, V>,
     /// Phase 2 echoes, per round: sender → forwarded value (`None` = ⊥).
@@ -127,10 +119,9 @@ impl<V: ConsensusValue, P: MrPolicy> fmt::Debug for MrMachine<V, P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MrMachine")
             .field("policy", &P::NAME)
-            .field("me", &self.me)
+            .field("me", &self.members.me)
             .field("round", &self.round)
             .field("wait", &self.wait)
-            .field("decided", &self.decided)
             .finish()
     }
 }
@@ -166,79 +157,31 @@ impl<V: ConsensusValue, P: MrPolicy> MrMachine<V, P> {
     /// Panics if `n == 0`, if `passive` names a process outside the
     /// system, or if no active process remains.
     pub fn with_membership(me: ProcessId, n: usize, offset: u64, passive: ProcessSet) -> Self {
-        assert!(n > 0, "system must have at least one process");
-        assert!(
-            passive.difference(ProcessSet::full(n)).is_empty(),
-            "passive set names processes outside the system"
-        );
-        assert!(passive.len() < n, "at least one process must stay active");
         MrMachine {
-            me,
-            n,
-            coord_offset: offset,
-            passive,
+            members: Membership::new(me, n, offset, passive),
             round: 0,
             estimate: None,
             wait: Wait::NotStarted,
-            decided: false,
             phase1: BTreeMap::new(),
             phase2: BTreeMap::new(),
             _policy: PhantomData,
         }
     }
 
-    fn coord(&self, round: u64) -> ProcessId {
-        if self.passive.is_empty() {
-            return ProcessId::coordinator_of_round(round + self.coord_offset, self.n);
-        }
-        // Rotate over the sorted active ids only (see CtMachine::coord).
-        let actives = self.active_n();
-        let idx = ((round + self.coord_offset) % actives as u64) as usize;
-        ProcessId::all(self.n)
-            .filter(|p| !self.passive.contains(*p))
-            .nth(idx)
-            // lint:allow(P1): local invariant, not remote data — the constructor asserts at least one active process
-            .expect("at least one active process")
-    }
-
-    /// Number of active (non-passive) processes: the `n` every quorum and
-    /// adoption threshold is computed over.
-    fn active_n(&self) -> usize {
-        self.n - self.passive.len()
-    }
-
-    /// Current round (for tests and debugging).
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// Current `estimate_p` (for tests and debugging).
-    pub fn estimate(&self) -> Option<&V> {
-        self.estimate.as_ref()
-    }
-
+    /// Decides `value`; the [`InstanceManager`](crate::InstanceManager)
+    /// announces it.
     fn decide(&mut self, value: V, out: &mut ConsOut<V>) {
-        if self.decided {
-            return;
-        }
-        self.decided = true;
         self.wait = Wait::Done;
-        out.sends.push((ConsDest::Others, ConsMsg::Decide { value: value.clone() }));
         out.decision = Some(value);
-        self.phase1.clear();
-        self.phase2.clear();
     }
 
     fn enter_next_round(&mut self, env: &ConsEnv<'_, V>, out: &mut ConsOut<V>) {
         loop {
-            if self.decided {
-                return;
-            }
             self.round += 1;
             let r = self.round;
-            let c = self.coord(r);
+            let c = self.members.coord(r);
 
-            if c == self.me {
+            if c == self.members.me {
                 // Phase 1, coordinator: broadcast the estimate (lines 10–12),
                 // which is also our own Phase 2 echo (line 20).
                 // lint:allow(P1): local invariant, not remote data — propose() sets the estimate before any round is entered
@@ -275,7 +218,7 @@ impl<V: ConsensusValue, P: MrPolicy> MrMachine<V, P> {
     fn echo(&mut self, est: Option<V>, out: &mut ConsOut<V>) {
         let r = self.round;
         out.sends.push((ConsDest::Others, ConsMsg::MrPhase2 { round: r, est: est.clone() }));
-        self.phase2.entry(r).or_default().insert(self.me, est);
+        self.phase2.entry(r).or_default().insert(self.members.me, est);
         self.wait = Wait::Phase2;
     }
 
@@ -296,7 +239,7 @@ impl<V: ConsensusValue, P: MrPolicy> MrMachine<V, P> {
         }
         let r = self.round;
         let Some(echoes) = self.phase2.get(&r) else { return false };
-        if echoes.len() < P::quorum(self.active_n()) {
+        if echoes.len() < P::quorum(self.members.actives()) {
             return false;
         }
         // rec_p over exactly the quorum received.
@@ -326,7 +269,7 @@ impl<V: ConsensusValue, P: MrPolicy> MrMachine<V, P> {
             }
             (Some(v), _) => {
                 // rec_p = {v, ⊥}: adopt if the policy allows (lines 27–29).
-                if P::phase2_adopt(&v, valid_count, self.active_n(), env, out) {
+                if P::phase2_adopt(&v, valid_count, self.members.actives(), env, out) {
                     self.estimate = Some(v);
                 }
                 true // next round
@@ -350,13 +293,12 @@ impl<V: ConsensusValue, P: MrPolicy> SingleConsensus<V> for MrMachine<V, P> {
         env: &ConsEnv<'_, V>,
         out: &mut ConsOut<V>,
     ) {
-        if self.decided {
+        if self.wait == Wait::Done {
             return;
         }
         match msg {
-            ConsMsg::Decide { value } => self.decide(value, out),
             ConsMsg::MrPhase1 { round, estimate } => {
-                if round < self.round || from != self.coord(round) {
+                if round < self.round || from != self.members.coord(round) {
                     return; // stale or not from that round's coordinator
                 }
                 if round == self.round && self.wait == Wait::Phase1 {
@@ -377,8 +319,10 @@ impl<V: ConsensusValue, P: MrPolicy> SingleConsensus<V> for MrMachine<V, P> {
                     self.enter_next_round(env, out);
                 }
             }
-            // CT traffic does not belong to this algorithm.
-            ConsMsg::CtEstimate { .. }
+            // Decisions are learned by the InstanceManager; CT traffic does
+            // not belong to this algorithm.
+            ConsMsg::Decide { .. }
+            | ConsMsg::CtEstimate { .. }
             | ConsMsg::CtProposal { .. }
             | ConsMsg::CtAck { .. }
             | ConsMsg::CtNack { .. } => {}
@@ -386,23 +330,15 @@ impl<V: ConsensusValue, P: MrPolicy> SingleConsensus<V> for MrMachine<V, P> {
     }
 
     fn on_suspect(&mut self, p: ProcessId, env: &ConsEnv<'_, V>, out: &mut ConsOut<V>) {
-        if self.decided || self.wait != Wait::Phase1 {
+        if self.wait != Wait::Phase1 {
             return;
         }
-        if p == self.coord(self.round) {
+        if p == self.members.coord(self.round) {
             self.echo(None, out);
             if self.evaluate_phase2(env, out) {
                 self.enter_next_round(env, out);
             }
         }
-    }
-
-    fn has_decided(&self) -> bool {
-        self.decided
-    }
-
-    fn name(&self) -> &'static str {
-        P::NAME
     }
 }
 
@@ -451,7 +387,7 @@ mod tests {
         net.propose(p(0), ids(&[0]));
         net.propose(p(2), ids(&[2]));
         net.run();
-        assert!(!net.algos[0].has_decided());
+        assert!(net.decisions[0].is_none());
         net.suspect_at(p(0), p(1));
         net.suspect_at(p(2), p(1));
         net.run();
@@ -502,7 +438,7 @@ mod tests {
         net.propose(p(2), ids(&[2]));
         net.run();
         // majority(3) = 2: p1+p2 decide without p0.
-        assert!(net.algos[1].has_decided());
+        assert!(net.decisions[1].is_some());
         net.propose(p(0), ids(&[0]));
         net.run();
         assert_eq!(net.decisions[0], net.decisions[1]);
@@ -518,8 +454,28 @@ mod tests {
         net.propose(p(1), ids(&[1]));
         net.propose(p(2), ids(&[2]));
         net.run();
-        for a in &net.algos {
-            assert_eq!(a.round(), 1, "no algorithm should pass round 1");
+        assert_eq!(net.count_frames(|m| m.round().is_some_and(|r| r > 1)), 0, "no frame of a second round");
+    }
+
+    #[test]
+    fn every_quorum_owner_announces_once_and_nobody_relays() {
+        // MR has no single decider: each process that sees a unanimous
+        // quorum of echoes reaches the decision itself, so the manager's
+        // announce-once rule costs n − 1 `Decide` frames per such process —
+        // all n of them in a fault-free run — and a `Decide` received
+        // afterwards is never passed on (the manager's own tests cover
+        // learning). The echoes past the quorum find
+        // the instance decided and are answered like any straggler.
+        let decide = |m: &ConsMsg<IdSet>| matches!(m, ConsMsg::Decide { .. });
+        for n in [3usize, 5] {
+            let mut net =
+                LoopNet::new(n, |q| MrConsensus::<IdSet>::new(q, n), || Box::new(AlwaysHeld));
+            for q in 0..n as u16 {
+                net.propose(p(q), ids(&[q as u64]));
+            }
+            net.run();
+            let late_echoes = n * (n - DirectMr::quorum(n));
+            assert_eq!(net.count_frames(decide), n * (n - 1) + late_echoes, "n={n}");
         }
     }
 
@@ -529,10 +485,10 @@ mod tests {
         passive.insert(p(1));
         let m: MrConsensus<IdSet> = MrMachine::with_membership(p(0), 4, 0, passive);
         // Rounds rotate over the sorted actives {p0, p2, p3} only.
-        let coords: Vec<_> = (1..=6).map(|r| m.coord(r)).collect();
+        let coords: Vec<_> = (1..=6).map(|r| m.members.coord(r)).collect();
         assert_eq!(coords, vec![p(2), p(3), p(0), p(2), p(3), p(0)]);
-        assert_eq!(m.active_n(), 3);
-        assert_eq!(DirectMr::quorum(m.active_n()), 2, "majority of the 3 actives");
+        assert_eq!(m.members.actives(), 3);
+        assert_eq!(DirectMr::quorum(m.members.actives()), 2, "majority of the 3 actives");
     }
 
     #[test]
@@ -542,9 +498,9 @@ mod tests {
             let member: MrConsensus<IdSet> =
                 MrMachine::with_membership(p(1), 4, offset, ProcessSet::new());
             for r in 1..=9 {
-                assert_eq!(classic.coord(r), member.coord(r));
+                assert_eq!(classic.members.coord(r), member.members.coord(r));
             }
-            assert_eq!(classic.active_n(), member.active_n());
+            assert_eq!(classic.members.actives(), member.members.actives());
         }
     }
 

@@ -72,7 +72,7 @@ fn live_proposal(s: &Scenario, i: usize) -> IdSet {
 /// Runs a scenario; checks agreement (built into LoopNet), validity,
 /// termination of live processes, and — when `check_no_loss` — that the
 /// decision is held by the live processes (No loss).
-fn run_scenario<A: SingleConsensus<IdSet>>(
+fn run_scenario<A: SingleConsensus<IdSet> + Send + 'static>(
     s: &Scenario,
     make: impl Fn(ProcessId, usize) -> A,
     check_no_loss: bool,
@@ -115,7 +115,7 @@ fn run_scenario<A: SingleConsensus<IdSet>>(
     // live processes share the held set).
     for i in 0..n {
         if !s.crashed.contains(&i) {
-            prop_assert!(net.algos[i].has_decided(), "p{i} undecided");
+            prop_assert!(net.decisions[i].is_some(), "p{i} undecided");
         }
     }
     let decision = net.common_decision();
@@ -227,7 +227,7 @@ fn without_hypothesis_a_termination_is_conditional() {
         net.deliver_one(from, to, msg);
         steps += 1;
     }
-    assert!(!net.algos[1].has_decided(), "no decidable value exists");
-    assert!(!net.algos[2].has_decided(), "no decidable value exists");
+    assert!(net.decisions[1].is_none(), "no decidable value exists");
+    assert!(net.decisions[2].is_none(), "no decidable value exists");
     assert!(steps > 100, "rounds should churn while rcv never stabilizes");
 }

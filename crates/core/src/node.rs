@@ -360,9 +360,12 @@ const TIMER_PROPOSE: u32 = 2;
 /// followed by a stale timer cannot double-request.
 const TIMER_CATCHUP: u32 = 3;
 
-/// How many decided consensus instances to keep as a straggler
-/// retransmission cache before garbage collection (see
-/// [`InstanceManager::gc_decided_below`]).
+/// How many decided consensus instances (at least) to keep as the cache
+/// straggler repair and relay-on-suspicion are served from before garbage
+/// collection (see [`InstanceManager::gc_decided_below`]). The node keeps
+/// a full pipeline window when that is larger: a peer that missed the one
+/// `Decide` of instance `k` can hold everybody else at most a window past
+/// `k`, so whoever learned `k` still has it when its detector fires.
 const KEEP_DECIDED_INSTANCES: u64 = 8;
 
 /// Maximum decided entries per [`Envelope::CatchUpReply`] — the requester
@@ -587,8 +590,14 @@ pub struct AbcastNode<V: OrderingValue, A: SingleConsensus<V>> {
     /// [`Envelope::WithFrontier`] piggyback).
     peer_frontiers: BTreeMap<ProcessId, u64>,
     /// Whether a catch-up request is outstanding (one at a time: batches
-    /// apply in order, and a second overlapping range would be wasted).
+    /// apply in order, and a second overlapping range would be wasted) —
+    /// or, for a lead inside the window, the wait that stands in for one.
     catch_up_inflight: bool,
+    /// The first missing instance at which a lead inside the window was
+    /// last given one [`CATCH_UP_RETRY`] to close by itself (see
+    /// [`AbcastNode::maybe_catch_up`]). Never cleared: the frontier only
+    /// grows, so a stale value cannot match a later lead.
+    catch_up_waited_at: Option<u64>,
     /// Monotonic request counter; the retry timer carries the epoch it
     /// was armed for, so only the timer of the *current* request may
     /// re-request.
@@ -694,6 +703,7 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
             pending_log: VecDeque::new(),
             peer_frontiers: BTreeMap::new(),
             catch_up_inflight: false,
+            catch_up_waited_at: None,
             catch_up_epoch: 0,
             catch_up_requests: 0,
             caught_up_entries: 0,
@@ -1227,8 +1237,9 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
         let backlog = self.backlog_signal();
         self.controller.on_decision(k, self.proposed_hi, latency, backlog, window_was_full);
         // Bound the manager's footprint: old decided instances only serve
-        // stragglers, and the decide relay already covers those in practice.
-        self.mgr.gc_decided_below(self.next_apply, KEEP_DECIDED_INSTANCES);
+        // stragglers and relays on suspicion.
+        let keep = KEEP_DECIDED_INSTANCES.max(self.controller.bounds().1 as u64);
+        self.mgr.gc_decided_below(self.next_apply, keep);
         self.maybe_propose(ctx);
     }
 
@@ -1376,21 +1387,45 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
         self.maybe_catch_up(ctx);
     }
 
-    /// Issues a catch-up request when some peer's frontier is at or past
-    /// our apply cursor and no request is outstanding. Deterministic peer
+    /// Issues a catch-up request when some peer has a-delivered instances
+    /// we have not — its frontier against ours, like with like — and no
+    /// request is outstanding. An instance we have applied but cannot
+    /// deliver (its decision reached us, a payload did not) counts as
+    /// missing: the reply's entry carries the payloads. Deterministic peer
     /// choice: the highest advertised frontier, ties to the smallest
     /// process id.
+    ///
+    /// A peer that is ahead by no more than our window proves nothing: a
+    /// decision is announced once, by its decider, so a third process that
+    /// already delivered it routinely shows a frontier covering instances
+    /// whose `Decide` (or payload) is still on its way to us. Such a lead
+    /// gets one [`CATCH_UP_RETRY`] to close by itself; only if our frontier
+    /// has not moved by then is the request sent. A lead past the window
+    /// is real lag and is requested at once — as is any lead at a learner,
+    /// which has no other source of decisions. (The wait holds
+    /// `catch_up_inflight`, so a lead that grows past the window *during*
+    /// it is requested when it ends: at most 25 ms late.)
     fn maybe_catch_up(&mut self, ctx: &mut Ctx<V>) {
-        if self.log.is_none() || self.catch_up_inflight {
+        let Some(log) = self.log.as_ref() else { return };
+        if self.catch_up_inflight {
             return;
         }
-        let from_k = self.next_apply;
+        let from_k = log.frontier().saturating_add(1);
         let best = self
             .peer_frontiers
             .iter()
             .filter(|&(_, &f)| f >= from_k)
             .max_by_key(|&(&p, &f)| (f, std::cmp::Reverse(p)));
         let Some((&peer, &frontier)) = best else { return };
+        let window = self.controller.current() as u64;
+        if frontier - from_k < window
+            && !self.learner
+            && self.catch_up_waited_at != Some(from_k)
+        {
+            self.catch_up_waited_at = Some(from_k);
+            self.arm_catch_up_timer(CATCH_UP_RETRY, ctx);
+            return;
+        }
         // Checked instance math throughout the catch-up range plumbing: a
         // wrapped bound would re-request the wrong range forever.
         let to_k = frontier.min(from_k.saturating_add(CATCH_UP_BATCH - 1));
@@ -1406,10 +1441,16 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
     /// unanswered requests back off exponentially instead of hammering an
     /// unreachable peer; [`AbcastNode::absorb_catch_up`] resets the delay.
     fn arm_catch_up_retry(&mut self, ctx: &mut Ctx<V>) {
+        self.arm_catch_up_timer(self.catch_up_retry, ctx);
+        self.catch_up_retry = (self.catch_up_retry * 2).min(CATCH_UP_RETRY_MAX);
+    }
+
+    /// Blocks further requests until the catch-up timer armed here fires
+    /// (or a reply settles things first), under a fresh epoch.
+    fn arm_catch_up_timer(&mut self, delay: Duration, ctx: &mut Ctx<V>) {
         self.catch_up_inflight = true;
         self.catch_up_epoch = self.catch_up_epoch.wrapping_add(1);
-        ctx.set_timer(self.catch_up_retry, TimerId::new(TIMER_CATCHUP, self.catch_up_epoch));
-        self.catch_up_retry = (self.catch_up_retry * 2).min(CATCH_UP_RETRY_MAX);
+        ctx.set_timer(delay, TimerId::new(TIMER_CATCHUP, self.catch_up_epoch));
     }
 
     /// Serves a peer's catch-up request from the decided log, clamped to
@@ -1455,6 +1496,9 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
             }
             self.handle_decision(e.k, e.value, ctx);
         }
+        // An entry we had applied already may have brought the payload its
+        // deliveries were waiting for.
+        self.try_deliver(ctx);
         // A settling catch-up episode is the "I was behind and healed"
         // signal: repair any accepted broadcast whose payload flood may
         // have been shed while this node was unreachable. Pending sets are
@@ -2433,6 +2477,83 @@ mod tests {
         assert_eq!(delivered_ids(&mut c), vec![msg(1, 0).id(), msg(1, 1).id()]);
         assert_eq!(node.decided_frontier(), 2);
         assert_eq!(node.caught_up_entries(), 2);
+    }
+
+    #[test]
+    fn a_lead_inside_the_window_waits_for_the_decide_in_flight() {
+        let mut node = catchup_node();
+        let mut c = ctx();
+        // p2 already applied instance 1; its decider's Decide is still on
+        // its way to us. A lead the window (1) covers: no request yet.
+        deliver_data(&mut node, 1, msg(1, 0), &mut c);
+        node.on_message(ProcessId::new(2), wrapped_hb(1), &mut c);
+        assert_eq!(node.catch_up_requests(), 0);
+        let (delay, wait) = armed_timer(&mut c, TIMER_CATCHUP);
+        assert_eq!(delay, CATCH_UP_RETRY);
+        // Further frames showing the same lead arm nothing more.
+        node.on_message(ProcessId::new(2), wrapped_hb(1), &mut c);
+        assert!(c.take_actions().is_empty());
+        // The Decide arrives: the wait expires with nothing left to fetch.
+        deliver_decide(&mut node, 1, IdSet::from_ids([msg(1, 0).id()]), &mut c);
+        node.on_timer(wait, &mut c);
+        assert_eq!(node.catch_up_requests(), 0);
+        assert_eq!(node.decided_frontier(), 1);
+    }
+
+    #[test]
+    fn a_lead_that_outlives_the_wait_is_requested() {
+        let mut node = catchup_node();
+        let mut c = ctx();
+        node.on_message(ProcessId::new(2), wrapped_hb(1), &mut c);
+        let (_, wait) = armed_timer(&mut c, TIMER_CATCHUP);
+        // No progress for one CATCH_UP_RETRY: the Decide is not coming.
+        node.on_timer(wait, &mut c);
+        assert_eq!(node.catch_up_requests(), 1);
+        // From here on it is an ordinary outstanding request with a retry.
+        let (_, retry) = armed_timer(&mut c, TIMER_CATCHUP);
+        node.on_timer(retry, &mut c);
+        assert_eq!(node.catch_up_requests(), 2);
+    }
+
+    #[test]
+    fn progress_during_the_wait_restarts_it_for_the_new_cursor() {
+        let mut node = catchup_node();
+        let mut c = ctx();
+        deliver_data(&mut node, 1, msg(1, 0), &mut c);
+        node.on_message(ProcessId::new(2), wrapped_hb(1), &mut c);
+        let (_, wait) = armed_timer(&mut c, TIMER_CATCHUP);
+        // Instance 1 arrives, but by then p2 shows instance 2 as well.
+        deliver_decide(&mut node, 1, IdSet::from_ids([msg(1, 0).id()]), &mut c);
+        node.on_message(ProcessId::new(2), wrapped_hb(2), &mut c);
+        c.take_actions();
+        node.on_timer(wait, &mut c);
+        assert_eq!(node.catch_up_requests(), 0, "the cursor moved: wait again");
+        let (delay, _) = armed_timer(&mut c, TIMER_CATCHUP);
+        assert_eq!(delay, CATCH_UP_RETRY);
+    }
+
+    #[test]
+    fn a_decided_instance_missing_its_payload_is_fetched_with_it() {
+        let mut node = catchup_node();
+        let mut c = ctx();
+        // Instance 1 (proposed for p2's message) decides p1's, whose
+        // payload never arrives: applied, ordered, stuck.
+        deliver_data(&mut node, 2, msg(2, 0), &mut c);
+        deliver_decide(&mut node, 1, IdSet::from_ids([msg(1, 0).id()]), &mut c);
+        assert_eq!((node.ordered_pending(), node.decided_frontier()), (1, 0));
+        c.take_actions();
+        // A peer has delivered instance 1. Our frontier, not our apply
+        // cursor, is what its lead is measured against.
+        node.on_message(ProcessId::new(2), wrapped_hb(1), &mut c);
+        let (_, wait) = armed_timer(&mut c, TIMER_CATCHUP);
+        node.on_timer(wait, &mut c);
+        assert_eq!(node.catch_up_requests(), 1);
+        c.take_actions();
+        // The entry is stale as a decision but carries what we lack.
+        let entries = vec![log_entry(1, &[msg(1, 0)])];
+        node.on_message(ProcessId::new(2), Envelope::CatchUpReply { entries }, &mut c);
+        assert_eq!(delivered_ids(&mut c), vec![msg(1, 0).id()]);
+        assert_eq!(node.decided_frontier(), 1);
     }
 
     #[test]
