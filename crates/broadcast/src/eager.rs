@@ -1,8 +1,6 @@
 //! Eager (flooding) reliable broadcast — O(n²) messages, one-step delivery.
 
-use std::collections::BTreeSet;
-
-use iabc_types::{AppMessage, MsgId, ProcessId};
+use iabc_types::{AppMessage, IdRanges, ProcessId};
 
 use crate::{BcastDest, BcastMsg, BcastOut, Broadcast};
 
@@ -19,19 +17,15 @@ use crate::{BcastDest, BcastMsg, BcastOut, Broadcast};
 /// the "O(n²)" series of Figures 5 and 7a.
 #[derive(Debug)]
 pub struct EagerRb {
-    /// Ids already delivered (relay duplicates must be ignored).
-    seen: BTreeSet<MsgId>,
+    /// Ids already delivered (relay duplicates must be ignored), as
+    /// per-sender ranges: the module keeps no message and O(senders) state.
+    seen: IdRanges,
 }
 
 impl EagerRb {
     /// Creates the module.
     pub fn new() -> Self {
-        EagerRb { seen: BTreeSet::new() }
-    }
-
-    /// Number of distinct messages seen so far.
-    pub fn seen_count(&self) -> usize {
-        self.seen.len()
+        EagerRb { seen: IdRanges::new() }
     }
 }
 
@@ -71,7 +65,7 @@ impl Broadcast for EagerRb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iabc_types::{Payload, Time};
+    use iabc_types::{MsgId, Payload, Time};
 
     fn p(i: u16) -> ProcessId {
         ProcessId::new(i)
@@ -108,7 +102,6 @@ mod tests {
         rb.on_message(p(2), BcastMsg::Relay(msg(0, 0)), &mut out);
         assert_eq!(out.deliveries.len(), 1);
         assert_eq!(out.sends.len(), 1);
-        assert_eq!(rb.seen_count(), 1);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use iabc_types::{AppMessage, MsgId, ProcessId};
+use iabc_types::{AppMessage, IdRanges, ProcessId};
 
 use crate::{BcastDest, BcastMsg, BcastOut, Broadcast};
 
@@ -22,12 +22,15 @@ use crate::{BcastDest, BcastMsg, BcastOut, Broadcast};
 /// consensus beats the uniform-reliable-broadcast solution most clearly.
 #[derive(Debug)]
 pub struct LazyRb {
-    /// Ids already delivered.
-    seen: BTreeSet<MsgId>,
+    /// Ids already delivered (per-sender ranges, O(senders)).
+    seen: IdRanges,
     /// Messages buffered per original broadcaster, for potential relay.
+    /// Still O(history): a copy may only be dropped once *every* process is
+    /// known to hold the message, which needs the collective delivered
+    /// frontier (ROADMAP, "snapshot + truncate").
     by_sender: BTreeMap<ProcessId, Vec<AppMessage>>,
     /// Ids already relayed (relay at most once per process).
-    relayed: BTreeSet<MsgId>,
+    relayed: IdRanges,
     /// Broadcasters currently suspected; messages arriving from them later
     /// are relayed immediately.
     suspected: BTreeSet<ProcessId>,
@@ -37,9 +40,9 @@ impl LazyRb {
     /// Creates the module.
     pub fn new() -> Self {
         LazyRb {
-            seen: BTreeSet::new(),
+            seen: IdRanges::new(),
             by_sender: BTreeMap::new(),
-            relayed: BTreeSet::new(),
+            relayed: IdRanges::new(),
             suspected: BTreeSet::new(),
         }
     }
@@ -106,7 +109,7 @@ impl Broadcast for LazyRb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iabc_types::{Payload, Time};
+    use iabc_types::{MsgId, Payload, Time};
 
     fn p(i: u16) -> ProcessId {
         ProcessId::new(i)

@@ -22,6 +22,11 @@ use crate::{BcastDest, BcastMsg, BcastOut, Broadcast};
 /// the naive consensus-on-ids atomic broadcast is missing (paper §2.2),
 /// bought at the price the paper quantifies in Figures 5–7: O(n²)
 /// payload-sized messages and a two-step delivery at the broadcaster.
+///
+/// Its per-id maps are still O(history) (`pending` alone is O(in flight)):
+/// an echo can arrive arbitrarily late, so `witnesses` may only be dropped
+/// below a collective frontier the stack does not compute yet (ROADMAP,
+/// "snapshot + truncate"). The module serves the simulator's URB stack only.
 #[derive(Debug)]
 pub struct MajorityAckUrb {
     me: ProcessId,

@@ -61,10 +61,10 @@ pub use decided::{DecidedEntry, DecidedLog, DurableDecidedLog, MemDecidedLog};
 pub use envelope::Envelope;
 pub use monitor::{AbcastChecker, Violation};
 pub use msgset::MsgSet;
-pub use node::{AbcastNode, OrderingValue, PipelineConfig, PipelineProbe, WindowController};
+pub use node::{AbcastNode, PipelineConfig, PipelineProbe, WindowController};
 pub use pending::{DurablePendingStore, MemPendingStore, PendingStore};
 pub use stacks::{ConsensusFamily, RbKind, StackParams, VariantKind};
-pub use store::{CostModel, ReceivedStore};
+pub use store::{CostModel, OrderingValue, ReceivedStore};
 
 /// Application command accepted by every atomic broadcast stack.
 #[derive(Debug, Clone)]

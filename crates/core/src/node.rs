@@ -1,13 +1,15 @@
 //! The composed atomic broadcast node (Algorithm 1 of the paper).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use iabc_broadcast::{BcastDest, BcastOut, Broadcast};
-use iabc_consensus::{ConsDest, InstanceManager, MgrOut, RcvOracle, SingleConsensus};
+use iabc_consensus::{ConsDest, InstanceManager, MgrOut, SingleConsensus};
 use iabc_fd::{FailureDetector, FdDest, FdEvent, FdOut};
 use iabc_runtime::{Context, Node, TimerId};
-use iabc_types::{AppMessage, Duration, Ewma, IdSet, MsgId, ProcessId, ProcessSet, Time};
+use iabc_types::{
+    AppMessage, Duration, Ewma, IdRanges, IdSet, MsgId, ProcessId, ProcessSet, Time,
+};
 
 /// Configuration of the consensus pipeline: window bounds, the adaptive
 /// controller's thresholds, and the server-side proposal cap.
@@ -338,9 +340,8 @@ impl WindowController {
 
 use crate::decided::{DecidedEntry, DecidedLog, MemDecidedLog};
 use crate::envelope::Envelope;
-use crate::msgset::MsgSet;
 use crate::pending::{MemPendingStore, PendingStore};
-use crate::store::{CostModel, ReceivedStore};
+use crate::store::{CostModel, NodeOracle, OrderingValue, ReceivedStore};
 use crate::{AbcastCommand, AbcastEvent};
 
 /// Timer-id kind reserved for the failure detector.
@@ -382,109 +383,6 @@ const CATCH_UP_RETRY: Duration = Duration::from_millis(25);
 /// Upper bound of the catch-up retry backoff.
 const CATCH_UP_RETRY_MAX: Duration = Duration::from_millis(400);
 
-/// A value type the atomic broadcast reduction can order by.
-///
-/// Implemented by [`IdSet`] (identifier-based stacks: indirect, faulty,
-/// URB) and [`MsgSet`] (the classic full-message reduction). The node
-/// manipulates proposals and decisions exclusively through this interface,
-/// so one `AbcastNode` implementation covers all four stacks.
-pub trait OrderingValue: iabc_consensus::ConsensusValue + Send + 'static {
-    /// Builds the proposal for the next consensus instance from the
-    /// currently unordered identifiers (Algorithm 1 line 17).
-    fn from_unordered(unordered: &IdSet, store: &ReceivedStore) -> Self;
-
-    /// The identifiers contained in this value, in deterministic order
-    /// (Algorithm 1 line 20).
-    fn ids(&self) -> IdSet;
-
-    /// Number of identifiers (for cost accounting).
-    fn id_count(&self) -> usize;
-
-    /// The `rcv` check: whether all messages identified by this value are
-    /// in `store`.
-    fn held_in(&self, store: &ReceivedStore) -> bool;
-
-    /// Adds any payloads carried *inside* the value to the store (only
-    /// full-message sets carry payloads).
-    fn store_payloads(&self, store: &mut ReceivedStore);
-}
-
-impl OrderingValue for IdSet {
-    fn from_unordered(unordered: &IdSet, _store: &ReceivedStore) -> Self {
-        unordered.clone()
-    }
-
-    fn ids(&self) -> IdSet {
-        self.clone()
-    }
-
-    fn id_count(&self) -> usize {
-        self.len()
-    }
-
-    fn held_in(&self, store: &ReceivedStore) -> bool {
-        self.iter().all(|id| store.contains(id))
-    }
-
-    fn store_payloads(&self, _store: &mut ReceivedStore) {}
-}
-
-impl OrderingValue for MsgSet {
-    fn from_unordered(unordered: &IdSet, store: &ReceivedStore) -> Self {
-        MsgSet::from_msgs(unordered.iter().map(|id| {
-            store
-                .get(id)
-                // lint:allow(P1): rcv predicate — ids enter `unordered` only after their payload is stored (maybe_propose gates on held_in)
-                .expect("unordered ids always have payloads in the store")
-                .clone()
-        }))
-    }
-
-    fn ids(&self) -> IdSet {
-        MsgSet::ids(self)
-    }
-
-    fn id_count(&self) -> usize {
-        self.len()
-    }
-
-    fn held_in(&self, _store: &ReceivedStore) -> bool {
-        true // the value carries its own payloads
-    }
-
-    fn store_payloads(&self, store: &mut ReceivedStore) {
-        for m in self.iter() {
-            store.insert(m.clone());
-        }
-    }
-}
-
-/// The node's `rcv` oracle: a view over its received-message store.
-///
-/// For the *faulty* and *direct* stacks `check_store` is false and the
-/// oracle degenerates to "always true, free" — exactly the unchecked
-/// behaviour the paper warns about in §2.2.
-#[derive(Debug)]
-struct NodeOracle<'a> {
-    store: &'a ReceivedStore,
-    check_store: bool,
-    cost_per_id: Duration,
-}
-
-impl<'a, V: OrderingValue> RcvOracle<V> for NodeOracle<'a> {
-    fn rcv(&self, v: &V) -> bool {
-        !self.check_store || v.held_in(self.store)
-    }
-
-    fn cost(&self, v: &V) -> Duration {
-        if self.check_store {
-            self.cost_per_id * v.id_count() as u64
-        } else {
-            Duration::ZERO
-        }
-    }
-}
-
 /// One process of an atomic broadcast system: reliable (or uniform
 /// reliable) broadcast below, a *pipelined window* of consensus instances
 /// above, a failure detector on the side.
@@ -501,19 +399,18 @@ impl<'a, V: OrderingValue> RcvOracle<V> for NodeOracle<'a> {
 /// of the paper's four stack variants.
 pub struct AbcastNode<V: OrderingValue, A: SingleConsensus<V>> {
     me: ProcessId,
-    n: usize,
     bcast: Box<dyn Broadcast + Send>,
     fd: Box<dyn FailureDetector + Send>,
     mgr: InstanceManager<V, A>,
-    /// `received_p`.
+    /// `received_p`, minus the payloads already a-delivered.
     store: ReceivedStore,
     /// `unordered_p`.
     unordered: IdSet,
     /// `ordered_p`: ordered, not yet delivered.
     ordered: VecDeque<MsgId>,
-    /// Every identifier ever ordered (line 13's membership test must cover
-    /// already-delivered ids too).
-    ordered_ever: BTreeSet<MsgId>,
+    /// Every identifier ever ordered, as per-sender ranges (line 13's
+    /// membership test must cover already-delivered ids too).
+    ordered_ever: IdRanges,
     /// Current failure-detector output.
     suspected: ProcessSet,
     /// Whether the oracle really checks the store (`false` = faulty/direct).
@@ -655,10 +552,8 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
     /// machine of each consensus instance; `check_store` selects whether
     /// the `rcv` oracle really consults the received-message store;
     /// `pipeline` configures the window controller and the proposal cap.
-    #[allow(clippy::too_many_arguments)] // module wiring; called via stacks::*
     pub fn new(
         me: ProcessId,
-        n: usize,
         bcast: Box<dyn Broadcast + Send>,
         fd: Box<dyn FailureDetector + Send>,
         algo_factory: impl FnMut(u64) -> A + Send + 'static,
@@ -668,14 +563,13 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
     ) -> Self {
         AbcastNode {
             me,
-            n,
             bcast,
             fd,
             mgr: InstanceManager::new(algo_factory),
             store: ReceivedStore::new(),
             unordered: IdSet::new(),
             ordered: VecDeque::new(),
-            ordered_ever: BTreeSet::new(),
+            ordered_ever: IdRanges::new(),
             suspected: ProcessSet::new(),
             check_store,
             cost,
@@ -737,11 +631,6 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
         if self.pending.is_some() {
             self.pending = Some(store);
         }
-    }
-
-    /// Number of processes in the system.
-    pub fn n(&self) -> usize {
-        self.n
     }
 
     /// Messages a-delivered so far.
@@ -844,6 +733,13 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
     /// The received-message store (for tests and probes).
     pub fn store(&self) -> &ReceivedStore {
         &self.store
+    }
+
+    /// Ranges held by the node's two ever-seen identifier sets (ordered
+    /// ever, a-delivered): their whole footprint, at most one per sender
+    /// and set once every gap has closed — whatever the length of the run.
+    pub fn id_set_ranges(&self) -> usize {
+        self.ordered_ever.range_count() + self.store.delivered_ranges()
     }
 
     /// Consensus instance slots currently retained (live + GC cache).
@@ -998,7 +894,7 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
             self.flood_delay.observe(ctx.now().elapsed_since(broadcast_at).as_secs_f64());
         }
         self.newest_broadcast_at = self.newest_broadcast_at.max(broadcast_at);
-        if !self.ordered_ever.contains(&id) {
+        if !self.ordered_ever.contains(id) {
             self.unordered.insert(id);
         }
         self.maybe_propose(ctx);
@@ -1247,8 +1143,7 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
     /// present, in order.
     fn try_deliver(&mut self, ctx: &mut Ctx<V>) {
         while let Some(&head) = self.ordered.front() {
-            let Some(m) = self.store.get(head) else { break };
-            let msg = m.clone();
+            let Some(msg) = self.store.take(head) else { break };
             self.ordered.pop_front();
             self.delivered_count += 1;
             if self.log.is_some() {
@@ -1293,8 +1188,11 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
     /// appended once every id in the instance has been delivered), so it is
     /// **not** re-delivered: the apply cursor jumps past the frontier and
     /// the logged ids enter `ordered_ever` so later decisions and RB
-    /// arrivals treat them as already ordered. `next_seq` resumes past the
-    /// highest own-sender sequence in the log so reused ids are impossible.
+    /// arrivals treat them as already ordered — and the store's delivered
+    /// set, so an old copy re-flooded at the fresh RB layer of this
+    /// incarnation is refused instead of held for ever. `next_seq` resumes
+    /// past the highest own-sender sequence in the log so reused ids are
+    /// impossible.
     fn recover_from_log(&mut self) {
         let Some(log) = self.log.as_mut() else { return };
         log.reload();
@@ -1305,6 +1203,7 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
         for e in log.range(1, frontier) {
             for id in e.value.ids().iter() {
                 self.ordered_ever.insert(id);
+                self.store.mark_delivered(id);
                 if id.sender() == self.me {
                     self.next_seq = self.next_seq.max(id.seq().saturating_add(1));
                 }
@@ -1338,7 +1237,7 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
         }
         let (logged, live): (Vec<AppMessage>, Vec<AppMessage>) = entries
             .into_iter()
-            .partition(|m| self.ordered_ever.contains(&m.id()));
+            .partition(|m| self.ordered_ever.contains(m.id()));
         if let Some(pending) = self.pending.as_mut() {
             // The previous incarnation crashed between appending the
             // instance and clearing its pending entries: finish the job.
@@ -1364,7 +1263,7 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
             Some(p) => p
                 .entries()
                 .iter()
-                .filter(|m| !self.ordered_ever.contains(&m.id()))
+                .filter(|m| !self.ordered_ever.contains(m.id()))
                 .cloned()
                 .collect(),
             None => return,
@@ -1692,8 +1591,10 @@ impl<V: OrderingValue, A: SingleConsensus<V>> Node for AbcastNode<V, A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msgset::MsgSet;
+    use crate::stacks::{self, StackParams};
     use iabc_broadcast::{BcastMsg, EagerRb};
-    use iabc_consensus::{ConsMsg, CtConsensus};
+    use iabc_consensus::{ConsMsg, CtConsensus, CtIndirect, RcvOracle};
     use iabc_fd::{FdMsg, NeverSuspect};
     use iabc_runtime::Action;
     use iabc_types::{Payload, Time};
@@ -1710,7 +1611,6 @@ mod tests {
     fn test_node_with(pipeline: PipelineConfig) -> AbcastNode<IdSet, CtConsensus<IdSet>> {
         AbcastNode::new(
             ProcessId::new(0),
-            3,
             Box::new(EagerRb::new()),
             Box::new(NeverSuspect::new()),
             |k| CtConsensus::with_coord_offset(ProcessId::new(0), 3, k),
@@ -1725,8 +1625,8 @@ mod tests {
     }
 
     /// Feeds an R-broadcast data frame from `from` into the node.
-    fn deliver_data(
-        node: &mut AbcastNode<IdSet, CtConsensus<IdSet>>,
+    fn deliver_data<A: SingleConsensus<IdSet>>(
+        node: &mut AbcastNode<IdSet, A>,
         from: u16,
         m: AppMessage,
         c: &mut Ctx<IdSet>,
@@ -1735,8 +1635,8 @@ mod tests {
     }
 
     /// Feeds a consensus Decide frame for instance `k` into the node.
-    fn deliver_decide(
-        node: &mut AbcastNode<IdSet, CtConsensus<IdSet>>,
+    fn deliver_decide<A: SingleConsensus<IdSet>>(
+        node: &mut AbcastNode<IdSet, A>,
         k: u64,
         value: IdSet,
         c: &mut Ctx<IdSet>,
@@ -2179,16 +2079,7 @@ mod tests {
         // The age-zero delivery itself fed the EWMA, so the wake-up uses
         // the *updated* estimate.
         let est = node.flood_delay_estimate().expect("still warmed");
-        let timers: Vec<(Duration, TimerId)> = c
-            .take_actions()
-            .into_iter()
-            .filter_map(|a| match a {
-                Action::SetTimer { delay, timer } if timer.kind() == 2 => Some((delay, timer)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(timers.len(), 1, "exactly one re-propose wake-up armed");
-        let (tdelay, timer) = timers[0];
+        let (tdelay, timer) = armed_timer(&mut c, TIMER_PROPOSE);
         let threshold = Duration::from_secs_f64(FRESHNESS_FACTOR * est.as_secs_f64());
         assert!(
             tdelay.as_nanos().abs_diff(threshold.as_nanos()) <= 1_000,
@@ -2259,37 +2150,89 @@ mod tests {
         assert_eq!(node.instance(), 1, "cold gate must not defer proposals");
     }
 
+    /// p0 of the paper's stack — its consensus really asks `rcv`. Round 1
+    /// of instance `k` is `p((1 + k) mod 3)`'s to coordinate.
+    fn indirect_node() -> AbcastNode<IdSet, CtIndirect<IdSet>> {
+        stacks::indirect_ct(ProcessId::new(0), &StackParams::fault_free(3))
+    }
+
+    fn ct_proposal(k: u64, ids: &[MsgId]) -> Envelope<IdSet> {
+        let estimate = IdSet::from_ids(ids.iter().copied());
+        Envelope::Cons { k, msg: ConsMsg::CtProposal { round: 1, estimate } }
+    }
+
     #[test]
     fn node_counts_consensus_refusals_it_sends() {
         // An indirect-CT node nacks a coordinator proposal whose payloads
         // it does not hold; the node-level counter must see that refusal.
-        use iabc_consensus::CtIndirect;
-        let mut node: AbcastNode<IdSet, CtIndirect<IdSet>> = AbcastNode::new(
-            ProcessId::new(0),
-            3,
-            Box::new(EagerRb::new()),
-            Box::new(NeverSuspect::new()),
-            |k| CtIndirect::with_coord_offset(ProcessId::new(0), 3, k),
-            true,
-            CostModel::zero(),
-            PipelineConfig::fixed(1),
-        );
+        let mut node = indirect_node();
         let mut c = ctx();
-        node.on_message(ProcessId::new(1), Envelope::Bcast(BcastMsg::Data(msg(1, 0))), &mut c);
+        deliver_data(&mut node, 1, msg(1, 0), &mut c);
         assert_eq!(node.instance(), 1);
         assert_eq!(node.nacks_sent(), 0);
         // The round-1 coordinator proposes a value naming an id this node
         // never received: rcv() fails, a CtNack goes out.
-        node.on_message(
-            ProcessId::new(1),
-            Envelope::Cons {
-                k: 1,
-                msg: ConsMsg::CtProposal { round: 1, estimate: IdSet::from_ids([msg(2, 99).id()]) },
-            },
-            &mut c,
-        );
+        node.on_message(ProcessId::new(1), ct_proposal(1, &[msg(2, 99).id()]), &mut c);
         assert_eq!(node.nacks_sent(), 1, "missing payload must register as a refusal");
     }
+
+    /// Trap: a-delivery releases the payload, but `rcv(v)` must stay true
+    /// for its id. With `W > 1`, or a proposer that lags, proposals naming
+    /// delivered ids are routine — and one nack kills the round for all.
+    #[test]
+    fn a_proposal_naming_a_delivered_id_is_acked_not_nacked() {
+        let mut node = indirect_node();
+        let mut c = ctx();
+        for k in 1..=2 {
+            deliver_data(&mut node, 1, msg(1, k), &mut c);
+            deliver_decide(&mut node, k, IdSet::from_ids([msg(1, k).id()]), &mut c);
+        }
+        assert_eq!((node.delivered_count(), node.store().len()), (2, 0), "delivered, released");
+        deliver_data(&mut node, 2, msg(2, 0), &mut c); // we propose instance 3
+        c.take_actions();
+        node.on_message(ProcessId::new(1), ct_proposal(3, &[msg(1, 1).id(), msg(2, 0).id()]), &mut c);
+        assert_eq!(node.nacks_sent(), 0, "held or delivered: both are received");
+        assert!(sends(&mut c).iter().any(|(to, m)| *to == ProcessId::new(1)
+            && matches!(m, Envelope::Cons { k: 3, msg: ConsMsg::CtAck { round: 1 } })));
+    }
+
+    /// Trap: once a-delivered, a message cannot re-enter the store through
+    /// any door payloads come in by — while a payload for an id that is
+    /// ordered and still awaited is exactly the repair to accept.
+    #[test]
+    fn late_copies_of_a_delivered_message_cannot_re_enter() {
+        let mut node = catchup_node();
+        let mut c = ctx();
+        let m = msg(1, 0);
+        deliver_data(&mut node, 1, m.clone(), &mut c);
+        deliver_decide(&mut node, 1, IdSet::from_ids([m.id()]), &mut c);
+        assert_eq!(delivered_ids(&mut c), vec![m.id()]);
+        // A relay; an R-delivery proper (what an RB layer that restarted
+        // since would make of that relay); a catch-up entry.
+        node.on_message(ProcessId::new(2), Envelope::Bcast(BcastMsg::Relay(m.clone())), &mut c);
+        node.rdeliver(m.clone(), &mut c);
+        let entries = vec![log_entry(1, std::slice::from_ref(&m))];
+        node.on_message(ProcessId::new(2), Envelope::CatchUpReply { entries }, &mut c);
+        assert_eq!((node.store().len(), node.unordered_len(), node.delivered_count()), (0, 0, 1));
+        assert_eq!(delivered_ids(&mut c), vec![]);
+        // Decided, payload lost on the way: the late copy must get in.
+        let late = msg(2, 0);
+        node.handle_decision(2, IdSet::from_ids([late.id()]), &mut c);
+        assert_eq!(node.ordered_pending(), 1);
+        deliver_data(&mut node, 2, late.clone(), &mut c);
+        assert_eq!(delivered_ids(&mut c), vec![late.id()]);
+        assert_eq!((node.store().len(), node.ordered_pending()), (0, 0));
+
+        // The third door: a full-message decision brings its own payloads.
+        let mut node = stacks::direct_ct_messages(ProcessId::new(0), &StackParams::fault_free(3));
+        let mut c: Ctx<MsgSet> = Context::new(ProcessId::new(0), 3, Time::ZERO);
+        for k in 1..=2 {
+            node.handle_decision(k, MsgSet::from_msgs([m.clone()]), &mut c);
+            assert_eq!((node.store().len(), node.delivered_count()), (0, 1), "instance {k}");
+        }
+    }
+
+    // ---- the rcv surface of `store.rs`, as the node drives it ----
 
     #[test]
     fn idset_ordering_value() {
@@ -2302,6 +2245,8 @@ mod tests {
         assert!(!OrderingValue::held_in(&v, &store), "msg(1,5) is missing");
         store.insert(msg(1, 5));
         assert!(OrderingValue::held_in(&v, &store));
+        store.take(msg(1, 5).id());
+        assert!(OrderingValue::held_in(&v, &store), "a-delivered is still received");
     }
 
     #[test]
@@ -2354,6 +2299,17 @@ mod tests {
                 _ => None,
             })
             .collect()
+    }
+
+    /// Drains the context and returns the id a broadcast was assigned.
+    fn broadcast_id(c: &mut Ctx<IdSet>) -> MsgId {
+        c.take_actions()
+            .into_iter()
+            .find_map(|a| match a {
+                Action::Output(AbcastEvent::Broadcast { id }) => Some(id),
+                _ => None,
+            })
+            .expect("broadcast assigned an id")
     }
 
     /// Drains the context and returns the single armed timer of `kind`.
@@ -2650,14 +2606,7 @@ mod tests {
         assert!(reflooded, "pending broadcast must be re-flooded at start");
         // next_seq resumes past the pending id even though the log is empty.
         node.on_command(AbcastCommand::Broadcast(Payload::zeroed(8)), &mut c);
-        let bid = c
-            .take_actions()
-            .into_iter()
-            .find_map(|a| match a {
-                Action::Output(AbcastEvent::Broadcast { id }) => Some(id),
-                _ => None,
-            })
-            .expect("broadcast assigned an id");
+        let bid = broadcast_id(&mut c);
         assert_eq!(bid, MsgId::new(ProcessId::new(0), 6), "no id reuse past pending");
     }
 
@@ -2749,16 +2698,14 @@ mod tests {
         node.on_start(&mut c);
         assert_eq!(node.decided_frontier(), 2);
         assert_eq!(delivered_ids(&mut c), vec![], "logged prefix is not re-delivered");
+        // Trap: this incarnation's RB layer is fresh, so an old message
+        // re-flooded by a peer is R-delivered again. The logged ids must
+        // count as delivered, or the copy would sit in the store for ever.
+        deliver_data(&mut node, 1, msg(1, 0), &mut c);
+        assert_eq!((node.store().len(), node.unordered_len()), (0, 0));
         // Our own sequence resumes past the logged prefix: no id reuse.
         node.on_command(AbcastCommand::Broadcast(Payload::zeroed(8)), &mut c);
-        let bid = c
-            .take_actions()
-            .into_iter()
-            .find_map(|a| match a {
-                Action::Output(AbcastEvent::Broadcast { id }) => Some(id),
-                _ => None,
-            })
-            .expect("broadcast assigned an id");
+        let bid = broadcast_id(&mut c);
         assert_eq!(bid, MsgId::new(ProcessId::new(0), 1));
         // A stale decision for a logged instance is dropped outright.
         node.handle_decision(1, IdSet::from_ids([msg(9, 9).id()]), &mut c);

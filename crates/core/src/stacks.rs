@@ -282,7 +282,6 @@ pub fn indirect_ct(me: ProcessId, p: &StackParams) -> AbcastNode<IdSet, CtIndire
     let learners = p.learners;
     AbcastNode::new(
         me,
-        n,
         make_rb(p.rb),
         make_fd(p, me),
         move |k| CtIndirect::with_membership(me, n, k, learners),
@@ -299,7 +298,6 @@ pub fn indirect_mr(me: ProcessId, p: &StackParams) -> AbcastNode<IdSet, MrIndire
     let learners = p.learners;
     AbcastNode::new(
         me,
-        n,
         make_rb(p.rb),
         make_fd(p, me),
         move |k| MrIndirect::with_membership(me, n, k, learners),
@@ -316,7 +314,6 @@ pub fn direct_ct_messages(me: ProcessId, p: &StackParams) -> AbcastNode<MsgSet, 
     let learners = p.learners;
     AbcastNode::new(
         me,
-        n,
         make_rb(p.rb),
         make_fd(p, me),
         move |k| CtConsensus::with_membership(me, n, k, learners),
@@ -332,7 +329,6 @@ pub fn direct_mr_messages(me: ProcessId, p: &StackParams) -> AbcastNode<MsgSet, 
     let learners = p.learners;
     AbcastNode::new(
         me,
-        n,
         make_rb(p.rb),
         make_fd(p, me),
         move |k| MrConsensus::with_membership(me, n, k, learners),
@@ -354,7 +350,6 @@ pub fn faulty_ct_ids(me: ProcessId, p: &StackParams) -> AbcastNode<IdSet, CtCons
     let learners = p.learners;
     AbcastNode::new(
         me,
-        n,
         make_rb(p.rb),
         make_fd(p, me),
         move |k| CtConsensus::with_membership(me, n, k, learners),
@@ -373,7 +368,6 @@ pub fn faulty_mr_ids(me: ProcessId, p: &StackParams) -> AbcastNode<IdSet, MrCons
     let learners = p.learners;
     AbcastNode::new(
         me,
-        n,
         make_rb(p.rb),
         make_fd(p, me),
         move |k| MrConsensus::with_membership(me, n, k, learners),
@@ -392,7 +386,6 @@ pub fn urb_ct_ids(me: ProcessId, p: &StackParams) -> AbcastNode<IdSet, CtConsens
     let learners = p.learners;
     AbcastNode::new(
         me,
-        n,
         Box::new(MajorityAckUrb::new(me, n)),
         make_fd(p, me),
         move |k| CtConsensus::with_membership(me, n, k, learners),
@@ -408,7 +401,6 @@ pub fn urb_mr_ids(me: ProcessId, p: &StackParams) -> AbcastNode<IdSet, MrConsens
     let learners = p.learners;
     AbcastNode::new(
         me,
-        n,
         Box::new(MajorityAckUrb::new(me, n)),
         make_fd(p, me),
         move |k| MrConsensus::with_membership(me, n, k, learners),

@@ -24,6 +24,7 @@
 pub mod config;
 pub mod error;
 pub mod ewma;
+pub mod idranges;
 pub mod idset;
 pub mod message;
 pub mod process;
@@ -34,6 +35,7 @@ pub mod wire;
 pub use config::SystemConfig;
 pub use error::{CodecError, ConfigError};
 pub use ewma::Ewma;
+pub use idranges::IdRanges;
 pub use idset::IdSet;
 pub use message::{AppMessage, MsgId, Payload};
 pub use process::{ProcessId, ProcessSet};

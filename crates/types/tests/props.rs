@@ -1,7 +1,9 @@
 //! Property-based tests for the vocabulary types.
 
 use iabc_types::wire::roundtrip;
-use iabc_types::{quorum, Duration, IdSet, MsgId, Payload, ProcessId, ProcessSet, Time};
+use iabc_types::{
+    quorum, Duration, IdRanges, IdSet, MsgId, Payload, ProcessId, ProcessSet, Time,
+};
 use proptest::prelude::*;
 
 fn arb_msg_id() -> impl Strategy<Value = MsgId> {
@@ -60,6 +62,49 @@ proptest! {
         }
         for id in a {
             prop_assert_eq!(sa.contains(id), !sb.contains(id));
+        }
+    }
+
+    #[test]
+    fn idranges_mirror_btreeset(
+        // A small, dense id space: most inserts touch, extend or merge ranges.
+        ids in proptest::collection::vec((0u16..4, 0u64..48), 0..300),
+    ) {
+        let mut ranges = IdRanges::new();
+        let mut reference = std::collections::BTreeSet::new();
+        for (p, seq) in ids {
+            let id = MsgId::new(ProcessId::new(p), seq);
+            prop_assert_eq!(ranges.insert(id), reference.insert(id), "insert {:?}", id);
+        }
+        for p in 0u16..5 {
+            for seq in 0u64..50 {
+                let id = MsgId::new(ProcessId::new(p), seq);
+                prop_assert_eq!(ranges.contains(id), reference.contains(&id), "contains {:?}", id);
+            }
+        }
+        // Sorted, disjoint and non-adjacent ranges are exactly the maximal
+        // runs of the reference: an id starts one unless its predecessor
+        // (same sender, seq - 1) is present too.
+        let runs = reference
+            .iter()
+            .filter(|id| id.seq() == 0 || !reference.contains(&MsgId::new(id.sender(), id.seq() - 1)))
+            .count();
+        prop_assert_eq!(ranges.range_count(), runs);
+    }
+
+    #[test]
+    fn idranges_in_order_insertion_keeps_one_range_per_sender(
+        senders in proptest::collection::vec(0u16..4, 0..300),
+    ) {
+        // Each sender's ids arrive in sequence order, the senders
+        // interleaved arbitrarily — the fault-free arrival pattern.
+        let mut ranges = IdRanges::new();
+        let mut next = [0u64; 4];
+        for p in senders {
+            let seq = &mut next[p as usize];
+            prop_assert!(ranges.insert(MsgId::new(ProcessId::new(p), *seq)));
+            *seq += 1;
+            prop_assert_eq!(ranges.range_count(), next.iter().filter(|&&n| n > 0).count());
         }
     }
 
