@@ -33,12 +33,6 @@ pub struct PipelineConfig {
     /// Maximum identifiers per proposal; the remainder *spills* to the
     /// next instance. `usize::MAX` = uncapped (the seed behaviour).
     pub max_proposal_ids: usize,
-    /// When `true`, the adaptive controller's latency signal is
-    /// *EWMA-relative*: it halves when a decision's latency worsens past
-    /// [`EWMA_WORSEN_FACTOR`] times the controller's own moving average,
-    /// instead of crossing the absolute `latency_target` — removing the
-    /// one knob operators must otherwise tune per deployment.
-    pub ewma_signal: bool,
     /// When `true`, proposals exclude identifiers *younger than ~one flood
     /// delay* (measured: an EWMA of this node's own RB delivery latency).
     /// A proposal naming a just-arrived id overtakes that id's Data frames
@@ -65,19 +59,6 @@ pub struct PipelineConfig {
     pub learner: bool,
 }
 
-/// Smoothing factor of the EWMA latency baseline (weight of the newest
-/// observation).
-pub const EWMA_ALPHA: f64 = 0.2;
-
-/// How much a decision's latency must exceed the EWMA baseline to count as
-/// congestion in [`PipelineConfig::ewma_signal`] mode.
-pub const EWMA_WORSEN_FACTOR: f64 = 2.0;
-
-/// Observations needed before the EWMA baseline is trusted; earlier
-/// decisions only seed it (a cold controller must not halve on its very
-/// first, unavoidably noisy samples).
-const EWMA_WARMUP: u64 = 4;
-
 /// R-deliveries of *remote* messages a node must observe before its flood
 /// delay estimate is trusted and the freshness gate arms (see
 /// [`PipelineConfig::proposal_freshness`]). Until then the gate is inert —
@@ -85,9 +66,9 @@ const EWMA_WARMUP: u64 = 4;
 pub const FRESHNESS_WARMUP: u64 = 8;
 
 /// Smoothing factor of the flood delay EWMA (weight of the newest
-/// observation). Deliberately lighter than [`EWMA_ALPHA`]: delivery
-/// latency under load swings with queue depth, and a jumpy threshold
-/// would make the gate flap between deferring everything and nothing.
+/// observation). Deliberately light: delivery latency under load swings
+/// with queue depth, and a jumpy threshold would make the gate flap
+/// between deferring everything and nothing.
 pub const FRESHNESS_ALPHA: f64 = 0.1;
 
 /// Safety factor on the flood delay estimate: an id is mature once it is
@@ -115,7 +96,6 @@ impl PipelineConfig {
             latency_target: Duration::from_millis(10),
             backlog_limit: 1024,
             max_proposal_ids: usize::MAX,
-            ewma_signal: false,
             proposal_freshness: false,
             catch_up: false,
             learner: false,
@@ -196,8 +176,6 @@ pub struct WindowController {
     decrease_watermark: u64,
     increases: u64,
     decreases: u64,
-    /// EWMA of observed decision latencies, seconds (EWMA-signal mode).
-    ewma: Ewma,
 }
 
 impl WindowController {
@@ -210,7 +188,6 @@ impl WindowController {
             decrease_watermark: 0,
             increases: 0,
             decreases: 0,
-            ewma: Ewma::new(EWMA_ALPHA),
         }
     }
 
@@ -234,26 +211,9 @@ impl WindowController {
         (self.increases, self.decreases)
     }
 
-    /// The EWMA latency baseline in seconds, once warmed up (EWMA-signal
-    /// mode only; `None` before [`EWMA_WARMUP`] observations).
-    pub fn ewma_latency_secs(&self) -> Option<f64> {
-        (self.cfg.ewma_signal && self.ewma.warmed(EWMA_WARMUP)).then(|| self.ewma.value())
-    }
-
-    /// Whether a decision's latency signals congestion, updating the EWMA
-    /// baseline on the way (every observed latency feeds it, congested or
-    /// not — a halved window must re-earn its baseline, and a slow drift
-    /// upward must not trigger on every sample).
-    fn latency_congested(&mut self, latency: Option<Duration>) -> bool {
-        let Some(l) = latency else { return false };
-        if !self.cfg.ewma_signal {
-            return l > self.cfg.latency_target;
-        }
-        let secs = l.as_secs_f64();
-        let worsened =
-            self.ewma.warmed(EWMA_WARMUP) && secs > EWMA_WORSEN_FACTOR * self.ewma.value();
-        self.ewma.observe(secs);
-        worsened
+    /// Whether a decision's latency crosses the latency target.
+    fn latency_congested(&self, latency: Option<Duration>) -> bool {
+        latency.is_some_and(|l| l > self.cfg.latency_target)
     }
 
     /// How many capped instances the backlog needs, clamped to the
@@ -1908,76 +1868,6 @@ mod tests {
         // wants more concurrency, not less.
         ctrl.on_decision(41, 60, Some(Duration::from_secs(1)), 100_000, true);
         assert_eq!(ctrl.current(), 16, "spill pressure must override halving");
-    }
-
-    #[test]
-    fn ewma_signal_halves_on_relative_worsening_not_absolute_target() {
-        let mut cfg = PipelineConfig::adaptive(1, 16);
-        // An absurd absolute target that would never fire: the EWMA signal
-        // must not consult it.
-        cfg.latency_target = Duration::from_secs(3600);
-        cfg.ewma_signal = true;
-        let mut ctrl = WindowController::new(cfg);
-        assert!(ctrl.ewma_latency_secs().is_none(), "cold controller has no baseline");
-        // A steady 1 ms baseline, long enough to warm up and grow.
-        let steady = Some(Duration::from_millis(1));
-        for k in 1..100u64 {
-            ctrl.on_decision(k, k, steady, 5, true);
-        }
-        let grown = ctrl.current();
-        assert!(grown > 1, "healthy EWMA runs must still grow additively");
-        let baseline = ctrl.ewma_latency_secs().expect("warmed up");
-        assert!((baseline - 0.001).abs() < 1e-4, "baseline ~1 ms, got {baseline}");
-        // 1.5× the baseline: worse, but under the worsen factor — no halve.
-        ctrl.on_decision(100, 120, Some(Duration::from_micros(1500)), 5, true);
-        assert_eq!(ctrl.current(), grown);
-        // 10× the baseline: congestion, despite the huge absolute target.
-        ctrl.on_decision(101, 120, Some(Duration::from_millis(10)), 5, true);
-        assert_eq!(ctrl.current(), grown / 2, "EWMA worsening must halve");
-        assert!(ctrl.adaptations().1 >= 1);
-    }
-
-    #[test]
-    fn ewma_baseline_adapts_so_a_slow_regime_stops_halving() {
-        let mut cfg = PipelineConfig::adaptive(1, 16);
-        cfg.latency_target = Duration::from_secs(3600);
-        cfg.ewma_signal = true;
-        let mut ctrl = WindowController::new(cfg);
-        let fast = Some(Duration::from_millis(1));
-        for k in 1..50u64 {
-            ctrl.on_decision(k, k, fast, 5, true);
-        }
-        // The deployment moves to a legitimately slower regime (e.g. a
-        // bigger cluster): after the decrease-damping watermark passes,
-        // the baseline absorbs the new latency and growth resumes —
-        // that is the point of a relative signal.
-        let slow = Some(Duration::from_millis(20));
-        for k in 50..300u64 {
-            ctrl.on_decision(k, k, slow, 5, true);
-        }
-        let baseline = ctrl.ewma_latency_secs().expect("warmed up");
-        assert!((baseline - 0.020).abs() < 1e-3, "baseline must track the regime");
-        assert_eq!(ctrl.current(), 16, "steady (if slow) latency must allow regrowth");
-    }
-
-    #[test]
-    fn ewma_mode_keeps_the_backlog_signal_and_bounds() {
-        let mut cfg = PipelineConfig::adaptive(1, 8);
-        cfg.ewma_signal = true;
-        let mut ctrl = WindowController::new(cfg);
-        let fast = Some(Duration::from_millis(1));
-        for k in 1..100u64 {
-            ctrl.on_decision(k, k, fast, 5, true);
-        }
-        assert_eq!(ctrl.current(), 8);
-        // Backlog over the limit still halves, EWMA or not.
-        ctrl.on_decision(100, 120, fast, cfg.backlog_limit + 1, true);
-        assert_eq!(ctrl.current(), 4);
-        // And the window can never escape its bounds.
-        for k in 121..400u64 {
-            ctrl.on_decision(k, 400, Some(Duration::from_secs(60)), 0, true);
-            assert!((1..=8).contains(&ctrl.current()));
-        }
     }
 
     #[test]

@@ -200,16 +200,6 @@ impl StackParams {
         self
     }
 
-    /// Switches the adaptive controller's congestion signal from the
-    /// absolute `latency_target` to an EWMA-relative one: the window
-    /// halves when decision latency worsens past
-    /// [`crate::node::EWMA_WORSEN_FACTOR`]× the controller's own moving
-    /// average, whatever the deployment's baseline latency is.
-    pub fn with_ewma_signal(mut self) -> Self {
-        self.pipeline.ewma_signal = true;
-        self
-    }
-
     /// Turns on the decided log and the catch-up protocol: the node keeps
     /// an (in-memory by default — see `AbcastNode::set_decided_log` for
     /// the durable one) append-only log of delivered instances, piggybacks
@@ -463,13 +453,11 @@ mod tests {
     }
 
     #[test]
-    fn priority_lane_and_ewma_toggles() {
+    fn priority_lane_toggle() {
         let p = StackParams::fault_free(3);
         assert!(!p.priority_lane, "paper bins default to the FIFO model");
-        assert!(!p.pipeline.ewma_signal);
-        let q = p.with_priority_lane(true).with_ewma_signal();
+        let q = p.with_priority_lane(true);
         assert!(q.priority_lane);
-        assert!(q.pipeline.ewma_signal);
         // Orthogonal to the rest of the pipeline config.
         assert_eq!((q.pipeline.w_min, q.pipeline.w_max), (1, 1));
         let _ = indirect_ct(ProcessId::new(0), &q);

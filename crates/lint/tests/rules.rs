@@ -184,8 +184,8 @@ fn e1_good_is_quiet() {
 #[test]
 fn e1_out_of_scope_is_quiet() {
     // The same blocking code outside the event-loop module set is not
-    // E1's business (the threaded control transport blocks by design).
-    let f = flow_findings("crates/net/src/tcp_threaded.rs", include_str!("fixtures/e1_bad.rs"));
+    // E1's business (`ThreadCluster` blocks in `recv_timeout` by design).
+    let f = flow_findings("crates/net/src/cluster.rs", include_str!("fixtures/e1_bad.rs"));
     assert!(f.iter().all(|f| f.rule != "E1"), "{f:?}");
 }
 

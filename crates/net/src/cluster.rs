@@ -107,18 +107,6 @@ where
         let _ = self.inputs[p.as_usize()].send(Input::Cmd(cmd));
     }
 
-    /// Returns an injector that feeds messages into `p`'s input queue as if
-    /// they came off the network — the hook alternative transports (TCP)
-    /// use to deliver decoded frames. The injector reports `Err(())` once
-    /// the node has stopped.
-    pub fn message_injector(
-        &self,
-        p: ProcessId,
-    ) -> impl Fn(ProcessId, N::Msg) -> Result<(), ()> + Send + 'static {
-        let tx = self.inputs[p.as_usize()].clone();
-        move |from, msg| tx.send(Input::Msg(from, msg)).map_err(|_| ())
-    }
-
     /// Collects outputs for (wall-clock) `dur`, then returns them.
     pub fn run_for(&mut self, dur: std::time::Duration) -> Vec<NetOutput<N::Output>> {
         collect_outputs(&self.outputs, usize::MAX, dur)

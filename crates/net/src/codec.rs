@@ -1,6 +1,6 @@
 //! Length-prefixed framing for TCP transports.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 use iabc_types::{Decode, Encode, ProcessId};
 
@@ -12,9 +12,9 @@ pub const MAX_FRAME: usize = 16 << 20;
 
 /// Appends one `[u32 length][body]` frame to `scratch` without allocating:
 /// the value encodes directly into the buffer and the length prefix is
-/// patched afterwards. Callers that hold the buffer across frames (the TCP
-/// flusher coalescing a whole queue into one `write_all`) amortize the
-/// allocation to zero.
+/// patched afterwards. Callers that hold the buffer across frames (the
+/// event loop coalescing a peer's whole backlog into one write) amortize
+/// the allocation to zero.
 ///
 /// On error the buffer is restored to its previous length, so a poisoned
 /// frame never corrupts the batch around it.
@@ -48,32 +48,19 @@ pub fn write_frame<T: Encode, W: Write>(value: &T, w: &mut W) -> io::Result<()> 
     w.flush()
 }
 
-/// Reads one `[u32 length][body]` frame and decodes it.
+/// An incremental frame decoder that owns its bytes (accumulates copies,
+/// yields complete frames).
 ///
-/// # Errors
-///
-/// Propagates I/O errors; fails on oversized frames or malformed bodies.
-pub fn read_frame<T: Decode, R: Read>(r: &mut R) -> io::Result<T> {
-    let mut len_buf = [0u8; 4];
-    r.read_exact(&mut len_buf)?;
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame too large"));
-    }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    T::from_bytes(&body)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-}
-
-/// An incremental frame decoder for non-blocking readers (accumulates
-/// bytes, yields complete frames).
+/// No production path uses it any more: sockets read into [`RecvBuffer`].
+/// `FrameBuffer` is the simple reference `recv_buffer_props.rs` pins
+/// `RecvBuffer`'s decoded frames to, and the reader tests use to check
+/// what a transport wrote.
 ///
 /// Decode errors are **sticky**: after an oversized or malformed frame the
 /// buffer is poisoned and every further call fails fast — a byte stream
 /// that has lost framing can never resynchronize, so retrying on the same
 /// bytes would spin forever. Callers must drop the connection on the first
-/// error (see `crate::tcp`).
+/// error.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
@@ -200,11 +187,10 @@ impl<M: Decode + iabc_types::WireSize> Decode for TaggedOwned<M> {
 /// ([`iabc_types::Decode::decode_in_place`]) from the very bytes the
 /// kernel wrote.
 ///
-/// Compare [`FrameBuffer`], the owned-decode path: there the reader copies
-/// every chunk from its stack buffer into the frame buffer before
-/// decoding. `RecvBuffer` eliminates that re-assembly copy — payload bytes
-/// are copied exactly once, slice → payload store, and nothing else on the
-/// receive path copies at all.
+/// Unlike [`FrameBuffer`], the owned reference decoder, which copies every
+/// chunk into itself before decoding, `RecvBuffer` has no re-assembly
+/// copy — payload bytes are copied exactly once, slice → payload store,
+/// and nothing else on the receive path copies at all.
 ///
 /// Same framing contract as [`FrameBuffer`]: `[u32 LE length][body]`,
 /// frames over [`MAX_FRAME`] rejected, and decode errors are **sticky** —
@@ -221,7 +207,7 @@ pub struct RecvBuffer {
 }
 
 /// Default read-chunk size: how much spare [`RecvBuffer::spare`]
-/// guarantees by default (matches the old reader-thread chunk).
+/// guarantees by default.
 pub const RECV_CHUNK: usize = 16 * 1024;
 
 impl RecvBuffer {
@@ -363,16 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn frame_roundtrip_through_cursor() {
-        let mut buf = Vec::new();
-        write_frame(&0xDEAD_BEEFu32, &mut buf).unwrap();
-        write_frame(&7u32, &mut buf).unwrap();
-        let mut cursor = io::Cursor::new(buf);
-        assert_eq!(read_frame::<u32, _>(&mut cursor).unwrap(), 0xDEAD_BEEF);
-        assert_eq!(read_frame::<u32, _>(&mut cursor).unwrap(), 7);
-    }
-
-    #[test]
     fn frame_buffer_handles_partial_input() {
         let mut wire = Vec::new();
         write_frame(&42u64, &mut wire).unwrap();
@@ -423,12 +399,6 @@ mod tests {
         assert!(fb.next_frame::<u64>().is_err());
         assert!(fb.is_poisoned());
         assert!(fb.next_frame::<u64>().is_err());
-    }
-
-    #[test]
-    fn truncated_read_errors() {
-        let mut cursor = io::Cursor::new(vec![4u8, 0, 0, 0, 1, 2]); // body cut short
-        assert!(read_frame::<u32, _>(&mut cursor).is_err());
     }
 
     /// A test value that decodes from a body of *any* length, including
@@ -641,6 +611,23 @@ mod tests {
         let s = pool.stats();
         assert_eq!(s.in_use, 0);
         assert_eq!(s.free, 1);
+    }
+
+    #[test]
+    fn truncated_read_errors() {
+        let pool = BufferPool::new();
+        // A body cut short of its length prefix is not a frame yet: the
+        // bytes wait for the rest, nothing is decoded.
+        let mut rb = RecvBuffer::new(&pool);
+        recv(&mut rb, &[4u8, 0, 0, 0, 1, 2]);
+        assert_eq!(rb.next_frame::<u32>().unwrap(), None);
+        assert_eq!(rb.pending_bytes(), 6);
+        // A complete frame whose body is too short for its type is a
+        // decode error, never a value.
+        let mut rb = RecvBuffer::new(&pool);
+        recv(&mut rb, &[2u8, 0, 0, 0, 1, 2]);
+        assert!(rb.next_frame::<u32>().is_err());
+        assert!(rb.is_poisoned());
     }
 
     #[test]

@@ -10,11 +10,8 @@
 //!   pooled buffers, decode-in-place) that also runs the node's handlers
 //!   inline, so a frame goes socket → `on_message` → socket without
 //!   leaving the thread. Exercises the real codec path end to end.
-//! * [`ThreadedTcpCluster`] — the first, thread-per-connection transport
-//!   (`2·(n−1)` blocking I/O threads plus a node thread per process),
-//!   kept as the control arm of the `loopback_cluster` bench.
 //!
-//! All three drive any [`Node`](iabc_runtime::Node) implementation — the very
+//! Both drive any [`Node`](iabc_runtime::Node) implementation — the very
 //! same [`AbcastNode`](iabc_core::AbcastNode) state machines the simulator
 //! runs. `Action::Work` is ignored (real CPUs charge themselves).
 
@@ -25,9 +22,7 @@ pub mod poll;
 pub mod pool;
 pub mod queue;
 pub mod tcp;
-pub mod tcp_threaded;
 
-pub(crate) mod adapter;
 pub(crate) mod event_loop;
 pub(crate) mod reconnect;
 pub(crate) mod timers;
@@ -36,7 +31,6 @@ pub use cluster::ThreadCluster;
 pub use netfault::{NetFaultPlan, NetFaultReport, NetFaultStats};
 pub use pool::{BufferPool, PoolStats};
 pub use tcp::TcpCluster;
-pub use tcp_threaded::ThreadedTcpCluster;
 
 use iabc_types::{ProcessId, Time};
 

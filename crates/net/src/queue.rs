@@ -5,41 +5,17 @@
 //! for a link whose connection is gone but expected back. The event loop
 //! of [`crate::tcp`] owns one `Lanes` per peer outright — the node runs on
 //! the loop thread, so nothing else ever touches it and there is no lock.
-//!
-//! [`PeerQueue`] is `Lanes` behind a mutex and two condvars, for the
-//! thread-per-connection control [`crate::tcp_threaded`] only: node
-//! threads push ([`PeerQueue::enqueue`], blocking at capacity — that
-//! transport's backpressure), a flusher thread parks on
-//! [`PeerQueue::next_batch`].
-//!
-//! # Lock discipline (`PeerQueue`)
-//!
-//! Each queue owns exactly one `Mutex` plus the two condvars that pair
-//! with it; no code path ever holds two queue locks at once (queues belong
-//! to distinct connections and never reference each other), so there is no
-//! acquisition order to get wrong. The rule that *does* carry weight: **no
-//! socket I/O while a queue guard is live.** The flusher takes the lock
-//! only to swap the batch out, drops the guard, and encodes/writes from
-//! buffers it owns. Condvar waits release the lock for the duration of the
-//! wait and are the one sanctioned way to block with a guard in scope.
-//!
-//! Lock poisoning is recovered, not propagated: the queue state (two
-//! deques and a flag) is valid after any partial mutation, and a panic in
-//! one node thread must not cascade into the I/O threads of every peer
-//! sharing the mesh.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
 
 use iabc_types::{TrafficClass, WireSize};
 
-/// Frames one peer's lanes hold before the owner applies backpressure.
-/// On the event loop this is a **soft** cap: while a connected peer's
-/// lanes are at it the loop stops taking application commands (see
+/// Frames one peer's lanes hold before the event loop applies
+/// backpressure. The cap is **soft**: while a connected peer's lanes are
+/// at it the loop stops taking application commands (see
 /// [`crate::event_loop`]); frames the protocol emits in reply to socket
 /// input are never refused, because a loop that stops reading to wait for
-/// a peer that has stopped reading is a deadlock. [`PeerQueue::enqueue`]
-/// blocks the pushing node thread at the cap instead.
+/// a peer that has stopped reading is a deadlock.
 pub const MAX_OUTBOUND_FRAMES: usize = 16 * 1024;
 
 /// Bulk-lane watermark while the peer connection is **down**: past this
@@ -147,89 +123,9 @@ impl<M: WireSize> Lanes<M> {
     }
 }
 
-/// [`Lanes`] shared between node threads and one flusher thread: the
-/// outbound queue of the thread-per-connection transport.
-pub(crate) struct PeerQueue<M> {
-    state: Mutex<PeerQueueState<M>>,
-    /// Signalled when work arrives or the queue closes (the flusher waits
-    /// here).
-    ready: Condvar,
-    /// Signalled when a drain frees space or the queue closes (pushers
-    /// blocked on a full queue wait here).
-    space: Condvar,
-}
-
-struct PeerQueueState<M> {
-    lanes: Lanes<M>,
-    /// Set on shutdown or on a dead peer: pushes are dropped (a crashed
-    /// process loses messages — the quasi-reliable channel model).
-    closed: bool,
-}
-
-impl<M: WireSize> PeerQueue<M> {
-    pub(crate) fn new() -> Self {
-        PeerQueue::with_capacity(MAX_OUTBOUND_FRAMES)
-    }
-
-    pub(crate) fn with_capacity(capacity: usize) -> Self {
-        PeerQueue {
-            state: Mutex::new(PeerQueueState {
-                lanes: Lanes::with_capacity(capacity),
-                closed: false,
-            }),
-            ready: Condvar::new(),
-            space: Condvar::new(),
-        }
-    }
-
-    /// Enqueues one message into its class lane, blocking while the queue
-    /// is at capacity (backpressure from a slow peer reaches the node
-    /// thread, as a blocking write would). Dropped if closed.
-    pub(crate) fn enqueue(&self, msg: M) {
-        let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        while !s.closed && s.lanes.is_full() {
-            s = self.space.wait(s).unwrap_or_else(|e| e.into_inner());
-        }
-        if s.closed {
-            return;
-        }
-        s.lanes.push(msg);
-        drop(s);
-        self.ready.notify_one();
-    }
-
-    /// Marks the queue closed and wakes everyone (the flusher and any
-    /// pushers blocked on a full queue).
-    pub(crate) fn close(&self) {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).closed = true;
-        self.ready.notify_all();
-        self.space.notify_all();
-    }
-
-    /// Blocks until messages are pending (or the queue closed empty), then
-    /// takes the whole backlog: every ordering frame first, then every
-    /// bulk frame. Returns `None` when closed and fully drained.
-    pub(crate) fn next_batch(&self) -> Option<Vec<M>> {
-        let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if !s.lanes.is_empty() {
-                let batch: Vec<M> = s.lanes.drain().collect();
-                drop(s);
-                self.space.notify_all();
-                return Some(batch);
-            }
-            if s.closed {
-                return None;
-            }
-            s = self.ready.wait(s).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use std::sync::Arc;
     use iabc_types::{CodecError, Decode, Encode};
 
     /// A classed test frame: odd values are ordering, even values bulk.
@@ -291,24 +187,6 @@ pub(crate) mod tests {
             *buf = rest;
             Ok(Blob { id, len })
         }
-    }
-
-    #[test]
-    fn queue_drains_ordering_ahead_of_bulk() {
-        let q: PeerQueue<Classed> = PeerQueue::new();
-        for v in [2, 4, 1, 6, 3] {
-            q.enqueue(Classed(v));
-        }
-        let batch = q.next_batch().expect("queue not closed");
-        let vals: Vec<u32> = batch.iter().map(|c| c.0).collect();
-        // Ordering lane first (FIFO within the lane), then bulk FIFO.
-        assert_eq!(vals, vec![1, 3, 2, 4, 6]);
-        // Queue now empty: close makes next_batch return None.
-        q.close();
-        assert!(q.next_batch().is_none());
-        // Pushes after close are dropped (crashed-peer semantics).
-        q.enqueue(Classed(9));
-        assert!(q.next_batch().is_none());
     }
 
     fn vals(lanes: &mut Lanes<Classed>) -> Vec<u32> {
@@ -376,43 +254,5 @@ pub(crate) mod tests {
         assert_eq!(lanes.shed_count(), 2);
         lanes.set_down(false);
         assert_eq!(vals(&mut lanes), vec![1, 3, 5, 7]);
-    }
-
-    #[test]
-    fn full_queue_blocks_the_pusher_until_a_drain_frees_space() {
-        let q: Arc<PeerQueue<Classed>> = Arc::new(PeerQueue::with_capacity(4));
-        for v in 0..4 {
-            q.enqueue(Classed(v));
-        }
-        // The fifth push must block (backpressure), not grow the queue.
-        let pq = Arc::clone(&q);
-        let pusher = std::thread::spawn(move || pq.enqueue(Classed(99)));
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        assert!(!pusher.is_finished(), "push past capacity must block");
-        // Draining frees space and unblocks it.
-        assert_eq!(q.next_batch().expect("open queue").len(), 4);
-        pusher.join().unwrap();
-        let batch = q.next_batch().expect("open queue");
-        assert_eq!(batch.iter().map(|c| c.0).collect::<Vec<_>>(), vec![99]);
-        // close() releases blocked pushers too (message dropped).
-        for v in 0..4 {
-            q.enqueue(Classed(v));
-        }
-        let pq = Arc::clone(&q);
-        let pusher = std::thread::spawn(move || pq.enqueue(Classed(100)));
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        q.close();
-        pusher.join().unwrap();
-    }
-
-    #[test]
-    fn closed_queue_with_backlog_still_hands_the_backlog_out() {
-        // close() drops *future* pushes; frames already accepted are the
-        // flusher's to write (shutdown drains the backlog best-effort).
-        let q: PeerQueue<Classed> = PeerQueue::new();
-        q.enqueue(Classed(1));
-        q.close();
-        assert_eq!(q.next_batch().map(|b| b.len()), Some(1));
-        assert!(q.next_batch().is_none());
     }
 }

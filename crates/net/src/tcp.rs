@@ -36,11 +36,6 @@
 //! their channel, and never stops reading sockets (see
 //! [`crate::event_loop`]).
 //!
-//! The first architecture — a blocking reader thread per connection plus
-//! a flusher thread per peer, `2·(n−1)` I/O threads and a node thread per
-//! process — survives as [`crate::tcp_threaded::ThreadedTcpCluster`], the
-//! measured control for the `loopback_cluster` bench.
-//!
 //! # Lock discipline
 //!
 //! The frame path takes no lock: lanes, timers and the node belong to

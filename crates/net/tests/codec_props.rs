@@ -1,8 +1,10 @@
 //! Property tests of the frame codec against adversarial input: a remote
-//! peer controls every byte that reaches [`FrameBuffer`], so no byte
+//! peer controls every byte that reaches `RecvBuffer`, so no byte
 //! sequence — malformed, truncated, oversized, or arbitrarily re-chunked —
-//! may panic the process. Errors must surface as `Err` and poison the
-//! buffer (rule P1's contract: poison the connection, not the process).
+//! may panic the process. The properties are stated on [`FrameBuffer`],
+//! the reference decoder `recv_buffer_props.rs` pins `RecvBuffer` to byte
+//! for byte. Errors must surface as `Err` and poison the buffer (rule P1's
+//! contract: poison the connection, not the process).
 
 use iabc_net::codec::{write_frame_into, FrameBuffer, MAX_FRAME};
 use proptest::prelude::*;

@@ -1,6 +1,6 @@
 //! Property tests pinning [`RecvBuffer`] (the pooled, decode-in-place
 //! receive path the event loop reads into) to [`FrameBuffer`] (the owned
-//! copy-then-decode path) byte for byte: fed the same stream under any
+//! copy-then-decode reference) byte for byte: fed the same stream under any
 //! re-chunking, the two must decode the same values, buffer the same
 //! number of pending bytes, and poison on exactly the same input. The
 //! zero-copy rewrite is an optimization, never a semantic change.

@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 
-use iabc_types::{Duration, Ewma, Time, TrafficClass};
+use iabc_types::{Duration, Time, TrafficClass};
 
 /// A single-server FIFO queue (a CPU, a NIC transmit port, a NIC receive
 /// port).
@@ -109,28 +109,6 @@ impl FifoResource {
 /// uncontended, ordering keeps full priority.
 pub const ORDERING_ADVANTAGE: Duration = Duration::from_micros(1000);
 
-/// The adaptive deficit bound, in *bulk service quanta*: with
-/// [`ClassedResource::with_adaptive_advantage`], the ordering lane may run
-/// this many measured mean bulk service times ahead of parity before a
-/// queued bulk job is served.
-///
-/// The static [`ORDERING_ADVANTAGE`] of 1 ms was tuned for the Setup-1
-/// cost model, where a payload frame costs a few hundred microseconds of
-/// host service — about four quanta. Expressing the bound in quanta keeps
-/// that tuned *ratio* when the cost model changes: an advantage fixed in
-/// milliseconds starves bulk on hosts with cheap frames (hundreds of
-/// frames overtaken per burst) and loses the lane's latency win on hosts
-/// with expensive ones (less than one frame overtaken).
-pub const ADVANTAGE_BULK_QUANTA: f64 = 4.0;
-
-/// Smoothing factor of the bulk service-quantum EWMA (weight of the
-/// newest observation).
-pub const ADVANTAGE_EWMA_ALPHA: f64 = 0.1;
-
-/// Bulk jobs observed before the adaptive advantage trusts its EWMA;
-/// until then the static [`ORDERING_ADVANTAGE`] applies.
-pub const ADVANTAGE_WARMUP: u64 = 8;
-
 /// A single-server queue with two service classes: priority of
 /// [`TrafficClass::Ordering`] over [`TrafficClass::Bulk`] in *order*,
 /// bounded to an (approximately equal) *time share* by a deficit rule —
@@ -167,12 +145,6 @@ pub struct ClassedResource<J> {
     /// service that has paid it down — the deficit counter.
     ordering_debt: Duration,
     ordering_advantage: Duration,
-    /// Whether the deficit bound is derived from the measured bulk service
-    /// quantum instead of the static `ordering_advantage` — see
-    /// [`ClassedResource::with_adaptive_advantage`].
-    adaptive_advantage: bool,
-    /// EWMA of bulk job service times, seconds (adaptive mode).
-    bulk_quantum: Ewma,
 }
 
 impl<J> Default for ClassedResource<J> {
@@ -199,35 +171,12 @@ impl<J> ClassedResource<J> {
             jobs: [0; 2],
             ordering_debt: Duration::ZERO,
             ordering_advantage: advantage,
-            adaptive_advantage: false,
-            bulk_quantum: Ewma::new(ADVANTAGE_EWMA_ALPHA),
         }
     }
 
-    /// Creates an idle resource whose deficit bound *adapts to the cost
-    /// model*: [`ADVANTAGE_BULK_QUANTA`] × the EWMA of measured bulk job
-    /// service times, so the lane's latency win (ordering may overtake a
-    /// few queued payload frames, never hundreds) holds whether a frame
-    /// costs 50 µs or 5 ms to serve. Until [`ADVANTAGE_WARMUP`] bulk jobs
-    /// were observed the static [`ORDERING_ADVANTAGE`] applies.
-    pub fn with_adaptive_advantage() -> Self {
-        ClassedResource { adaptive_advantage: true, ..ClassedResource::new() }
-    }
-
-    /// The deficit bound currently in force.
+    /// The deficit bound in force (fixed at construction).
     pub fn current_advantage(&self) -> Duration {
-        if self.adaptive_advantage && self.bulk_quantum.warmed(ADVANTAGE_WARMUP) {
-            Duration::from_secs_f64(ADVANTAGE_BULK_QUANTA * self.bulk_quantum.value())
-        } else {
-            self.ordering_advantage
-        }
-    }
-
-    /// Folds a started bulk job's service time into the quantum EWMA.
-    fn note_bulk_quantum(&mut self, dur: Duration) {
-        if self.adaptive_advantage {
-            self.bulk_quantum.observe(dur.as_secs_f64());
-        }
+        self.ordering_advantage
     }
 
     /// Whether the server is idle at `now` with nothing queued.
@@ -247,9 +196,6 @@ impl<J> ClassedResource<J> {
         self.busy_until = done;
         self.busy_total[class.index()] += dur;
         self.jobs[class.index()] += 1;
-        if class == TrafficClass::Bulk {
-            self.note_bulk_quantum(dur);
-        }
         // Nothing was waiting: no contention, the debt is irrelevant here.
         Some(done)
     }
@@ -274,15 +220,12 @@ impl<J> ClassedResource<J> {
         let contended = !self.queues[o].is_empty() && !self.queues[b].is_empty();
         let class = if self.queues[o].is_empty() {
             TrafficClass::Bulk
-        } else if self.queues[b].is_empty() || self.ordering_debt <= self.current_advantage() {
+        } else if self.queues[b].is_empty() || self.ordering_debt <= self.ordering_advantage {
             TrafficClass::Ordering
         } else {
             TrafficClass::Bulk
         };
         let (dur, job) = self.queues[class.index()].pop_front()?;
-        if class == TrafficClass::Bulk {
-            self.note_bulk_quantum(dur);
-        }
         self.queued_demand[class.index()] -= dur;
         if contended {
             match class {
@@ -547,74 +490,6 @@ mod tests {
         // Debt reaches 30 µs (> 20 µs advantage) after three contended
         // ordering jobs, then bulk runs.
         assert_eq!(order, vec![200, 201, 202, 100]);
-    }
-
-    /// Serves a sustained ordering flood against one queued bulk job and
-    /// returns how much ordering service ran before the bulk job started.
-    fn ordering_served_before_bulk(r: &mut ClassedResource<&'static str>, job_us: u64) -> Duration {
-        r.enqueue(BLK, us(job_us), "bulk");
-        for _ in 0..10_000 {
-            r.enqueue(ORD, us(job_us), "ord");
-        }
-        let mut served = Duration::ZERO;
-        loop {
-            let t = r.busy_until();
-            let (_, label) = r.pop_next(t).expect("queue not empty");
-            if label == "bulk" {
-                return served;
-            }
-            served += us(job_us);
-        }
-    }
-
-    #[test]
-    fn adaptive_advantage_tracks_the_bulk_service_quantum() {
-        let mut r: ClassedResource<&'static str> = ClassedResource::with_adaptive_advantage();
-        // Cold: the static default applies.
-        assert_eq!(r.current_advantage(), ORDERING_ADVANTAGE);
-        // Warm it with bulk jobs of a fixed 100 µs quantum.
-        assert!(r.try_start(Time::ZERO, BLK, us(100)).is_some());
-        for _ in 0..ADVANTAGE_WARMUP {
-            r.enqueue(BLK, us(100), "b");
-        }
-        while r.pop_next(r.busy_until()).is_some() {}
-        let adv = r.current_advantage();
-        assert!(
-            adv.as_nanos().abs_diff(us(400).as_nanos()) <= 1_000,
-            "advantage must converge to {ADVANTAGE_BULK_QUANTA}x the quantum, got {adv}"
-        );
-    }
-
-    #[test]
-    fn adaptive_advantage_keeps_the_starvation_ratio_across_cost_models() {
-        // The lane's tuned behaviour: a contended ordering burst may
-        // overtake ~ADVANTAGE_BULK_QUANTA bulk jobs (+1 for the deficit
-        // crossing), whatever a bulk job costs. The static bound instead
-        // lets the ratio swing with the cost model.
-        for job_us in [50u64, 500, 5_000] {
-            let mut r: ClassedResource<&'static str> = ClassedResource::with_adaptive_advantage();
-            // Warm the quantum estimate with uncontended bulk jobs.
-            assert!(r.try_start(Time::ZERO, BLK, us(job_us)).is_some());
-            for _ in 0..ADVANTAGE_WARMUP {
-                r.enqueue(BLK, us(job_us), "warm");
-            }
-            while r.pop_next(r.busy_until()).is_some() {}
-            let served = ordering_served_before_bulk(&mut r, job_us);
-            let jobs_overtaken = served.as_nanos() / us(job_us).as_nanos();
-            assert_eq!(
-                jobs_overtaken,
-                ADVANTAGE_BULK_QUANTA as u64 + 1,
-                "at {job_us} µs/job the burst overtook {jobs_overtaken} jobs"
-            );
-        }
-        // The static bound, for contrast: 1 ms of advantage is 21 cheap
-        // jobs but not even one 5 ms job.
-        let mut cheap: ClassedResource<&'static str> = ClassedResource::new();
-        assert!(cheap.try_start(Time::ZERO, ORD, us(50)).is_some());
-        assert_eq!(ordering_served_before_bulk(&mut cheap, 50), ORDERING_ADVANTAGE + us(50));
-        let mut costly: ClassedResource<&'static str> = ClassedResource::new();
-        assert!(costly.try_start(Time::ZERO, ORD, us(5_000)).is_some());
-        assert_eq!(ordering_served_before_bulk(&mut costly, 5_000), us(5_000));
     }
 
     #[test]

@@ -197,7 +197,6 @@ pub struct SimBuilder {
     faults: FaultPlan,
     max_events: u64,
     priority_lane: bool,
-    adaptive_advantage: bool,
 }
 
 impl SimBuilder {
@@ -214,7 +213,6 @@ impl SimBuilder {
             faults: FaultPlan::none(),
             max_events: 200_000_000,
             priority_lane: false,
-            adaptive_advantage: false,
         }
     }
 
@@ -241,16 +239,6 @@ impl SimBuilder {
         self
     }
 
-    /// Derives each classed server's deficit bound from its measured bulk
-    /// service quantum instead of the static
-    /// [`crate::resource::ORDERING_ADVANTAGE`] — see
-    /// [`ClassedResource::with_adaptive_advantage`]. Only meaningful with
-    /// [`SimBuilder::priority_lane`] on; ignored otherwise.
-    pub fn adaptive_advantage(mut self, on: bool) -> Self {
-        self.adaptive_advantage = on;
-        self
-    }
-
     /// Builds the world, creating one node per process with `factory`.
     pub fn build<N, F>(self, mut factory: F) -> SimWorld<N>
     where
@@ -261,9 +249,7 @@ impl SimBuilder {
         let make_res = || -> Vec<HostRes<N::Msg, N::Command>> {
             (0..self.n)
                 .map(|_| {
-                    if self.priority_lane && self.adaptive_advantage {
-                        HostRes::Classed(ClassedResource::with_adaptive_advantage())
-                    } else if self.priority_lane {
+                    if self.priority_lane {
                         HostRes::Classed(ClassedResource::new())
                     } else {
                         HostRes::Fifo(FifoResource::new())

@@ -127,52 +127,6 @@ proptest! {
         }
     }
 
-    /// The EWMA-relative congestion signal (`with_ewma_signal`): same
-    /// invariants as the absolute-target controller — window inside
-    /// `[w_min, w_max]` at every observation point, orders duplicate-free
-    /// and prefix-consistent throughout, full agreement at the horizon,
-    /// and nothing lost fault-free. The signal changes *when* the window
-    /// halves, never what the pipeline is allowed to do.
-    #[test]
-    fn ewma_signal_keeps_bounds_and_safety(
-        msgs in proptest::collection::vec((0u16..3, 0u64..200_000, 0usize..64), 1..40),
-    ) {
-        let params = adaptive_params().with_ewma_signal();
-        let mut world = SimBuilder::new(3, NetworkParams::setup1())
-            .build(|p| stacks::indirect_ct(p, &params));
-        let mut total = 0u64;
-        for &(p, at, size) in &msgs {
-            world.schedule_command(
-                ProcessId::new(p),
-                Time::ZERO + Duration::from_micros(at),
-                AbcastCommand::Broadcast(Payload::zeroed(size)),
-            );
-            total += 1;
-        }
-        let horizon = Time::ZERO + Duration::from_secs(15);
-        let mut cursor = Time::ZERO;
-        while cursor < horizon {
-            cursor += Duration::from_millis(50);
-            world.run_until(cursor);
-            for p in ProcessId::all(3) {
-                let w = world.node(p).window();
-                prop_assert!(
-                    (W_MIN..=W_MAX).contains(&w),
-                    "p{} window {} escaped [{}, {}] under the EWMA signal",
-                    p.as_usize(), w, W_MIN, W_MAX
-                );
-            }
-            check_orders_at(&world, |_| false, "ewma-mid-run")?;
-        }
-        let orders = check_orders_at(&world, |_| false, "ewma-settled")?;
-        for (i, order) in orders.iter().enumerate() {
-            prop_assert_eq!(order.len() as u64, total, "p{} lost deliveries", i);
-        }
-        for pair in orders.windows(2) {
-            prop_assert_eq!(&pair[0], &pair[1], "processes disagree at the horizon");
-        }
-    }
-
     /// Scripted load steps (idle → burst → idle …): bounds hold throughout
     /// and nothing is lost fault-free, whatever the burst sizes are.
     #[test]

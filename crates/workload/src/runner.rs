@@ -69,9 +69,6 @@ pub struct WorkloadSpec {
     /// (ordering frames served ahead of bulk payload traffic on every CPU
     /// and NIC). `false` is the paper's single-class FIFO model.
     pub priority_lane: bool,
-    /// Whether the adaptive window controller uses the EWMA-relative
-    /// congestion signal instead of the absolute latency target.
-    pub ewma_signal: bool,
     /// Whether proposals exclude ids younger than ~one measured flood
     /// delay (see `iabc_core::PipelineConfig::proposal_freshness`).
     pub proposal_freshness: bool,
@@ -103,7 +100,6 @@ impl WorkloadSpec {
             backlog_limit: None,
             max_proposal_ids: usize::MAX,
             priority_lane: false,
-            ewma_signal: false,
             proposal_freshness: false,
             catch_up: false,
         }
@@ -179,13 +175,6 @@ impl WorkloadSpec {
     /// frames on every CPU and NIC port.
     pub fn with_priority_lane(mut self, on: bool) -> Self {
         self.priority_lane = on;
-        self
-    }
-
-    /// Switches the adaptive controller to the EWMA-relative congestion
-    /// signal (halve on latency worsening vs its own moving average).
-    pub fn with_ewma_signal(mut self) -> Self {
-        self.ewma_signal = true;
         self
     }
 
@@ -574,9 +563,6 @@ pub fn run_variant(
     if spec.max_proposal_ids != usize::MAX {
         params = params.with_proposal_cap(spec.max_proposal_ids);
     }
-    if spec.ewma_signal {
-        params = params.with_ewma_signal();
-    }
     if spec.proposal_freshness {
         params = params.with_proposal_freshness(true);
     }
@@ -817,21 +803,6 @@ mod tests {
         );
         assert!(off.mean_decision_latency_ms > 0.0, "decision latency must be observed");
         assert!(on.mean_decision_latency_ms > 0.0);
-    }
-
-    #[test]
-    fn ewma_signal_run_stays_healthy() {
-        let spec = quick_spec(3, 300.0, 16).with_adaptive_window(1, 16).with_ewma_signal();
-        let r = run_variant(
-            VariantKind::Indirect,
-            ConsensusFamily::Ct,
-            RbKind::EagerN2,
-            &NetworkParams::setup1(),
-            CostModel::setup1(),
-            &spec,
-        );
-        assert_eq!(r.missing_pairs, 0, "EWMA-signal run lost deliveries");
-        assert!(r.window_trajectory.iter().all(|&(_, w)| (1..=16).contains(&w)));
     }
 
     #[test]
