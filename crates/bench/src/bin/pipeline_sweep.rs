@@ -27,7 +27,7 @@ use std::fs;
 use std::path::Path;
 
 use iabc_bench::{pipeline_adaptive_batch_spec, pipeline_sweep_spec};
-use iabc_core::{ConsensusFamily, CostModel, RbKind, VariantKind};
+use iabc_core::{ConsensusFamily, VariantKind};
 use iabc_sim::NetworkParams;
 use iabc_types::Duration;
 use iabc_workload::run_variant;
@@ -78,14 +78,7 @@ fn run_point(
     batch: usize,
     spec: &iabc_workload::WorkloadSpec,
 ) -> SweepPoint {
-    let r = run_variant(
-        VariantKind::Indirect,
-        ConsensusFamily::Ct,
-        RbKind::EagerN2,
-        &NetworkParams::setup1(),
-        CostModel::setup1(),
-        spec,
-    );
+    let r = run_variant(VariantKind::Indirect, ConsensusFamily::Ct, &NetworkParams::setup1(), spec);
     SweepPoint {
         mode,
         window,
@@ -112,7 +105,8 @@ fn measure_point(
 ) -> SweepPoint {
     let mut spec = pipeline_sweep_spec(n, offered, payload, duration, window.unwrap_or(1), batch);
     if window.is_none() {
-        spec = spec
+        spec.stack = spec
+            .stack
             .with_adaptive_window(ADAPTIVE_W_MIN, ADAPTIVE_W_MAX)
             .with_proposal_cap(ADAPTIVE_PROPOSAL_CAP);
     }

@@ -10,8 +10,8 @@
 //! historically ran a tight proposal cap (64): a larger oldest-first slice
 //! reaches into just-arrived ids whose Data frames the proposal outruns,
 //! and each such slice burns a consensus round on nacks. The freshness
-//! gate (`with_proposal_freshness`) excludes ids younger than ~one
-//! measured flood delay from proposals, so the sweep adds two rows at the
+//! gate (`StackParams::with_proposal_freshness`) excludes ids younger than
+//! ~one measured flood delay from proposals, so the sweep adds two rows at the
 //! knee: cap 512 *ungated* (the nack churn, measured) and cap 512 *gated*
 //! (which must match or beat the cap-64 row with fewer nacked rounds).
 //!
@@ -26,7 +26,7 @@ use std::fs;
 use std::path::Path;
 
 use iabc_bench::{priority_large_cap_spec, priority_sweep_spec};
-use iabc_core::{ConsensusFamily, CostModel, RbKind, VariantKind};
+use iabc_core::{ConsensusFamily, VariantKind};
 use iabc_sim::NetworkParams;
 use iabc_types::Duration;
 use iabc_workload::{run_variant, WorkloadSpec};
@@ -53,14 +53,7 @@ struct LanePoint {
 }
 
 fn measure_spec(mode: &'static str, offered: f64, n: usize, spec: &WorkloadSpec) -> LanePoint {
-    let r = run_variant(
-        VariantKind::Indirect,
-        ConsensusFamily::Ct,
-        RbKind::EagerN2,
-        &NetworkParams::setup1(),
-        CostModel::setup1(),
-        spec,
-    );
+    let r = run_variant(VariantKind::Indirect, ConsensusFamily::Ct, &NetworkParams::setup1(), spec);
     LanePoint {
         mode,
         offered_per_sec: offered,

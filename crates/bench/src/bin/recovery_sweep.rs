@@ -33,8 +33,8 @@ use std::time::Instant;
 use iabc_bench::recovery_sweep_spec;
 use iabc_core::stacks::{self, StackParams};
 use iabc_core::{
-    AbcastCommand, AbcastEvent, ConsensusFamily, CostModel, DecidedEntry, DecidedLog,
-    DurableDecidedLog, RbKind, VariantKind,
+    AbcastCommand, AbcastEvent, ConsensusFamily, DecidedEntry, DecidedLog, DurableDecidedLog,
+    VariantKind,
 };
 use iabc_net::{NetFaultPlan, TcpCluster};
 use iabc_sim::NetworkParams;
@@ -61,14 +61,8 @@ struct RecoveryPoint {
 
 fn measure(n: usize, offered: f64, payload: usize, duration: Duration, on: bool) -> RecoveryPoint {
     let spec = recovery_sweep_spec(n, offered, payload, duration, on);
-    let r = run_variant(
-        VariantKind::Indirect,
-        ConsensusFamily::Ct,
-        RbKind::EagerN2,
-        &NetworkParams::setup1(),
-        CostModel::setup1(),
-        &spec,
-    );
+    let r =
+        run_variant(VariantKind::Indirect, ConsensusFamily::Ct, &NetworkParams::setup1(), &spec);
     RecoveryPoint {
         mode: if on { "catch_up_on" } else { "catch_up_off" },
         offered_per_sec: offered,

@@ -124,7 +124,9 @@ pub fn measure(
     let mut spec = WorkloadSpec::new(n, throughput, payload, effort.duration_for(throughput));
     spec.warmup = Duration::from_millis(800);
     spec.drain = Duration::from_secs(3);
-    let r = run_variant(sel.variant, sel.family, sel.rb, net, cost, &spec);
+    spec.stack.rb = sel.rb;
+    spec.stack.cost = cost;
+    let r = run_variant(sel.variant, sel.family, net, &spec);
     Point::from_result(payload as f64, r)
 }
 
@@ -236,9 +238,10 @@ pub fn write_csv(file: &str, panel: &str, xlabel: &str, series: &[Series]) {
 }
 
 /// The workload spec behind every `pipeline_sweep` grid point — CI smoke
-/// rows included — with the RNG seed pinned to
+/// rows included — on the Setup-1 cost model, with the RNG seed pinned to
 /// [`iabc_workload::CI_SMOKE_SEED`] so that `BENCH_pipeline_sweep.json`
 /// artifacts are comparable run-to-run (the bench-trend gate diffs them).
+/// The priority and recovery sweeps build on it.
 pub fn pipeline_sweep_spec(
     n: usize,
     offered: f64,
@@ -252,6 +255,7 @@ pub fn pipeline_sweep_spec(
         .with_seed(iabc_workload::CI_SMOKE_SEED);
     spec.warmup = Duration::from_millis(400);
     spec.drain = Duration::from_secs(3);
+    spec.stack.cost = CostModel::setup1();
     spec
 }
 
@@ -275,10 +279,10 @@ pub fn priority_sweep_spec(
     duration: Duration,
     lane: bool,
 ) -> WorkloadSpec {
-    pipeline_sweep_spec(n, offered, payload, duration, 1, 1)
-        .with_adaptive_window(1, 16)
-        .with_proposal_cap(64)
-        .with_priority_lane(lane)
+    let mut spec =
+        pipeline_sweep_spec(n, offered, payload, duration, 1, 1).with_priority_lane(lane);
+    spec.stack = spec.stack.with_adaptive_window(1, 16).with_proposal_cap(64);
+    spec
 }
 
 /// The workload spec of the `priority_sweep` *large-cap* rows: the lane-on
@@ -299,9 +303,9 @@ pub fn priority_large_cap_spec(
     cap: usize,
     freshness: bool,
 ) -> WorkloadSpec {
-    priority_sweep_spec(n, offered, payload, duration, true)
-        .with_proposal_cap(cap)
-        .with_proposal_freshness(freshness)
+    let mut spec = priority_sweep_spec(n, offered, payload, duration, true);
+    spec.stack = spec.stack.with_proposal_cap(cap).with_proposal_freshness(freshness);
+    spec
 }
 
 /// The workload spec of the `pipeline_sweep` *adaptive-batch* row: the
@@ -317,10 +321,10 @@ pub fn pipeline_adaptive_batch_spec(
     duration: Duration,
     max_batch: usize,
 ) -> WorkloadSpec {
-    pipeline_sweep_spec(n, offered, payload, duration, 1, 1)
-        .with_adaptive_window(1, 16)
-        .with_proposal_cap(512)
-        .with_adaptive_batch(1, max_batch)
+    let mut spec =
+        pipeline_sweep_spec(n, offered, payload, duration, 1, 1).with_adaptive_batch(1, max_batch);
+    spec.stack = spec.stack.with_adaptive_window(1, 16).with_proposal_cap(512);
+    spec
 }
 
 /// The workload spec behind every `recovery_sweep` grid point: the static
@@ -341,7 +345,9 @@ pub fn recovery_sweep_spec(
     duration: Duration,
     catch_up: bool,
 ) -> WorkloadSpec {
-    pipeline_sweep_spec(n, offered, payload, duration, 8, 16).with_catch_up(catch_up)
+    let mut spec = pipeline_sweep_spec(n, offered, payload, duration, 8, 16);
+    spec.stack = spec.stack.with_catch_up(catch_up);
+    spec
 }
 
 pub mod trend;

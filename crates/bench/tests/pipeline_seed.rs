@@ -13,7 +13,8 @@ fn sweep_specs_pin_the_ci_smoke_seed() {
     for (w, b) in [(1, 1), (1, 16), (16, 1), (16, 16)] {
         let spec = pipeline_sweep_spec(3, 4000.0, 64, Duration::from_secs(2), w, b);
         assert_eq!(spec.seed, CI_SMOKE_SEED, "smoke row W={w},B={b} must pin the seed");
-        assert_eq!((spec.window, spec.batch), (w, b));
+        let pipeline = spec.stack.pipeline;
+        assert_eq!((pipeline.w_min, pipeline.w_max, spec.batch), (w, w, b));
     }
 }
 
@@ -30,8 +31,8 @@ fn priority_sweep_specs_pin_the_seed_and_differ_only_in_the_lane() {
     let mut on_without_lane = on.clone();
     on_without_lane.priority_lane = false;
     assert_eq!(off, on_without_lane);
-    assert_eq!(off.adaptive_window, Some((1, 16)));
-    assert_eq!(off.max_proposal_ids, 64);
+    assert_eq!((off.stack.pipeline.w_min, off.stack.pipeline.w_max), (1, 16));
+    assert_eq!(off.stack.pipeline.max_proposal_ids, 64);
     assert_eq!(off.batch, 1, "the priority sweep lives at the B=1 knee");
 }
 
@@ -39,10 +40,11 @@ fn priority_sweep_specs_pin_the_seed_and_differ_only_in_the_lane() {
 fn pinned_seed_makes_smoke_schedules_identical() {
     let spec = pipeline_sweep_spec(3, 4000.0, 64, Duration::from_secs(2), 1, 16);
     let horizon = spec.warmup + spec.duration;
-    for p in ProcessId::all(spec.n) {
+    let n = spec.stack.n;
+    for p in ProcessId::all(n) {
         let a = batched_schedule(
             spec.arrivals,
-            spec.throughput / spec.n as f64,
+            spec.throughput / n as f64,
             horizon,
             spec.seed,
             p,
@@ -50,7 +52,7 @@ fn pinned_seed_makes_smoke_schedules_identical() {
         );
         let b = batched_schedule(
             spec.arrivals,
-            spec.throughput / spec.n as f64,
+            spec.throughput / n as f64,
             horizon,
             CI_SMOKE_SEED,
             p,

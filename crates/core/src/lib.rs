@@ -61,7 +61,7 @@ pub use decided::{DecidedEntry, DecidedLog, DurableDecidedLog, MemDecidedLog};
 pub use envelope::Envelope;
 pub use monitor::{AbcastChecker, Violation};
 pub use msgset::MsgSet;
-pub use node::{AbcastNode, PipelineConfig, PipelineProbe, WindowController};
+pub use node::{AbcastNode, PipelineConfig, WindowController};
 pub use pending::{DurablePendingStore, MemPendingStore, PendingStore};
 pub use stacks::{ConsensusFamily, RbKind, StackParams, VariantKind};
 pub use store::{CostModel, OrderingValue, ReceivedStore};

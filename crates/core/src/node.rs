@@ -55,7 +55,8 @@ pub struct PipelineConfig {
     /// (no acks), converging on the decided sequence purely through the
     /// frontier piggyback and catch-up. It also sends no heartbeats, so
     /// heartbeat failure detectors suspect it and consensus rotates past
-    /// any round that would have it coordinate. Implies `catch_up`.
+    /// any round that would have it coordinate. The stacks set it, with
+    /// `catch_up`, for every process in `StackParams::learners`.
     pub learner: bool,
 }
 
@@ -111,31 +112,6 @@ impl PipelineConfig {
     /// Whether the AIMD controller is armed.
     pub fn is_adaptive(&self) -> bool {
         self.w_min < self.w_max
-    }
-
-    /// Enables (or disables) the proposal freshness gate — see
-    /// [`PipelineConfig::proposal_freshness`].
-    pub fn with_proposal_freshness(mut self, on: bool) -> Self {
-        self.proposal_freshness = on;
-        self
-    }
-
-    /// Enables (or disables) the decided log, frontier piggyback, and
-    /// catch-up protocol — see [`PipelineConfig::catch_up`].
-    pub fn with_catch_up(mut self, on: bool) -> Self {
-        self.catch_up = on;
-        self
-    }
-
-    /// Makes the node a learner (read replica) — see
-    /// [`PipelineConfig::learner`]. Enabling it also enables `catch_up`
-    /// (a learner has no other way to learn decisions).
-    pub fn with_learner(mut self, on: bool) -> Self {
-        self.learner = on;
-        if on {
-            self.catch_up = true;
-        }
-        self
     }
 }
 
@@ -1367,73 +1343,6 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
     }
 }
 
-/// Read-only probe of a node's pipeline controller, for experiment
-/// runners that are generic over the stack (see
-/// `iabc_workload::run_abcast_experiment`).
-pub trait PipelineProbe {
-    /// The pipeline window the node may currently fill.
-    fn current_window(&self) -> usize;
-    /// Proposals truncated by the proposal cap so far.
-    fn capped_proposals(&self) -> u64;
-    /// `(sum, count)` of decision latencies observed so far (propose →
-    /// apply of locally proposed instances).
-    fn decision_latencies(&self) -> (Duration, u64);
-    /// Consensus refusal messages (CT nacks, MR ⊥ echoes) this node sent
-    /// so far — a per-acceptor *proxy* for rounds burned on unflooded
-    /// proposals (one burned round ≈ up to `n - 1` refusals system-wide);
-    /// meaningful as a comparison between configurations at the same `n`.
-    fn nacked_rounds(&self) -> u64;
-    /// Identifiers the freshness gate excluded from proposals so far.
-    fn freshness_held(&self) -> u64;
-    /// Identifiers received but not yet a-delivered — the ingestion
-    /// pressure adaptive batch coalescers key off.
-    fn ingest_backlog(&self) -> usize;
-    /// Catch-up requests issued so far (0 when catch-up is off).
-    fn catch_up_requests(&self) -> u64;
-    /// Catch-up entries received for instances not yet applied locally.
-    fn caught_up_entries(&self) -> u64;
-    /// Highest contiguous instance in the decided log (0 without a log).
-    fn decided_frontier(&self) -> u64;
-}
-
-impl<V: OrderingValue, A: SingleConsensus<V>> PipelineProbe for AbcastNode<V, A> {
-    fn current_window(&self) -> usize {
-        self.window()
-    }
-
-    fn capped_proposals(&self) -> u64 {
-        self.proposal_cap_hits()
-    }
-
-    fn decision_latencies(&self) -> (Duration, u64) {
-        self.decision_latency_stats()
-    }
-
-    fn nacked_rounds(&self) -> u64 {
-        self.nacks_sent()
-    }
-
-    fn freshness_held(&self) -> u64 {
-        AbcastNode::freshness_held(self)
-    }
-
-    fn ingest_backlog(&self) -> usize {
-        AbcastNode::ingest_backlog(self)
-    }
-
-    fn catch_up_requests(&self) -> u64 {
-        AbcastNode::catch_up_requests(self)
-    }
-
-    fn caught_up_entries(&self) -> u64 {
-        AbcastNode::caught_up_entries(self)
-    }
-
-    fn decided_frontier(&self) -> u64 {
-        AbcastNode::decided_frontier(self)
-    }
-}
-
 impl<V: OrderingValue, A: SingleConsensus<V>> Node for AbcastNode<V, A> {
     type Msg = Envelope<V>;
     type Command = AbcastCommand;
@@ -1880,8 +1789,6 @@ mod tests {
         let (sum, count) = node.decision_latency_stats();
         assert_eq!(count, 1);
         assert_eq!(sum, Duration::from_millis(4));
-        let (psum, pcount) = PipelineProbe::decision_latencies(&node);
-        assert_eq!((psum, pcount), (sum, count));
     }
 
     #[test]
@@ -1947,7 +1854,7 @@ mod tests {
 
     #[test]
     fn freshness_gate_defers_fresh_ids_until_they_mature() {
-        let cfg = PipelineConfig::fixed(1).with_proposal_freshness(true);
+        let cfg = PipelineConfig { proposal_freshness: true, ..PipelineConfig::fixed(1) };
         let mut node = test_node_with(cfg);
         let mut c = ctx();
         let delay = Duration::from_millis(20);
@@ -1985,7 +1892,7 @@ mod tests {
 
     #[test]
     fn freshness_gate_slices_mature_ids_and_counts_held_ones() {
-        let cfg = PipelineConfig::fixed(1).with_proposal_freshness(true);
+        let cfg = PipelineConfig { proposal_freshness: true, ..PipelineConfig::fixed(1) };
         let mut node = test_node_with(cfg);
         let mut c = ctx();
         let delay = Duration::from_millis(20);
@@ -2031,7 +1938,7 @@ mod tests {
 
         // Enabled but cold (under FRESHNESS_WARMUP remote deliveries): the
         // estimate is not trusted yet, so nothing is deferred.
-        let cfg = PipelineConfig::fixed(1).with_proposal_freshness(true);
+        let cfg = PipelineConfig { proposal_freshness: true, ..PipelineConfig::fixed(1) };
         let mut node = test_node_with(cfg);
         let mut c = ctx();
         c.set_now(now);
@@ -2177,7 +2084,7 @@ mod tests {
     // ---- catch-up, decided log, learner mode ----
 
     fn catchup_node() -> AbcastNode<IdSet, CtConsensus<IdSet>> {
-        test_node_with(PipelineConfig::fixed(1).with_catch_up(true))
+        test_node_with(PipelineConfig { catch_up: true, ..PipelineConfig::fixed(1) })
     }
 
     /// Drains the context and returns every `(to, msg)` send.
@@ -2609,7 +2516,11 @@ mod tests {
 
     #[test]
     fn learner_consumes_the_stream_without_ever_proposing() {
-        let mut node = test_node_with(PipelineConfig::fixed(1).with_learner(true));
+        let mut node = test_node_with(PipelineConfig {
+            learner: true,
+            catch_up: true,
+            ..PipelineConfig::fixed(1)
+        });
         let mut c = ctx();
         assert!(node.is_learner());
         // Commands are ignored: a read replica never feeds the stream.
@@ -2649,7 +2560,7 @@ mod tests {
     /// unrelated traffic ticks the node.
     #[test]
     fn freshness_gate_rearms_when_estimate_grew() {
-        let cfg = PipelineConfig::fixed(1).with_proposal_freshness(true);
+        let cfg = PipelineConfig { proposal_freshness: true, ..PipelineConfig::fixed(1) };
         let mut node = test_node_with(cfg);
         let mut c = ctx();
         let delay = Duration::from_millis(20);

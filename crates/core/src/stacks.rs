@@ -1,14 +1,18 @@
 //! Constructors for the paper's four atomic broadcast stacks
 //! (× two consensus families × two reliable-broadcast strategies).
+//!
+//! Every stack is Algorithm 1 with three choices — the broadcast module,
+//! the consensus machine, and whether `rcv` consults the store — so all
+//! eight constructors are one call to the same private body.
 
 use iabc_broadcast::{Broadcast, EagerRb, LazyRb, MajorityAckUrb};
-use iabc_consensus::{CtConsensus, CtIndirect, MrConsensus, MrIndirect};
+use iabc_consensus::{CtConsensus, CtIndirect, MrConsensus, MrIndirect, SingleConsensus};
 use iabc_fd::{FailureDetector, HeartbeatFd, NeverSuspect};
 use iabc_types::{Duration, IdSet, ProcessId, ProcessSet};
 
 use crate::msgset::MsgSet;
 use crate::node::{AbcastNode, PipelineConfig};
-use crate::store::CostModel;
+use crate::store::{CostModel, OrderingValue};
 
 /// Which ◇S consensus family a stack uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +62,9 @@ pub enum FdKind {
     },
 }
 
-/// Everything needed to instantiate one process of a stack.
+/// Everything needed to instantiate one process of a stack — the one
+/// place a stack is configured (the simulator's experiment runner embeds
+/// it whole in `iabc_workload::WorkloadSpec`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StackParams {
     /// System size.
@@ -72,28 +78,15 @@ pub struct StackParams {
     /// Pipeline configuration: window bounds (static `W` when
     /// `w_min == w_max`, the default `1` everywhere — exactly what the
     /// paper-figure bins measure), the adaptive controller's thresholds,
-    /// and the server-side proposal cap.
+    /// the server-side proposal cap, the freshness gate and catch-up.
     pub pipeline: PipelineConfig,
-    /// Whether the host transport should run the two-class priority lane
-    /// (ordering frames served ahead of bulk payload traffic). `false` —
-    /// the default everywhere — keeps the single-class FIFO model the
-    /// paper-figure bins measure, bit-for-bit.
-    ///
-    /// ⚠ The lane lives in the *executor*, not the node: this field is the
-    /// stack's record of the intended host model, and whoever builds the
-    /// world must thread it through (the simulator:
-    /// `SimBuilder::new(n, net).priority_lane(params.priority_lane)`;
-    /// `iabc_workload::run_variant` does this for every experiment).
-    /// Building a world without threading it silently measures the FIFO
-    /// model.
-    pub priority_lane: bool,
     /// Processes that are learners (read replicas), known to the *whole*
     /// membership. Learners are exempt from heartbeat suspicion, skipped
     /// by consensus coordinator rotation, and left out of every quorum —
     /// the actives reach consensus among themselves at full speed while
     /// the replicas follow via catch-up. Empty by default. A process that
-    /// finds itself in this set is built in learner mode automatically
-    /// (as if [`StackParams::with_learner`] were set for it).
+    /// finds itself in this set is built in learner mode (which implies
+    /// catch-up for it).
     pub learners: ProcessSet,
 }
 
@@ -107,22 +100,13 @@ impl StackParams {
             fd: FdKind::Never,
             cost: CostModel::zero(),
             pipeline: PipelineConfig::fixed(1),
-            priority_lane: false,
             learners: ProcessSet::new(),
         }
     }
 
     /// Same but with a heartbeat ◇S detector — for runs with crashes.
     pub fn with_heartbeat(n: usize, interval: Duration, timeout: Duration) -> Self {
-        StackParams {
-            n,
-            rb: RbKind::EagerN2,
-            fd: FdKind::Heartbeat { interval, timeout },
-            cost: CostModel::zero(),
-            pipeline: PipelineConfig::fixed(1),
-            priority_lane: false,
-            learners: ProcessSet::new(),
-        }
+        StackParams { fd: FdKind::Heartbeat { interval, timeout }, ..StackParams::fault_free(n) }
     }
 
     /// Sets a *static* pipeline window `W` (clamped to at least 1) — the
@@ -166,29 +150,6 @@ impl StackParams {
         self
     }
 
-    /// Runs the transport's two-class priority lane: ordering frames
-    /// (consensus, failure detector) are served ahead of queued bulk
-    /// payload traffic on every CPU and NIC. Off by default — the
-    /// paper-figure bins keep the single-class FIFO model bit-for-bit.
-    ///
-    /// The executor must thread the flag into world construction (see
-    /// [`StackParams::priority_lane`]):
-    ///
-    /// ```
-    /// use iabc_core::stacks::{self, StackParams};
-    /// use iabc_sim::{NetworkParams, SimBuilder};
-    ///
-    /// let params = StackParams::fault_free(3).with_priority_lane(true);
-    /// let world = SimBuilder::new(params.n, NetworkParams::setup1())
-    ///     .priority_lane(params.priority_lane) // <- without this, FIFO
-    ///     .build(|p| stacks::indirect_ct(p, &params));
-    /// assert!(world.priority_lane());
-    /// ```
-    pub fn with_priority_lane(mut self, on: bool) -> Self {
-        self.priority_lane = on;
-        self
-    }
-
     /// Gates proposals on identifier freshness: ids younger than ~one
     /// measured flood delay (the node's EWMA of RB delivery latency) are
     /// excluded from proposals until they mature, so large proposal caps
@@ -207,21 +168,7 @@ impl StackParams {
     /// prefix a peer advertises past its own. Off by default; the
     /// paper-figure bins stay byte-identical.
     pub fn with_catch_up(mut self, on: bool) -> Self {
-        self.pipeline = self.pipeline.with_catch_up(on);
-        self
-    }
-
-    /// Learner mode (read replica): the node never broadcasts, proposes,
-    /// or answers consensus — it consumes peer frontiers and catch-up
-    /// batches only. Implies [`StackParams::with_catch_up`].
-    ///
-    /// This flag marks the *local* node only. Prefer
-    /// [`StackParams::with_learner_set`], which tells the whole membership
-    /// who the learners are: without it, heartbeat-FD peers suspect the
-    /// silent replica and consensus wastes rounds rotating coordination
-    /// onto it before the suspicion kicks in.
-    pub fn with_learner(mut self, on: bool) -> Self {
-        self.pipeline = self.pipeline.with_learner(on);
+        self.pipeline.catch_up = on;
         self
     }
 
@@ -230,22 +177,12 @@ impl StackParams {
     /// suspect them, consensus coordinator rotation skips them, and
     /// quorums are computed over the actives only — so `a` actives
     /// tolerate `f < a/2` (CT) crashes regardless of how many replicas
-    /// tag along. A process in the set builds itself in learner mode
-    /// (implies catch-up for it, exactly as [`StackParams::with_learner`]
-    /// would).
+    /// tag along. A process in the set builds itself in learner mode: it
+    /// never broadcasts, proposes, or answers consensus, and consumes peer
+    /// frontiers and catch-up batches only (catch-up is implied for it).
     pub fn with_learner_set(mut self, learners: ProcessSet) -> Self {
         self.learners = learners;
         self
-    }
-}
-
-/// The pipeline a given process runs: nodes named in the learner set get
-/// learner mode switched on automatically.
-fn pipeline_for(me: ProcessId, p: &StackParams) -> PipelineConfig {
-    if p.learners.contains(me) {
-        p.pipeline.with_learner(true)
-    } else {
-        p.pipeline
     }
 }
 
@@ -265,67 +202,56 @@ fn make_fd(p: &StackParams, me: ProcessId) -> Box<dyn FailureDetector + Send> {
     }
 }
 
+/// The one stack body: Algorithm 1 over `bcast`, with each consensus
+/// instance built by `machine` (a consensus type's `with_membership`) and
+/// the `rcv` oracle consulting the store iff `check_store`. A process in
+/// the learner set runs in learner mode, which implies catch-up — a
+/// learner has no other way to learn decisions.
+fn assemble<V: OrderingValue, A: SingleConsensus<V> + 'static>(
+    me: ProcessId,
+    p: &StackParams,
+    bcast: Box<dyn Broadcast + Send>,
+    check_store: bool,
+    machine: fn(ProcessId, usize, u64, ProcessSet) -> A,
+) -> AbcastNode<V, A> {
+    let (n, learners) = (p.n, p.learners);
+    let mut pipeline = p.pipeline;
+    if learners.contains(me) {
+        pipeline.learner = true;
+        pipeline.catch_up = true;
+    }
+    AbcastNode::new(
+        me,
+        bcast,
+        make_fd(p, me),
+        move |k| machine(me, n, k, learners),
+        check_store,
+        p.cost,
+        pipeline,
+    )
+}
+
 /// RB + **indirect CT** consensus (Algorithm 1 + Algorithm 2) — the
 /// paper's primary stack.
 pub fn indirect_ct(me: ProcessId, p: &StackParams) -> AbcastNode<IdSet, CtIndirect<IdSet>> {
-    let n = p.n;
-    let learners = p.learners;
-    AbcastNode::new(
-        me,
-        make_rb(p.rb),
-        make_fd(p, me),
-        move |k| CtIndirect::with_membership(me, n, k, learners),
-        true,
-        p.cost,
-        pipeline_for(me, p),
-    )
+    assemble(me, p, make_rb(p.rb), true, CtIndirect::with_membership)
 }
 
 /// RB + **indirect MR** consensus (Algorithm 1 + Algorithm 3). Remember
 /// the reduced resilience: safe only while `f < n/3`.
 pub fn indirect_mr(me: ProcessId, p: &StackParams) -> AbcastNode<IdSet, MrIndirect<IdSet>> {
-    let n = p.n;
-    let learners = p.learners;
-    AbcastNode::new(
-        me,
-        make_rb(p.rb),
-        make_fd(p, me),
-        move |k| MrIndirect::with_membership(me, n, k, learners),
-        true,
-        p.cost,
-        pipeline_for(me, p),
-    )
+    assemble(me, p, make_rb(p.rb), true, MrIndirect::with_membership)
 }
 
 /// RB + CT consensus on **full message sets** — the classic reduction of
 /// \[2\]: correct, but consensus traffic carries every payload (Figure 1).
 pub fn direct_ct_messages(me: ProcessId, p: &StackParams) -> AbcastNode<MsgSet, CtConsensus<MsgSet>> {
-    let n = p.n;
-    let learners = p.learners;
-    AbcastNode::new(
-        me,
-        make_rb(p.rb),
-        make_fd(p, me),
-        move |k| CtConsensus::with_membership(me, n, k, learners),
-        false,
-        p.cost,
-        pipeline_for(me, p),
-    )
+    assemble(me, p, make_rb(p.rb), false, CtConsensus::with_membership)
 }
 
 /// RB + MR consensus on **full message sets**.
 pub fn direct_mr_messages(me: ProcessId, p: &StackParams) -> AbcastNode<MsgSet, MrConsensus<MsgSet>> {
-    let n = p.n;
-    let learners = p.learners;
-    AbcastNode::new(
-        me,
-        make_rb(p.rb),
-        make_fd(p, me),
-        move |k| MrConsensus::with_membership(me, n, k, learners),
-        false,
-        p.cost,
-        pipeline_for(me, p),
-    )
+    assemble(me, p, make_rb(p.rb), false, MrConsensus::with_membership)
 }
 
 /// RB + **unmodified** CT consensus on bare identifiers.
@@ -336,17 +262,7 @@ pub fn direct_mr_messages(me: ProcessId, p: &StackParams) -> AbcastNode<MsgSet, 
 /// exists to reproduce the paper's Figures 3–4 baseline and its
 /// counterexample tests; do not use it for anything else.
 pub fn faulty_ct_ids(me: ProcessId, p: &StackParams) -> AbcastNode<IdSet, CtConsensus<IdSet>> {
-    let n = p.n;
-    let learners = p.learners;
-    AbcastNode::new(
-        me,
-        make_rb(p.rb),
-        make_fd(p, me),
-        move |k| CtConsensus::with_membership(me, n, k, learners),
-        false,
-        p.cost,
-        pipeline_for(me, p),
-    )
+    assemble(me, p, make_rb(p.rb), false, CtConsensus::with_membership)
 }
 
 /// RB + **unmodified** MR consensus on bare identifiers.
@@ -354,17 +270,7 @@ pub fn faulty_ct_ids(me: ProcessId, p: &StackParams) -> AbcastNode<IdSet, CtCons
 /// ⚠ Known-unsafe, like [`faulty_ct_ids`]; additionally this is the
 /// algorithm §3.3.2 proves cannot be repaired by local checks alone.
 pub fn faulty_mr_ids(me: ProcessId, p: &StackParams) -> AbcastNode<IdSet, MrConsensus<IdSet>> {
-    let n = p.n;
-    let learners = p.learners;
-    AbcastNode::new(
-        me,
-        make_rb(p.rb),
-        make_fd(p, me),
-        move |k| MrConsensus::with_membership(me, n, k, learners),
-        false,
-        p.cost,
-        pipeline_for(me, p),
-    )
+    assemble(me, p, make_rb(p.rb), false, MrConsensus::with_membership)
 }
 
 /// **URB** + unmodified CT consensus on identifiers — the other correct
@@ -372,32 +278,12 @@ pub fn faulty_mr_ids(me: ProcessId, p: &StackParams) -> AbcastNode<IdSet, MrCons
 /// is everywhere, at the price of O(n²) payload messages and a two-step
 /// broadcaster delivery (Figures 5–7).
 pub fn urb_ct_ids(me: ProcessId, p: &StackParams) -> AbcastNode<IdSet, CtConsensus<IdSet>> {
-    let n = p.n;
-    let learners = p.learners;
-    AbcastNode::new(
-        me,
-        Box::new(MajorityAckUrb::new(me, n)),
-        make_fd(p, me),
-        move |k| CtConsensus::with_membership(me, n, k, learners),
-        false,
-        p.cost,
-        pipeline_for(me, p),
-    )
+    assemble(me, p, Box::new(MajorityAckUrb::new(me, p.n)), false, CtConsensus::with_membership)
 }
 
 /// **URB** + unmodified MR consensus on identifiers.
 pub fn urb_mr_ids(me: ProcessId, p: &StackParams) -> AbcastNode<IdSet, MrConsensus<IdSet>> {
-    let n = p.n;
-    let learners = p.learners;
-    AbcastNode::new(
-        me,
-        Box::new(MajorityAckUrb::new(me, n)),
-        make_fd(p, me),
-        move |k| MrConsensus::with_membership(me, n, k, learners),
-        false,
-        p.cost,
-        pipeline_for(me, p),
-    )
+    assemble(me, p, Box::new(MajorityAckUrb::new(me, p.n)), false, MrConsensus::with_membership)
 }
 
 #[cfg(test)]
@@ -416,6 +302,31 @@ mod tests {
         let _ = faulty_mr_ids(me, &p);
         let _ = urb_ct_ids(me, &p);
         let _ = urb_mr_ids(me, &p);
+
+        // The shared body derives learner mode (and with it the decided
+        // log) for every stack, whatever its broadcast or consensus.
+        fn learner_probe<V: OrderingValue, A: SingleConsensus<V>>(
+            node: AbcastNode<V, A>,
+        ) -> (bool, u64) {
+            (node.is_learner(), node.decided_frontier())
+        }
+        let mut learner = ProcessSet::new();
+        learner.insert(me);
+        let q = StackParams { rb: RbKind::LazyN, ..p }.with_learner_set(learner);
+        let probes = [
+            ("indirect_ct", learner_probe(indirect_ct(me, &q))),
+            ("indirect_mr", learner_probe(indirect_mr(me, &q))),
+            ("direct_ct_messages", learner_probe(direct_ct_messages(me, &q))),
+            ("direct_mr_messages", learner_probe(direct_mr_messages(me, &q))),
+            ("faulty_ct_ids", learner_probe(faulty_ct_ids(me, &q))),
+            ("faulty_mr_ids", learner_probe(faulty_mr_ids(me, &q))),
+            ("urb_ct_ids", learner_probe(urb_ct_ids(me, &q))),
+            ("urb_mr_ids", learner_probe(urb_mr_ids(me, &q))),
+        ];
+        for (name, (is_learner, frontier)) in probes {
+            assert!(is_learner, "{name}: a process in the learner set must be a learner");
+            assert_eq!(frontier, 0, "{name}: a fresh learner's decided log is empty");
+        }
     }
 
     #[test]
@@ -453,17 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn priority_lane_toggle() {
-        let p = StackParams::fault_free(3);
-        assert!(!p.priority_lane, "paper bins default to the FIFO model");
-        let q = p.with_priority_lane(true);
-        assert!(q.priority_lane);
-        // Orthogonal to the rest of the pipeline config.
-        assert_eq!((q.pipeline.w_min, q.pipeline.w_max), (1, 1));
-        let _ = indirect_ct(ProcessId::new(0), &q);
-    }
-
-    #[test]
     fn catch_up_and_learner_toggles() {
         let p = StackParams::fault_free(3);
         assert!(!p.pipeline.catch_up, "paper bins default to no catch-up");
@@ -471,12 +371,13 @@ mod tests {
         let q = p.with_catch_up(true);
         assert!(q.pipeline.catch_up);
         assert!(!q.pipeline.learner);
-        let r = p.with_learner(true);
-        assert!(r.pipeline.learner);
-        assert!(r.pipeline.catch_up, "learner implies catch-up");
-        let node = indirect_ct(ProcessId::new(0), &r);
-        assert!(node.is_learner());
-        assert_eq!(node.decided_frontier(), 0);
+        assert!(!indirect_ct(ProcessId::new(0), &q).is_learner());
+        let mut replicas = ProcessSet::new();
+        replicas.insert(ProcessId::new(2));
+        let r = p.with_learner_set(replicas);
+        // Learner mode is derived per process: only members of the set.
+        assert!(!indirect_ct(ProcessId::new(0), &r).is_learner());
+        assert!(indirect_ct(ProcessId::new(2), &r).is_learner());
     }
 
     #[test]

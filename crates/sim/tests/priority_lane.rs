@@ -147,18 +147,18 @@ fn lane_off_matches_the_single_class_fifo_model_exactly() {
 
 #[test]
 fn full_stack_lane_run_delivers_the_same_set_as_fifo() {
-    // The intended wiring: StackParams carries the lane flag, the world
-    // builder threads it into SimBuilder. The full indirect-CT stack must
-    // deliver exactly the same messages either way — the lane re-orders
-    // service, never the protocol's outcome.
+    // The lane belongs to the simulated host, not the stack: SimBuilder
+    // takes the flag and the nodes are built exactly as for FIFO. The full
+    // indirect-CT stack must deliver exactly the same messages either
+    // way — the lane re-orders service, never the protocol's outcome.
     use iabc_core::stacks::{self, StackParams};
     use iabc_core::{AbcastCommand, AbcastEvent};
     use iabc_types::Payload;
 
     let run = |lane: bool| {
-        let params = StackParams::fault_free(3).with_priority_lane(lane);
+        let params = StackParams::fault_free(3);
         let mut w = SimBuilder::new(params.n, NetworkParams::setup1())
-            .priority_lane(params.priority_lane)
+            .priority_lane(lane)
             .build(|p| stacks::indirect_ct(p, &params));
         assert_eq!(w.priority_lane(), lane);
         for i in 0..30u64 {

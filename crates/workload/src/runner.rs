@@ -1,13 +1,13 @@
 //! The experiment runner: one stack, one load point, one latency number.
 
+use iabc_consensus::SingleConsensus;
 use iabc_core::stacks::{self, StackParams};
 use iabc_core::{
-    AbcastCommand, AbcastEvent, ConsensusFamily, CostModel, PipelineProbe, RbKind, VariantKind,
+    AbcastCommand, AbcastEvent, AbcastNode, ConsensusFamily, OrderingValue, VariantKind,
 };
-use iabc_core::stacks::FdKind;
 use iabc_runtime::Node;
 use iabc_sim::{NetworkParams, SimBuilder, SimWorld, StopReason};
-use iabc_types::{Duration, Payload, ProcessId, ProcessSet, Time};
+use iabc_types::{Duration, Payload, ProcessId, Time};
 
 /// The RNG seed pinned for CI smoke benchmarks: artifacts produced on
 /// different runs (and machines) are byte-comparable only if the workload
@@ -19,11 +19,13 @@ use crate::coalesce::BatchCoalescer;
 use crate::gen::{arrival_schedule, batched_schedule, ArrivalKind};
 use crate::stats::LatencyStats;
 
-/// One load point of the paper's symmetric workload.
+/// One load point of the paper's symmetric workload, run on one stack.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
-    /// System size `n`.
-    pub n: usize,
+    /// The stack every process runs — system size `n`, broadcast
+    /// strategy, cost model and pipeline knobs. Set a knob with the
+    /// [`StackParams`] setters: `spec.stack = spec.stack.with_proposal_cap(64)`.
+    pub stack: StackParams,
     /// Global a-broadcast rate, *payloads*/second (split evenly).
     pub throughput: f64,
     /// Payload size in bytes (per client payload; a batched broadcast
@@ -48,43 +50,18 @@ pub struct WorkloadSpec {
     /// grows toward `max` while the a-deliver backlog rises and halves
     /// toward `min` when it drains — see [`WorkloadSpec::with_adaptive_batch`].
     pub adaptive_batch: Option<(usize, usize)>,
-    /// Pipeline window `W` handed to the stack (consensus instances in
-    /// flight per node). `1` = Algorithm 1 verbatim. Ignored when
-    /// `adaptive_window` is set.
-    pub window: usize,
-    /// When set, the stack runs the AIMD window controller with these
-    /// `(w_min, w_max)` bounds instead of the static `window`.
-    pub adaptive_window: Option<(usize, usize)>,
-    /// Decision-latency target for the adaptive controller (`None` keeps
-    /// the stack default).
-    pub latency_target: Option<Duration>,
-    /// Backlog limit for the adaptive controller (`None` keeps the stack
-    /// default).
-    pub backlog_limit: Option<usize>,
-    /// Server-side proposal cap (`usize::MAX` = uncapped): at most this
-    /// many identifiers per consensus proposal, the rest spilling to the
-    /// next instance.
-    pub max_proposal_ids: usize,
     /// Whether the simulated hosts run the two-class priority lane
     /// (ordering frames served ahead of bulk payload traffic on every CPU
     /// and NIC). `false` is the paper's single-class FIFO model.
     pub priority_lane: bool,
-    /// Whether proposals exclude ids younger than ~one measured flood
-    /// delay (see `iabc_core::PipelineConfig::proposal_freshness`).
-    pub proposal_freshness: bool,
-    /// Whether the stack runs the decided log and the catch-up protocol
-    /// (frontier piggyback on every frame, range-fetch of missed
-    /// instances). `false` is the paper's protocol, byte-identical on the
-    /// wire.
-    pub catch_up: bool,
 }
 
 impl WorkloadSpec {
-    /// A spec with sane defaults: 1 s warm-up, 2 s drain, Poisson arrivals,
-    /// no batching, window 1.
+    /// A spec with sane defaults on [`StackParams::fault_free`]: 1 s
+    /// warm-up, 2 s drain, Poisson arrivals, no batching, window 1.
     pub fn new(n: usize, throughput: f64, payload: usize, duration: Duration) -> Self {
         WorkloadSpec {
-            n,
+            stack: StackParams::fault_free(n),
             throughput,
             payload,
             duration,
@@ -94,24 +71,17 @@ impl WorkloadSpec {
             arrivals: ArrivalKind::Poisson,
             batch: 1,
             adaptive_batch: None,
-            window: 1,
-            adaptive_window: None,
-            latency_target: None,
-            backlog_limit: None,
-            max_proposal_ids: usize::MAX,
             priority_lane: false,
-            proposal_freshness: false,
-            catch_up: false,
         }
     }
 
-    /// Sets the throughput knobs: pipeline window `W` and batch size `B`
-    /// (both clamped to at least 1). Clears a previously set adaptive
-    /// window or adaptive batch — the last pipeline builder wins.
+    /// Sets the throughput knobs: a static pipeline window `W`
+    /// ([`StackParams::with_window`]) and batch size `B` (both clamped to
+    /// at least 1). Clears a previously set adaptive window or adaptive
+    /// batch — the last pipeline builder wins.
     pub fn with_pipeline(mut self, window: usize, batch: usize) -> Self {
-        self.window = window.max(1);
+        self.stack = self.stack.with_window(window);
         self.batch = batch.max(1);
-        self.adaptive_window = None;
         self.adaptive_batch = None;
         self
     }
@@ -128,41 +98,6 @@ impl WorkloadSpec {
         self
     }
 
-    /// Gates proposals on identifier freshness: ids younger than ~one
-    /// measured flood delay sit proposals out until their Data frames
-    /// have plausibly landed everywhere (see
-    /// `iabc_core::PipelineConfig::proposal_freshness`).
-    pub fn with_proposal_freshness(mut self, on: bool) -> Self {
-        self.proposal_freshness = on;
-        self
-    }
-
-    /// Runs the stack with the AIMD window controller bounded by
-    /// `[min, max]` instead of a static window.
-    pub fn with_adaptive_window(mut self, min: usize, max: usize) -> Self {
-        let min = min.max(1);
-        self.adaptive_window = Some((min, max.max(min)));
-        self
-    }
-
-    /// Caps consensus proposals at `cap` identifiers (clamped to ≥ 1).
-    pub fn with_proposal_cap(mut self, cap: usize) -> Self {
-        self.max_proposal_ids = cap.max(1);
-        self
-    }
-
-    /// Sets the adaptive controller's decision-latency target.
-    pub fn with_latency_target(mut self, target: Duration) -> Self {
-        self.latency_target = Some(target);
-        self
-    }
-
-    /// Sets the adaptive controller's backlog limit.
-    pub fn with_backlog_limit(mut self, limit: usize) -> Self {
-        self.backlog_limit = Some(limit);
-        self
-    }
-
     /// Pins the workload RNG seed (CI smoke configurations use
     /// [`CI_SMOKE_SEED`] so artifacts stay comparable run-to-run).
     pub fn with_seed(mut self, seed: u64) -> Self {
@@ -172,16 +107,9 @@ impl WorkloadSpec {
 
     /// Runs the simulated hosts with the two-class priority lane: ordering
     /// (consensus/FD) frames are served ahead of queued bulk payload
-    /// frames on every CPU and NIC port.
+    /// frames on every CPU and NIC port (`SimBuilder::priority_lane`).
     pub fn with_priority_lane(mut self, on: bool) -> Self {
         self.priority_lane = on;
-        self
-    }
-
-    /// Turns on the decided log and the catch-up protocol (see
-    /// `iabc_core::stacks::StackParams::with_catch_up`).
-    pub fn with_catch_up(mut self, on: bool) -> Self {
-        self.catch_up = on;
         self
     }
 }
@@ -232,8 +160,6 @@ pub struct ExperimentResult {
     /// ordering-path health metric the priority lane targets. `0.0` when
     /// no decision latency was observed.
     pub mean_decision_latency_ms: f64,
-    /// Whether the run used the two-class priority lane.
-    pub priority_lane: bool,
     /// Consensus refusal messages (CT nacks, MR ⊥ echoes, suspicion
     /// echoes included) sent, summed over all processes — a proxy for
     /// rounds burned on unflooded proposals (one burned round produces up
@@ -286,20 +212,20 @@ impl ExperimentResult {
 
 /// Runs one atomic broadcast experiment on the simulated LAN.
 ///
-/// Generic over the stack: any [`Node`] speaking
-/// [`AbcastCommand`]/[`AbcastEvent`] will do — all eight
-/// [`iabc_core::stacks`] constructors qualify.
-pub fn run_abcast_experiment<N>(
+/// Generic over the stack: `factory` builds process `p`'s node — any of
+/// the eight [`iabc_core::stacks`] constructors applied to `spec.stack`.
+pub fn run_abcast_experiment<V, A>(
     net: &NetworkParams,
     spec: &WorkloadSpec,
-    factory: impl FnMut(ProcessId) -> N,
+    factory: impl FnMut(ProcessId) -> AbcastNode<V, A>,
 ) -> ExperimentResult
 where
-    N: Node<Command = AbcastCommand, Output = AbcastEvent> + PipelineProbe,
+    V: OrderingValue,
+    A: SingleConsensus<V>,
 {
-    assert!(spec.n >= 1, "need at least one process");
-    let mut world =
-        SimBuilder::new(spec.n, net.clone()).priority_lane(spec.priority_lane).build(factory);
+    let n = spec.stack.n;
+    assert!(n >= 1, "need at least one process");
+    let mut world = SimBuilder::new(n, net.clone()).priority_lane(spec.priority_lane).build(factory);
 
     // Fixed-batch runs schedule the whole open-loop workload up front,
     // coalescing up to `spec.batch` payloads per broadcast tick. Each
@@ -310,11 +236,11 @@ where
     // coalesce at injection time instead, because the coalescer's batch
     // size depends on the live a-deliver backlog.
     let horizon = spec.warmup + spec.duration;
-    let rate_per_proc = spec.throughput / spec.n as f64;
-    let mut batch_of: Vec<Vec<u32>> = vec![Vec::new(); spec.n];
+    let rate_per_proc = spec.throughput / n as f64;
+    let mut batch_of: Vec<Vec<u32>> = vec![Vec::new(); n];
     let mut arrivals: Vec<(Time, ProcessId)> = Vec::new();
     if spec.adaptive_batch.is_none() {
-        for p in ProcessId::all(spec.n) {
+        for p in ProcessId::all(n) {
             for (at, count) in
                 batched_schedule(spec.arrivals, rate_per_proc, horizon, spec.seed, p, spec.batch)
             {
@@ -327,7 +253,7 @@ where
             }
         }
     } else {
-        for p in ProcessId::all(spec.n) {
+        for p in ProcessId::all(n) {
             for at in arrival_schedule(spec.arrivals, rate_per_proc, horizon, spec.seed, p) {
                 arrivals.push((at, p));
             }
@@ -383,13 +309,13 @@ where
     // adaptive batching is off).
     let (b_min, b_max) = spec.adaptive_batch.unwrap_or((spec.batch, spec.batch));
     let mut coalescers: Vec<BatchCoalescer> =
-        (0..spec.n).map(|_| BatchCoalescer::new(b_min, b_max)).collect();
-    let mut pending: Vec<u32> = vec![0; spec.n];
+        (0..n).map(|_| BatchCoalescer::new(b_min, b_max)).collect();
+    let mut pending: Vec<u32> = vec![0; n];
     // Arrival instant of each process's newest pending payload: the tail
     // flush must not tick earlier than this — `world.now()` alone can be
     // stale (an empty event queue leaves the clock at the last processed
     // event, which may precede the final arrivals).
-    let mut pending_last_at: Vec<Time> = vec![Time::ZERO; spec.n];
+    let mut pending_last_at: Vec<Time> = vec![Time::ZERO; n];
     let mut arr_idx = 0usize;
     let mut tail_flushed = false;
     let mut batch_trajectory: Vec<(f64, usize)> = vec![(0.0, coalescers[0].current())];
@@ -398,7 +324,7 @@ where
     let slice = Duration::from_millis(500);
     let mut cursor = Time::ZERO;
     let mut window_trajectory: Vec<(f64, usize)> =
-        vec![(0.0, world.node(ProcessId::new(0)).current_window())];
+        vec![(0.0, world.node(ProcessId::new(0)).window())];
     loop {
         cursor = (cursor + slice).max(cursor);
         let target = if cursor > deadline { deadline } else { cursor };
@@ -432,7 +358,7 @@ where
             // payload is stranded below its batch-fill threshold.
             tail_flushed = true;
             let now = world.now();
-            for p in ProcessId::all(spec.n) {
+            for p in ProcessId::all(n) {
                 // Never tick before the payloads being flushed arrived
                 // (the causality rule mid-run flushes get from using the
                 // arrival instant directly).
@@ -469,7 +395,7 @@ where
                 }
             }
         }
-        let w = world.node(ProcessId::new(0)).current_window();
+        let w = world.node(ProcessId::new(0)).window();
         if window_trajectory.last().is_none_or(|&(_, last)| last != w) {
             window_trajectory.push((world.now().as_secs_f64(), w));
         }
@@ -481,19 +407,19 @@ where
         }
     }
 
-    let final_window = world.node(ProcessId::new(0)).current_window();
+    let final_window = world.node(ProcessId::new(0)).window();
     let proposal_cap_hits =
-        ProcessId::all(spec.n).map(|p| world.node(p).capped_proposals()).sum();
-    let nacked_rounds = ProcessId::all(spec.n).map(|p| world.node(p).nacked_rounds()).sum();
-    let freshness_held = ProcessId::all(spec.n).map(|p| world.node(p).freshness_held()).sum();
+        ProcessId::all(n).map(|p| world.node(p).proposal_cap_hits()).sum();
+    let nacked_rounds = ProcessId::all(n).map(|p| world.node(p).nacks_sent()).sum();
+    let freshness_held = ProcessId::all(n).map(|p| world.node(p).freshness_held()).sum();
     let catch_up_requests =
-        ProcessId::all(spec.n).map(|p| world.node(p).catch_up_requests()).sum();
+        ProcessId::all(n).map(|p| world.node(p).catch_up_requests()).sum();
     let caught_up_entries =
-        ProcessId::all(spec.n).map(|p| world.node(p).caught_up_entries()).sum();
+        ProcessId::all(n).map(|p| world.node(p).caught_up_entries()).sum();
     let min_decided_frontier =
-        ProcessId::all(spec.n).map(|p| world.node(p).decided_frontier()).min().unwrap_or(0);
-    let (latency_sum, latency_count) = ProcessId::all(spec.n)
-        .map(|p| world.node(p).decision_latencies())
+        ProcessId::all(n).map(|p| world.node(p).decided_frontier()).min().unwrap_or(0);
+    let (latency_sum, latency_count) = ProcessId::all(n)
+        .map(|p| world.node(p).decision_latency_stats())
         .fold((Duration::ZERO, 0u64), |(s, c), (ds, dc)| (s + ds, c + dc));
     let mean_decision_latency_ms = if latency_count > 0 {
         latency_sum.as_secs_f64() * 1e3 / latency_count as f64
@@ -501,7 +427,7 @@ where
         0.0
     };
 
-    let expected_pairs = broadcast_count * spec.n as u64;
+    let expected_pairs = broadcast_count * n as u64;
     let missing_pairs = expected_pairs.saturating_sub(delivered_pairs);
     let saturated =
         expected_pairs > 0 && (missing_pairs as f64 / expected_pairs as f64) >= 0.02;
@@ -521,7 +447,6 @@ where
         final_window,
         proposal_cap_hits,
         mean_decision_latency_ms,
-        priority_lane: spec.priority_lane,
         nacked_rounds,
         freshness_held,
         final_batch: coalescers[0].current(),
@@ -533,66 +458,39 @@ where
 }
 
 /// Runs one experiment for a named paper stack (variant × consensus
-/// family × RB strategy) — the entry point used by every figure harness.
+/// family) configured by `spec.stack` — the entry point used by every
+/// figure harness.
 pub fn run_variant(
     variant: VariantKind,
     family: ConsensusFamily,
-    rb: RbKind,
     net: &NetworkParams,
-    cost: CostModel,
     spec: &WorkloadSpec,
 ) -> ExperimentResult {
-    let mut params = StackParams {
-        n: spec.n,
-        rb,
-        fd: FdKind::Never,
-        cost,
-        pipeline: iabc_core::PipelineConfig::fixed(spec.window),
-        priority_lane: spec.priority_lane,
-        learners: ProcessSet::new(),
-    };
-    if let Some((min, max)) = spec.adaptive_window {
-        params = params.with_adaptive_window(min, max);
-    }
-    if let Some(target) = spec.latency_target {
-        params = params.with_latency_target(target);
-    }
-    if let Some(limit) = spec.backlog_limit {
-        params = params.with_backlog_limit(limit);
-    }
-    if spec.max_proposal_ids != usize::MAX {
-        params = params.with_proposal_cap(spec.max_proposal_ids);
-    }
-    if spec.proposal_freshness {
-        params = params.with_proposal_freshness(true);
-    }
-    if spec.catch_up {
-        params = params.with_catch_up(true);
-    }
+    let params = &spec.stack;
     match (variant, family) {
         (VariantKind::Indirect, ConsensusFamily::Ct) => {
-            run_abcast_experiment(net, spec, |p| stacks::indirect_ct(p, &params))
+            run_abcast_experiment(net, spec, |p| stacks::indirect_ct(p, params))
         }
         (VariantKind::Indirect, ConsensusFamily::Mr) => {
-            run_abcast_experiment(net, spec, |p| stacks::indirect_mr(p, &params))
+            run_abcast_experiment(net, spec, |p| stacks::indirect_mr(p, params))
         }
         (VariantKind::DirectMessages, ConsensusFamily::Ct) => {
-            run_abcast_experiment(net, spec, |p| stacks::direct_ct_messages(p, &params))
+            run_abcast_experiment(net, spec, |p| stacks::direct_ct_messages(p, params))
         }
         (VariantKind::DirectMessages, ConsensusFamily::Mr) => {
-            run_abcast_experiment(net, spec, |p| stacks::direct_mr_messages(p, &params))
+            run_abcast_experiment(net, spec, |p| stacks::direct_mr_messages(p, params))
         }
         (VariantKind::FaultyIds, ConsensusFamily::Ct) => {
-            run_abcast_experiment(net, spec, |p| stacks::faulty_ct_ids(p, &params))
+            run_abcast_experiment(net, spec, |p| stacks::faulty_ct_ids(p, params))
         }
         (VariantKind::FaultyIds, ConsensusFamily::Mr) => {
-            run_abcast_experiment(net, spec, |p| stacks::faulty_mr_ids(p, &params))
+            run_abcast_experiment(net, spec, |p| stacks::faulty_mr_ids(p, params))
         }
         (VariantKind::UrbIds, ConsensusFamily::Ct) => {
-            run_abcast_experiment(net, spec, |p| stacks::urb_ct_ids(p, &params))
+            run_abcast_experiment(net, spec, |p| stacks::urb_ct_ids(p, params))
         }
         (VariantKind::UrbIds, ConsensusFamily::Mr) => {
-            run_abcast_experiment(net, spec, |p| stacks::urb_mr_ids(p, &params))
+            run_abcast_experiment(net, spec, |p| stacks::urb_mr_ids(p, params))
         }
     }
 }
@@ -600,25 +498,31 @@ pub fn run_variant(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iabc_core::{CostModel, RbKind};
 
+    /// A short run on the Setup-1 cost model.
     fn quick_spec(n: usize, throughput: f64, payload: usize) -> WorkloadSpec {
         let mut s = WorkloadSpec::new(n, throughput, payload, Duration::from_millis(1500));
         s.warmup = Duration::from_millis(300);
         s.drain = Duration::from_secs(3);
+        s.stack.cost = CostModel::setup1();
         s
+    }
+
+    /// `spec` with zero bookkeeping costs.
+    fn costless(mut spec: WorkloadSpec) -> WorkloadSpec {
+        spec.stack.cost = CostModel::zero();
+        spec
+    }
+
+    /// The paper's primary stack on the Setup-1 network.
+    fn run_indirect_ct(spec: &WorkloadSpec) -> ExperimentResult {
+        run_variant(VariantKind::Indirect, ConsensusFamily::Ct, &NetworkParams::setup1(), spec)
     }
 
     #[test]
     fn indirect_ct_delivers_everything_at_low_load() {
-        let spec = quick_spec(3, 50.0, 32);
-        let r = run_variant(
-            VariantKind::Indirect,
-            ConsensusFamily::Ct,
-            RbKind::EagerN2,
-            &NetworkParams::setup1(),
-            CostModel::setup1(),
-            &spec,
-        );
+        let r = run_indirect_ct(&quick_spec(3, 50.0, 32));
         assert!(r.broadcast_count > 30, "workload too small: {}", r.broadcast_count);
         assert_eq!(r.missing_pairs, 0, "all messages must deliver at 50 msg/s");
         assert!(!r.saturated);
@@ -627,24 +531,8 @@ mod tests {
 
     #[test]
     fn latency_grows_with_throughput() {
-        let net = NetworkParams::setup1();
-        let cost = CostModel::setup1();
-        let lo = run_variant(
-            VariantKind::Indirect,
-            ConsensusFamily::Ct,
-            RbKind::EagerN2,
-            &net,
-            cost,
-            &quick_spec(3, 30.0, 1),
-        );
-        let hi = run_variant(
-            VariantKind::Indirect,
-            ConsensusFamily::Ct,
-            RbKind::EagerN2,
-            &net,
-            cost,
-            &quick_spec(3, 600.0, 1),
-        );
+        let lo = run_indirect_ct(&quick_spec(3, 30.0, 1));
+        let hi = run_indirect_ct(&quick_spec(3, 600.0, 1));
         assert!(
             hi.mean_ms() > lo.mean_ms(),
             "high load ({}) must beat low load ({})",
@@ -658,25 +546,14 @@ mod tests {
         // Figure 1's claim, in miniature: at moderate load, consensus on
         // full messages is slower than indirect consensus once payloads
         // are big.
-        let net = NetworkParams::setup1();
-        let cost = CostModel::setup1();
         let spec = quick_spec(3, 100.0, 4000);
         let direct = run_variant(
             VariantKind::DirectMessages,
             ConsensusFamily::Ct,
-            RbKind::EagerN2,
-            &net,
-            cost,
+            &NetworkParams::setup1(),
             &spec,
         );
-        let indirect = run_variant(
-            VariantKind::Indirect,
-            ConsensusFamily::Ct,
-            RbKind::EagerN2,
-            &net,
-            cost,
-            &spec,
-        );
+        let indirect = run_indirect_ct(&spec);
         assert!(
             direct.mean_ms() > indirect.mean_ms(),
             "direct {} ms vs indirect {} ms",
@@ -687,15 +564,7 @@ mod tests {
 
     #[test]
     fn batching_conserves_payload_accounting() {
-        let spec = quick_spec(3, 120.0, 8).with_pipeline(1, 4);
-        let r = run_variant(
-            VariantKind::Indirect,
-            ConsensusFamily::Ct,
-            RbKind::EagerN2,
-            &NetworkParams::setup1(),
-            CostModel::zero(),
-            &spec,
-        );
+        let r = run_indirect_ct(&costless(quick_spec(3, 120.0, 8).with_pipeline(1, 4)));
         assert_eq!(r.missing_pairs, 0, "low load must fully drain");
         assert!(r.broadcast_count < r.broadcast_payloads, "B=4 must coalesce");
         assert_eq!(r.delivered_payload_pairs, r.broadcast_payloads * 3);
@@ -705,15 +574,7 @@ mod tests {
     #[test]
     fn pipelined_window_still_delivers_everything() {
         for window in [2usize, 8] {
-            let spec = quick_spec(3, 200.0, 16).with_pipeline(window, 1);
-            let r = run_variant(
-                VariantKind::Indirect,
-                ConsensusFamily::Ct,
-                RbKind::EagerN2,
-                &NetworkParams::setup1(),
-                CostModel::setup1(),
-                &spec,
-            );
+            let r = run_indirect_ct(&quick_spec(3, 200.0, 16).with_pipeline(window, 1));
             assert_eq!(r.missing_pairs, 0, "W={window} lost deliveries");
             assert!(!r.saturated);
         }
@@ -721,15 +582,9 @@ mod tests {
 
     #[test]
     fn adaptive_window_still_delivers_everything_and_records_trajectory() {
-        let spec = quick_spec(3, 300.0, 16).with_adaptive_window(1, 16).with_proposal_cap(8);
-        let r = run_variant(
-            VariantKind::Indirect,
-            ConsensusFamily::Ct,
-            RbKind::EagerN2,
-            &NetworkParams::setup1(),
-            CostModel::setup1(),
-            &spec,
-        );
+        let mut spec = quick_spec(3, 300.0, 16);
+        spec.stack = spec.stack.with_adaptive_window(1, 16).with_proposal_cap(8);
+        let r = run_indirect_ct(&spec);
         assert_eq!(r.missing_pairs, 0, "adaptive run lost deliveries");
         assert!(!r.window_trajectory.is_empty());
         assert!(
@@ -742,15 +597,7 @@ mod tests {
 
     #[test]
     fn static_runs_report_a_flat_trajectory_and_no_cap_hits() {
-        let spec = quick_spec(3, 100.0, 8).with_pipeline(4, 1);
-        let r = run_variant(
-            VariantKind::Indirect,
-            ConsensusFamily::Ct,
-            RbKind::EagerN2,
-            &NetworkParams::setup1(),
-            CostModel::zero(),
-            &spec,
-        );
+        let r = run_indirect_ct(&costless(quick_spec(3, 100.0, 8).with_pipeline(4, 1)));
         assert_eq!(r.window_trajectory, vec![(0.0, 4)], "static W must never move");
         assert_eq!(r.final_window, 4);
         assert_eq!(r.proposal_cap_hits, 0, "uncapped run must not report cap hits");
@@ -760,42 +607,18 @@ mod tests {
     fn proposal_cap_spill_conserves_deliveries() {
         // A tight cap forces spills at this rate; nothing may be lost and
         // the cap hits must be visible to the harness.
-        let spec = quick_spec(3, 400.0, 8).with_pipeline(1, 1).with_proposal_cap(2);
-        let r = run_variant(
-            VariantKind::Indirect,
-            ConsensusFamily::Ct,
-            RbKind::EagerN2,
-            &NetworkParams::setup1(),
-            CostModel::zero(),
-            &spec,
-        );
+        let mut spec = costless(quick_spec(3, 400.0, 8).with_pipeline(1, 1));
+        spec.stack = spec.stack.with_proposal_cap(2);
+        let r = run_indirect_ct(&spec);
         assert_eq!(r.missing_pairs, 0, "spill path lost deliveries");
         assert!(r.proposal_cap_hits > 0, "cap never engaged at 400 msg/s with cap 2");
     }
 
     #[test]
     fn priority_lane_run_delivers_everything_and_reports_decision_latency() {
-        let net = NetworkParams::setup1();
-        let cost = CostModel::setup1();
         let base = quick_spec(3, 200.0, 64);
-        let off = run_variant(
-            VariantKind::Indirect,
-            ConsensusFamily::Ct,
-            RbKind::EagerN2,
-            &net,
-            cost,
-            &base,
-        );
-        let on = run_variant(
-            VariantKind::Indirect,
-            ConsensusFamily::Ct,
-            RbKind::EagerN2,
-            &net,
-            cost,
-            &base.clone().with_priority_lane(true),
-        );
-        assert!(!off.priority_lane);
-        assert!(on.priority_lane);
+        let off = run_indirect_ct(&base);
+        let on = run_indirect_ct(&base.clone().with_priority_lane(true));
         assert_eq!(on.missing_pairs, 0, "the lane must not lose deliveries");
         assert_eq!(
             on.delivered_payload_pairs, off.delivered_payload_pairs,
@@ -807,15 +630,7 @@ mod tests {
 
     #[test]
     fn adaptive_batch_conserves_payloads_and_stays_in_bounds() {
-        let spec = quick_spec(3, 300.0, 8).with_adaptive_batch(1, 16);
-        let r = run_variant(
-            VariantKind::Indirect,
-            ConsensusFamily::Ct,
-            RbKind::EagerN2,
-            &NetworkParams::setup1(),
-            CostModel::setup1(),
-            &spec,
-        );
+        let r = run_indirect_ct(&quick_spec(3, 300.0, 8).with_adaptive_batch(1, 16));
         assert_eq!(r.missing_pairs, 0, "adaptive batching must not lose payloads");
         assert_eq!(r.delivered_payload_pairs, r.broadcast_payloads * 3);
         assert!(
@@ -829,64 +644,34 @@ mod tests {
     #[test]
     fn adaptive_batch_is_deterministic_per_seed() {
         let spec = quick_spec(3, 500.0, 8).with_adaptive_batch(1, 8).with_seed(77);
-        let run = || {
-            run_variant(
-                VariantKind::Indirect,
-                ConsensusFamily::Ct,
-                RbKind::EagerN2,
-                &NetworkParams::setup1(),
-                CostModel::setup1(),
-                &spec,
-            )
-        };
-        let (a, b) = (run(), run());
+        let (a, b) = (run_indirect_ct(&spec), run_indirect_ct(&spec));
         assert_eq!(a.batch_trajectory, b.batch_trajectory);
         assert_eq!(a.broadcast_count, b.broadcast_count);
         assert_eq!(a.delivered_payload_pairs, b.delivered_payload_pairs);
         assert_eq!(a.final_batch, b.final_batch);
         // A different seed drives a different schedule (and usually a
         // different coalescing history).
-        let c = run_variant(
-            VariantKind::Indirect,
-            ConsensusFamily::Ct,
-            RbKind::EagerN2,
-            &NetworkParams::setup1(),
-            CostModel::setup1(),
-            &spec.clone().with_seed(78),
-        );
+        let c = run_indirect_ct(&spec.clone().with_seed(78));
         assert_ne!(a.broadcast_count, 0);
         assert_ne!((a.broadcast_count, a.delivered_pairs), (c.broadcast_count, c.delivered_pairs));
     }
 
     #[test]
     fn fixed_batch_runs_report_flat_batch_trajectory() {
-        let spec = quick_spec(3, 120.0, 8).with_pipeline(1, 4);
-        let r = run_variant(
-            VariantKind::Indirect,
-            ConsensusFamily::Ct,
-            RbKind::EagerN2,
-            &NetworkParams::setup1(),
-            CostModel::zero(),
-            &spec,
-        );
+        let r = run_indirect_ct(&costless(quick_spec(3, 120.0, 8).with_pipeline(1, 4)));
         assert_eq!(r.batch_trajectory, vec![(0.0, 4)], "fixed B must never move");
         assert_eq!(r.final_batch, 4);
     }
 
     #[test]
     fn freshness_gated_run_delivers_everything() {
-        let spec = quick_spec(3, 400.0, 16)
+        let mut spec = quick_spec(3, 400.0, 16);
+        spec.stack = spec
+            .stack
             .with_adaptive_window(1, 16)
             .with_proposal_cap(64)
             .with_proposal_freshness(true);
-        let r = run_variant(
-            VariantKind::Indirect,
-            ConsensusFamily::Ct,
-            RbKind::EagerN2,
-            &NetworkParams::setup1(),
-            CostModel::setup1(),
-            &spec,
-        );
+        let r = run_indirect_ct(&spec);
         assert_eq!(r.missing_pairs, 0, "the gate must never strand a payload");
         // The run is long enough past warm-up that the gate engages.
         assert!(r.freshness_held > 0, "gate never engaged at 400/s");
@@ -894,29 +679,15 @@ mod tests {
 
     #[test]
     fn catch_up_run_logs_everything_and_baselines_report_zero() {
-        let net = NetworkParams::setup1();
-        let cost = CostModel::setup1();
         let base = quick_spec(3, 80.0, 16);
-        let off = run_variant(
-            VariantKind::Indirect,
-            ConsensusFamily::Ct,
-            RbKind::EagerN2,
-            &net,
-            cost,
-            &base,
-        );
+        let off = run_indirect_ct(&base);
         assert_eq!(off.catch_up_requests, 0, "catch-up metrics must be inert by default");
         assert_eq!(off.caught_up_entries, 0);
         assert_eq!(off.min_decided_frontier, 0);
 
-        let on = run_variant(
-            VariantKind::Indirect,
-            ConsensusFamily::Ct,
-            RbKind::EagerN2,
-            &net,
-            cost,
-            &base.clone().with_catch_up(true),
-        );
+        let mut with_catch_up = base.clone();
+        with_catch_up.stack = base.stack.with_catch_up(true);
+        let on = run_indirect_ct(&with_catch_up);
         assert_eq!(on.missing_pairs, 0, "catch-up run lost deliveries");
         assert_eq!(
             on.delivered_payload_pairs, off.delivered_payload_pairs,
@@ -936,7 +707,9 @@ mod tests {
     #[test]
     fn all_eight_stacks_run_cleanly_at_low_load() {
         let net = NetworkParams::setup2();
-        let spec = quick_spec(3, 40.0, 16);
+        let mut spec = quick_spec(3, 40.0, 16);
+        spec.stack.rb = RbKind::LazyN;
+        spec.stack.cost = CostModel::setup2();
         for variant in [
             VariantKind::Indirect,
             VariantKind::DirectMessages,
@@ -944,14 +717,7 @@ mod tests {
             VariantKind::UrbIds,
         ] {
             for family in [ConsensusFamily::Ct, ConsensusFamily::Mr] {
-                let r = run_variant(
-                    variant,
-                    family,
-                    RbKind::LazyN,
-                    &net,
-                    CostModel::setup2(),
-                    &spec,
-                );
+                let r = run_variant(variant, family, &net, &spec);
                 assert_eq!(
                     r.missing_pairs, 0,
                     "{variant:?}/{family:?} lost messages in a fault-free run"

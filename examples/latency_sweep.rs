@@ -9,7 +9,6 @@ use indirect_abcast::prelude::*;
 
 fn main() {
     let net = NetworkParams::setup1();
-    let cost = CostModel::setup1();
     let throughput = 100.0;
 
     println!("n = 3, Setup 1, {throughput} msg/s (mini Figure 1a)\n");
@@ -18,22 +17,9 @@ fn main() {
     for size in [1usize, 1000, 2000, 3000, 4000, 5000] {
         let mut spec = WorkloadSpec::new(3, throughput, size, Duration::from_secs(3));
         spec.warmup = Duration::from_millis(500);
-        let indirect = run_variant(
-            VariantKind::Indirect,
-            ConsensusFamily::Ct,
-            RbKind::EagerN2,
-            &net,
-            cost,
-            &spec,
-        );
-        let direct = run_variant(
-            VariantKind::DirectMessages,
-            ConsensusFamily::Ct,
-            RbKind::EagerN2,
-            &net,
-            cost,
-            &spec,
-        );
+        spec.stack.cost = CostModel::setup1();
+        let indirect = run_variant(VariantKind::Indirect, ConsensusFamily::Ct, &net, &spec);
+        let direct = run_variant(VariantKind::DirectMessages, ConsensusFamily::Ct, &net, &spec);
         println!(
             "{size:>10} | {:>22.3} | {:>22.3}",
             indirect.mean_ms(),

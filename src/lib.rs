@@ -18,13 +18,14 @@
 //!   sans-io protocol code;
 //! * a benchmark harness regenerating every figure of the paper's
 //!   evaluation;
-//! * throughput knobs the paper never measured — a pipelined consensus
-//!   window (`StackParams::with_window`), an AIMD adaptive window
-//!   controller with server-side proposal capping
-//!   (`StackParams::with_adaptive_window` / `with_proposal_cap`), and
-//!   client-side proposal batching (`WorkloadSpec::with_pipeline`) —
-//!   plus the `pipeline_sweep` bench that maps the `W × B` goodput
-//!   surface with an adaptive row.
+//! * throughput knobs the paper never measured, each set in one place,
+//!   `StackParams` — a pipelined consensus window (`with_window`), an
+//!   AIMD adaptive window controller with server-side proposal capping
+//!   (`with_adaptive_window` / `with_proposal_cap`), the proposal
+//!   freshness gate and catch-up — plus client-side proposal batching
+//!   (`WorkloadSpec::with_pipeline`, whose spec embeds the `StackParams`
+//!   it runs) and the `pipeline_sweep` bench that maps the `W × B`
+//!   goodput surface with an adaptive row.
 //!
 //! ## Quickstart
 //!
