@@ -15,9 +15,9 @@
 //! asserted; what answers that collapse is the adaptive *batch* row.
 //!
 //! Output: a text table on stdout and machine-readable JSON in
-//! `results/BENCH_pipeline_sweep.json`. CI diffs that JSON against the
-//! committed baseline with the `bench_trend` binary, so every grid point
-//! pins its RNG seed (`iabc_workload::CI_SMOKE_SEED`, threaded through
+//! `results/BENCH_pipeline_sweep.json`. CI requires every smoke row of
+//! that JSON verbatim in the committed baseline, so every grid point pins
+//! its RNG seed (`iabc_workload::CI_SMOKE_SEED`, threaded through
 //! `iabc_bench::pipeline_sweep_spec`).
 //!
 //! Run with `--smoke` for the scaled-down CI grid.

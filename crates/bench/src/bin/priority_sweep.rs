@@ -17,9 +17,10 @@
 //!
 //! Output: a text table on stdout and machine-readable JSON in
 //! `results/BENCH_priority_sweep.json` (same line-per-point layout as the
-//! pipeline sweep, so `bench_trend` gates it against the committed
-//! baseline). Run with `--smoke` for the scaled-down CI grid — a subset of
-//! the full grid, so every smoke row matches a committed baseline row.
+//! pipeline sweep, so CI's exactness check finds every smoke row verbatim
+//! in the committed baseline). Run with `--smoke` for the scaled-down CI
+//! grid — a subset of the full grid, so every smoke row matches a
+//! committed baseline row.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -98,8 +99,8 @@ fn write_json(path: &Path, n: usize, payload: usize, points: &[LanePoint]) {
     let _ = writeln!(out, "  \"points\": [");
     for (i, p) in points.iter().enumerate() {
         let comma = if i + 1 == points.len() { "" } else { "," };
-        // `window`/`batch` keep the bench_trend line format; together with
-        // `mode` and `offered_per_sec` they key each row uniquely.
+        // `window` marks a sim row for CI's exactness check; together with
+        // `mode` and `offered_per_sec` it keys each row uniquely.
         let _ = writeln!(
             out,
             "    {{\"mode\": \"{}\", \"window\": 16, \"w_min\": 1, \"batch\": 1, \

@@ -16,12 +16,12 @@
 //! of a real `DurableDecidedLog` with `sync_every` off (the default:
 //! page-cache durability) versus `sync_every(8)` (bounded power-loss
 //! window). Those rows are machine-dependent and are therefore emitted
-//! without the trend-gated keys, so `bench_trend` reports but never
-//! gates them.
+//! without a `window` key, so CI's exactness check skips them.
 //!
 //! Output: a text table on stdout and machine-readable JSON in
 //! `results/BENCH_recovery_sweep.json` (same line-per-point layout as the
-//! other sweeps, so `bench_trend` gates it against the committed baseline).
+//! other sweeps, so CI's exactness check compares its sim rows verbatim
+//! with the committed baseline).
 //! Run with `--smoke` for the scaled-down CI grid — a subset of the full
 //! grid, so every smoke row matches a committed baseline row.
 
@@ -121,7 +121,7 @@ fn measure_durable_appends(smoke: bool) -> Vec<DurableRow> {
 /// Wall-clock goodput of the real TCP transport with the fault layer in
 /// one of three states — absent, armed-but-idle, or actively severing
 /// and healing a partition. Like the durable-append rows these are
-/// machine-dependent, so they are emitted without the trend-gated keys.
+/// machine-dependent, so they are emitted without a `window` key.
 struct TcpRow {
     /// `"tcp_faults_off"`, `"tcp_faults_armed_idle"` or
     /// `"tcp_partition_heal"`.
@@ -226,8 +226,8 @@ fn write_json(
     let _ = writeln!(out, "  \"cost_model\": \"setup1\",");
     let _ = writeln!(out, "  \"points\": [");
     for p in points {
-        // `window`/`batch` keep the bench_trend line format; together with
-        // `mode` and `offered_per_sec` they key each row uniquely.
+        // `window` marks a sim row for CI's exactness check; together with
+        // `mode` and `offered_per_sec` it keys each row uniquely.
         let _ = writeln!(
             out,
             "    {{\"mode\": \"{}\", \"window\": {WINDOW}, \"batch\": {BATCH}, \
@@ -240,8 +240,7 @@ fn write_json(
     }
     for d in durable {
         // Wall-clock fsync throughput is machine-dependent, so these rows
-        // deliberately omit `delivered_per_sec` (and `window`/`batch`) —
-        // the bench_trend parser skips them instead of gating them.
+        // deliberately omit `window`: the exactness check skips them.
         let _ = writeln!(
             out,
             "    {{\"mode\": \"{}\", \"appends\": {}, \"appends_per_sec\": {:.1}}},",

@@ -240,7 +240,8 @@ pub fn write_csv(file: &str, panel: &str, xlabel: &str, series: &[Series]) {
 /// The workload spec behind every `pipeline_sweep` grid point — CI smoke
 /// rows included — on the Setup-1 cost model, with the RNG seed pinned to
 /// [`iabc_workload::CI_SMOKE_SEED`] so that `BENCH_pipeline_sweep.json`
-/// artifacts are comparable run-to-run (the bench-trend gate diffs them).
+/// artifacts are comparable run-to-run (CI's exactness check requires
+/// every smoke sim row verbatim in the committed baseline).
 /// The priority and recovery sweeps build on it.
 pub fn pipeline_sweep_spec(
     n: usize,
@@ -349,8 +350,6 @@ pub fn recovery_sweep_spec(
     spec.stack = spec.stack.with_catch_up(catch_up);
     spec
 }
-
-pub mod trend;
 
 /// The standard stack selections used across figures.
 pub mod sel {

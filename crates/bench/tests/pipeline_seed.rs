@@ -1,7 +1,7 @@
 //! The CI smoke sweep must be reproducible run-to-run: every
 //! `pipeline_sweep` grid point threads the pinned smoke seed, so the JSON
-//! artifacts CI archives (and the bench-trend gate diffs) are comparable
-//! across pushes and machines.
+//! artifacts CI archives (and its exactness check compares with the
+//! committed baseline) are comparable across pushes and machines.
 
 use iabc_bench::{pipeline_sweep_spec, priority_sweep_spec};
 use iabc_types::Duration;

@@ -32,7 +32,7 @@
 
 use std::collections::BTreeMap;
 
-use iabc_types::{Duration, ProcessId, ProcessSet, Time};
+use iabc_types::{Duration, ProcessId, ProcessSet};
 
 use crate::msg::{ConsDest, ConsMsg};
 use crate::value::{ConsensusValue, RcvOracle};
@@ -92,10 +92,6 @@ pub struct InstanceManager<V, A> {
     slots: BTreeMap<u64, Slot<V, A>>,
     /// Messages for instances not yet proposed in.
     pending: BTreeMap<u64, Vec<(ProcessId, ConsMsg<V>)>>,
-    /// When each instance was proposed locally (see
-    /// [`InstanceManager::note_proposed`]) — the basis of per-instance
-    /// decision-latency reporting for adaptive pipeline controllers.
-    proposed_at: BTreeMap<u64, Time>,
     /// Instances strictly below this were garbage-collected; their traffic
     /// is dropped.
     gc_floor: u64,
@@ -118,25 +114,8 @@ impl<V: ConsensusValue, A: SingleConsensus<V>> InstanceManager<V, A> {
             factory: Box::new(factory),
             slots: BTreeMap::new(),
             pending: BTreeMap::new(),
-            proposed_at: BTreeMap::new(),
             gc_floor: 0,
         }
-    }
-
-    /// Records when instance `k` was proposed locally. Callers that want
-    /// per-instance decision latency (the adaptive pipeline controller)
-    /// call this right after [`InstanceManager::propose`] and read the
-    /// elapsed time back with [`InstanceManager::decision_latency`].
-    pub fn note_proposed(&mut self, k: u64, at: Time) {
-        self.proposed_at.insert(k, at);
-    }
-
-    /// Reports how long instance `k` took from its local proposal (see
-    /// [`InstanceManager::note_proposed`]) to `decided_at`, consuming the
-    /// timestamp. Returns `None` when the proposal instant was never
-    /// recorded (or was already consumed / garbage-collected).
-    pub fn decision_latency(&mut self, k: u64, decided_at: Time) -> Option<Duration> {
-        self.proposed_at.remove(&k).map(|at| decided_at.elapsed_since(at))
     }
 
     /// The decision of instance `k`, if it has decided.
@@ -284,10 +263,6 @@ impl<V: ConsensusValue, A: SingleConsensus<V>> InstanceManager<V, A> {
             self.slots.remove(i);
             self.pending.remove(i);
         }
-        // Timestamps of collected instances can never be read again;
-        // running instances keep theirs even below the cutoff.
-        let slots = &self.slots;
-        self.proposed_at.retain(|i, _| *i >= cutoff || slots.contains_key(i));
         self.gc_floor = self.gc_floor.max(cutoff);
         doomed.len()
     }
@@ -595,46 +570,5 @@ mod tests {
             &mut out,
         );
         assert_eq!(m.running_instances(), vec![1, 3]);
-    }
-
-    #[test]
-    fn decision_latency_measures_propose_to_decide() {
-        let mut m = mgr(0, 3);
-        let mut out = MgrOut::new();
-        m.propose(1, ids(&[1]), &AlwaysHeld, ProcessSet::new(), &mut out);
-        m.note_proposed(1, Time::ZERO + Duration::from_millis(10));
-        let lat = m.decision_latency(1, Time::ZERO + Duration::from_millis(14));
-        assert_eq!(lat, Some(Duration::from_millis(4)));
-        // The timestamp is consumed: a second read reports nothing.
-        assert_eq!(m.decision_latency(1, Time::ZERO + Duration::from_millis(20)), None);
-        // Unrecorded instances report nothing.
-        assert_eq!(m.decision_latency(7, Time::ZERO + Duration::from_millis(20)), None);
-    }
-
-    #[test]
-    fn gc_prunes_stale_latency_probes_but_keeps_running_ones() {
-        let mut m = mgr(0, 3);
-        let mut out = MgrOut::new();
-        for k in 1..=5u64 {
-            m.propose(k, ids(&[k]), &AlwaysHeld, ProcessSet::new(), &mut out);
-            m.note_proposed(k, Time::ZERO + Duration::from_millis(k));
-            if k != 2 && k != 5 {
-                m.on_message(
-                    k,
-                    p(2),
-                    ConsMsg::Decide { value: ids(&[k]) },
-                    &AlwaysHeld,
-                    ProcessSet::new(),
-                    &mut out,
-                );
-            }
-        }
-        // Cutoff 5 - 1 = 4: decided probes 1 and 3 drop; the running
-        // instance 2 keeps its probe even though it is below the cutoff.
-        m.gc_decided_below(5, 1);
-        assert_eq!(m.decision_latency(1, Time::ZERO + Duration::from_secs(1)), None);
-        assert_eq!(m.decision_latency(3, Time::ZERO + Duration::from_secs(1)), None);
-        assert!(m.decision_latency(2, Time::ZERO + Duration::from_secs(1)).is_some());
-        assert!(m.decision_latency(5, Time::ZERO + Duration::from_secs(1)).is_some());
     }
 }

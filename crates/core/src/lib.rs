@@ -12,13 +12,11 @@
 //!
 //! # Algorithm 1 in this crate
 //!
-//! [`node::AbcastNode`] implements the reduction: `abroadcast(m)`
-//! R-broadcasts `m`; every R-delivered, not-yet-ordered identifier enters
-//! `unordered_p`; whenever `unordered_p ≠ ∅` and no instance is running,
-//! consensus instance `k+1` is proposed with `(unordered_p, rcv)`; a
-//! decision's identifiers are appended to `ordered_p` in the deterministic
-//! `(sender, seq)` order; the head of `ordered_p` is a-delivered as soon as
-//! its payload is present.
+//! | Module | Owns |
+//! |---|---|
+//! | [`node`] | Algorithm 1's state and transitions: `on_command` R-broadcasts `m` (line 8); `rdeliver` adds its id to `unordered_p` (11–14); `maybe_propose` proposes instance `k + 1` with `(unordered_p, rcv)` while the window has room (15–18); `apply_decision` appends the decided ids to `ordered_p` in `(sender, seq)` order (18–21); `try_deliver` a-delivers the head of `ordered_p` once its payload is present (22–25) |
+//! | [`proposal`] | `ProposalPolicy`: which candidate ids a proposal carries and when — the window `W` (static, or the AIMD [`WindowController`]), the per-proposal cap, the freshness gate |
+//! | `recovery` | `Recovery`, present iff catch-up or learner mode is on: the decided log, the catch-up request machine, the pending set |
 //!
 //! # Example
 //!
@@ -52,6 +50,8 @@ pub mod monitor;
 pub mod msgset;
 pub mod node;
 pub mod pending;
+pub mod proposal;
+mod recovery;
 pub mod stacks;
 pub mod store;
 
@@ -61,8 +61,9 @@ pub use decided::{DecidedEntry, DecidedLog, DurableDecidedLog, MemDecidedLog};
 pub use envelope::Envelope;
 pub use monitor::{AbcastChecker, Violation};
 pub use msgset::MsgSet;
-pub use node::{AbcastNode, PipelineConfig, WindowController};
+pub use node::AbcastNode;
 pub use pending::{DurablePendingStore, MemPendingStore, PendingStore};
+pub use proposal::{PipelineConfig, WindowController};
 pub use stacks::{ConsensusFamily, RbKind, StackParams, VariantKind};
 pub use store::{CostModel, OrderingValue, ReceivedStore};
 

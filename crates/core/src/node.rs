@@ -1,323 +1,40 @@
-//! The composed atomic broadcast node (Algorithm 1 of the paper).
+//! The composed atomic broadcast node: Algorithm 1 of the paper.
+//!
+//! [`AbcastNode`] holds Algorithm 1's state and transitions (lines 8,
+//! 11–14, 15–18, 18–21, 22–25, each cited where it lives). How a proposal
+//! is chosen — window, cap, freshness — is `ProposalPolicy`'s
+//! (`proposal.rs`); the decided log, catch-up and the pending set are
+//! `Recovery`'s (`recovery.rs`).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use iabc_broadcast::{BcastDest, BcastOut, Broadcast};
-use iabc_consensus::{ConsDest, InstanceManager, MgrOut, SingleConsensus};
+use iabc_consensus::{ConsDest, InstanceManager, MgrOut, RcvOracle, SingleConsensus};
 use iabc_fd::{FailureDetector, FdDest, FdEvent, FdOut};
 use iabc_runtime::{Context, Node, TimerId};
-use iabc_types::{
-    AppMessage, Duration, Ewma, IdRanges, IdSet, MsgId, ProcessId, ProcessSet, Time,
-};
+use iabc_types::{AppMessage, Duration, IdRanges, IdSet, MsgId, ProcessId, ProcessSet, Time};
 
-/// Configuration of the consensus pipeline: window bounds, the adaptive
-/// controller's thresholds, and the server-side proposal cap.
-///
-/// `w_min == w_max` is a *static* window — the controller is inert and the
-/// node behaves exactly like the fixed-`W` pipeline (`W = 1` is Algorithm 1
-/// verbatim, what every paper-figure bin measures). `w_min < w_max` arms
-/// the AIMD controller (see [`WindowController`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipelineConfig {
-    /// Lower window bound (≥ 1). Also the controller's starting window.
-    pub w_min: usize,
-    /// Upper window bound (≥ `w_min`).
-    pub w_max: usize,
-    /// Decision latency (local propose → decision applied) above which the
-    /// adaptive controller halves the window.
-    pub latency_target: Duration,
-    /// `unordered` backlog depth above which the adaptive controller
-    /// halves the window even if latency still looks healthy.
-    pub backlog_limit: usize,
-    /// Maximum identifiers per proposal; the remainder *spills* to the
-    /// next instance. `usize::MAX` = uncapped (the seed behaviour).
-    pub max_proposal_ids: usize,
-    /// When `true`, proposals exclude identifiers *younger than ~one flood
-    /// delay* (measured: an EWMA of this node's own RB delivery latency).
-    /// A proposal naming a just-arrived id overtakes that id's Data frames
-    /// — consensus frames ride the fast path, payload floods the slow one,
-    /// most extremely so with the priority lane on — and every acceptor
-    /// still missing the payload burns the round with a nack. Gated ids
-    /// simply wait in `unordered` until they mature; a re-propose timer
-    /// guarantees they are picked up even if no other event arrives, so no
-    /// id is ever excluded permanently.
-    pub proposal_freshness: bool,
-    /// When `true`, the node keeps a [`crate::decided::DecidedLog`] of
-    /// fully a-delivered instances, piggybacks its decided frontier on
-    /// every outgoing frame, and fetches ranges it is missing from peers
-    /// whose frontier is ahead (`CatchUpRequest`/`CatchUpReply`). Off by
-    /// default: the wire format and event sequences of a catch-up-off
-    /// node are bit-identical to the pre-catch-up behaviour.
-    pub catch_up: bool,
-    /// When `true`, the node is a *learner* (read replica): it never
-    /// a-broadcasts, never proposes, and drops all consensus traffic
-    /// (no acks), converging on the decided sequence purely through the
-    /// frontier piggyback and catch-up. It also sends no heartbeats, so
-    /// heartbeat failure detectors suspect it and consensus rotates past
-    /// any round that would have it coordinate. The stacks set it, with
-    /// `catch_up`, for every process in `StackParams::learners`.
-    pub learner: bool,
-}
-
-/// R-deliveries of *remote* messages a node must observe before its flood
-/// delay estimate is trusted and the freshness gate arms (see
-/// [`PipelineConfig::proposal_freshness`]). Until then the gate is inert —
-/// a cold node must not defer proposals on a noisy first sample.
-pub const FRESHNESS_WARMUP: u64 = 8;
-
-/// Smoothing factor of the flood delay EWMA (weight of the newest
-/// observation). Deliberately light: delivery latency under load swings
-/// with queue depth, and a jumpy threshold would make the gate flap
-/// between deferring everything and nothing.
-pub const FRESHNESS_ALPHA: f64 = 0.1;
-
-/// Safety factor on the flood delay estimate: an id is mature once it is
-/// `FRESHNESS_FACTOR ×` the EWMA delivery latency old.
-///
-/// The EWMA is a *mean*, so at factor 1 roughly half of a flood's tail is
-/// still in flight when the gate opens — measurably, proposals still nack
-/// about as often as the tight-cap configuration. A small margin covers
-/// most of that jitter (at the 4 000 payloads/s knee: ~10× fewer nacked
-/// rounds for ~8% goodput). Large factors are *unstable* under
-/// saturation: delivery latency includes bulk queueing, so deferring
-/// aggressively deepens the very queues the estimate measures and the
-/// threshold runs away — factor 1.5 already collapses the knee to ~15%
-/// of the factor-1.1 goodput. Keep this close to 1.
-pub const FRESHNESS_FACTOR: f64 = 1.1;
-
-impl PipelineConfig {
-    /// A static window of `w` instances (clamped to at least 1), uncapped
-    /// proposals — today's `with_window` behaviour.
-    pub fn fixed(w: usize) -> Self {
-        let w = w.max(1);
-        PipelineConfig {
-            w_min: w,
-            w_max: w,
-            latency_target: Duration::from_millis(10),
-            backlog_limit: 1024,
-            max_proposal_ids: usize::MAX,
-            proposal_freshness: false,
-            catch_up: false,
-            learner: false,
-        }
-    }
-
-    /// An adaptive window in `[min, max]` (clamped to `1 ≤ min ≤ max`).
-    pub fn adaptive(min: usize, max: usize) -> Self {
-        let min = min.max(1);
-        PipelineConfig { w_min: min, w_max: max.max(min), ..PipelineConfig::fixed(1) }
-    }
-
-    /// Whether the AIMD controller is armed.
-    pub fn is_adaptive(&self) -> bool {
-        self.w_min < self.w_max
-    }
-}
-
-/// AIMD controller for the pipeline window `W`.
-///
-/// Fed one observation per *locally proposed* decision as it is applied:
-/// the instance's decision latency (propose → apply, including any
-/// in-order buffering — head-of-line blocking is precisely the congestion
-/// signal) and the `unordered` backlog depth after the decision.
-///
-/// * **Additive increase**: after `W` consecutive healthy decisions while
-///   the window was fully occupied and work was still waiting, grow by 1
-///   (up to `w_max`). Requiring full occupancy keeps an idle system from
-///   drifting to `w_max` with a stale window.
-/// * **Multiplicative decrease**: a decision over the latency target, or a
-///   backlog past the limit, halves the window (down to `w_min`). Only
-///   instances proposed *after* the previous decrease can trigger another
-///   one — decisions already in flight reflect the old window, and
-///   punishing them again would collapse straight to `w_min` on every
-///   congestion burst.
-/// * **Spill pressure** (capped pipelines only): when the backlog exceeds
-///   what a full window of capped proposals can even hold
-///   (`backlog > W × max_proposal_ids`), the window grows on every
-///   decision instead of halving — the cap already bounds the per-message
-///   `rcv()` bookkeeping each instance can cost, so the right response to
-///   a deep backlog is more concurrency, not less. Shrinking resumes once
-///   the backlog fits the window again. Uncapped adaptive pipelines have
-///   no spill pressure: for them a deep backlog means unbounded proposals
-///   are already wedging the CPU, and the backlog limit halves the window
-///   exactly as the static sweep's `W=16, B=1` collapse demands.
-#[derive(Debug, Clone)]
-pub struct WindowController {
-    cfg: PipelineConfig,
-    cur: usize,
-    /// Consecutive healthy, window-limited decisions since the last change.
-    good_streak: usize,
-    /// Instances ≤ this watermark cannot trigger a decrease.
-    decrease_watermark: u64,
-    increases: u64,
-    decreases: u64,
-}
-
-impl WindowController {
-    /// Creates a controller starting at `cfg.w_min`.
-    pub fn new(cfg: PipelineConfig) -> Self {
-        WindowController {
-            cfg,
-            cur: cfg.w_min,
-            good_streak: 0,
-            decrease_watermark: 0,
-            increases: 0,
-            decreases: 0,
-        }
-    }
-
-    /// The window the pipeline may currently fill.
-    pub fn current(&self) -> usize {
-        self.cur
-    }
-
-    /// `(w_min, w_max)`.
-    pub fn bounds(&self) -> (usize, usize) {
-        (self.cfg.w_min, self.cfg.w_max)
-    }
-
-    /// Whether this controller adapts at all.
-    pub fn is_adaptive(&self) -> bool {
-        self.cfg.is_adaptive()
-    }
-
-    /// `(additive increases, multiplicative decreases)` so far.
-    pub fn adaptations(&self) -> (u64, u64) {
-        (self.increases, self.decreases)
-    }
-
-    /// Whether a decision's latency crosses the latency target.
-    fn latency_congested(&self, latency: Option<Duration>) -> bool {
-        latency.is_some_and(|l| l > self.cfg.latency_target)
-    }
-
-    /// How many capped instances the backlog needs, clamped to the
-    /// bounds; `w_min` for uncapped pipelines.
-    fn window_needed(&self, backlog: usize) -> usize {
-        if self.cfg.max_proposal_ids == usize::MAX {
-            return self.cfg.w_min;
-        }
-        backlog.div_ceil(self.cfg.max_proposal_ids).clamp(self.cfg.w_min, self.cfg.w_max)
-    }
-
-    /// Fed by the proposer each time it fills the window while the
-    /// backlog spills past it (capped pipelines only): widens the window
-    /// toward what the backlog needs *now*, without waiting for a
-    /// decision. Decisions are the controller's usual clock, but under
-    /// overload they are exactly what becomes scarce — a controller that
-    /// only adapts on decisions wedges at the old window.
-    pub fn on_spill(&mut self, backlog: usize) {
-        if !self.cfg.is_adaptive() || self.cfg.max_proposal_ids == usize::MAX {
-            return;
-        }
-        if backlog > self.cur.saturating_mul(self.cfg.max_proposal_ids)
-            && self.cur < self.cfg.w_max
-        {
-            self.cur = self.window_needed(backlog).max(self.cur + 1).min(self.cfg.w_max);
-            self.good_streak = 0;
-            self.increases += 1;
-        }
-    }
-
-    /// Feeds the decision of instance `k`. `proposed_hi` is the highest
-    /// locally proposed instance (the watermark for decrease damping),
-    /// `latency` the propose→apply time when known, `backlog` the
-    /// `unordered` depth after the decision, and `window_was_full` whether
-    /// the pipeline was at capacity when the decision landed.
-    pub fn on_decision(
-        &mut self,
-        k: u64,
-        proposed_hi: u64,
-        latency: Option<Duration>,
-        backlog: usize,
-        window_was_full: bool,
-    ) {
-        if !self.cfg.is_adaptive() {
-            return;
-        }
-        // Spill pressure: the backlog does not even fit a full window of
-        // capped proposals (uncapped pipelines never spill — a single
-        // proposal holds any backlog).
-        let spill_pressure = self.cfg.max_proposal_ids != usize::MAX
-            && backlog > self.cur.saturating_mul(self.cfg.max_proposal_ids);
-        let over_latency = self.latency_congested(latency);
-        if (over_latency || backlog > self.cfg.backlog_limit) && !spill_pressure {
-            if k > self.decrease_watermark {
-                // Halve, but never below what the backlog still needs
-                // (capped pipelines): dropping under that would just
-                // re-trigger spill growth on the next proposal.
-                self.cur = (self.cur / 2).max(self.window_needed(backlog)).max(self.cfg.w_min);
-                self.decrease_watermark = proposed_hi;
-                self.good_streak = 0;
-                self.decreases += 1;
-            }
-            return;
-        }
-        if window_was_full && backlog > 0 && self.cur < self.cfg.w_max {
-            self.good_streak += 1;
-            if spill_pressure {
-                // The backlog dictates the window: jump to the number of
-                // capped instances the backlog actually needs (at least
-                // one step).
-                self.cur = self.window_needed(backlog).max(self.cur + 1).min(self.cfg.w_max);
-                self.good_streak = 0;
-                self.increases += 1;
-            } else if self.good_streak >= self.cur {
-                // Classic additive increase: +1 per window of healthy
-                // decisions.
-                self.cur += 1;
-                self.good_streak = 0;
-                self.increases += 1;
-            }
-        }
-    }
-}
-
-use crate::decided::{DecidedEntry, DecidedLog, MemDecidedLog};
+use crate::decided::{DecidedEntry, DecidedLog};
 use crate::envelope::Envelope;
-use crate::pending::{MemPendingStore, PendingStore};
+use crate::pending::PendingStore;
+use crate::proposal::{PipelineConfig, ProposalPolicy, Selection};
+use crate::recovery::{Recovery, TIMER_CATCHUP};
 use crate::store::{CostModel, NodeOracle, OrderingValue, ReceivedStore};
 use crate::{AbcastCommand, AbcastEvent};
 
 /// Timer-id kind reserved for the failure detector.
 const TIMER_FD: u32 = 1;
 
-/// Timer-id kind of the freshness gate's re-propose wake-up: armed when a
-/// proposal slot was available but *every* candidate id was still too
-/// young, so `maybe_propose` runs again once the earliest of them matures
-/// — without this, a gated backlog with no further inbound traffic would
-/// never be proposed (liveness).
+/// Timer-id kind of the re-propose wake-up the freshness gate asks for
+/// ([`Selection::Defer`]): without it a gated, quiet backlog would stall.
 const TIMER_PROPOSE: u32 = 2;
 
-/// Timer-id kind of the catch-up retry: armed with each outstanding
-/// [`Envelope::CatchUpRequest`]; if the reply never arrives (request or
-/// reply lost, server crashed) the node re-requests from the then-best
-/// peer. The timer's `data` carries the request epoch so a late reply
-/// followed by a stale timer cannot double-request.
-const TIMER_CATCHUP: u32 = 3;
-
-/// How many decided consensus instances (at least) to keep as the cache
-/// straggler repair and relay-on-suspicion are served from before garbage
-/// collection (see [`InstanceManager::gc_decided_below`]). The node keeps
-/// a full pipeline window when that is larger: a peer that missed the one
-/// `Decide` of instance `k` can hold everybody else at most a window past
-/// `k`, so whoever learned `k` still has it when its detector fires.
+/// Decided instances (at least) the manager keeps for straggler repair and
+/// relay-on-suspicion (see [`InstanceManager::gc_decided_below`]), or a
+/// full window if larger: a peer that missed `k`'s one `Decide` holds the
+/// others at most a window past `k`, so whoever learned `k` still has it.
 const KEEP_DECIDED_INSTANCES: u64 = 8;
-
-/// Maximum decided entries per [`Envelope::CatchUpReply`] — the requester
-/// asks for at most this many and the server clamps to it regardless, so
-/// a deep gap streams as bounded batches instead of one giant frame.
-const CATCH_UP_BATCH: u64 = 64;
-
-/// Initial wait for a [`Envelope::CatchUpReply`] before re-requesting.
-/// Each unanswered request doubles the wait (exponential backoff) up to
-/// [`CATCH_UP_RETRY_MAX`]; a reply resets it. A fixed short retry would
-/// hammer a partitioned or overloaded peer with requests it cannot answer.
-const CATCH_UP_RETRY: Duration = Duration::from_millis(25);
-
-/// Upper bound of the catch-up retry backoff.
-const CATCH_UP_RETRY_MAX: Duration = Duration::from_millis(400);
 
 /// One process of an atomic broadcast system: reliable (or uniform
 /// reliable) broadcast below, a *pipelined window* of consensus instances
@@ -352,118 +69,30 @@ pub struct AbcastNode<V: OrderingValue, A: SingleConsensus<V>> {
     /// Whether the oracle really checks the store (`false` = faulty/direct).
     check_store: bool,
     cost: CostModel,
-    /// Pipeline window `W`: the controller caps how many instances may be
-    /// proposed but not yet applied. Static configs reproduce the fixed-`W`
-    /// pipeline (`W = 1` is Algorithm 1 verbatim).
-    controller: WindowController,
-    /// Maximum identifiers per proposal; the rest spills to the next
-    /// instance (`usize::MAX` = uncapped).
-    max_proposal_ids: usize,
-    /// Proposals whose candidate set exceeded `max_proposal_ids`.
-    cap_hits: u64,
+    /// Window, cap and freshness gate: when to propose, and which ids.
+    policy: ProposalPolicy,
     /// Serial number of the latest instance proposed locally (line 6).
     proposed_hi: u64,
     /// The next instance whose decision may be applied; decisions for
     /// higher instances are buffered, lower ones dropped as stale.
     next_apply: u64,
-    /// Ids proposed per in-flight instance (proposed, decision not yet
-    /// applied) — excluded from newer proposals.
-    in_flight: BTreeMap<u64, IdSet>,
+    /// Per instance proposed here whose decision is not applied yet: the
+    /// ids it proposed (excluded from newer proposals) and when.
+    in_flight: BTreeMap<u64, (IdSet, Time)>,
     /// Decisions that arrived ahead of `next_apply`, held until their turn.
     decision_buffer: BTreeMap<u64, V>,
-    /// Old or duplicate decisions dropped by the routing (diagnostics).
-    stale_decisions: u64,
     /// Sequence number for this process's own broadcasts.
     next_seq: u64,
     delivered_count: u64,
-    /// Sum of observed decision latencies (locally proposed instances,
-    /// propose → apply), for the experiment harness's mean.
-    decision_latency_total: Duration,
-    /// Number of latencies in `decision_latency_total`.
-    decision_latency_count: u64,
-    /// Whether the freshness gate is enabled (see
-    /// [`PipelineConfig::proposal_freshness`]).
-    proposal_freshness: bool,
-    /// EWMA of observed RB delivery latency (broadcast → local R-deliver)
-    /// over *remote* messages, in seconds — the node's flood delay
-    /// estimate. Local deliveries are instant and would drag it to zero.
-    flood_delay: Ewma,
-    /// Latest broadcast instant among all R-delivered messages: once even
-    /// this one is past the maturity threshold, every candidate id is
-    /// mature and the gate's per-id scan can be skipped wholesale — the
-    /// steady-state common case under a deep (hence old) backlog.
-    newest_broadcast_at: Time,
-    /// Identifiers excluded from proposals by the freshness gate so far
-    /// (cumulative over proposals; a slow-maturing id counts once per
-    /// proposal it sat out).
-    freshness_held: u64,
-    /// Whether a [`TIMER_PROPOSE`] wake-up is already in flight.
-    propose_timer_armed: bool,
-    /// Consensus refusal *messages* this node sent (CT nacks / MR ⊥
-    /// echoes, suspicion-triggered ones included) — a per-acceptor proxy
-    /// for rounds burned on unflooded proposals: one burned round shows
-    /// up as up to `n - 1` refusals across the system, so compare the
-    /// counter between configurations, not against a round count.
+    /// Consensus refusal *messages* sent (CT nacks / MR ⊥ echoes): one
+    /// burned round shows up as up to `n - 1` of them system-wide, so
+    /// compare the counter between configurations, not with round counts.
     nacks_sent: u64,
-    /// The decided log (`Some` iff `catch_up` is configured): every fully
-    /// a-delivered instance is appended here, in instance order; its
-    /// frontier is what the node piggybacks and serves to peers. Defaults
-    /// to a [`MemDecidedLog`]; [`AbcastNode::set_decided_log`] swaps in a
-    /// durable one before start.
-    log: Option<Box<dyn DecidedLog<V>>>,
     /// Learner (read replica) mode — see [`PipelineConfig::learner`].
     learner: bool,
-    /// Applied-but-not-fully-delivered instances, oldest first: each
-    /// tracks how many of its (newly) ordered ids still await delivery
-    /// and collects their payloads, so the log entry appended on
-    /// completion is self-contained. Deliveries drain `ordered` strictly
-    /// in instance order, so completion is always front-first.
-    pending_log: VecDeque<PendingLogEntry<V>>,
-    /// Highest decided frontier observed per peer (from the
-    /// [`Envelope::WithFrontier`] piggyback).
-    peer_frontiers: BTreeMap<ProcessId, u64>,
-    /// Whether a catch-up request is outstanding (one at a time: batches
-    /// apply in order, and a second overlapping range would be wasted) —
-    /// or, for a lead inside the window, the wait that stands in for one.
-    catch_up_inflight: bool,
-    /// The first missing instance at which a lead inside the window was
-    /// last given one [`CATCH_UP_RETRY`] to close by itself (see
-    /// [`AbcastNode::maybe_catch_up`]). Never cleared: the frontier only
-    /// grows, so a stale value cannot match a later lead.
-    catch_up_waited_at: Option<u64>,
-    /// Monotonic request counter; the retry timer carries the epoch it
-    /// was armed for, so only the timer of the *current* request may
-    /// re-request.
-    catch_up_epoch: u64,
-    /// Catch-up requests sent (recovery metric).
-    catch_up_requests: u64,
-    /// Decided entries learned through catch-up replies, i.e. entries
-    /// that were ahead of `next_apply` when they arrived (recovery
-    /// metric).
-    caught_up_entries: u64,
-    /// Current catch-up retry delay: doubles per unanswered request up to
-    /// [`CATCH_UP_RETRY_MAX`], resets to [`CATCH_UP_RETRY`] on a reply.
-    catch_up_retry: Duration,
-    /// Accepted-but-undecided broadcasts (`Some` iff `catch_up` is
-    /// configured on a non-learner): recorded at `on_command`, cleared
-    /// when the instance that orders them reaches the decided log,
-    /// re-flooded on restart and after catch-up episodes. Defaults to a
-    /// [`MemPendingStore`]; [`AbcastNode::set_pending_store`] swaps in a
-    /// durable sidecar before start.
-    pending: Option<Box<dyn PendingStore>>,
-    /// Pending broadcasts re-flooded so far (repair metric).
-    pending_refloods: u64,
-}
-
-/// Bookkeeping for one applied instance whose deliveries are still
-/// draining (see [`AbcastNode::pending_log`]).
-struct PendingLogEntry<V> {
-    k: u64,
-    value: V,
-    /// Ids this instance newly ordered that have not been a-delivered yet.
-    remaining: usize,
-    /// Payloads of the delivered ids, in delivery order.
-    payloads: Vec<AppMessage>,
+    /// Decided log, catch-up and pending set (`Some` iff catch-up or
+    /// learner mode is configured).
+    recovery: Option<Recovery<V>>,
 }
 
 impl<V: OrderingValue, A: SingleConsensus<V>> fmt::Debug for AbcastNode<V, A> {
@@ -472,7 +101,7 @@ impl<V: OrderingValue, A: SingleConsensus<V>> fmt::Debug for AbcastNode<V, A> {
             .field("me", &self.me)
             .field("proposed_hi", &self.proposed_hi)
             .field("next_apply", &self.next_apply)
-            .field("window", &self.controller.current())
+            .field("window", &self.window())
             .field("in_flight", &self.in_flight.len())
             .field("unordered", &self.unordered.len())
             .field("ordered_pending", &self.ordered.len())
@@ -483,11 +112,19 @@ impl<V: OrderingValue, A: SingleConsensus<V>> fmt::Debug for AbcastNode<V, A> {
 
 type Ctx<V> = Context<Envelope<V>, AbcastEvent>;
 
+/// The window controller's backlog signal: unordered ids *minus* ids in
+/// buffered (decided, not yet applied) decisions — ordered work, not demand
+/// for window slots; counting it would inflate spill pressure exactly in
+/// the out-of-order bursts the controller must ride out.
+fn backlog_signal<V: OrderingValue>(unordered: &IdSet, buffered: &BTreeMap<u64, V>) -> usize {
+    unordered.len().saturating_sub(buffered.values().map(V::id_count).sum())
+}
+
 impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
     /// Assembles a node from its modules. `algo_factory` builds the state
     /// machine of each consensus instance; `check_store` selects whether
     /// the `rcv` oracle really consults the received-message store;
-    /// `pipeline` configures the window controller and the proposal cap.
+    /// `pipeline` configures the proposal policy and recovery.
     pub fn new(
         me: ProcessId,
         bcast: Box<dyn Broadcast + Send>,
@@ -509,63 +146,36 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
             suspected: ProcessSet::new(),
             check_store,
             cost,
-            controller: WindowController::new(pipeline),
-            max_proposal_ids: pipeline.max_proposal_ids.max(1),
-            cap_hits: 0,
+            policy: ProposalPolicy::new(pipeline),
             proposed_hi: 0,
             next_apply: 1,
             in_flight: BTreeMap::new(),
             decision_buffer: BTreeMap::new(),
-            stale_decisions: 0,
             next_seq: 0,
             delivered_count: 0,
-            decision_latency_total: Duration::ZERO,
-            decision_latency_count: 0,
-            proposal_freshness: pipeline.proposal_freshness,
-            flood_delay: Ewma::new(FRESHNESS_ALPHA),
-            newest_broadcast_at: Time::ZERO,
-            freshness_held: 0,
-            propose_timer_armed: false,
             nacks_sent: 0,
-            log: (pipeline.catch_up || pipeline.learner)
-                .then(|| Box::new(MemDecidedLog::new()) as Box<dyn DecidedLog<V>>),
             learner: pipeline.learner,
-            pending_log: VecDeque::new(),
-            peer_frontiers: BTreeMap::new(),
-            catch_up_inflight: false,
-            catch_up_waited_at: None,
-            catch_up_epoch: 0,
-            catch_up_requests: 0,
-            caught_up_entries: 0,
-            catch_up_retry: CATCH_UP_RETRY,
-            pending: (pipeline.catch_up && !pipeline.learner)
-                .then(|| Box::new(MemPendingStore::new()) as Box<dyn PendingStore>),
-            pending_refloods: 0,
+            recovery: (pipeline.catch_up || pipeline.learner).then(|| Recovery::new(pipeline.learner)),
         }
     }
 
     /// Replaces the decided log — typically with a
     /// [`crate::decided::DurableDecidedLog`] so the node survives a
-    /// restart. Call before the node starts: `on_start` reloads the log
-    /// and resumes from its frontier (rebuilding `ordered_ever` and the
-    /// apply cursor), and a log swapped in later would miss the entries
-    /// already appended to the old one. No-op unless `catch_up` (or
-    /// `learner`) was configured.
+    /// restart. Call before the node starts: `on_start` resumes from the
+    /// log's frontier. No-op unless `catch_up` (or `learner`) is on.
     pub fn set_decided_log(&mut self, log: Box<dyn DecidedLog<V>>) {
-        if self.log.is_some() {
-            self.log = Some(log);
+        if let Some(r) = self.recovery.as_mut() {
+            r.set_log(log);
         }
     }
 
     /// Replaces the pending-broadcast store — typically with a
-    /// [`crate::pending::DurablePendingStore`] sidecar next to the durable
-    /// decided log, so accepted-but-undecided broadcasts survive a
-    /// restart and are re-flooded. Call before the node starts, like
-    /// [`AbcastNode::set_decided_log`]. No-op unless `catch_up` was
-    /// configured on a non-learner.
+    /// [`crate::pending::DurablePendingStore`] sidecar, so accepted but
+    /// undecided broadcasts survive a restart. Call before the node
+    /// starts. No-op unless `catch_up` is on at a non-learner.
     pub fn set_pending_store(&mut self, store: Box<dyn PendingStore>) {
-        if self.pending.is_some() {
-            self.pending = Some(store);
+        if let Some(r) = self.recovery.as_mut() {
+            r.set_pending(store);
         }
     }
 
@@ -589,66 +199,50 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
         self.proposed_hi
     }
 
-    /// Pipeline window `W` the node may currently fill (fixed for static
-    /// configs; moves within `[w_min, w_max]` for adaptive ones).
+    /// Pipeline window `W` the node may currently fill.
     pub fn window(&self) -> usize {
-        self.controller.current()
+        self.policy.controller().current()
     }
 
     /// `(w_min, w_max)` of the window controller.
     pub fn window_bounds(&self) -> (usize, usize) {
-        self.controller.bounds()
+        self.policy.controller().bounds()
     }
 
     /// Whether this node runs the adaptive window controller.
     pub fn is_adaptive_window(&self) -> bool {
-        self.controller.is_adaptive()
+        self.policy.controller().is_adaptive()
     }
 
-    /// `(additive increases, multiplicative decreases)` performed by the
-    /// window controller so far.
+    /// `(additive increases, multiplicative decreases)` of the window.
     pub fn window_adaptations(&self) -> (u64, u64) {
-        self.controller.adaptations()
+        self.policy.controller().adaptations()
     }
 
     /// Proposals truncated by the `max_proposal_ids` cap so far.
     pub fn proposal_cap_hits(&self) -> u64 {
-        self.cap_hits
+        self.policy.cap_hits()
     }
 
     /// Identifiers the freshness gate excluded from proposals so far.
     pub fn freshness_held(&self) -> u64 {
-        self.freshness_held
+        self.policy.freshness_held()
     }
 
-    /// Consensus refusal messages (CT nacks, MR ⊥ echoes) this node sent
-    /// so far — see the field docs for how this relates to burned rounds.
+    /// Consensus refusal messages (CT nacks, MR ⊥ echoes) sent so far.
     pub fn nacks_sent(&self) -> u64 {
         self.nacks_sent
     }
 
-    /// The node's current flood delay estimate: the EWMA of its RB
-    /// delivery latency over remote messages. `None` until
-    /// [`FRESHNESS_WARMUP`] remote deliveries were observed (the gate is
-    /// inert until then — and always when `proposal_freshness` is off).
-    /// The gate's maturity threshold is [`FRESHNESS_FACTOR`] × this.
-    pub fn flood_delay_estimate(&self) -> Option<Duration> {
-        self.flood_delay
-            .warmed(FRESHNESS_WARMUP)
-            .then(|| Duration::from_secs_f64(self.flood_delay.value()))
-    }
-
-    /// Identifiers received but not yet a-delivered (unordered backlog
-    /// plus ordered ids awaiting their payload) — the ingestion pressure
-    /// signal adaptive batch coalescers key off.
+    /// Identifiers received but not yet a-delivered — the ingestion
+    /// pressure signal adaptive batch coalescers key off.
     pub fn ingest_backlog(&self) -> usize {
         self.unordered.len() + self.ordered.len()
     }
 
-    /// `(sum, count)` of observed decision latencies (locally proposed
-    /// instances, propose → apply) — the harness's decision-latency metric.
+    /// `(sum, count)` of propose → apply latencies of local proposals.
     pub fn decision_latency_stats(&self) -> (Duration, u64) {
-        (self.decision_latency_total, self.decision_latency_count)
+        self.policy.decision_latency_stats()
     }
 
     /// Instances proposed locally whose decision has not been applied yet.
@@ -661,19 +255,13 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
         self.decision_buffer.len()
     }
 
-    /// Old or duplicate decisions dropped by the routing so far.
-    pub fn stale_decisions(&self) -> u64 {
-        self.stale_decisions
-    }
-
     /// The received-message store (for tests and probes).
     pub fn store(&self) -> &ReceivedStore {
         &self.store
     }
 
-    /// Ranges held by the node's two ever-seen identifier sets (ordered
-    /// ever, a-delivered): their whole footprint, at most one per sender
-    /// and set once every gap has closed — whatever the length of the run.
+    /// Ranges held by the two ever-seen id sets (ordered, a-delivered):
+    /// one per sender and set once every gap closed, however long the run.
     pub fn id_set_ranges(&self) -> usize {
         self.ordered_ever.range_count() + self.store.delivered_ranges()
     }
@@ -683,22 +271,20 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
         self.mgr.slot_count()
     }
 
-    /// The decided frontier: the highest instance fully a-delivered *and*
-    /// logged (0 with catch-up off or before the first instance
-    /// completes). This is what the node piggybacks and can serve.
+    /// The highest instance fully a-delivered *and* logged (0 with
+    /// catch-up off) — what the node piggybacks and can serve.
     pub fn decided_frontier(&self) -> u64 {
-        self.log.as_ref().map_or(0, |log| log.frontier())
+        self.recovery.as_ref().map_or(0, Recovery::frontier)
     }
 
     /// Catch-up requests this node sent so far.
     pub fn catch_up_requests(&self) -> u64 {
-        self.catch_up_requests
+        self.recovery.as_ref().map_or(0, Recovery::catch_up_requests)
     }
 
-    /// Decided entries this node learned through catch-up replies (only
-    /// entries that were ahead of its apply cursor when they arrived).
+    /// Decided entries learned through catch-up ahead of the apply cursor.
     pub fn caught_up_entries(&self) -> u64 {
-        self.caught_up_entries
+        self.recovery.as_ref().map_or(0, Recovery::caught_up_entries)
     }
 
     /// Whether this node is a learner (read replica).
@@ -706,48 +292,37 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
         self.learner
     }
 
-    /// Accepted broadcasts whose instance has not reached the decided log
-    /// yet (0 when pending tracking is off).
-    pub fn pending_broadcasts(&self) -> usize {
-        self.pending.as_ref().map_or(0, |p| p.entries().len())
-    }
-
-    /// Pending broadcasts re-flooded so far (restart and post-catch-up
-    /// repair; see [`crate::pending`]).
-    pub fn pending_refloods(&self) -> u64 {
-        self.pending_refloods
-    }
-
     /// Wraps an outgoing frame with the decided frontier when catch-up is
-    /// on. Piggybacking on *every* frame (RB data, consensus, heartbeats,
-    /// catch-up itself) means frontier propagation needs no schedule of
-    /// its own and works even in stacks with the failure detector off.
-    /// With catch-up off this is the identity — the wire format is then
-    /// byte-for-byte the pre-catch-up one.
+    /// on. With catch-up off this is the identity — the wire format is
+    /// then byte-for-byte the pre-catch-up one.
     fn wrap(&self, env: Envelope<V>) -> Envelope<V> {
-        match self.log.as_ref() {
-            Some(log) => Envelope::WithFrontier { frontier: log.frontier(), inner: Box::new(env) },
+        match &self.recovery {
+            Some(r) => r.wrap(env),
             None => env,
         }
     }
 
-    fn send_bcast(&self, dest: BcastDest, msg: iabc_broadcast::BcastMsg, ctx: &mut Ctx<V>) {
-        match dest {
-            BcastDest::To(q) => ctx.send(q, self.wrap(Envelope::Bcast(msg))),
-            BcastDest::Others => ctx.send_to_others(self.wrap(Envelope::Bcast(msg))),
-        }
-    }
-
-    fn apply_bcast_out(&mut self, out: BcastOut, ctx: &mut Ctx<V>) {
+    /// Runs one broadcast-layer call, then sends its frames and R-delivers
+    /// what it delivered.
+    fn drive_bcast(&mut self, ctx: &mut Ctx<V>, call: impl FnOnce(&mut (dyn Broadcast + Send), &mut BcastOut)) {
+        let mut out = BcastOut::new();
+        call(self.bcast.as_mut(), &mut out);
         for (dest, msg) in out.sends {
-            self.send_bcast(dest, msg, ctx);
+            match dest {
+                BcastDest::To(q) => ctx.send(q, self.wrap(Envelope::Bcast(msg))),
+                BcastDest::Others => ctx.send_to_others(self.wrap(Envelope::Bcast(msg))),
+            }
         }
         for m in out.deliveries {
             self.rdeliver(m, ctx);
         }
     }
 
-    fn apply_fd_out(&mut self, out: FdOut, ctx: &mut Ctx<V>) {
+    /// Runs one failure-detector call at `now`, then sends its frames, arms
+    /// its timers and acts on its suspicions.
+    fn drive_fd(&mut self, ctx: &mut Ctx<V>, call: impl FnOnce(&mut (dyn FailureDetector + Send), Time, &mut FdOut)) {
+        let mut out = FdOut::new();
+        call(self.fd.as_mut(), ctx.now(), &mut out);
         for (dest, msg) in out.sends {
             match dest {
                 FdDest::To(q) => ctx.send(q, self.wrap(Envelope::Fd(msg))),
@@ -763,20 +338,9 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
                     self.suspected.insert(p);
                     // The broadcast layer may need to relay the suspect's
                     // messages (lazy reliable broadcast)...
-                    let mut bout = BcastOut::new();
-                    self.bcast.on_suspect(p, &mut bout);
-                    self.apply_bcast_out(bout, ctx);
+                    self.drive_bcast(ctx, |bcast, out| bcast.on_suspect(p, out));
                     // ...and waiting consensus instances may need to nack.
-                    let mut mout = MgrOut::new();
-                    {
-                        let oracle = NodeOracle {
-                            store: &self.store,
-                            check_store: self.check_store,
-                            cost_per_id: self.cost.rcv_check_per_id,
-                        };
-                        self.mgr.on_suspect(p, &oracle, self.suspected, &mut mout);
-                    }
-                    self.apply_mgr_out(mout, ctx);
+                    self.drive_mgr(ctx, |mgr, rcv, suspected, out| mgr.on_suspect(p, rcv, suspected, out));
                 }
                 FdEvent::Trust(p) => {
                     self.suspected.remove(p);
@@ -785,7 +349,20 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
         }
     }
 
-    fn apply_mgr_out(&mut self, out: MgrOut<V>, ctx: &mut Ctx<V>) {
+    /// Runs one consensus-manager call with the node's `rcv` oracle and
+    /// suspect set, then sends its frames and applies its decisions.
+    fn drive_mgr(
+        &mut self,
+        ctx: &mut Ctx<V>,
+        call: impl FnOnce(&mut InstanceManager<V, A>, &dyn RcvOracle<V>, ProcessSet, &mut MgrOut<V>),
+    ) {
+        let mut out = MgrOut::new();
+        let oracle = NodeOracle {
+            store: &self.store,
+            check_store: self.check_store,
+            cost_per_id: self.cost.rcv_check_per_id,
+        };
+        call(&mut self.mgr, &oracle, self.suspected, &mut out);
         ctx.work(out.work);
         for (k, dest, msg) in out.sends {
             if msg.is_refusal() {
@@ -803,33 +380,13 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
         }
     }
 
-    /// The window controller's backlog signal: unordered ids *minus* ids
-    /// already sitting in buffered (decided, not yet applied) decisions —
-    /// those are ordered work awaiting the in-order apply, not demand for
-    /// window slots, and counting them would inflate spill pressure
-    /// exactly during the out-of-order decision bursts the controller is
-    /// meant to ride out. Ids double-decided by an applied instance make
-    /// the subtraction conservative (never an overestimate).
-    fn backlog_signal(&self) -> usize {
-        let buffered: usize = self.decision_buffer.values().map(V::id_count).sum();
-        self.unordered.len().saturating_sub(buffered)
-    }
-
     /// Algorithm 1 lines 11–14: R-deliver.
     fn rdeliver(&mut self, m: AppMessage, ctx: &mut Ctx<V>) {
-        let id = m.id();
-        let broadcast_at = m.broadcast_at();
+        let (id, broadcast_at) = (m.id(), m.broadcast_at());
         if !self.store.insert(m) {
             return; // duplicate copies are possible across layers
         }
-        if id.sender() != self.me {
-            // First copy of a remote message: its broadcast → R-deliver
-            // time is one observation of the flood delay (queueing
-            // included — under load that is the dominant term, and exactly
-            // what the freshness gate must wait out).
-            self.flood_delay.observe(ctx.now().elapsed_since(broadcast_at).as_secs_f64());
-        }
-        self.newest_broadcast_at = self.newest_broadcast_at.max(broadcast_at);
+        self.policy.on_rdeliver(broadcast_at, id.sender() != self.me, ctx.now());
         if !self.ordered_ever.contains(id) {
             self.unordered.insert(id);
         }
@@ -841,33 +398,22 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
     /// Algorithm 1 lines 15–18, generalized to a pipeline: keep proposing
     /// consecutive instances while the window has room and there are
     /// unordered identifiers not already claimed by an in-flight proposal.
-    ///
-    /// Proposals are capped at `max_proposal_ids` identifiers; the
-    /// remainder stays in `unordered` and *spills* into the next instance
-    /// (this loop, or a later window slot). The cap bounds the per-message
-    /// `rcv()` cost at saturation — uncapped, a wedged CPU grows proposals
-    /// without limit and every consensus message gets costlier to check,
-    /// the death spiral the static sweep shows at `W=1, B=1`.
+    /// Which of them go into the proposal is the policy's call; the rest
+    /// stay in `unordered` for a later instance.
     fn maybe_propose(&mut self, ctx: &mut Ctx<V>) {
         if self.learner {
             return; // learners never propose; they only consume decisions
         }
-        loop {
-            if self.in_flight.len() >= self.controller.current() {
-                // A full window with a spilling backlog is the signal to
-                // widen it (see [`WindowController::on_spill`]); if the
-                // controller grows, keep proposing into the new slots.
-                self.controller.on_spill(self.backlog_signal());
-                if self.in_flight.len() >= self.controller.current() {
-                    return;
-                }
-            }
+        while self
+            .policy
+            .has_room(self.in_flight.len(), || backlog_signal(&self.unordered, &self.decision_buffer))
+        {
             // Ids already riding an in-flight instance are spoken for, and
             // ids in a buffered (decided, not yet applied) decision are
             // already ordered; proposing either again would spend a whole
             // consensus round on ids the apply-time dedupe will skip.
             let mut candidate = self.unordered.clone();
-            for claimed in self.in_flight.values() {
+            for (claimed, _) in self.in_flight.values() {
                 candidate.subtract(claimed);
             }
             for decided in self.decision_buffer.values() {
@@ -876,124 +422,24 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
             if candidate.is_empty() {
                 return;
             }
-            // Freshness gate: an id younger than ~one flood delay is still
-            // mid-flood — a proposal naming it overtakes its own Data
-            // frames and the round burns on nacks from acceptors missing
-            // the payload. Keep such ids in `unordered` until they mature.
-            // Skip the per-id scan when even the newest message ever
-            // R-delivered is already mature — under a deep backlog the
-            // candidates are old, and this makes the gate O(1) in steady
-            // state.
-            if let Some(threshold) = self
-                .freshness_threshold()
-                .filter(|&t| self.newest_broadcast_at + t > ctx.now())
-            {
-                let now = ctx.now();
-                let mut earliest_fresh: Option<Time> = None;
-                let mut mature: Vec<MsgId> = Vec::with_capacity(candidate.len());
-                for id in candidate.iter() {
-                    // Ids in `unordered` always have their message in the
-                    // store (rdeliver inserts there first); treat a missing
-                    // entry as mature rather than stranding the id.
-                    let Some(m) = self.store.get(id) else {
-                        mature.push(id);
-                        continue;
-                    };
-                    let ready_at = m.broadcast_at() + threshold;
-                    if ready_at <= now {
-                        mature.push(id);
-                    } else {
-                        earliest_fresh =
-                            Some(earliest_fresh.map_or(ready_at, |t| t.min(ready_at)));
-                    }
-                }
-                if mature.is_empty() {
-                    // Every candidate is mid-flood: do not burn a round —
-                    // wake up when the earliest one matures (nothing else
-                    // is guaranteed to re-trigger proposing).
-                    //
-                    // Liveness audit of the one-shot wake-up: `on_timer`
-                    // clears `propose_timer_armed` *before* re-running this
-                    // function, so when the flood-delay estimate grew since
-                    // arming and the candidates are *still* all-fresh at
-                    // fire time, this branch re-arms for the new, later
-                    // maturity instant — the gate never strands an
-                    // ungated-but-unproposed backlog waiting for unrelated
-                    // traffic. (The only no-re-arm exit above is a full
-                    // window, and a full window guarantees a future
-                    // `apply_decision` → `maybe_propose` re-evaluation.)
-                    // Covered by `freshness_gate_rearms_when_estimate_grew`.
-                    if let Some(at) = earliest_fresh {
-                        self.arm_propose_timer(at, ctx);
+            let proposal = match self.policy.select(candidate, &self.store, ctx.now()) {
+                Selection::Propose(ids) => V::from_unordered(&ids, &self.store),
+                Selection::Defer(wake) => {
+                    if let Some(at) = wake {
+                        let delay = at.elapsed_since(ctx.now()).max(Duration::from_micros(1));
+                        ctx.set_timer(delay, TimerId::new(TIMER_PROPOSE, 0));
                     }
                     return;
                 }
-                let held = candidate.len() - mature.len();
-                if held > 0 {
-                    self.freshness_held += held as u64;
-                    candidate = IdSet::from_ids(mature);
-                }
-            }
-            if candidate.len() > self.max_proposal_ids {
-                // Take the *oldest* ids first, round-robin across senders
-                // (order by (seq, sender), not the set's (sender, seq)
-                // order): old ids have had time to flood, so acceptors
-                // hold them and `rcv` passes in one round, and no sender
-                // is starved by the cap. Deterministic, so every process
-                // slices a shared backlog the same way. Partition-select
-                // rather than sort: the backlog can be enormous exactly
-                // when the cap matters.
-                let mut oldest: Vec<MsgId> = candidate.iter().collect();
-                let cap = self.max_proposal_ids;
-                oldest.select_nth_unstable_by_key(cap - 1, |id| (id.seq(), id.sender()));
-                oldest.truncate(cap);
-                candidate = IdSet::from_ids(oldest);
-                self.cap_hits += 1;
-            }
+            };
             self.proposed_hi += 1;
             let k = self.proposed_hi;
-            let proposal = V::from_unordered(&candidate, &self.store);
             ctx.work(self.cost.propose_per_id * proposal.id_count() as u64);
-            self.in_flight.insert(k, proposal.ids());
-            let mut mout = MgrOut::new();
-            {
-                let oracle = NodeOracle {
-                    store: &self.store,
-                    check_store: self.check_store,
-                    cost_per_id: self.cost.rcv_check_per_id,
-                };
-                self.mgr.propose(k, proposal, &oracle, self.suspected, &mut mout);
-            }
-            self.mgr.note_proposed(k, ctx.now());
+            self.in_flight.insert(k, (proposal.ids(), ctx.now()));
             // May recurse into handle_decision (an instance can decide
             // immediately); the loop re-reads window occupancy afterwards.
-            self.apply_mgr_out(mout, ctx);
+            self.drive_mgr(ctx, |mgr, rcv, suspected, out| mgr.propose(k, proposal, rcv, suspected, out));
         }
-    }
-
-    /// The age below which a candidate id counts as still mid-flood:
-    /// [`FRESHNESS_FACTOR`] × the node's measured flood delay. `None`
-    /// while the gate is disabled or the estimate has not warmed up — no
-    /// exclusions then.
-    fn freshness_threshold(&self) -> Option<Duration> {
-        if !self.proposal_freshness {
-            return None;
-        }
-        (self.flood_delay.warmed(FRESHNESS_WARMUP))
-            .then(|| Duration::from_secs_f64(FRESHNESS_FACTOR * self.flood_delay.value()))
-    }
-
-    /// Arms the freshness gate's re-propose wake-up for time `at`. At most
-    /// one is in flight — a pending wake-up re-evaluates every candidate,
-    /// so a second timer would be redundant, and letting the earlier one
-    /// fire first only delays a gated id by less than one flood delay.
-    fn arm_propose_timer(&mut self, at: Time, ctx: &mut Ctx<V>) {
-        if self.propose_timer_armed {
-            return;
-        }
-        self.propose_timer_armed = true;
-        let delay = at.elapsed_since(ctx.now()).max(Duration::from_micros(1));
-        ctx.set_timer(delay, TimerId::new(TIMER_PROPOSE, 0));
     }
 
     /// Routes a decision for instance `k`: stale or duplicate decisions are
@@ -1005,7 +451,6 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
     /// silently corrupt the ordering state — with real routing.
     fn handle_decision(&mut self, k: u64, v: V, ctx: &mut Ctx<V>) {
         if k < self.next_apply || self.decision_buffer.contains_key(&k) {
-            self.stale_decisions += 1;
             return;
         }
         self.decision_buffer.insert(k, v);
@@ -1020,8 +465,8 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
     /// Algorithm 1 lines 18–21: applies the decision of instance `k`
     /// (callers guarantee `k` is exactly the next instance in order).
     fn apply_decision(&mut self, k: u64, v: V, ctx: &mut Ctx<V>) {
-        let window_was_full = self.in_flight.len() >= self.controller.current();
-        self.in_flight.remove(&k);
+        let window_was_full = self.in_flight.len() >= self.window();
+        let proposed_at = self.in_flight.remove(&k).map(|(_, at)| at);
         // Full-message values teach us payloads we may not have R-delivered
         // yet (and in the classic reduction, this is the only way a slow
         // process learns them in time).
@@ -1040,37 +485,23 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
             // process applies decisions in the same order and skips the
             // duplicate here, so the total order stays identical.
         }
-        if self.log.is_some() {
-            // A decision may reach us through catch-up for an instance we
-            // never proposed (laggard or restarted node): proposing below
-            // an applied instance would permanently leak that in-flight
-            // slot, so keep the propose cursor at or above the apply
-            // cursor. Catch-up-off nodes never apply unproposed-by-anyone
-            // instances out from under their own cursor, so gating this on
-            // the log keeps their event sequences bit-identical.
+        if let Some(r) = self.recovery.as_mut() {
+            // Catch-up can apply an instance we never proposed; proposing
+            // below an applied instance would leak that in-flight slot for
+            // good, so the propose cursor follows the apply cursor. (Gated
+            // on recovery: catch-up-off event sequences stay as they were.)
             self.proposed_hi = self.proposed_hi.max(k);
-            // Log the instance once its deliveries finish (remaining = 0
-            // completes immediately for an all-duplicates decision).
-            self.pending_log.push_back(PendingLogEntry {
-                k,
-                value: v,
-                remaining: newly_ordered,
-                payloads: Vec::with_capacity(newly_ordered),
-            });
+            r.queue(k, v, newly_ordered);
         }
         self.try_deliver(ctx);
-        // Feed the window controller before proposing again, so the next
-        // round of proposals sees the adapted window.
-        let latency = self.mgr.decision_latency(k, ctx.now());
-        if let Some(l) = latency {
-            self.decision_latency_total += l;
-            self.decision_latency_count += 1;
-        }
-        let backlog = self.backlog_signal();
-        self.controller.on_decision(k, self.proposed_hi, latency, backlog, window_was_full);
+        // Feed the policy before proposing again, so the next round of
+        // proposals sees the adapted window.
+        let latency = proposed_at.map(|at| ctx.now().elapsed_since(at));
+        let backlog = backlog_signal(&self.unordered, &self.decision_buffer);
+        self.policy.on_decision(k, self.proposed_hi, latency, backlog, window_was_full);
         // Bound the manager's footprint: old decided instances only serve
         // stragglers and relays on suspicion.
-        let keep = KEEP_DECIDED_INSTANCES.max(self.controller.bounds().1 as u64);
+        let keep = KEEP_DECIDED_INSTANCES.max(self.window_bounds().1 as u64);
         self.mgr.gc_decided_below(self.next_apply, keep);
         self.maybe_propose(ctx);
     }
@@ -1082,61 +513,27 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
             let Some(msg) = self.store.take(head) else { break };
             self.ordered.pop_front();
             self.delivered_count += 1;
-            if self.log.is_some() {
-                // Deliveries drain in instance order, so this delivery
-                // belongs to the oldest applied instance that still has
-                // ids outstanding (entries at zero are merely waiting for
-                // their turn to be appended contiguously).
-                if let Some(p) = self.pending_log.iter_mut().find(|p| p.remaining > 0) {
-                    p.remaining -= 1;
-                    p.payloads.push(msg.clone());
-                }
+            if let Some(r) = self.recovery.as_mut() {
+                r.delivered(&msg);
             }
             ctx.output(AbcastEvent::Delivered { msg });
         }
-        self.drain_completed_log();
-    }
-
-    /// Appends every fully delivered instance at the front of
-    /// `pending_log` to the decided log, preserving contiguity.
-    fn drain_completed_log(&mut self) {
-        let Some(log) = self.log.as_mut() else { return };
-        while self.pending_log.front().is_some_and(|p| p.remaining == 0) {
-            let Some(p) = self.pending_log.pop_front() else { break };
-            // Own broadcasts ordered by this instance are now self-contained
-            // in the log entry: drop them from the pending set. Clearing
-            // only here (not at decision time) keeps the window closed — a
-            // crash between decision and append still re-floods.
-            if let Some(pending) = self.pending.as_mut() {
-                for id in p.value.ids().iter() {
-                    if id.sender() == self.me {
-                        pending.settle(id);
-                    }
-                }
-            }
-            log.append(DecidedEntry { k: p.k, value: p.value, payloads: p.payloads });
+        if let Some(r) = self.recovery.as_mut() {
+            r.drain_completed(self.me);
         }
     }
 
-    /// Restart path: rebuilds ordering state from a reloaded decided log.
-    ///
-    /// The logged prefix was a-delivered before the crash (entries are only
-    /// appended once every id in the instance has been delivered), so it is
-    /// **not** re-delivered: the apply cursor jumps past the frontier and
-    /// the logged ids enter `ordered_ever` so later decisions and RB
-    /// arrivals treat them as already ordered — and the store's delivered
-    /// set, so an old copy re-flooded at the fresh RB layer of this
-    /// incarnation is refused instead of held for ever. `next_seq` resumes
-    /// past the highest own-sender sequence in the log so reused ids are
-    /// impossible.
-    fn recover_from_log(&mut self) {
-        let Some(log) = self.log.as_mut() else { return };
-        log.reload();
-        let frontier = log.frontier();
-        if frontier == 0 {
-            return;
-        }
-        for e in log.range(1, frontier) {
+    /// Restart path: rebuilds the ordering state from the reloaded decided
+    /// log and returns the pending broadcasts to flood afresh. The logged
+    /// prefix was a-delivered before the crash, so it is not re-delivered:
+    /// its ids count as ordered *and* delivered (an old copy re-flooded to
+    /// this incarnation's fresh RB layer is refused), the apply cursor
+    /// jumps past it, and `next_seq` past every own id in the log and the
+    /// pending set, so no id is reused.
+    fn recover(&mut self) -> Vec<AppMessage> {
+        let Some(r) = self.recovery.as_mut() else { return Vec::new() };
+        let logged = r.reload_log();
+        for e in logged {
             for id in e.value.ids().iter() {
                 self.ordered_ever.insert(id);
                 self.store.mark_delivered(id);
@@ -1145,183 +542,28 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
                 }
             }
         }
-        self.next_apply = frontier.saturating_add(1);
-        self.proposed_hi = self.proposed_hi.max(frontier);
+        if let Some(last) = logged.last() {
+            self.next_apply = last.k.saturating_add(1);
+            self.proposed_hi = self.proposed_hi.max(last.k);
+        }
+        let live = r.restart_pending(&self.ordered_ever);
+        for m in live.iter().filter(|m| m.id().sender() == self.me) {
+            self.next_seq = self.next_seq.max(m.id().seq().saturating_add(1));
+        }
+        live
     }
 
-    /// Restart path, part two (after [`AbcastNode::recover_from_log`]):
-    /// reloads the pending set, resumes `next_seq` past every pending id
-    /// (the pending journal can be ahead of the decided log), clears
-    /// entries whose instance already made it into the reloaded log, and
-    /// re-floods the rest. The old incarnation's RB state died with it, so
-    /// `broadcast` floods afresh; receivers dedupe by id, making the
-    /// re-flood idempotent.
-    fn recover_pending(&mut self, ctx: &mut Ctx<V>) {
-        let entries = {
-            let Some(pending) = self.pending.as_mut() else { return };
-            pending.reload();
-            pending.entries().to_vec()
-        };
-        if entries.is_empty() {
-            return;
-        }
-        for m in &entries {
-            let id = m.id();
-            if id.sender() == self.me {
-                self.next_seq = self.next_seq.max(id.seq().saturating_add(1));
-            }
-        }
-        let (logged, live): (Vec<AppMessage>, Vec<AppMessage>) = entries
-            .into_iter()
-            .partition(|m| self.ordered_ever.contains(m.id()));
-        if let Some(pending) = self.pending.as_mut() {
-            // The previous incarnation crashed between appending the
-            // instance and clearing its pending entries: finish the job.
-            for m in logged {
-                pending.settle(m.id());
-            }
-        }
-        for m in live {
-            self.pending_refloods += 1;
-            let mut bout = BcastOut::new();
-            self.bcast.broadcast(m, &mut bout);
-            self.apply_bcast_out(bout, ctx);
-        }
-    }
-
-    /// Re-floods every pending broadcast not yet ordered, as direct RB
-    /// relay frames (the live RB layer has already seen these ids, so
-    /// `broadcast` would no-op). Called when a catch-up episode settles:
-    /// a node that just healed from a partition repairs any payload its
-    /// peers shed while it was unreachable. Receivers dedupe by id.
-    fn reflood_pending(&mut self, ctx: &mut Ctx<V>) {
-        let msgs: Vec<AppMessage> = match self.pending.as_ref() {
-            Some(p) => p
-                .entries()
-                .iter()
-                .filter(|m| !self.ordered_ever.contains(m.id()))
-                .cloned()
-                .collect(),
-            None => return,
-        };
-        for m in msgs {
-            self.pending_refloods += 1;
-            let relay = self.wrap(Envelope::Bcast(iabc_broadcast::BcastMsg::Relay(m)));
-            ctx.send_to_others(relay);
-        }
-    }
-
-    /// Records a peer's piggybacked frontier and starts catching up if it
-    /// proves the peer holds instances we have not applied.
-    fn note_peer_frontier(&mut self, from: ProcessId, frontier: u64, ctx: &mut Ctx<V>) {
-        if self.log.is_none() {
-            return; // catch-up off: tolerate the wrapper, ignore the hint
-        }
-        let known = self.peer_frontiers.entry(from).or_insert(0);
-        *known = (*known).max(frontier);
-        self.maybe_catch_up(ctx);
-    }
-
-    /// Issues a catch-up request when some peer has a-delivered instances
-    /// we have not — its frontier against ours, like with like — and no
-    /// request is outstanding. An instance we have applied but cannot
-    /// deliver (its decision reached us, a payload did not) counts as
-    /// missing: the reply's entry carries the payloads. Deterministic peer
-    /// choice: the highest advertised frontier, ties to the smallest
-    /// process id.
-    ///
-    /// A peer that is ahead by no more than our window proves nothing: a
-    /// decision is announced once, by its decider, so a third process that
-    /// already delivered it routinely shows a frontier covering instances
-    /// whose `Decide` (or payload) is still on its way to us. Such a lead
-    /// gets one [`CATCH_UP_RETRY`] to close by itself; only if our frontier
-    /// has not moved by then is the request sent. A lead past the window
-    /// is real lag and is requested at once — as is any lead at a learner,
-    /// which has no other source of decisions. (The wait holds
-    /// `catch_up_inflight`, so a lead that grows past the window *during*
-    /// it is requested when it ends: at most 25 ms late.)
-    fn maybe_catch_up(&mut self, ctx: &mut Ctx<V>) {
-        let Some(log) = self.log.as_ref() else { return };
-        if self.catch_up_inflight {
-            return;
-        }
-        let from_k = log.frontier().saturating_add(1);
-        let best = self
-            .peer_frontiers
-            .iter()
-            .filter(|&(_, &f)| f >= from_k)
-            .max_by_key(|&(&p, &f)| (f, std::cmp::Reverse(p)));
-        let Some((&peer, &frontier)) = best else { return };
-        let window = self.controller.current() as u64;
-        if frontier - from_k < window
-            && !self.learner
-            && self.catch_up_waited_at != Some(from_k)
-        {
-            self.catch_up_waited_at = Some(from_k);
-            self.arm_catch_up_timer(CATCH_UP_RETRY, ctx);
-            return;
-        }
-        // Checked instance math throughout the catch-up range plumbing: a
-        // wrapped bound would re-request the wrong range forever.
-        let to_k = frontier.min(from_k.saturating_add(CATCH_UP_BATCH - 1));
-        self.catch_up_requests += 1;
-        let req = self.wrap(Envelope::CatchUpRequest { from_k, to_k });
-        ctx.send(peer, req);
-        self.arm_catch_up_retry(ctx);
-    }
-
-    /// Marks a request outstanding and arms its retry timer (tagged with
-    /// a fresh epoch so stale timers are inert). Each arming doubles the
-    /// next retry delay up to [`CATCH_UP_RETRY_MAX`] — consecutive
-    /// unanswered requests back off exponentially instead of hammering an
-    /// unreachable peer; [`AbcastNode::absorb_catch_up`] resets the delay.
-    fn arm_catch_up_retry(&mut self, ctx: &mut Ctx<V>) {
-        self.arm_catch_up_timer(self.catch_up_retry, ctx);
-        self.catch_up_retry = (self.catch_up_retry * 2).min(CATCH_UP_RETRY_MAX);
-    }
-
-    /// Blocks further requests until the catch-up timer armed here fires
-    /// (or a reply settles things first), under a fresh epoch.
-    fn arm_catch_up_timer(&mut self, delay: Duration, ctx: &mut Ctx<V>) {
-        self.catch_up_inflight = true;
-        self.catch_up_epoch = self.catch_up_epoch.wrapping_add(1);
-        ctx.set_timer(delay, TimerId::new(TIMER_CATCHUP, self.catch_up_epoch));
-    }
-
-    /// Serves a peer's catch-up request from the decided log, clamped to
-    /// what we hold and to [`CATCH_UP_BATCH`]. Always answers (possibly
-    /// with an empty batch): the reply clears the requester's outstanding
-    /// flag promptly and its wrapper carries our frontier.
-    fn serve_catch_up(&mut self, from: ProcessId, from_k: u64, to_k: u64, ctx: &mut Ctx<V>) {
-        let entries: Vec<DecidedEntry<V>> = match self.log.as_ref() {
-            Some(log) => {
-                let hi = to_k.min(from_k.saturating_add(CATCH_UP_BATCH - 1));
-                log.range(from_k, hi).to_vec()
-            }
-            None => Vec::new(), // catch-up off here; answer empty, not silence
-        };
-        let reply = self.wrap(Envelope::CatchUpReply { entries });
-        ctx.send(from, reply);
-    }
-
-    /// Applies a batch of caught-up entries through the normal decision
-    /// path (`handle_decision` buffers, dedupes, and applies strictly in
-    /// instance order — there is no second apply path), then keeps
-    /// fetching if still behind the best-known frontier.
+    /// Applies a catch-up reply's entries through the normal decision path
+    /// (`handle_decision` buffers, dedupes, and applies strictly in
+    /// instance order — there is no second apply path), then hands the
+    /// settled request back to recovery.
     fn absorb_catch_up(&mut self, entries: Vec<DecidedEntry<V>>, ctx: &mut Ctx<V>) {
-        if self.log.is_none() {
+        if self.recovery.is_none() {
             return;
         }
-        // This reply settles the outstanding request; bump the epoch so
-        // its retry timer (still scheduled) cannot re-request. The peer is
-        // answering again: restart the retry backoff from its base.
-        self.catch_up_inflight = false;
-        self.catch_up_epoch = self.catch_up_epoch.wrapping_add(1);
-        self.catch_up_retry = CATCH_UP_RETRY;
+        let mut ahead = 0;
         for e in entries {
-            if e.k >= self.next_apply {
-                self.caught_up_entries += 1;
-            }
+            ahead += u64::from(e.k >= self.next_apply);
             // Store the payloads directly: `rdeliver` would feed the
             // flood-delay EWMA and the `unordered` candidate set, but
             // these messages are already ordered — they must influence
@@ -1334,12 +576,10 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
         // An entry we had applied already may have brought the payload its
         // deliveries were waiting for.
         self.try_deliver(ctx);
-        // A settling catch-up episode is the "I was behind and healed"
-        // signal: repair any accepted broadcast whose payload flood may
-        // have been shed while this node was unreachable. Pending sets are
-        // empty in healthy runs, so this is free there.
-        self.reflood_pending(ctx);
-        self.maybe_catch_up(ctx);
+        let window = self.window();
+        if let Some(r) = self.recovery.as_mut() {
+            r.on_reply(ahead, &self.ordered_ever, window, ctx);
+        }
     }
 }
 
@@ -1349,29 +589,21 @@ impl<V: OrderingValue, A: SingleConsensus<V>> Node for AbcastNode<V, A> {
     type Output = AbcastEvent;
 
     fn on_start(&mut self, ctx: &mut Ctx<V>) {
-        self.recover_from_log();
-        self.recover_pending(ctx);
+        for m in self.recover() {
+            self.drive_bcast(ctx, |bcast, out| bcast.broadcast(m, out));
+        }
         // Learners send no heartbeats. Peers that know the learner set
         // (StackParams::with_learner_set) exclude them from suspicion,
         // rotation and quorums natively; peers that don't will suspect
         // the silent replica, which still rotates coordination past it —
         // just after a wasted suspicion timeout.
         if !self.learner {
-            let mut fout = FdOut::new();
-            self.fd.on_start(ctx.now(), &mut fout);
-            self.apply_fd_out(fout, ctx);
+            self.drive_fd(ctx, |fd, now, out| fd.on_start(now, out));
         }
-        // Bootstrap probe: on a quiet cluster no frames flow, so a
-        // restarted (or freshly started) catch-up node would never see a
-        // peer frontier. One broadcast request primes `peer_frontiers`
-        // from the wrapped replies and fetches any backlog immediately.
-        if self.log.is_some() && ctx.n() > 1 {
-            let from_k = self.next_apply;
-            let to_k = from_k.saturating_add(CATCH_UP_BATCH - 1);
-            self.catch_up_requests += 1;
-            let req = self.wrap(Envelope::CatchUpRequest { from_k, to_k });
-            ctx.send_to_others(req);
-            self.arm_catch_up_retry(ctx);
+        if ctx.n() > 1 {
+            if let Some(r) = self.recovery.as_mut() {
+                r.probe(self.next_apply, ctx);
+            }
         }
     }
 
@@ -1383,53 +615,36 @@ impl<V: OrderingValue, A: SingleConsensus<V>> Node for AbcastNode<V, A> {
         let id = MsgId::new(self.me, self.next_seq);
         self.next_seq += 1;
         let m = AppMessage::new(id, payload, ctx.now());
-        // Record *before* flooding: once the application sees `Broadcast`,
-        // the payload must survive a crash until its instance is logged.
-        if let Some(pending) = self.pending.as_mut() {
-            pending.record(m.clone());
+        if let Some(r) = self.recovery.as_mut() {
+            r.record(&m);
         }
         ctx.output(AbcastEvent::Broadcast { id });
         // Algorithm 1 line 8: R-broadcast(m).
-        let mut bout = BcastOut::new();
-        self.bcast.broadcast(m, &mut bout);
-        self.apply_bcast_out(bout, ctx);
+        self.drive_bcast(ctx, |bcast, out| bcast.broadcast(m, out));
     }
 
     fn on_message(&mut self, from: ProcessId, msg: Envelope<V>, ctx: &mut Ctx<V>) {
         match msg {
-            Envelope::Bcast(b) => {
-                let mut bout = BcastOut::new();
-                self.bcast.on_message(from, b, &mut bout);
-                self.apply_bcast_out(bout, ctx);
-            }
+            Envelope::Bcast(b) => self.drive_bcast(ctx, |bcast, out| bcast.on_message(from, b, out)),
             Envelope::Cons { k, msg } => {
                 if self.learner {
                     return; // learners take no part in consensus, not even relays
                 }
-                let mut mout = MgrOut::new();
-                {
-                    let oracle = NodeOracle {
-                        store: &self.store,
-                        check_store: self.check_store,
-                        cost_per_id: self.cost.rcv_check_per_id,
-                    };
-                    self.mgr.on_message(k, from, msg, &oracle, self.suspected, &mut mout);
-                }
-                self.apply_mgr_out(mout, ctx);
+                self.drive_mgr(ctx, |mgr, rcv, suspected, out| mgr.on_message(k, from, msg, rcv, suspected, out));
             }
-            Envelope::Fd(f) => {
-                let mut fout = FdOut::new();
-                self.fd.on_message(ctx.now(), from, f, &mut fout);
-                self.apply_fd_out(fout, ctx);
-            }
-            Envelope::CatchUpRequest { from_k, to_k } => {
-                self.serve_catch_up(from, from_k, to_k, ctx);
-            }
-            Envelope::CatchUpReply { entries } => {
-                self.absorb_catch_up(entries, ctx);
-            }
+            Envelope::Fd(f) => self.drive_fd(ctx, |fd, now, out| fd.on_message(now, from, f, out)),
+            Envelope::CatchUpRequest { from_k, to_k } => match &self.recovery {
+                Some(r) => r.serve(from, from_k, to_k, ctx),
+                // Catch-up off here: answer empty, not silence.
+                None => ctx.send(from, Envelope::CatchUpReply { entries: Vec::new() }),
+            },
+            Envelope::CatchUpReply { entries } => self.absorb_catch_up(entries, ctx),
             Envelope::WithFrontier { frontier, inner } => {
-                self.note_peer_frontier(from, frontier, ctx);
+                // Catch-up off: tolerate the wrapper, ignore the hint.
+                let window = self.window();
+                if let Some(r) = self.recovery.as_mut() {
+                    r.note_frontier(from, frontier, window, ctx);
+                }
                 // Decode bounds nesting to one level, so this recursion
                 // cannot be driven deeper by remote input.
                 self.on_message(from, *inner, ctx);
@@ -1438,21 +653,19 @@ impl<V: OrderingValue, A: SingleConsensus<V>> Node for AbcastNode<V, A> {
     }
 
     fn on_timer(&mut self, timer: TimerId, ctx: &mut Ctx<V>) {
-        if timer.kind() == TIMER_FD {
-            let mut fout = FdOut::new();
-            self.fd.on_timer(ctx.now(), timer.data(), &mut fout);
-            self.apply_fd_out(fout, ctx);
-        } else if timer.kind() == TIMER_PROPOSE {
-            self.propose_timer_armed = false;
-            self.maybe_propose(ctx);
-        } else if timer.kind() == TIMER_CATCHUP {
-            // Epoch guard: only the retry timer of the *current*
-            // outstanding request may fire a re-request; replies bump the
-            // epoch, so timers from settled requests are inert.
-            if self.catch_up_inflight && timer.data() == self.catch_up_epoch {
-                self.catch_up_inflight = false;
-                self.maybe_catch_up(ctx);
+        match timer.kind() {
+            TIMER_FD => self.drive_fd(ctx, |fd, now, out| fd.on_timer(now, timer.data(), out)),
+            TIMER_PROPOSE => {
+                self.policy.on_wake();
+                self.maybe_propose(ctx);
             }
+            TIMER_CATCHUP => {
+                let window = self.window();
+                if let Some(r) = self.recovery.as_mut() {
+                    r.on_timer(timer.data(), window, ctx);
+                }
+            }
+            _ => {}
         }
     }
 }
@@ -1460,7 +673,10 @@ impl<V: OrderingValue, A: SingleConsensus<V>> Node for AbcastNode<V, A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decided::MemDecidedLog;
     use crate::msgset::MsgSet;
+    use crate::proposal::{WindowController, FRESHNESS_FACTOR, FRESHNESS_WARMUP};
+    use crate::recovery::{CATCH_UP_RETRY, CATCH_UP_RETRY_MAX};
     use crate::stacks::{self, StackParams};
     use iabc_broadcast::{BcastMsg, EagerRb};
     use iabc_consensus::{ConsMsg, CtConsensus, CtIndirect, RcvOracle};
@@ -1590,8 +806,9 @@ mod tests {
         // relay): it must be dropped wholesale, not applied to the current
         // instance's state.
         let ghost = IdSet::from_ids([msg(2, 9).id()]);
+        c.take_actions();
         node.handle_decision(1, ghost, &mut c);
-        assert_eq!(node.stale_decisions(), 1);
+        assert!(c.take_actions().is_empty(), "stale decision must emit nothing");
         assert_eq!(node.delivered_count(), 1, "stale decision must not deliver");
         assert_eq!(node.instance(), 1, "stale decision must not trigger proposals");
         assert_eq!(node.ordered_pending(), 0);
@@ -1603,8 +820,13 @@ mod tests {
         deliver_data(&mut node, 1, msg(1, 1), &mut c);
         node.handle_decision(2, IdSet::from_ids([msg(1, 1).id()]), &mut c);
         node.handle_decision(2, IdSet::from_ids([msg(2, 7).id()]), &mut c);
-        assert_eq!(node.stale_decisions(), 1, "duplicate buffered decision dropped");
         assert_eq!(node.buffered_decisions(), 1);
+        // Instance 1 releases the buffered instance 2 as first decided:
+        // the duplicate's id is never ordered, let alone delivered.
+        c.take_actions();
+        node.handle_decision(1, IdSet::from_ids([msg(1, 0).id()]), &mut c);
+        assert_eq!(delivered_ids(&mut c), vec![msg(1, 0).id(), msg(1, 1).id()]);
+        assert_eq!(node.ordered_pending(), 0, "duplicate buffered decision dropped");
     }
 
     #[test]
@@ -1789,6 +1011,11 @@ mod tests {
         let (sum, count) = node.decision_latency_stats();
         assert_eq!(count, 1);
         assert_eq!(sum, Duration::from_millis(4));
+        // Instance 2 was never proposed here: applying its decision has no
+        // latency to report.
+        c.set_now(Time::ZERO + Duration::from_millis(9));
+        node.handle_decision(2, IdSet::from_ids([msg(2, 0).id()]), &mut c);
+        assert_eq!(node.decision_latency_stats(), (Duration::from_millis(4), 1));
     }
 
     #[test]
@@ -1860,7 +1087,7 @@ mod tests {
         let delay = Duration::from_millis(20);
         let now = Time::ZERO + Duration::from_millis(100);
         let next = warm_flood_ewma(&mut node, &mut c, now, delay);
-        let est = node.flood_delay_estimate().expect("estimate warmed");
+        let est = node.policy.flood_delay_estimate().expect("estimate warmed");
         assert!(
             est.as_nanos().abs_diff(delay.as_nanos()) <= 1_000,
             "constant observations must converge to the delay, got {est}"
@@ -1875,7 +1102,7 @@ mod tests {
         assert_eq!(node.unordered_len(), 1, "gated id stays in unordered");
         // The age-zero delivery itself fed the EWMA, so the wake-up uses
         // the *updated* estimate.
-        let est = node.flood_delay_estimate().expect("still warmed");
+        let est = node.policy.flood_delay_estimate().expect("still warmed");
         let (tdelay, timer) = armed_timer(&mut c, TIMER_PROPOSE);
         let threshold = Duration::from_secs_f64(FRESHNESS_FACTOR * est.as_secs_f64());
         assert!(
@@ -1942,7 +1169,7 @@ mod tests {
         let mut node = test_node_with(cfg);
         let mut c = ctx();
         c.set_now(now);
-        assert!(node.flood_delay_estimate().is_none());
+        assert!(node.policy.flood_delay_estimate().is_none());
         deliver_data(&mut node, 1, msg_at(1, 0, now), &mut c);
         assert_eq!(node.instance(), 1, "cold gate must not defer proposals");
     }
@@ -2085,6 +1312,11 @@ mod tests {
 
     fn catchup_node() -> AbcastNode<IdSet, CtConsensus<IdSet>> {
         test_node_with(PipelineConfig { catch_up: true, ..PipelineConfig::fixed(1) })
+    }
+
+    /// A catch-up node's recovery component.
+    fn recovery(node: &AbcastNode<IdSet, CtConsensus<IdSet>>) -> &Recovery<IdSet> {
+        node.recovery.as_ref().expect("catch-up is on")
     }
 
     /// Drains the context and returns every `(to, msg)` send.
@@ -2369,17 +1601,15 @@ mod tests {
     fn pending_set_tracks_accept_to_log_lifecycle() {
         let mut node = catchup_node();
         let mut c = ctx();
-        assert_eq!(node.pending_broadcasts(), 0);
+        assert_eq!(recovery(&node).pending_broadcasts(), 0);
         node.on_command(AbcastCommand::Broadcast(Payload::zeroed(8)), &mut c);
-        assert_eq!(node.pending_broadcasts(), 1, "accepted broadcast is pending");
+        assert_eq!(recovery(&node).pending_broadcasts(), 1, "accepted broadcast is pending");
         // The instance ordering our id reaches the log: entry cleared.
         deliver_decide(&mut node, 1, IdSet::from_ids([MsgId::new(ProcessId::new(0), 0)]), &mut c);
         assert_eq!(node.decided_frontier(), 1);
-        assert_eq!(node.pending_broadcasts(), 0, "logged broadcast must clear");
+        assert_eq!(recovery(&node).pending_broadcasts(), 0, "logged broadcast must clear");
         // Without catch-up there is no pending tracking at all.
-        let mut plain = test_node(1);
-        plain.on_command(AbcastCommand::Broadcast(Payload::zeroed(8)), &mut c);
-        assert_eq!(plain.pending_broadcasts(), 0);
+        assert!(test_node(1).recovery.is_none());
     }
 
     #[test]
@@ -2392,7 +1622,7 @@ mod tests {
         node.set_pending_store(Box::new(store));
         let mut c = ctx();
         node.on_start(&mut c);
-        assert_eq!(node.pending_refloods(), 1);
+        assert_eq!(recovery(&node).pending_refloods(), 1);
         let reflooded = sends(&mut c).into_iter().any(|(_, m)| match m {
             Envelope::WithFrontier { inner, .. } => matches!(
                 *inner,
@@ -2420,8 +1650,8 @@ mod tests {
         node.set_pending_store(Box::new(store));
         let mut c = ctx();
         node.on_start(&mut c);
-        assert_eq!(node.pending_broadcasts(), 0, "logged entry must be cleared");
-        assert_eq!(node.pending_refloods(), 0, "logged entry must not re-flood");
+        assert_eq!(recovery(&node).pending_broadcasts(), 0, "logged entry must be cleared");
+        assert_eq!(recovery(&node).pending_refloods(), 0, "logged entry must not re-flood");
     }
 
     #[test]
@@ -2435,7 +1665,7 @@ mod tests {
         // still-pending broadcast is re-flooded as an RB relay.
         let entries = vec![log_entry(1, &[msg(1, 0)])];
         node.on_message(ProcessId::new(1), Envelope::CatchUpReply { entries }, &mut c);
-        assert_eq!(node.pending_refloods(), 1);
+        assert_eq!(recovery(&node).pending_refloods(), 1);
         let relayed = sends(&mut c).into_iter().any(|(_, m)| match m {
             Envelope::WithFrontier { inner, .. } => matches!(
                 *inner,
@@ -2505,8 +1735,9 @@ mod tests {
         let bid = broadcast_id(&mut c);
         assert_eq!(bid, MsgId::new(ProcessId::new(0), 1));
         // A stale decision for a logged instance is dropped outright.
+        c.take_actions();
         node.handle_decision(1, IdSet::from_ids([msg(9, 9).id()]), &mut c);
-        assert_eq!(node.stale_decisions(), 1);
+        assert!(c.take_actions().is_empty(), "stale decision must emit nothing");
         // The next decision applies as instance 3 and extends the log.
         deliver_decide(&mut node, 3, IdSet::from_ids([msg(1, 5).id()]), &mut c);
         deliver_data(&mut node, 1, msg(1, 5), &mut c);

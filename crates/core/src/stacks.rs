@@ -11,7 +11,8 @@ use iabc_fd::{FailureDetector, HeartbeatFd, NeverSuspect};
 use iabc_types::{Duration, IdSet, ProcessId, ProcessSet};
 
 use crate::msgset::MsgSet;
-use crate::node::{AbcastNode, PipelineConfig};
+use crate::node::AbcastNode;
+use crate::proposal::PipelineConfig;
 use crate::store::{CostModel, OrderingValue};
 
 /// Which ◇S consensus family a stack uses.
@@ -150,23 +151,15 @@ impl StackParams {
         self
     }
 
-    /// Gates proposals on identifier freshness: ids younger than ~one
-    /// measured flood delay (the node's EWMA of RB delivery latency) are
-    /// excluded from proposals until they mature, so large proposal caps
-    /// stop reaching into ids whose Data frames the proposal would
-    /// overtake — the nack churn that forced the priority lane to run a
-    /// tight cap. Off by default; no behaviour change for any paper bin.
+    /// Gates proposals on identifier freshness (see
+    /// [`PipelineConfig::proposal_freshness`]). Off by default.
     pub fn with_proposal_freshness(mut self, on: bool) -> Self {
         self.pipeline.proposal_freshness = on;
         self
     }
 
-    /// Turns on the decided log and the catch-up protocol: the node keeps
-    /// an (in-memory by default — see `AbcastNode::set_decided_log` for
-    /// the durable one) append-only log of delivered instances, piggybacks
-    /// its decided frontier on every outbound frame, and range-fetches any
-    /// prefix a peer advertises past its own. Off by default; the
-    /// paper-figure bins stay byte-identical.
+    /// Turns on the decided log and the catch-up protocol (see
+    /// [`PipelineConfig::catch_up`]). Off by default.
     pub fn with_catch_up(mut self, on: bool) -> Self {
         self.pipeline.catch_up = on;
         self

@@ -28,13 +28,18 @@ pub const DETERMINISTIC_FILES: &[&str] =
 /// — a malformed frame must poison the connection, not the process.
 pub const REMOTE_INPUT_CRATES: &[&str] = &["net"];
 
-/// Individual files outside [`REMOTE_INPUT_CRATES`] that decode remote (or
-/// crash-torn on-disk) bytes: the envelope codec decodes every frame a
-/// peer sends — the catch-up request/reply paths included — and the
-/// durable decided log re-reads whatever prefix of its file survived a
-/// crash. Both must degrade, never panic (rule P1).
-pub const REMOTE_INPUT_FILES: &[&str] =
-    &["crates/core/src/envelope.rs", "crates/core/src/decided.rs"];
+/// Individual files outside [`REMOTE_INPUT_CRATES`] that act on remote (or
+/// crash-torn on-disk) input: the envelope codec decodes every frame a
+/// peer sends — the catch-up request/reply paths included — the durable
+/// decided log re-reads whatever prefix of its file survived a crash, and
+/// the recovery component acts on peer-chosen catch-up ranges, reply
+/// entries and piggybacked frontiers. All must degrade, never panic
+/// (rule P1).
+pub const REMOTE_INPUT_FILES: &[&str] = &[
+    "crates/core/src/envelope.rs",
+    "crates/core/src/decided.rs",
+    "crates/core/src/recovery.rs",
+];
 
 /// Wire-facing enums: a `match` whose patterns name these must not have a
 /// wildcard `_` arm (rule W1) — a new message type must be classified
@@ -760,14 +765,16 @@ fn f(b: bool, buf: &mut Vec<u8>) {\n\
     #[test]
     fn p1_covers_the_decode_files_outside_net() {
         // The envelope codec and the durable decided log decode remote /
-        // crash-torn bytes: a panic there takes the process down on input
-        // it does not control, exactly the hazard P1 exists for.
+        // crash-torn bytes, and recovery acts on peer-chosen ranges and
+        // entries: a panic there takes the process down on input it does
+        // not control, exactly the hazard P1 exists for.
         let src = "fn f(x: Option<u32>) { x.unwrap(); }\n";
         for file in REMOTE_INPUT_FILES {
             let f = lint_source(file, src);
             assert_eq!(f.iter().filter(|f| f.rule == "P1").count(), 1, "{file}: {f:?}");
         }
-        // The rest of `core` keeps its crate-level scope (no P1).
+        // The rest of `core` — the ordering core included — keeps its
+        // crate-level scope (no P1).
         assert!(lint_source("crates/core/src/node.rs", src).is_empty());
     }
 

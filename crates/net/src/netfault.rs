@@ -24,15 +24,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use iabc_types::{Duration, ProcessId};
-
-/// splitmix64 finalizer: a full-avalanche scramble of one 64-bit word.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+use iabc_types::{splitmix64, Duration, ProcessId};
 
 /// A symmetric partition window between two processes: the link is dead
 /// in both directions while `from <= now < until` (loop-relative time).

@@ -12,11 +12,11 @@
 //! loop started) as an explicit [`Duration`], so the whole schedule is a
 //! pure function of its inputs and the proptests in this file can sweep
 //! it without sleeping. Jitter is deterministic, keyed on
-//! `(seed, peer, attempt)` through the same splitmix64 finalizer the
-//! simulator's fault plan uses — two loops with the same seed retry on
-//! the same schedule.
+//! `(seed, peer, attempt)` through [`iabc_types::splitmix64`], the
+//! finalizer the simulator's fault plan uses — two loops with the same
+//! seed retry on the same schedule.
 
-use iabc_types::{Duration, ProcessId};
+use iabc_types::{splitmix64, Duration, ProcessId};
 
 /// Delay before the second attempt (the first is immediate); doubles per
 /// failure up to [`RECONNECT_CAP`].
@@ -26,14 +26,6 @@ pub(crate) const RECONNECT_BASE: Duration = Duration::from_millis(25);
 /// once a second, forever, so a healed partition is noticed promptly
 /// without hammering a dead address in the meantime.
 pub(crate) const RECONNECT_CAP: Duration = Duration::from_millis(1000);
-
-/// splitmix64 finalizer: a well-mixed u64 from a composite key.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// The raw (un-jittered) backoff before attempt `attempt` (0-based):
 /// `0` for the immediate first try, then `base·2^(attempt-1)` capped.
@@ -65,7 +57,7 @@ pub(crate) fn jittered_backoff(
         return Duration::from_nanos(0);
     }
     let half = raw / 2;
-    let key = mix(seed ^ mix(u64::from(peer.index()) ^ mix(attempt)));
+    let key = splitmix64(seed ^ splitmix64(u64::from(peer.index()) ^ splitmix64(attempt)));
     Duration::from_nanos(half + key % (raw - half + 1))
 }
 

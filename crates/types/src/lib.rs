@@ -41,3 +41,14 @@ pub use message::{AppMessage, MsgId, Payload};
 pub use process::{ProcessId, ProcessSet};
 pub use time::{Duration, Time};
 pub use wire::{Decode, Encode, TrafficClass, WireSize};
+
+/// splitmix64 finalizer: a full-avalanche scramble of one 64-bit word.
+/// Every seeded draw stream in the workspace — the simulator's link
+/// faults, the socket fault plan, reconnect jitter — keys on it, so a seed
+/// means the same thing everywhere.
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
