@@ -242,7 +242,9 @@ pub fn write_csv(file: &str, panel: &str, xlabel: &str, series: &[Series]) {
 /// [`iabc_workload::CI_SMOKE_SEED`] so that `BENCH_pipeline_sweep.json`
 /// artifacts are comparable run-to-run (CI's exactness check requires
 /// every smoke sim row verbatim in the committed baseline).
-/// The priority and recovery sweeps build on it.
+/// The priority and recovery sweeps build on it. All three run eager RB:
+/// they reproduce experiments calibrated at the eager-RB knee, just as the
+/// figure binaries name their `RbKind`.
 pub fn pipeline_sweep_spec(
     n: usize,
     offered: f64,
@@ -257,6 +259,7 @@ pub fn pipeline_sweep_spec(
     spec.warmup = Duration::from_millis(400);
     spec.drain = Duration::from_secs(3);
     spec.stack.cost = CostModel::setup1();
+    spec.stack.rb = RbKind::EagerN2;
     spec
 }
 

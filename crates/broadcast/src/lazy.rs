@@ -1,7 +1,7 @@
 //! Lazy reliable broadcast — O(n) messages in good runs, failure-detector
 //! triggered relays otherwise.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use iabc_types::{AppMessage, IdRanges, ProcessId};
 
@@ -15,7 +15,8 @@ use crate::{BcastDest, BcastMsg, BcastOut, Broadcast};
 /// *original broadcaster*, every process holding one of its messages relays
 /// it once to everybody, restoring the Agreement property of reliable
 /// broadcast (a correct process with a copy ensures everyone correct gets
-/// one).
+/// one). Suspicion is sticky: a broadcaster once suspected has every later
+/// message relayed too.
 ///
 /// This is the "Reliable broadcast in O(n) messages (when using a failure
 /// detector)" of Figures 6 and 7b — the variant under which indirect
@@ -24,16 +25,23 @@ use crate::{BcastDest, BcastMsg, BcastOut, Broadcast};
 pub struct LazyRb {
     /// Ids already delivered (per-sender ranges, O(senders)).
     seen: IdRanges,
-    /// Messages buffered per original broadcaster, for potential relay.
-    /// Still O(history): a copy may only be dropped once *every* process is
-    /// known to hold the message, which needs the collective delivered
-    /// frontier (ROADMAP, "snapshot + truncate").
-    by_sender: BTreeMap<ProcessId, Vec<AppMessage>>,
+    /// Copies buffered per original broadcaster for a possible relay,
+    /// sorted by sequence number: those not yet a-delivered everywhere,
+    /// plus the lag of the stability vector ([`Broadcast::on_stable`]).
+    /// A crashed process pins that vector, so from a crash on this grows.
+    by_sender: BTreeMap<ProcessId, VecDeque<AppMessage>>,
     /// Ids already relayed (relay at most once per process).
     relayed: IdRanges,
-    /// Broadcasters currently suspected; messages arriving from them later
-    /// are relayed immediately.
+    /// Broadcasters ever suspected; messages arriving from them later are
+    /// relayed immediately.
     suspected: BTreeSet<ProcessId>,
+}
+
+/// Relays `m` to everybody unless this process already did.
+fn relay(relayed: &mut IdRanges, m: &AppMessage, out: &mut BcastOut) {
+    if relayed.insert(m.id()) {
+        out.sends.push((BcastDest::Others, BcastMsg::Relay(m.clone())));
+    }
 }
 
 impl LazyRb {
@@ -47,21 +55,19 @@ impl LazyRb {
         }
     }
 
-    fn relay(&mut self, m: &AppMessage, out: &mut BcastOut) {
-        if self.relayed.insert(m.id()) {
-            out.sends.push((BcastDest::Others, BcastMsg::Relay(m.clone())));
-        }
-    }
-
     fn accept(&mut self, m: AppMessage, out: &mut BcastOut) {
         if !self.seen.insert(m.id()) {
             return;
         }
         let origin = m.id().sender();
         if self.suspected.contains(&origin) {
-            self.relay(&m, out);
+            relay(&mut self.relayed, &m, out);
         }
-        self.by_sender.entry(origin).or_default().push(m.clone());
+        // Kept sorted so `on_stable` drops a prefix. Copies mostly arrive
+        // in sequence order, and the insert is then a push at the back.
+        let held = self.by_sender.entry(origin).or_default();
+        let seq = m.id().seq();
+        held.insert(held.partition_point(|c| c.id().seq() < seq), m.clone());
         out.deliveries.push(m);
     }
 }
@@ -95,10 +101,20 @@ impl Broadcast for LazyRb {
             return;
         }
         // Relay everything we hold from the suspected broadcaster.
-        let msgs = self.by_sender.get(&p).cloned().unwrap_or_default();
-        for m in msgs {
-            self.relay(&m, out);
+        for m in self.by_sender.get(&p).into_iter().flatten() {
+            relay(&mut self.relayed, m, out);
         }
+    }
+
+    fn on_stable(&mut self, stable: &[u64]) {
+        for (sender, held) in &mut self.by_sender {
+            let floor = stable.get(sender.as_usize()).copied().unwrap_or(0);
+            held.drain(..held.partition_point(|m| m.id().seq() < floor));
+        }
+    }
+
+    fn retained(&self) -> Option<usize> {
+        Some(self.by_sender.values().map(VecDeque::len).sum())
     }
 
     fn name(&self) -> &'static str {
@@ -193,5 +209,76 @@ mod tests {
         rb.on_message(p(0), BcastMsg::Data(msg(0, 0)), &mut out);
         rb.on_message(p(1), BcastMsg::Relay(msg(0, 0)), &mut out);
         assert_eq!(out.deliveries.len(), 1);
+    }
+
+    /// Relayed `(sender, seq)` pairs in `out`, in send order.
+    fn relayed(out: &BcastOut) -> Vec<(u16, u64)> {
+        out.sends
+            .iter()
+            .map(|(_, m)| (m.app_message().id().sender().index(), m.app_message().id().seq()))
+            .collect()
+    }
+
+    /// `rb` after R-delivering sender 1's `seqs` and sender 2's 0..3.
+    fn holding(seqs: &[u64]) -> LazyRb {
+        let mut rb = LazyRb::new();
+        let mut out = BcastOut::new();
+        for &seq in seqs {
+            rb.on_message(p(1), BcastMsg::Data(msg(1, seq)), &mut out);
+        }
+        for seq in 0..3 {
+            rb.on_message(p(2), BcastMsg::Data(msg(2, seq)), &mut out);
+        }
+        rb
+    }
+
+    #[test]
+    fn on_stable_drops_exactly_the_copies_below_the_vector() {
+        // Sender 1's copies arrive out of order, with a gap at 4.
+        let mut rb = holding(&[1, 0, 3, 5, 2]);
+        assert_eq!(rb.retained(), Some(8));
+        rb.on_stable(&[9, 3, 0]);
+        let held = |rb: &LazyRb, s| -> Vec<u64> {
+            rb.by_sender[&p(s)].iter().map(|m| m.id().seq()).collect()
+        };
+        assert_eq!(held(&rb, 1), vec![3, 5], "0, 1 and 2 are a-delivered everywhere");
+        assert_eq!(held(&rb, 2), vec![0, 1, 2], "a 0 entry keeps everything");
+        // A lower vector frees nothing and restores nothing; a vector of
+        // the wrong length covers only the senders it names.
+        rb.on_stable(&[0, 0, 0]);
+        rb.on_stable(&[9, 9]);
+        assert_eq!((held(&rb, 1), held(&rb, 2)), (vec![], vec![0, 1, 2]));
+        assert_eq!(rb.retained(), Some(3));
+    }
+
+    #[test]
+    fn a_suspicion_after_pruning_relays_only_the_retained_copies_once() {
+        let mut rb = holding(&[0, 1, 2, 3]);
+        rb.on_stable(&[0, 2, 0]);
+        let mut out = BcastOut::new();
+        rb.on_suspect(p(1), &mut out);
+        rb.on_suspect(p(1), &mut out);
+        assert_eq!(relayed(&out), vec![(1, 2), (1, 3)]);
+        // Sticky: a later message from the suspect is relayed on arrival,
+        // and pruning after the relay sends nothing again.
+        let mut out = BcastOut::new();
+        rb.on_message(p(2), BcastMsg::Relay(msg(1, 4)), &mut out);
+        rb.on_stable(&[0, 5, 0]);
+        rb.on_suspect(p(1), &mut out);
+        assert_eq!(relayed(&out), vec![(1, 4)]);
+        assert_eq!(rb.retained(), Some(3), "only sender 2's copies are left");
+    }
+
+    #[test]
+    fn retained_counts_the_copies_and_eager_keeps_none() {
+        let mut rb = LazyRb::new();
+        assert_eq!(rb.retained(), Some(0), "a lazy module always answers");
+        let mut out = BcastOut::new();
+        rb.broadcast(msg(0, 0), &mut out);
+        assert_eq!(rb.retained(), Some(0), "own broadcasts are never relayed, so never held");
+        rb.on_message(p(1), BcastMsg::Data(msg(1, 0)), &mut out);
+        rb.on_message(p(2), BcastMsg::Relay(msg(1, 0)), &mut out);
+        assert_eq!(rb.retained(), Some(1), "one copy per message");
+        assert_eq!(crate::EagerRb::new().retained(), None);
     }
 }

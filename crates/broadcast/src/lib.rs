@@ -9,7 +9,9 @@
 //!   messages" of Figures 5 and 7a).
 //! * [`LazyRb`] — reliable broadcast that relays only when the failure
 //!   detector suspects the sender: **O(n)** messages in good runs (the
-//!   "Reliable broadcast in O(n) messages" of Figures 6 and 7b).
+//!   "Reliable broadcast in O(n) messages" of Figures 6 and 7b). It keeps
+//!   each copy until [`Broadcast::on_stable`] shows every process has
+//!   a-delivered it.
 //! * [`MajorityAckUrb`] — *uniform* reliable broadcast: echo on first copy,
 //!   deliver once a majority of processes is known to hold the message.
 //!   Two communication steps for the sender, O(n²) messages — the cost the
@@ -135,8 +137,9 @@ impl BcastOut {
 ///
 /// The composed node routes application broadcasts to
 /// [`Broadcast::broadcast`], incoming [`BcastMsg`]s to
-/// [`Broadcast::on_message`], and failure-detector suspicions to
-/// [`Broadcast::on_suspect`] (only [`LazyRb`] reacts to those).
+/// [`Broadcast::on_message`], failure-detector suspicions to
+/// [`Broadcast::on_suspect`] and the stability vector to
+/// [`Broadcast::on_stable`] (only [`LazyRb`] reacts to the last two).
 pub trait Broadcast: fmt::Debug {
     /// Broadcasts an application message.
     fn broadcast(&mut self, m: AppMessage, out: &mut BcastOut);
@@ -147,6 +150,19 @@ pub trait Broadcast: fmt::Debug {
     /// Informs the module that the failure detector now suspects `p`.
     fn on_suspect(&mut self, p: ProcessId, out: &mut BcastOut) {
         let _ = (p, out);
+    }
+
+    /// Informs the module that every process has a-delivered sender `s`'s
+    /// messages `0..stable[s]`: no copy of them is needed any more.
+    fn on_stable(&mut self, stable: &[u64]) {
+        let _ = stable;
+    }
+
+    /// Copies held for a possible relay, or `None` for a module that keeps
+    /// none — the node piggybacks its a-delivered vector only for a module
+    /// that answers `Some`.
+    fn retained(&self) -> Option<usize> {
+        None
     }
 
     /// Short human-readable name used in experiment reports.

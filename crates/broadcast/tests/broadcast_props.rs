@@ -1,5 +1,6 @@
 //! Property-based tests of the broadcast modules: exactly-once delivery
-//! under arbitrary duplicate/relay storms, and URB's witnessing invariant.
+//! under arbitrary duplicate/relay storms, lazy RB's relay set under
+//! stability vectors, and URB's witnessing invariant.
 
 use iabc_broadcast::{BcastMsg, BcastOut, Broadcast, EagerRb, LazyRb, MajorityAckUrb};
 use iabc_types::{quorum, AppMessage, MsgId, Payload, ProcessId, Time};
@@ -86,6 +87,62 @@ proptest! {
         }
         let distinct: std::collections::BTreeSet<u64> = seqs.iter().copied().collect();
         prop_assert!(relays <= distinct.len(), "{relays} relays for {} messages", distinct.len());
+    }
+
+    /// Over any interleaving of deliveries and stability vectors with one
+    /// suspicion, LazyRb relays exactly the suspect's messages it delivered
+    /// minus those a vector covered while it held them before the
+    /// suspicion — each once. (After the suspicion, a delivery from the
+    /// suspect is relayed on arrival.)
+    #[test]
+    fn lazy_rb_relays_what_no_vector_covered(
+        // (kind: Data / Relay / vector, origin, seq, vector)
+        ops in proptest::collection::vec(
+            (0u8..3, 0u16..3, 0u64..8, proptest::collection::vec(0u64..10, 3)),
+            0..60,
+        ),
+        suspect in 0u16..3,
+        at in 0usize..61,
+    ) {
+        use std::collections::BTreeSet;
+        let mut rb = LazyRb::new();
+        let mut sends = Vec::new();
+        let (mut seen, mut held, mut expected) = (BTreeSet::new(), BTreeSet::new(), BTreeSet::new());
+        let mut suspected = false;
+        for (i, (kind, origin, seq, vector)) in ops.iter().enumerate() {
+            let mut out = BcastOut::new();
+            if i == at {
+                rb.on_suspect(ProcessId::new(suspect), &mut out);
+                expected.append(&mut held);
+                suspected = true;
+            }
+            if *kind == 2 {
+                rb.on_stable(vector);
+                held.retain(|&s| s >= vector[usize::from(suspect)]);
+            } else {
+                rb.on_message(ProcessId::new(1), to_frame(*kind, *origin, *seq), &mut out);
+                if seen.insert((*origin, *seq)) && *origin == suspect {
+                    let into = if suspected { &mut expected } else { &mut held };
+                    into.insert(*seq);
+                }
+            }
+            sends.extend(out.sends);
+        }
+        if !suspected {
+            let mut out = BcastOut::new();
+            rb.on_suspect(ProcessId::new(suspect), &mut out);
+            expected.append(&mut held);
+            sends.extend(out.sends);
+        }
+        let mut relayed = Vec::new();
+        for (_, m) in &sends {
+            prop_assert!(matches!(m, BcastMsg::Relay(_)), "only relays are sent: {m:?}");
+            prop_assert_eq!(m.app_message().id().sender(), ProcessId::new(suspect));
+            relayed.push(m.app_message().id().seq());
+        }
+        let distinct: BTreeSet<u64> = relayed.iter().copied().collect();
+        prop_assert_eq!(distinct.len(), relayed.len(), "a copy relayed twice: {relayed:?}");
+        prop_assert_eq!(distinct, expected);
     }
 
     /// URB never delivers before a majority of witnesses is known, and

@@ -44,14 +44,18 @@ pub enum Envelope<V> {
         /// The served entries (each self-tagged with its instance `k`).
         entries: Vec<DecidedEntry<V>>,
     },
-    /// Frontier piggyback: wraps any other arm with the sender's decided
-    /// frontier, so frontier propagation rides on whatever traffic already
-    /// flows (RB data, consensus, heartbeats) instead of needing its own
-    /// schedule. Nesting is rejected at decode time.
+    /// Piggyback: wraps any other arm with the sender's decided frontier
+    /// and a-delivered vector, so both ride on whatever traffic already
+    /// flows (RB data, consensus, heartbeats) instead of needing a schedule
+    /// of their own. Tag 5 without a vector, tag 6 with one; nesting is
+    /// rejected at decode time.
     WithFrontier {
         /// The sender's decided frontier (highest contiguous instance it
         /// can serve; 0 when it has nothing).
         frontier: u64,
+        /// The sender's a-delivered prefix per sender (`delivered[s]`: it
+        /// has a-delivered `s`'s messages `0..delivered[s]`), or empty.
+        delivered: Vec<u64>,
         /// The wrapped frame.
         inner: Box<Envelope<V>>,
     },
@@ -65,7 +69,10 @@ impl<V: WireSize> WireSize for Envelope<V> {
             Envelope::Fd(m) => m.wire_size(),
             Envelope::CatchUpRequest { .. } => 16,
             Envelope::CatchUpReply { entries } => entries.wire_size(),
-            Envelope::WithFrontier { inner, .. } => 8 + inner.wire_size(),
+            Envelope::WithFrontier { delivered, inner, .. } => {
+                let vector = if delivered.is_empty() { 0 } else { delivered.wire_size() };
+                8 + vector + inner.wire_size()
+            }
         }
     }
 
@@ -112,9 +119,15 @@ impl<V: Encode> Encode for Envelope<V> {
                 buf.push(4);
                 entries.encode(buf);
             }
-            Envelope::WithFrontier { frontier, inner } => {
+            Envelope::WithFrontier { frontier, delivered, inner } if delivered.is_empty() => {
                 buf.push(5);
                 frontier.encode(buf);
+                inner.encode(buf);
+            }
+            Envelope::WithFrontier { frontier, delivered, inner } => {
+                buf.push(6);
+                frontier.encode(buf);
+                delivered.encode(buf);
                 inner.encode(buf);
             }
         }
@@ -123,9 +136,9 @@ impl<V: Encode> Encode for Envelope<V> {
 
 impl<V: Decode + WireSize> Envelope<V> {
     /// Decodes one envelope. `allow_frontier` is cleared for the inner
-    /// frame of a [`Envelope::WithFrontier`]: nesting carries no extra
-    /// information and would hand remote input an unbounded recursion, so
-    /// a nested wrapper is rejected as an invalid tag.
+    /// frame of a [`Envelope::WithFrontier`] (tag 5 or 6): nesting carries
+    /// no extra information and would hand remote input an unbounded
+    /// recursion, so a nested wrapper is rejected as an invalid tag.
     fn decode_with_nesting(buf: &mut &[u8], allow_frontier: bool) -> Result<Self, CodecError> {
         match u8::decode(buf)? {
             0 => Ok(Envelope::Bcast(BcastMsg::decode(buf)?)),
@@ -141,10 +154,11 @@ impl<V: Decode + WireSize> Envelope<V> {
                 Ok(Envelope::CatchUpRequest { from_k, to_k })
             }
             4 => Ok(Envelope::CatchUpReply { entries: Vec::decode(buf)? }),
-            5 if allow_frontier => {
+            tag @ (5 | 6) if allow_frontier => {
                 let frontier = u64::decode(buf)?;
+                let delivered = if tag == 6 { Vec::decode(buf)? } else { Vec::new() };
                 let inner = Box::new(Self::decode_with_nesting(buf, false)?);
-                Ok(Envelope::WithFrontier { frontier, inner })
+                Ok(Envelope::WithFrontier { frontier, delivered, inner })
             }
             tag => Err(CodecError::InvalidTag { tag, context: "Envelope" }),
         }
@@ -186,11 +200,18 @@ mod tests {
             Envelope::CatchUpReply { entries: Vec::new() },
             Envelope::WithFrontier {
                 frontier: 12,
+                delivered: Vec::new(),
                 inner: Box::new(Envelope::Fd(FdMsg::Heartbeat(3))),
             },
             Envelope::WithFrontier {
                 frontier: 0,
+                delivered: Vec::new(),
                 inner: Box::new(Envelope::CatchUpReply { entries: vec![entry(1)] }),
+            },
+            Envelope::WithFrontier {
+                frontier: 0,
+                delivered: vec![3, 0, u64::MAX],
+                inner: Box::new(Envelope::Cons { k: 9, msg: ConsMsg::CtAck { round: 2 } }),
             },
         ];
         for e in envs {
@@ -198,23 +219,47 @@ mod tests {
         }
     }
 
+    /// Without a vector the wrapper keeps the tag-5 bytes it had before
+    /// the vector existed; with one it is tag 6, u32-length-prefixed.
+    #[test]
+    fn the_vector_costs_nothing_when_empty_and_tag_six_when_not() {
+        let wrap = |delivered| Envelope::<IdSet>::WithFrontier {
+            frontier: 0x0102,
+            delivered,
+            inner: Box::new(Envelope::Fd(FdMsg::Heartbeat(7))),
+        };
+        let mut tag5 = vec![5, 2, 1, 0, 0, 0, 0, 0, 0];
+        Envelope::<IdSet>::Fd(FdMsg::Heartbeat(7)).encode(&mut tag5);
+        assert_eq!(wrap(Vec::new()).to_bytes(), tag5);
+        let with = wrap(vec![4, 0, 9]).to_bytes();
+        assert_eq!((with[0], &with[1..9], &with[9..13]), (6, &tag5[1..9], &[3, 0, 0, 0][..]));
+        assert_eq!(with.len(), tag5.len() + 4 + 3 * 8);
+        assert_eq!(&with[37..], &tag5[9..], "the inner frame follows unchanged");
+    }
+
     #[test]
     fn nested_frontier_wrapper_rejected() {
-        // A hand-crafted WithFrontier(WithFrontier(...)) must not decode:
-        // nesting is meaningless and would be remote-controlled recursion.
-        let nested: Envelope<IdSet> = Envelope::WithFrontier {
-            frontier: 1,
-            inner: Box::new(Envelope::WithFrontier {
-                frontier: 2,
-                inner: Box::new(Envelope::Fd(FdMsg::Heartbeat(0))),
-            }),
-        };
-        let bytes = nested.to_bytes();
-        let mut buf: &[u8] = &bytes;
-        assert!(matches!(
-            Envelope::<IdSet>::decode(&mut buf),
-            Err(CodecError::InvalidTag { tag: 5, .. })
-        ));
+        // A hand-crafted WithFrontier(WithFrontier(...)) must not decode,
+        // whichever of tags 5 and 6 is outside or inside: nesting is
+        // meaningless and would be remote-controlled recursion.
+        for (outer, inner) in [(vec![], vec![]), (vec![1, 2], vec![]), (vec![], vec![3]), (vec![1], vec![2])] {
+            let inner_tag = if inner.is_empty() { 5 } else { 6 };
+            let nested: Envelope<IdSet> = Envelope::WithFrontier {
+                frontier: 1,
+                delivered: outer,
+                inner: Box::new(Envelope::WithFrontier {
+                    frontier: 2,
+                    delivered: inner,
+                    inner: Box::new(Envelope::Fd(FdMsg::Heartbeat(0))),
+                }),
+            };
+            let bytes = nested.to_bytes();
+            let mut buf: &[u8] = &bytes;
+            assert!(matches!(
+                Envelope::<IdSet>::decode(&mut buf),
+                Err(CodecError::InvalidTag { tag, .. }) if tag == inner_tag
+            ));
+        }
     }
 
     #[test]
@@ -259,9 +304,9 @@ mod tests {
         assert_eq!(req.traffic_class(), TrafficClass::Ordering);
         assert_eq!(reply.traffic_class(), TrafficClass::Bulk);
         let wrapped_fd: Envelope<IdSet> =
-            Envelope::WithFrontier { frontier: 1, inner: Box::new(fd) };
+            Envelope::WithFrontier { frontier: 1, delivered: vec![1], inner: Box::new(fd) };
         let wrapped_reply: Envelope<IdSet> =
-            Envelope::WithFrontier { frontier: 1, inner: Box::new(reply) };
+            Envelope::WithFrontier { frontier: 1, delivered: Vec::new(), inner: Box::new(reply) };
         assert_eq!(wrapped_fd.traffic_class(), TrafficClass::Ordering);
         assert_eq!(wrapped_reply.traffic_class(), TrafficClass::Bulk);
     }

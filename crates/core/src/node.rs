@@ -93,6 +93,10 @@ pub struct AbcastNode<V: OrderingValue, A: SingleConsensus<V>> {
     /// Decided log, catch-up and pending set (`Some` iff catch-up or
     /// learner mode is configured).
     recovery: Option<Recovery<V>>,
+    /// Highest a-delivered vector known per process, own included (one
+    /// row per process, empty until a vector arrives) — what frees the
+    /// broadcast layer's retained copies.
+    known_delivered: Vec<Vec<u64>>,
 }
 
 impl<V: OrderingValue, A: SingleConsensus<V>> fmt::Debug for AbcastNode<V, A> {
@@ -156,6 +160,7 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
             nacks_sent: 0,
             learner: pipeline.learner,
             recovery: (pipeline.catch_up || pipeline.learner).then(|| Recovery::new(pipeline.learner)),
+            known_delivered: Vec::new(),
         }
     }
 
@@ -271,6 +276,12 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
         self.mgr.slot_count()
     }
 
+    /// Copies the broadcast layer holds for a relay on suspicion (0 for a
+    /// module that keeps none).
+    pub fn rb_retained(&self) -> usize {
+        self.bcast.retained().unwrap_or(0)
+    }
+
     /// The highest instance fully a-delivered *and* logged (0 with
     /// catch-up off) — what the node piggybacks and can serve.
     pub fn decided_frontier(&self) -> u64 {
@@ -302,6 +313,50 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
         }
     }
 
+    /// Wraps an outgoing consensus or failure-detector frame. When the
+    /// broadcast module retains copies (which only the collective
+    /// a-delivered vector frees), the frame also carries this process's
+    /// a-delivered vector, in the frontier wrapper — frontier 0 with
+    /// catch-up off. Consensus frames move the vector while messages flow,
+    /// heartbeats (when a heartbeat detector runs) once they stop.
+    fn wrap_with_vector(&self, env: Envelope<V>, n: usize) -> Envelope<V> {
+        if self.bcast.retained().is_none() {
+            return self.wrap(env);
+        }
+        let delivered = self.delivered_vector(n);
+        Envelope::WithFrontier { frontier: self.decided_frontier(), delivered, inner: Box::new(env) }
+    }
+
+    /// Per sender, how many of its messages this process has a-delivered
+    /// from sequence number 0 on. The a-delivered prefix, not the RB layer's
+    /// R-delivered one: a restart marks logged ids delivered in the store,
+    /// while a fresh RB layer has seen nothing and would pin every peer.
+    fn delivered_vector(&self, n: usize) -> Vec<u64> {
+        ProcessId::all(n).map(|s| self.store.delivered_prefix(s)).collect()
+    }
+
+    /// Folds `from`'s piggybacked a-delivered vector into `known_delivered`
+    /// (element-wise max), then hands the broadcast layer the per-sender
+    /// minimum over all `n` processes, own vector included: what every
+    /// process has a-delivered. A process not heard from counts as 0, so a
+    /// crashed one pins the minimum. A vector of the wrong length is
+    /// malformed remote input and changes nothing.
+    fn on_delivered_vector(&mut self, from: ProcessId, delivered: &[u64], n: usize) {
+        if delivered.len() != n || from.as_usize() >= n || self.bcast.retained().is_none() {
+            return;
+        }
+        let own = self.delivered_vector(n);
+        self.known_delivered.resize(n, vec![0; n]);
+        for (p, vector) in [(self.me, own.as_slice()), (from, delivered)] {
+            for (known, &d) in self.known_delivered[p.as_usize()].iter_mut().zip(vector) {
+                *known = (*known).max(d);
+            }
+        }
+        let stable: Vec<u64> =
+            (0..n).map(|s| self.known_delivered.iter().map(|row| row[s]).min().unwrap_or(0)).collect();
+        self.bcast.on_stable(&stable);
+    }
+
     /// Runs one broadcast-layer call, then sends its frames and R-delivers
     /// what it delivered.
     fn drive_bcast(&mut self, ctx: &mut Ctx<V>, call: impl FnOnce(&mut (dyn Broadcast + Send), &mut BcastOut)) {
@@ -324,9 +379,10 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
         let mut out = FdOut::new();
         call(self.fd.as_mut(), ctx.now(), &mut out);
         for (dest, msg) in out.sends {
+            let env = self.wrap_with_vector(Envelope::Fd(msg), ctx.n());
             match dest {
-                FdDest::To(q) => ctx.send(q, self.wrap(Envelope::Fd(msg))),
-                FdDest::Others => ctx.send_to_others(self.wrap(Envelope::Fd(msg))),
+                FdDest::To(q) => ctx.send(q, env),
+                FdDest::Others => ctx.send_to_others(env),
             }
         }
         for (delay, data) in out.timers {
@@ -368,7 +424,7 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
             if msg.is_refusal() {
                 self.nacks_sent += 1;
             }
-            let env = self.wrap(Envelope::Cons { k, msg });
+            let env = self.wrap_with_vector(Envelope::Cons { k, msg }, ctx.n());
             match dest {
                 ConsDest::To(q) => ctx.send(q, env),
                 ConsDest::All => ctx.send_to_all(env),
@@ -639,7 +695,8 @@ impl<V: OrderingValue, A: SingleConsensus<V>> Node for AbcastNode<V, A> {
                 None => ctx.send(from, Envelope::CatchUpReply { entries: Vec::new() }),
             },
             Envelope::CatchUpReply { entries } => self.absorb_catch_up(entries, ctx),
-            Envelope::WithFrontier { frontier, inner } => {
+            Envelope::WithFrontier { frontier, delivered, inner } => {
+                self.on_delivered_vector(from, &delivered, ctx.n());
                 // Catch-up off: tolerate the wrapper, ignore the hint.
                 let window = self.window();
                 if let Some(r) = self.recovery.as_mut() {
@@ -1217,7 +1274,70 @@ mod tests {
         node.on_message(ProcessId::new(1), ct_proposal(3, &[msg(1, 1).id(), msg(2, 0).id()]), &mut c);
         assert_eq!(node.nacks_sent(), 0, "held or delivered: both are received");
         assert!(sends(&mut c).iter().any(|(to, m)| *to == ProcessId::new(1)
-            && matches!(m, Envelope::Cons { k: 3, msg: ConsMsg::CtAck { round: 1 } })));
+            && matches!(unwrapped(m), Envelope::Cons { k: 3, msg: ConsMsg::CtAck { round: 1 } })));
+    }
+
+    /// The frame inside a piggyback wrapper, or the frame itself.
+    fn unwrapped<V>(env: &Envelope<V>) -> &Envelope<V> {
+        match env {
+            Envelope::WithFrontier { inner, .. } => inner,
+            other => other,
+        }
+    }
+
+    /// A peer heartbeat carrying the peer's a-delivered vector.
+    fn with_vector(delivered: Vec<u64>) -> Envelope<IdSet> {
+        Envelope::WithFrontier { frontier: 0, delivered, inner: Box::new(Envelope::Fd(FdMsg::Heartbeat(0))) }
+    }
+
+    /// Lazy RB (the default) keeps copies, so every consensus frame carries
+    /// the a-delivered vector; RB frames travel bare.
+    #[test]
+    fn consensus_frames_carry_the_delivered_vector() {
+        let mut node = indirect_node();
+        let mut c = ctx();
+        deliver_data(&mut node, 1, msg(1, 0), &mut c);
+        deliver_decide(&mut node, 1, IdSet::from_ids([msg(1, 0).id()]), &mut c);
+        c.take_actions();
+        // Our broadcast R-delivers here at once, and we coordinate
+        // instance 2's first round: one Data frame, then a proposal.
+        node.on_command(AbcastCommand::Broadcast(Payload::zeroed(8)), &mut c);
+        let out = sends(&mut c);
+        assert!(out.iter().any(|(_, m)| matches!(m, Envelope::Bcast(BcastMsg::Data(_)))));
+        let cons: Vec<_> = out.iter().filter(|(_, m)| !matches!(m, Envelope::Bcast(_))).collect();
+        assert!(!cons.is_empty());
+        for (_, m) in cons {
+            assert!(
+                matches!(m, Envelope::WithFrontier { frontier: 0, delivered, inner }
+                    if delivered == &[0, 1, 0] && matches!(**inner, Envelope::Cons { k: 2, .. })),
+                "{m:?}"
+            );
+        }
+    }
+
+    /// The vector is remote input: a malformed one changes nothing. A copy
+    /// goes once every process is past it, a peer not heard from counting
+    /// as 0.
+    #[test]
+    fn a_vector_of_the_wrong_length_changes_nothing() {
+        let mut node = indirect_node();
+        let mut c = ctx();
+        deliver_data(&mut node, 1, msg(1, 0), &mut c);
+        deliver_decide(&mut node, 1, IdSet::from_ids([msg(1, 0).id()]), &mut c);
+        assert_eq!((node.delivered_count(), node.rb_retained()), (1, 1));
+        c.take_actions();
+        for bad in [vec![1, 1], vec![1, 1, 1, 1]] {
+            node.on_message(ProcessId::new(1), with_vector(bad.clone()), &mut c);
+            node.on_message(ProcessId::new(2), with_vector(bad), &mut c);
+        }
+        node.on_message(ProcessId::new(7), with_vector(vec![1, 1, 1]), &mut c);
+        assert!(c.take_actions().is_empty());
+        assert!(node.known_delivered.is_empty(), "nothing recorded");
+        assert_eq!(node.rb_retained(), 1);
+        node.on_message(ProcessId::new(1), with_vector(vec![0, 1, 0]), &mut c);
+        assert_eq!(node.rb_retained(), 1, "p2 has not been heard from");
+        node.on_message(ProcessId::new(2), with_vector(vec![0, 1, 0]), &mut c);
+        assert_eq!(node.rb_retained(), 0, "a-delivered everywhere");
     }
 
     /// Trap: once a-delivered, a message cannot re-enter the store through
@@ -1370,6 +1490,7 @@ mod tests {
     fn wrapped_hb(frontier: u64) -> Envelope<IdSet> {
         Envelope::WithFrontier {
             frontier,
+            delivered: Vec::new(),
             inner: Box::new(Envelope::Fd(FdMsg::Heartbeat(0))),
         }
     }
@@ -1423,7 +1544,7 @@ mod tests {
         let (to, frontier, entries) = sends(&mut c)
             .into_iter()
             .find_map(|(to, m)| match m {
-                Envelope::WithFrontier { frontier, inner } => match *inner {
+                Envelope::WithFrontier { frontier, inner, .. } => match *inner {
                     Envelope::CatchUpReply { entries } => Some((to, frontier, entries)),
                     _ => None,
                 },
@@ -1687,6 +1808,7 @@ mod tests {
             ProcessId::new(1),
             Envelope::WithFrontier {
                 frontier: 9,
+                delivered: Vec::new(),
                 inner: Box::new(Envelope::Bcast(BcastMsg::Data(msg(1, 0)))),
             },
             &mut c,

@@ -143,7 +143,7 @@ impl<V: OrderingValue> Recovery<V> {
     /// frame, the frontier needs no schedule of its own and spreads even
     /// with the failure detector off.
     pub(crate) fn wrap(&self, env: Envelope<V>) -> Envelope<V> {
-        Envelope::WithFrontier { frontier: self.log.frontier(), inner: Box::new(env) }
+        Envelope::WithFrontier { frontier: self.log.frontier(), delivered: Vec::new(), inner: Box::new(env) }
     }
 
     /// Records an accepted broadcast *before* it is flooded: once the

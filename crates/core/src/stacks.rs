@@ -28,10 +28,12 @@ pub enum ConsensusFamily {
 /// (ignored by the URB variant).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RbKind {
-    /// Eager flooding: one step, O(n²) messages (Figures 5/7a).
+    /// Eager flooding: one step, O(n²) messages (Figures 5/7a). Keeps no
+    /// copies, so nothing it holds grows while a process is down.
     EagerN2,
     /// Failure-detector triggered relays: O(n) messages in good runs
-    /// (Figures 6/7b).
+    /// (Figures 6/7b). The default. Its copies are freed by the
+    /// a-delivered vector piggybacked on consensus frames.
     LazyN,
 }
 
@@ -92,12 +94,12 @@ pub struct StackParams {
 }
 
 impl StackParams {
-    /// Parameters for a fault-free logic run: eager RB, no failure
+    /// Parameters for a fault-free logic run: lazy RB, no failure
     /// detector, zero bookkeeping costs, window 1.
     pub fn fault_free(n: usize) -> Self {
         StackParams {
             n,
-            rb: RbKind::EagerN2,
+            rb: RbKind::LazyN,
             fd: FdKind::Never,
             cost: CostModel::zero(),
             pipeline: PipelineConfig::fixed(1),
@@ -305,7 +307,7 @@ mod tests {
         }
         let mut learner = ProcessSet::new();
         learner.insert(me);
-        let q = StackParams { rb: RbKind::LazyN, ..p }.with_learner_set(learner);
+        let q = StackParams { rb: RbKind::EagerN2, ..p }.with_learner_set(learner);
         let probes = [
             ("indirect_ct", learner_probe(indirect_ct(me, &q))),
             ("indirect_mr", learner_probe(indirect_mr(me, &q))),

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use iabc_consensus::RcvOracle;
-use iabc_types::{AppMessage, Duration, IdRanges, IdSet, MsgId};
+use iabc_types::{AppMessage, Duration, IdRanges, IdSet, MsgId, ProcessId};
 
 use crate::msgset::MsgSet;
 
@@ -160,6 +160,13 @@ impl ReceivedStore {
     pub(crate) fn delivered_ranges(&self) -> usize {
         self.delivered.range_count()
     }
+
+    /// How many of `sender`'s messages, from sequence number 0 on without
+    /// a gap, were a-delivered — the entry this process piggybacks for
+    /// `sender` in its a-delivered vector.
+    pub(crate) fn delivered_prefix(&self, sender: ProcessId) -> u64 {
+        self.delivered.prefix(sender)
+    }
 }
 
 /// A value type the atomic broadcast reduction can order by.
@@ -307,6 +314,9 @@ mod tests {
         s.mark_delivered(msg(4).id());
         assert!(s.contains(msg(4).id()) && !s.insert(msg(4)));
         assert_eq!(s.delivered_ranges(), 1, "3 and 4 are one range");
+        assert_eq!(s.delivered_prefix(ProcessId::new(0)), 0, "0..3 were not delivered");
+        (0..3).for_each(|seq| s.mark_delivered(msg(seq).id()));
+        assert_eq!(s.delivered_prefix(ProcessId::new(0)), 5);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //!
 //! Each stack is driven with 2,000 and then 8,000 broadcasts; what a node
 //! retains at quiescence must be the same small numbers at both lengths,
-//! and mid-run it must be bounded by what is in flight. The decided log
+//! and mid-run it must be bounded by what is in flight. That includes the
+//! copies the default lazy RB keeps for a relay, which only the
+//! piggybacked a-delivered vector frees. The decided log
 //! (catch-up on) is retained on purpose — the run with a crash-restart
 //! asserts that it *does* grow, so the exemption is visible.
 
@@ -20,8 +22,8 @@ const VICTIM: ProcessId = ProcessId::new(2);
 
 /// What one node retains: `store().len()`, `unordered_len()`,
 /// `ordered_pending()`, `buffered_decisions()`, `consensus_slots()`,
-/// `id_set_ranges()`.
-type Retained = [usize; 6];
+/// `id_set_ranges()`, `rb_retained()`.
+type Retained = [usize; 7];
 
 fn retained<V: OrderingValue, A: SingleConsensus<V>>(node: &AbcastNode<V, A>) -> Retained {
     [
@@ -31,11 +33,14 @@ fn retained<V: OrderingValue, A: SingleConsensus<V>>(node: &AbcastNode<V, A>) ->
         node.buffered_decisions(),
         node.consensus_slots(),
         node.id_set_ranges(),
+        node.rb_retained(),
     ]
 }
 
 /// Asserts the quiescent bounds: nothing held, nothing queued, the
-/// manager's GC cache, one range per sender and id set.
+/// manager's GC cache, one range per sender and id set, and at most the
+/// lazy RB copies of the last few messages — those the last a-delivered
+/// vectors to arrive did not cover yet (none once heartbeats carry them).
 ///
 /// `caught_up` exempts the slot count, for the restarted process only. A
 /// known leak outside this test's subject (ROADMAP, "Make the heal live"):
@@ -46,6 +51,7 @@ fn assert_flat(r: Retained, caught_up: bool, what: &str) {
     assert_eq!(r[..4], [0, 0, 0, 0], "{what}: store/unordered/ordered/buffered {r:?}");
     assert!(caught_up || r[4] <= 16, "{what}: {} consensus slots", r[4]);
     assert!(r[5] <= 2 * N, "{what}: {} id ranges", r[5]);
+    assert!(r[6] <= N, "{what}: {} RB copies", r[6]);
 }
 
 /// Drives `count` broadcasts through the stack `factory` builds and
@@ -139,6 +145,9 @@ fn only_the_decided_log_grows_across_a_crash_restart() {
         let victim = p == VICTIM.as_usize();
         assert_flat(*rs, victim, &format!("p{p} after 2,000"));
         assert_flat(*rl, victim, &format!("p{p} after 8,000"));
+        // The copies a survivor held while the victim was down pinned the
+        // minimum are gone once the restarted victim's vector arrives.
+        assert_eq!(rs[6], rl[6], "p{p}: RB copies depend on the length of the run");
         // The exemption, made visible: the log is kept from k = 1 on
         // purpose (it serves restarted peers and learners).
         assert!(fl > fs && *fs > 0, "p{p}: decided frontier {fs} then {fl}");

@@ -11,6 +11,7 @@
 //! good — one per such event, not per message.
 
 use crate::message::MsgId;
+use crate::process::ProcessId;
 
 /// A set of message identifiers that only grows and only answers
 /// membership.
@@ -94,12 +95,20 @@ impl IdRanges {
     pub fn range_count(&self) -> usize {
         self.by_sender.iter().map(Vec::len).sum()
     }
+
+    /// Length of the contiguous run `0..x` of `sender`'s sequence numbers
+    /// in the set: `hi + 1` when its first range starts at 0, else 0.
+    pub fn prefix(&self, sender: ProcessId) -> u64 {
+        match self.by_sender.get(sender.as_usize()).and_then(|ranges| ranges.first()) {
+            Some(&(0, hi)) => hi.saturating_add(1),
+            _ => 0,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::ProcessId;
 
     fn id(p: u16, s: u64) -> MsgId {
         MsgId::new(ProcessId::new(p), s)
@@ -144,6 +153,23 @@ mod tests {
         assert!(r.insert(id(0, u64::MAX - 1)));
         assert_eq!(r.by_sender[0], vec![(0, 0), (u64::MAX - 1, u64::MAX)]);
         assert!(r.contains(id(0, u64::MAX)) && !r.contains(id(0, u64::MAX - 2)));
+    }
+
+    #[test]
+    fn the_prefix_is_the_run_from_zero() {
+        let mut r = IdRanges::new();
+        let p = |i| ProcessId::new(i);
+        assert_eq!(r.prefix(p(0)), 0, "nothing seen");
+        r.insert(id(0, 1));
+        assert_eq!(r.prefix(p(0)), 0, "a run that does not start at 0");
+        r.insert(id(0, 0));
+        r.insert(id(0, 3));
+        assert_eq!(r.prefix(p(0)), 2, "0 and 1; 3 is past the gap");
+        r.insert(id(0, 2));
+        assert_eq!((r.prefix(p(0)), r.prefix(p(1)), r.prefix(p(9))), (4, 0, 0));
+        r.insert(id(1, u64::MAX));
+        r.insert(id(2, 0));
+        assert_eq!((r.prefix(p(1)), r.prefix(p(2))), (0, 1));
     }
 
     #[test]
