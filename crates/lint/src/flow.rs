@@ -197,11 +197,9 @@ fn rule_b1(graph: &CallGraph, findings: &mut Vec<Finding>) {
 /// these files that may block, directly or through a callee.
 pub const EVENT_LOOP_FILES: &[&str] = &[
     "crates/net/src/event_loop.rs",
-    // Loop-resident helpers: the reconnect state machine and the fault
-    // shim both run on the loop thread, so they inherit its no-blocking
-    // contract.
+    // Loop-resident helper: the reconnect state machine runs on the loop
+    // thread, so it inherits the no-blocking contract.
     "crates/net/src/reconnect.rs",
-    "crates/net/src/netfault.rs",
 ];
 
 /// Files exempt from E1 propagation: the poller and its syscall shims.
@@ -421,8 +419,9 @@ pub fn decode_helper(buf: &[u8]) -> u32 { buf.first().copied().unwrap() as u32 }
 
     #[test]
     fn e1_covers_the_reconnect_and_fault_modules() {
-        // The reconnect state machine and the fault shim run on the loop
-        // thread: a blocking op there must flag exactly like one in
+        // The reconnect state machine and the fault plan's draw-only half
+        // (in `types`, reached through the loop's call) run on the loop
+        // thread: a blocking op in either must flag like one in
         // event_loop.rs, and the pure fixture must stay quiet.
         let blocking = "\
 fn dial(&mut self, s: &mut TcpStream) {\n\
@@ -433,8 +432,16 @@ fn dial(&mut self, s: &mut TcpStream) {\n\
             f.iter().any(|f| f.rule == "E1" && f.file == "crates/net/src/reconnect.rs"),
             "{f:?}"
         );
-        let f = run(&[("crates/net/src/netfault.rs", blocking)]);
-        assert!(f.iter().any(|f| f.rule == "E1"), "{f:?}");
+        let judge = blocking.replace("dial", "judge_frame");
+        let loop_src = "fn service_writer(f: &mut Plan) { f.judge_frame(s); }\n";
+        let f = run(&[
+            ("crates/net/src/event_loop.rs", loop_src),
+            ("crates/types/src/faults.rs", &judge),
+        ]);
+        assert!(
+            f.iter().any(|f| f.rule == "E1" && f.file == "crates/net/src/event_loop.rs"),
+            "{f:?}"
+        );
         // A clean fixture shaped like the real module: arithmetic on
         // passed-in times, no clocks, no syscalls.
         let clean = "\

@@ -17,12 +17,11 @@ pub const DETERMINISTIC_CRATES: &[&str] =
     &["types", "runtime", "consensus", "broadcast", "fd", "core", "sim", "workload"];
 
 /// Individual files outside [`DETERMINISTIC_CRATES`] whose logic must be
-/// replayable from a seed: the transport's reconnect backoff and fault
-/// shim decide *when* links heal and *which* frames drop — nemesis runs
-/// only reproduce if those draws come from the plan's seed, never from
-/// ambient clocks or entropy (rules D1/D2).
-pub const DETERMINISTIC_FILES: &[&str] =
-    &["crates/net/src/reconnect.rs", "crates/net/src/netfault.rs"];
+/// replayable from a seed: the transport's reconnect backoff decides
+/// *when* links heal — nemesis runs only reproduce if its draws come from
+/// a seed, never from ambient clocks or entropy (rules D1/D2). The fault
+/// plan's draws live in `types`, which D1/D2 cover whole.
+pub const DETERMINISTIC_FILES: &[&str] = &["crates/net/src/reconnect.rs"];
 
 /// Crates whose code handles remote input: panics are forbidden (rule P1)
 /// — a malformed frame must poison the connection, not the process.

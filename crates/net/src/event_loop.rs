@@ -76,10 +76,11 @@
 //! listener, accepts replacement connections mid-run, and consumes their
 //! handshake bytes before promoting them to readers.
 //!
-//! An optional [`NetFaultPlan`] drives nemesis runs: partition windows
-//! sever the matching links once per pass (and gate reconnect attempts
-//! until the window closes); per-frame drop/duplicate verdicts apply at
-//! encode time. Without a plan, none of that code runs on the frame path.
+//! An optional [`NetFaultPlan`] drives nemesis runs. The loop holds the
+//! plan itself: its partition windows sever the matching links once per
+//! pass (and gate reconnect attempts until the window closes), and its
+//! draw-only half judges each frame's drop/duplicate verdict at encode
+//! time. Without a plan, none of that code runs on the frame path.
 //!
 //! # Fairness
 //!
@@ -98,10 +99,10 @@ use std::time::{Duration as StdDuration, Instant};
 
 use crossbeam::channel::{Receiver, Sender};
 use iabc_runtime::{Action, Context, Node, TimerId};
-use iabc_types::{Decode, Duration, Encode, ProcessId, Time, WireSize};
+use iabc_types::{Decode, Duration, Encode, LinkFault, ProcessId, Time, WireSize};
 
 use crate::codec::{write_frame_into, RecvBuffer, Tagged, TaggedOwned, RECV_CHUNK};
-use crate::netfault::{LinkJudge, NetFaultPlan, NetFaultStats, NetVerdict};
+use crate::netfault::{NetFaultPlan, NetFaultStats};
 use crate::poll::{self, Interest, PollSource, Poller, Readiness, WakeRx, WakeTx};
 use crate::pool::{BufferPool, PooledBuf};
 use crate::queue::Lanes;
@@ -532,7 +533,7 @@ fn run_loop<N>(
     }
     // The jitter seed only desynchronizes concurrent probers.
     let mut reconnect = Reconnector::new(slots, u64::from(me.index()) ^ 0x1abc);
-    let mut judge: Option<LinkJudge> = topo.faults.map(|plan| LinkJudge::new(plan, me, slots));
+    let mut faults = topo.faults;
     let mut host = Host {
         me,
         n,
@@ -552,7 +553,7 @@ fn run_loop<N>(
 
     host.dispatch(Event::Start);
     let now = Duration::from_nanos(nanos_since(epoch, Instant::now()));
-    service_writers(me, now, &mut host.writers, &mut judge, &stats, &mut reconnect);
+    service_writers(me, now, &mut host.writers, &mut faults, &stats, &mut reconnect);
     loop {
         let stopping = stop.load(Ordering::Acquire);
         // With work already in hand the poll is a zero-timeout sample of
@@ -664,8 +665,8 @@ fn run_loop<N>(
         // maintenance first: sever freshly partitioned connections, dial
         // due reconnect attempts.
         let now = Duration::from_nanos(nanos_since(epoch, now));
-        maintain_links(me, now, &mut host.writers, &mut reconnect, judge.as_ref(), &stats, &pool);
-        service_writers(me, now, &mut host.writers, &mut judge, &stats, &mut reconnect);
+        maintain_links(me, now, &mut host.writers, &mut reconnect, faults.as_ref(), &stats, &pool);
+        service_writers(me, now, &mut host.writers, &mut faults, &stats, &mut reconnect);
 
         if stopping {
             // The pass above flushed what the kernel would take without
@@ -721,7 +722,7 @@ fn maintain_links<M>(
     now: Duration,
     writers: &mut [Option<Writer<M>>],
     reconnect: &mut Reconnector,
-    judge: Option<&LinkJudge>,
+    faults: Option<&NetFaultPlan>,
     stats: &NetFaultStats,
     pool: &BufferPool,
 ) {
@@ -739,7 +740,7 @@ fn maintain_links<M>(
                 w.shed_reported = shed;
             }
         }
-        let partitioned = judge.is_some_and(|j| j.plan().partitioned_at(now, me, w.peer));
+        let partitioned = faults.is_some_and(|f| f.partitioned_at(now, me, w.peer));
         if partitioned {
             if w.conn.is_some() {
                 // The window opened: kill the connection the way a real
@@ -848,7 +849,7 @@ fn service_writers<M: Encode + WireSize>(
     me: ProcessId,
     now: Duration,
     writers: &mut [Option<Writer<M>>],
-    judge: &mut Option<LinkJudge>,
+    faults: &mut Option<NetFaultPlan>,
     stats: &NetFaultStats,
     reconnect: &mut Reconnector,
 ) {
@@ -856,7 +857,7 @@ fn service_writers<M: Encode + WireSize>(
         if w.conn.is_none() || w.finished {
             continue;
         }
-        match service_writer(me, now, w, judge.as_mut(), stats) {
+        match service_writer(me, w, faults.as_mut(), stats) {
             WriterState::Idle | WriterState::Parked => {}
             WriterState::Dead => {
                 if w.addr.is_some() {
@@ -892,9 +893,8 @@ fn service_writers<M: Encode + WireSize>(
 /// pass filters those).
 fn service_writer<M: Encode + WireSize>(
     from: ProcessId,
-    now: Duration,
     w: &mut Writer<M>,
-    mut judge: Option<&mut LinkJudge>,
+    mut faults: Option<&mut NetFaultPlan>,
     stats: &NetFaultStats,
 ) -> WriterState {
     let peer = w.peer;
@@ -917,21 +917,27 @@ fn service_writer<M: Encode + WireSize>(
         // The frames land back to back in one scratch buffer, so a single
         // plain write hands the kernel the whole batch.
         for msg in w.lanes.drain() {
-            // The nemesis fault layer judges each frame as it leaves the
+            // The nemesis fault plan judges each frame as it leaves the
             // lanes for the wire; without a plan this is a no-op branch.
-            let copies = match judge.as_mut() {
-                None => 1,
-                Some(j) => match j.judge_frame(now, peer) {
-                    NetVerdict::Pass => 1,
-                    NetVerdict::Drop => {
-                        stats.frames_dropped.fetch_add(1, Ordering::Relaxed);
-                        0
-                    }
-                    NetVerdict::Duplicate => {
-                        stats.frames_duplicated.fetch_add(1, Ordering::Relaxed);
-                        2
-                    }
-                },
+            // Partitions are enforced by `maintain_links` instead (a frame
+            // racing the sever must not die), and `start_with_faults`
+            // refuses the verdicts that would hold a frame back.
+            let copies = match faults.as_mut().map(|f| f.judge_frame(from, peer)) {
+                None
+                | Some(
+                    LinkFault::Pass
+                    | LinkFault::Partitioned
+                    | LinkFault::Delayed(_)
+                    | LinkFault::Reordered,
+                ) => 1,
+                Some(LinkFault::Dropped) => {
+                    stats.frames_dropped.fetch_add(1, Ordering::Relaxed);
+                    0
+                }
+                Some(LinkFault::Duplicated) => {
+                    stats.frames_duplicated.fetch_add(1, Ordering::Relaxed);
+                    2
+                }
             };
             for _ in 0..copies {
                 // An oversized frame is unencodable, not a transport

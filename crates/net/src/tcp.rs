@@ -1,5 +1,5 @@
 //! TCP cluster: nodes connected by loop-back TCP sockets, one thread per
-//! process.
+//! process — the workspace's one real runtime.
 //!
 //! Links are real sockets and messages travel through the wire codec —
 //! the closest in-process analogue of the paper's cluster deployment.
@@ -38,8 +38,10 @@
 //!
 //! # Lock discipline
 //!
-//! The frame path takes no lock: lanes, timers and the node belong to
-//! the loop thread. What remains is the command and output channels and
+//! The frame path takes no lock: lanes, timers, the node and the fault
+//! plan belong to the loop thread (each loop judges frames with its own
+//! clone of the plan; only the [`NetFaultStats`] counters are shared, as
+//! relaxed atomics). What remains is the command and output channels and
 //! [`crate::pool`]'s free list. The event loop never blocks: lint rule
 //! `E1` mechanically enforces that its module set reaches the kernel only
 //! through the sanctioned nonblocking shims in [`crate::poll`]. A node
@@ -54,11 +56,35 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use iabc_runtime::Node;
 use iabc_types::{Decode, Encode, ProcessId};
 
-use crate::cluster::collect_outputs;
 use crate::event_loop::{self, EventLoopHandle, LoopTopology, OutboundLink, Process, Waker};
 use crate::netfault::{NetFaultPlan, NetFaultReport, NetFaultStats};
 use crate::poll::wake_channel;
 use crate::NetOutput;
+
+/// Collects outputs from `rx` until `count` have arrived, `timeout`
+/// elapses, or every producer is gone.
+fn collect_outputs<O>(
+    rx: &Receiver<NetOutput<O>>,
+    count: usize,
+    timeout: std::time::Duration,
+) -> Vec<NetOutput<O>> {
+    let deadline = Instant::now() + timeout;
+    let mut out = Vec::new();
+    while out.len() < count {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            break;
+        }
+        match rx.recv_timeout(left) {
+            Ok(rec) => out.push(rec),
+            Err(_) => break,
+        }
+    }
+    out
+}
+
+/// An old name of [`TcpCluster`], kept for its callers: every node they run encodes to the wire.
+pub type ThreadCluster<N> = TcpCluster<N>;
 
 /// A mesh of loop-back TCP connections between `n` local "processes",
 /// each one thread: an event loop that hosts the process's node.
@@ -66,6 +92,26 @@ use crate::NetOutput;
 /// This is a test/demo vehicle, not a deployment platform, but every
 /// message crosses a real socket through the wire codec, so the full
 /// encode → TCP → decode-in-place path is exercised.
+///
+/// # Example
+///
+/// ```
+/// use iabc_core::stacks::{self, StackParams};
+/// use iabc_core::{AbcastCommand, AbcastEvent};
+/// use iabc_net::TcpCluster;
+/// use iabc_types::{Payload, ProcessId};
+///
+/// let params = StackParams::fault_free(3);
+/// let mut cluster = TcpCluster::start(3, |p| stacks::indirect_ct(p, &params));
+/// cluster.send_command(ProcessId::new(0), AbcastCommand::Broadcast(Payload::zeroed(8)));
+/// let outputs = cluster.wait_for_outputs(4, std::time::Duration::from_secs(5));
+/// let deliveries = outputs
+///     .iter()
+///     .filter(|o| matches!(o.output, AbcastEvent::Delivered { .. }))
+///     .count();
+/// assert_eq!(deliveries, 3);
+/// cluster.shutdown();
+/// ```
 pub struct TcpCluster<N: Node>
 where
     N::Msg: Encode,
@@ -106,12 +152,20 @@ where
     ///
     /// # Panics
     ///
-    /// Panics as [`TcpCluster::start`] does.
+    /// Panics as [`TcpCluster::start`] does, and if the plan sets `delay`,
+    /// `reorder` or `record_trace`: sockets honour only partitions, drops
+    /// and duplicates (see [`crate::netfault`]).
     pub fn start_with_faults(
         n: usize,
         faults: Option<NetFaultPlan>,
         mut factory: impl FnMut(ProcessId) -> N,
     ) -> Self {
+        let sim_only = faults.as_ref().and_then(NetFaultPlan::sim_only_setting);
+        assert!(
+            sim_only.is_none(),
+            "sockets cannot honour a fault plan's `{}`: only partition, isolate, drop and duplicate",
+            sim_only.unwrap_or_default()
+        );
         assert!(n > 0, "need at least one process");
         // Process ids travel as u16 in the handshake and frame tags; every
         // `i as u16` below is bounded by this assert.
@@ -443,6 +497,28 @@ mod tests {
             outs[0].at
         );
         cluster.shutdown();
+    }
+
+    fn start_refusing(plan: NetFaultPlan) {
+        let _ = TcpCluster::start_with_faults(2, Some(plan), |_| Echo);
+    }
+
+    #[test]
+    #[should_panic(expected = "fault plan's `delay`")]
+    fn start_with_faults_refuses_delay() {
+        start_refusing(NetFaultPlan::new(0).delay(10, iabc_types::Duration::from_millis(1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "fault plan's `reorder`")]
+    fn start_with_faults_refuses_reorder() {
+        start_refusing(NetFaultPlan::new(0).reorder(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "fault plan's `record_trace`")]
+    fn start_with_faults_refuses_a_trace() {
+        start_refusing(NetFaultPlan::new(0).record_trace());
     }
 
     #[test]

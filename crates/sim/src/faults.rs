@@ -2,21 +2,23 @@
 //!
 //! The paper's system model allows crash failures over *quasi-reliable*
 //! channels: a message from a process that crashes may be lost. The
-//! simulator realizes this two ways:
+//! simulator realizes this three ways:
 //!
 //! 1. **Physically**: when a process crashes, everything still inside the
 //!    host (CPU send queue, NIC transmit queue) dies with it; only frames
 //!    that already left the NIC get delivered.
-//! 2. **Scripted** ([`SimWorld::set_drop_filter`]): tests can drop specific
+//! 2. **Link faults** ([`LinkFaults`]): the workspace's one link-fault
+//!    grammar, read against virtual time; the simulator applies all of it.
+//! 3. **Scripted** ([`SimWorld::set_drop_filter`]): tests can drop specific
 //!    messages of a crashing sender to reproduce the paper's §2.2
 //!    counterexample deterministically (the initiator's payload is lost but
 //!    its consensus traffic survives).
 //!
 //! [`SimWorld::set_drop_filter`]: crate::SimWorld::set_drop_filter
 
-use std::collections::BTreeMap;
+use iabc_types::{ProcessId, Time};
 
-use iabc_types::{splitmix64, Duration, ProcessId, Time};
+pub use iabc_types::LinkFault;
 
 /// When each faulty process crashes.
 ///
@@ -97,60 +99,12 @@ impl CrashSchedule {
     }
 }
 
-/// What the link-fault layer decided to do with one frame in flight.
-///
-/// Returned by [`LinkFaults::judge`]; the world applies it at the
-/// `TxDone → RxArrive` edge (the frame has left the sender NIC but not yet
-/// started propagating — the one point where the network itself can
-/// misbehave without touching host state).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkFault {
-    /// Deliver normally.
-    Pass,
-    /// A partition window covers the link right now: the frame is lost.
-    Partitioned,
-    /// Randomly dropped by the lossy link.
-    Dropped,
-    /// Deliver the frame *and* a duplicate copy.
-    Duplicated,
-    /// Deliver after the given extra propagation delay.
-    Delayed(Duration),
-    /// Held back long enough for later frames on the link to overtake it
-    /// (the world maps this to one extra propagation slot).
-    Reordered,
-}
-
-/// One entry of the injected-fault trace (see [`LinkFaults::record_trace`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultTraceEntry {
-    /// When the fault fired (virtual time).
-    pub at: Time,
-    /// Sending side of the affected link.
-    pub from: ProcessId,
-    /// Receiving side of the affected link.
-    pub to: ProcessId,
-    /// What was injected.
-    pub fault: LinkFault,
-}
-
-/// A symmetric partition window between two processes: frames in either
-/// direction are lost while `from <= now < until`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PartitionWindow {
-    a: ProcessId,
-    b: ProcessId,
-    from: Time,
-    until: Time,
-}
-
-/// Deterministic per-link fault behaviour: peer-pair partitions over time
-/// windows plus seeded drop / duplicate / delay / reorder probabilities.
-///
-/// All randomness comes from a splitmix64 stream keyed on
-/// `(seed, from, to, per-link frame counter)` — the same seed over the same
-/// frame sequence always injects the identical fault trace, so faulty sim
-/// runs replay bit-for-bit. Probabilities are expressed in permille
-/// (0..=1000) of frames judged.
+/// The simulator's link-fault plan: the shared grammar read against
+/// virtual time. The world applies each [`LinkFault`] at the
+/// `TxDone → RxArrive` edge — the frame has left the sender NIC but not yet
+/// started propagating, the one point where the network itself can
+/// misbehave without touching host state. Crashes stay in
+/// [`CrashSchedule`]: only the simulator crashes processes.
 ///
 /// # Example
 ///
@@ -169,191 +123,10 @@ struct PartitionWindow {
 /// let healed = Time::ZERO + Duration::from_millis(10);
 /// assert_eq!(lf.judge(healed, ProcessId::new(1), ProcessId::new(0)), LinkFault::Pass);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LinkFaults {
-    seed: u64,
-    partitions: Vec<PartitionWindow>,
-    drop_permille: u16,
-    duplicate_permille: u16,
-    delay_permille: u16,
-    reorder_permille: u16,
-    max_extra_delay: Duration,
-    /// Per-link frame counters driving the deterministic draw stream.
-    counters: BTreeMap<(ProcessId, ProcessId), u64>,
-    trace: Option<Vec<FaultTraceEntry>>,
-}
+pub type LinkFaults = iabc_types::LinkFaults<Time>;
 
-impl LinkFaults {
-    /// A fault layer with the given seed and no faults configured yet.
-    pub fn new(seed: u64) -> Self {
-        LinkFaults {
-            seed,
-            partitions: Vec::new(),
-            drop_permille: 0,
-            duplicate_permille: 0,
-            delay_permille: 0,
-            reorder_permille: 0,
-            max_extra_delay: Duration::ZERO,
-            counters: BTreeMap::new(),
-            trace: None,
-        }
-    }
-
-    /// Adds a symmetric partition of `a` and `b` over `[from, until)`
-    /// (builder style). Frames in either direction are lost while the
-    /// window is open; the link heals the instant it closes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `until <= from` or `a == b`.
-    pub fn partition(mut self, a: ProcessId, b: ProcessId, from: Time, until: Time) -> Self {
-        assert!(until > from, "partition window must be non-empty");
-        assert!(a != b, "cannot partition a process from itself");
-        self.partitions.push(PartitionWindow { a, b, from, until });
-        self
-    }
-
-    /// Partitions `p` from every other process of an `n`-process world over
-    /// `[from, until)` (builder style) — full isolation, the nemesis
-    /// staple.
-    pub fn isolate(mut self, p: ProcessId, n: usize, from: Time, until: Time) -> Self {
-        for q in ProcessId::all(n) {
-            if q != p {
-                self = self.partition(p, q, from, until);
-            }
-        }
-        self
-    }
-
-    /// Sets the per-frame drop probability in permille (builder style).
-    pub fn drop(mut self, permille: u16) -> Self {
-        self.drop_permille = permille;
-        self.assert_budget();
-        self
-    }
-
-    /// Sets the per-frame duplication probability in permille (builder
-    /// style). A duplicated frame is delivered twice; dedup is the
-    /// receiver's job (quasi-reliable channels only promise no *creation*,
-    /// and the RB store already filters re-deliveries by id).
-    pub fn duplicate(mut self, permille: u16) -> Self {
-        self.duplicate_permille = permille;
-        self.assert_budget();
-        self
-    }
-
-    /// Sets the per-frame extra-delay probability in permille and the
-    /// maximum extra delay (builder style). The actual delay is drawn
-    /// uniformly from `[0, max_extra]` per affected frame.
-    pub fn delay(mut self, permille: u16, max_extra: Duration) -> Self {
-        self.delay_permille = permille;
-        self.max_extra_delay = max_extra;
-        self.assert_budget();
-        self
-    }
-
-    /// Sets the per-frame reorder probability in permille (builder style).
-    /// A reordered frame is held back one extra propagation slot so frames
-    /// sent after it overtake it.
-    pub fn reorder(mut self, permille: u16) -> Self {
-        self.reorder_permille = permille;
-        self.assert_budget();
-        self
-    }
-
-    /// Enables recording of every injected fault (builder style); read the
-    /// result back with [`LinkFaults::trace`]. Off by default because a
-    /// long lossy run accumulates a large trace.
-    pub fn record_trace(mut self) -> Self {
-        self.trace = Some(Vec::new());
-        self
-    }
-
-    fn assert_budget(&self) {
-        let total = self.drop_permille
-            + self.duplicate_permille
-            + self.delay_permille
-            + self.reorder_permille;
-        assert!(
-            total <= 1000,
-            "fault probabilities exceed 1000 permille (got {total})"
-        );
-    }
-
-    /// Whether any partition window covers the `a`–`b` link at `now`.
-    pub fn partitioned_at(&self, now: Time, a: ProcessId, b: ProcessId) -> bool {
-        self.partitions.iter().any(|w| {
-            ((w.a == a && w.b == b) || (w.a == b && w.b == a)) && now >= w.from && now < w.until
-        })
-    }
-
-    /// The recorded fault trace, if [`LinkFaults::record_trace`] was set.
-    pub fn trace(&self) -> Option<&[FaultTraceEntry]> {
-        self.trace.as_deref()
-    }
-
-    /// The next word of the per-link deterministic draw stream.
-    fn draw(&mut self, from: ProcessId, to: ProcessId) -> u64 {
-        let c = self.counters.entry((from, to)).or_insert(0);
-        *c += 1;
-        let link = ((from.as_usize() as u64) << 32) | to.as_usize() as u64;
-        splitmix64(self.seed ^ splitmix64(link) ^ c.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
-    /// Judges one frame leaving `from` for `to` at time `now`.
-    ///
-    /// Partition windows are checked first and consume no randomness (so a
-    /// plan with only partitions injects exactly the same drops regardless
-    /// of probability settings); otherwise one draw decides the frame's
-    /// fate and, for delays, a second draw picks the extra delay.
-    pub fn judge(&mut self, now: Time, from: ProcessId, to: ProcessId) -> LinkFault {
-        let fault = self.decide(now, from, to);
-        if fault != LinkFault::Pass {
-            if let Some(trace) = &mut self.trace {
-                trace.push(FaultTraceEntry { at: now, from, to, fault });
-            }
-        }
-        fault
-    }
-
-    fn decide(&mut self, now: Time, from: ProcessId, to: ProcessId) -> LinkFault {
-        if self.partitioned_at(now, from, to) {
-            return LinkFault::Partitioned;
-        }
-        if self.drop_permille == 0
-            && self.duplicate_permille == 0
-            && self.delay_permille == 0
-            && self.reorder_permille == 0
-        {
-            return LinkFault::Pass;
-        }
-        let roll = (self.draw(from, to) % 1000) as u16;
-        if roll < self.drop_permille {
-            return LinkFault::Dropped;
-        }
-        if roll < self.drop_permille + self.duplicate_permille {
-            return LinkFault::Duplicated;
-        }
-        if roll < self.drop_permille + self.duplicate_permille + self.delay_permille {
-            let span = self.max_extra_delay.as_nanos();
-            let extra = if span == 0 {
-                Duration::ZERO
-            } else {
-                Duration::from_nanos(self.draw(from, to) % (span + 1))
-            };
-            return LinkFault::Delayed(extra);
-        }
-        if roll
-            < self.drop_permille
-                + self.duplicate_permille
-                + self.delay_permille
-                + self.reorder_permille
-        {
-            return LinkFault::Reordered;
-        }
-        LinkFault::Pass
-    }
-}
+/// One entry of the injected-fault trace, stamped in virtual time.
+pub type FaultTraceEntry = iabc_types::FaultTraceEntry<Time>;
 
 /// A complete fault plan for a run: crashes, optionally followed by
 /// restarts (crash-recovery), plus deterministic link faults (partitions,
@@ -439,153 +212,6 @@ mod tests {
             Time::ZERO + Duration::from_millis(5),
             Time::ZERO + Duration::from_millis(5),
         );
-    }
-
-    fn p(i: u16) -> ProcessId {
-        ProcessId::new(i)
-    }
-
-    fn at(ms: u64) -> Time {
-        Time::ZERO + Duration::from_millis(ms)
-    }
-
-    #[test]
-    fn partition_window_is_half_open_and_symmetric() {
-        let mut lf = LinkFaults::new(0).partition(p(0), p(1), at(10), at(20));
-        assert_eq!(lf.judge(at(9), p(0), p(1)), LinkFault::Pass);
-        assert_eq!(lf.judge(at(10), p(0), p(1)), LinkFault::Partitioned);
-        assert_eq!(lf.judge(at(15), p(1), p(0)), LinkFault::Partitioned);
-        assert_eq!(lf.judge(at(20), p(0), p(1)), LinkFault::Pass);
-        // Unrelated links are untouched.
-        assert_eq!(lf.judge(at(15), p(0), p(2)), LinkFault::Pass);
-    }
-
-    #[test]
-    fn isolate_partitions_every_link_of_the_victim() {
-        let mut lf = LinkFaults::new(0).isolate(p(2), 4, at(0), at(5));
-        for q in [p(0), p(1), p(3)] {
-            assert_eq!(lf.judge(at(1), p(2), q), LinkFault::Partitioned);
-            assert_eq!(lf.judge(at(1), q, p(2)), LinkFault::Partitioned);
-        }
-        assert_eq!(lf.judge(at(1), p(0), p(1)), LinkFault::Pass);
-    }
-
-    #[test]
-    fn same_seed_same_frames_identical_fault_trace() {
-        let run = |seed: u64| {
-            let mut lf = LinkFaults::new(seed)
-                .drop(100)
-                .duplicate(50)
-                .delay(100, Duration::from_millis(2))
-                .reorder(50);
-            let mut verdicts = Vec::new();
-            for i in 0..500u64 {
-                let from = p((i % 3) as u16);
-                let to = p(((i + 1) % 3) as u16);
-                verdicts.push(lf.judge(at(i), from, to));
-            }
-            verdicts
-        };
-        assert_eq!(run(7), run(7));
-        assert_ne!(run(7), run(8), "different seeds should diverge");
-    }
-
-    proptest::proptest! {
-        /// Determinism over the whole input space: any plan shape judging
-        /// any frame script must produce the identical verdict sequence
-        /// when replayed from the same seed — the property nemesis runs
-        /// lean on to reproduce a storm from its seed alone.
-        #[test]
-        fn any_plan_judges_any_script_identically_per_seed(
-            seed in proptest::any::<u64>(),
-            drop_pm in 0u16..400,
-            dup_pm in 0u16..300,
-            delay_pm in 0u16..200,
-            script in proptest::collection::vec(
-                (0u64..2_000, 0u16..4, 0u16..4),
-                1..80,
-            ),
-        ) {
-            let build = || {
-                LinkFaults::new(seed)
-                    .partition(p(0), p(1), at(100), at(600))
-                    .drop(drop_pm)
-                    .duplicate(dup_pm)
-                    .delay(delay_pm, Duration::from_millis(3))
-            };
-            let mut a = build();
-            let mut b = build();
-            for &(t, from, to) in &script {
-                if from == to {
-                    continue;
-                }
-                proptest::prop_assert_eq!(
-                    a.judge(at(t), p(from), p(to)),
-                    b.judge(at(t), p(from), p(to))
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn probabilities_hit_every_verdict_roughly_in_proportion() {
-        let mut lf = LinkFaults::new(3)
-            .drop(200)
-            .duplicate(100)
-            .delay(100, Duration::from_millis(1))
-            .reorder(100);
-        let mut drops = 0u32;
-        let mut dups = 0u32;
-        let mut delays = 0u32;
-        let mut reorders = 0u32;
-        let mut passes = 0u32;
-        for i in 0..2000u64 {
-            match lf.judge(at(i), p(0), p(1)) {
-                LinkFault::Dropped => drops += 1,
-                LinkFault::Duplicated => dups += 1,
-                LinkFault::Delayed(d) => {
-                    assert!(d <= Duration::from_millis(1));
-                    delays += 1;
-                }
-                LinkFault::Reordered => reorders += 1,
-                LinkFault::Pass => passes += 1,
-                LinkFault::Partitioned => unreachable!("no partitions configured"),
-            }
-        }
-        // 2000 draws at 20%/10%/10%/10%: each bucket must be populated and
-        // in the right ballpark (loose bounds — the stream is fixed).
-        assert!((200..=600).contains(&drops), "drops = {drops}");
-        assert!((100..=350).contains(&dups), "dups = {dups}");
-        assert!((100..=350).contains(&delays), "delays = {delays}");
-        assert!((100..=350).contains(&reorders), "reorders = {reorders}");
-        assert!(passes >= 800, "passes = {passes}");
-    }
-
-    #[test]
-    fn trace_records_only_injected_faults() {
-        let mut lf = LinkFaults::new(0)
-            .partition(p(0), p(1), at(0), at(10))
-            .record_trace();
-        let _ = lf.judge(at(1), p(0), p(1)); // partitioned
-        let _ = lf.judge(at(11), p(0), p(1)); // pass — not recorded
-        let trace = lf.trace().unwrap();
-        assert_eq!(trace.len(), 1);
-        assert_eq!(
-            trace[0],
-            FaultTraceEntry { at: at(1), from: p(0), to: p(1), fault: LinkFault::Partitioned }
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "exceed 1000 permille")]
-    fn overcommitted_probability_budget_panics() {
-        let _ = LinkFaults::new(0).drop(600).duplicate(500);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be non-empty")]
-    fn empty_partition_window_panics() {
-        let _ = LinkFaults::new(0).partition(p(0), p(1), at(5), at(5));
     }
 
     #[test]

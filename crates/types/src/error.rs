@@ -45,38 +45,6 @@ impl fmt::Display for CodecError {
 
 impl Error for CodecError {}
 
-/// An error in a system configuration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ConfigError {
-    /// The system size is outside the supported range.
-    InvalidSystemSize {
-        /// Requested number of processes.
-        n: usize,
-    },
-    /// The declared fault bound exceeds what the selected algorithm supports.
-    FaultBoundTooHigh {
-        /// Requested maximum number of faults.
-        f: usize,
-        /// Largest supported value for the system size and algorithm.
-        max: usize,
-    },
-}
-
-impl fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ConfigError::InvalidSystemSize { n } => {
-                write!(f, "invalid system size {n} (need 1 ≤ n ≤ 64)")
-            }
-            ConfigError::FaultBoundTooHigh { f: faults, max } => {
-                write!(f, "fault bound {faults} exceeds maximum {max} for this algorithm")
-            }
-        }
-    }
-}
-
-impl Error for ConfigError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,17 +60,8 @@ mod tests {
     }
 
     #[test]
-    fn config_error_messages() {
-        let e = ConfigError::InvalidSystemSize { n: 0 };
-        assert!(e.to_string().contains("invalid system size 0"));
-        let e = ConfigError::FaultBoundTooHigh { f: 2, max: 1 };
-        assert!(e.to_string().contains("fault bound 2"));
-    }
-
-    #[test]
     fn errors_are_send_sync() {
         fn assert_send_sync<T: Send + Sync + std::error::Error>() {}
         assert_send_sync::<CodecError>();
-        assert_send_sync::<ConfigError>();
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! This crate defines the process/message identifier types, the virtual time
 //! base used by the deterministic simulator, quorum arithmetic for the
-//! ◇S algorithms of the paper, and a small byte-accurate wire codec used both
+//! ◇S algorithms of the paper, the link-fault grammar both transports read
+//! ([`LinkFaults`]), and a small byte-accurate wire codec used both
 //! to serialize protocol messages on real transports and to compute realistic
 //! on-the-wire sizes for the simulated network contention model.
 //!
@@ -21,9 +22,9 @@
 //! assert_eq!(quorum::two_thirds(5), 4);
 //! ```
 
-pub mod config;
 pub mod error;
 pub mod ewma;
+pub mod faults;
 pub mod idranges;
 pub mod idset;
 pub mod message;
@@ -32,9 +33,9 @@ pub mod quorum;
 pub mod time;
 pub mod wire;
 
-pub use config::SystemConfig;
-pub use error::{CodecError, ConfigError};
+pub use error::CodecError;
 pub use ewma::Ewma;
+pub use faults::{FaultTraceEntry, LinkFault, LinkFaults};
 pub use idranges::IdRanges;
 pub use idset::IdSet;
 pub use message::{AppMessage, MsgId, Payload};
@@ -43,9 +44,9 @@ pub use time::{Duration, Time};
 pub use wire::{Decode, Encode, TrafficClass, WireSize};
 
 /// splitmix64 finalizer: a full-avalanche scramble of one 64-bit word.
-/// Every seeded draw stream in the workspace — the simulator's link
-/// faults, the socket fault plan, reconnect jitter — keys on it, so a seed
-/// means the same thing everywhere.
+/// Every seeded draw stream in the workspace — the link-fault plan on
+/// either transport, reconnect jitter — keys on it, so a seed means the
+/// same thing everywhere.
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

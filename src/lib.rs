@@ -14,8 +14,8 @@
 //!   broadcast;
 //! * heartbeat / scripted failure detectors;
 //! * a deterministic discrete-event LAN simulator calibrated to the
-//!   paper's two testbeds, plus thread and TCP runtimes for the same
-//!   sans-io protocol code;
+//!   paper's two testbeds, plus a TCP runtime for the same sans-io
+//!   protocol code, both driven by one link-fault grammar;
 //! * a benchmark harness regenerating every figure of the paper's
 //!   evaluation;
 //! * throughput knobs the paper never measured, each set in one place,
@@ -60,7 +60,7 @@
 //! ```
 //!
 //! See `examples/` for larger scenarios (replicated key-value store, crash
-//! faults, the paper's §2.2 counterexample, real-thread and TCP clusters)
+//! faults, the paper's §2.2 counterexample, a TCP cluster)
 //! and `crates/bench` for the figure harnesses.
 
 pub use iabc_broadcast as broadcast;
@@ -85,9 +85,7 @@ pub mod prelude {
         CrashSchedule, FaultPlan, FaultTraceEntry, LinkFault, LinkFaults, NetworkParams,
         SimBuilder, SimWorld, StopReason,
     };
-    pub use iabc_types::{
-        AppMessage, Duration, IdSet, MsgId, Payload, ProcessId, ProcessSet, SystemConfig, Time,
-    };
+    pub use iabc_types::{AppMessage, Duration, IdSet, MsgId, Payload, ProcessId, ProcessSet, Time};
     pub use iabc_workload::{
         run_abcast_experiment, run_variant, ArrivalKind, ExperimentResult, LatencyStats,
         WorkloadSpec,
