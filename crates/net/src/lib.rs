@@ -15,6 +15,7 @@
 //! ([`NetFaultPlan`]). `Action::Work` is ignored (real CPUs charge
 //! themselves).
 
+pub mod cluster;
 pub mod codec;
 pub mod netfault;
 pub mod poll;
@@ -26,9 +27,10 @@ pub(crate) mod event_loop;
 pub(crate) mod reconnect;
 pub(crate) mod timers;
 
+pub use cluster::ThreadCluster;
 pub use netfault::{NetFaultPlan, NetFaultReport, NetFaultStats};
 pub use pool::{BufferPool, PoolStats};
-pub use tcp::{TcpCluster, ThreadCluster};
+pub use tcp::TcpCluster;
 
 use iabc_types::{ProcessId, Time};
 

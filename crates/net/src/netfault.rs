@@ -9,12 +9,11 @@
 //! * **partitions** are enforced once per pass by severing the
 //!   connection and gating reconnect attempts until the window closes —
 //!   the only way a real transport can cut a link;
-//! * **drop and duplicate** verdicts come from
-//!   `LinkFaults::judge_frame`, the plan's draw-only half, as each frame
-//!   leaves a peer's [`crate::queue::Lanes`] for the wire;
-//! * **delay, reorder and trace** are refused by
-//!   `TcpCluster::start_with_faults`: a nonblocking loop cannot hold
-//!   frames back without a timer wheel, and the simulator runs them.
+//! * **drop and duplicate** verdicts come from `LinkFaults::judge_frame`,
+//!   the plan's draw-only half, as each frame leaves a peer's
+//!   [`crate::queue::Lanes`] for the wire;
+//! * **delay, reorder and trace** are refused by `TcpCluster::start_with_faults`:
+//!   a nonblocking loop cannot hold frames back without a timer wheel.
 //!
 //! An **absent plan is never consulted**: fault-free clusters run the
 //! exact pre-fault-layer code and their wire traffic is byte-identical.
@@ -81,6 +80,56 @@ mod tests {
     }
 
     #[test]
+    fn partition_window_is_half_open_and_symmetric() {
+        let plan = NetFaultPlan::new(0).partition(p(0), p(1), ms(10), ms(20));
+        assert!(!plan.partitioned_at(ms(9), p(0), p(1)));
+        assert!(plan.partitioned_at(ms(10), p(0), p(1)));
+        assert!(plan.partitioned_at(ms(15), p(1), p(0)));
+        assert!(plan.partitioned_at(ms(20) - Duration::from_nanos(1), p(1), p(0)));
+        assert!(!plan.partitioned_at(ms(20), p(0), p(1)));
+        assert!(!plan.partitioned_at(ms(15), p(0), p(2)));
+    }
+
+    #[test]
+    fn isolate_cuts_every_link_of_the_victim() {
+        let plan = NetFaultPlan::new(0).isolate(p(2), 4, ms(0), ms(5));
+        for q in [p(0), p(1), p(3)] {
+            assert!(plan.partitioned_at(ms(1), p(2), q));
+            assert!(plan.partitioned_at(ms(1), q, p(2)));
+        }
+        assert!(!plan.partitioned_at(ms(1), p(0), p(1)));
+    }
+
+    #[test]
+    fn same_seed_same_frames_identical_verdicts() {
+        let run = |seed: u64| {
+            let mut plan = NetFaultPlan::new(seed).drop(150).duplicate(100);
+            (0..500u16).map(|i| plan.judge_frame(p(0), p(i % 2 + 1))).collect::<Vec<_>>()
+        };
+        assert_eq!(run(7), run(7));
+        assert_ne!(run(7), run(8), "different seeds should diverge");
+    }
+
+    #[test]
+    fn probabilities_populate_every_verdict() {
+        let mut plan = NetFaultPlan::new(3).drop(200).duplicate(100);
+        let mut drops = 0u32;
+        let mut dups = 0u32;
+        let mut passes = 0u32;
+        for _ in 0..2000 {
+            match plan.judge_frame(p(0), p(1)) {
+                LinkFault::Dropped => drops += 1,
+                LinkFault::Duplicated => dups += 1,
+                LinkFault::Pass => passes += 1,
+                other => panic!("sockets judged {other:?} from a drop/duplicate plan"),
+            }
+        }
+        assert!((200..=600).contains(&drops), "drops = {drops}");
+        assert!((100..=350).contains(&dups), "dups = {dups}");
+        assert!(passes >= 1200, "passes = {passes}");
+    }
+
+    #[test]
     fn empty_plan_judges_pass_without_consuming_draws() {
         let mut plan = NetFaultPlan::new(9);
         for _ in 0..10 {
@@ -99,5 +148,17 @@ mod tests {
         assert!(plan.partitioned_at(ms(5), p(0), p(1)));
         assert_eq!(plan.judge_frame(p(0), p(1)), LinkFault::Pass);
         assert_eq!(plan, window(), "partition checks consume no draw");
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed 1000 permille")]
+    fn overcommitted_probability_budget_panics() {
+        let _ = NetFaultPlan::new(0).drop(600).duplicate(500);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be non-empty")]
+    fn empty_partition_window_panics() {
+        let _ = NetFaultPlan::new(0).partition(p(0), p(1), ms(5), ms(5));
     }
 }

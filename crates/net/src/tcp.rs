@@ -83,9 +83,6 @@ fn collect_outputs<O>(
     out
 }
 
-/// An old name of [`TcpCluster`], kept for its callers: every node they run encodes to the wire.
-pub type ThreadCluster<N> = TcpCluster<N>;
-
 /// A mesh of loop-back TCP connections between `n` local "processes",
 /// each one thread: an event loop that hosts the process's node.
 ///

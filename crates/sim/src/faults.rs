@@ -112,16 +112,11 @@ impl CrashSchedule {
 /// use iabc_sim::{LinkFault, LinkFaults};
 /// use iabc_types::{Duration, ProcessId, Time};
 ///
-/// let mut lf = LinkFaults::new(42).partition(
-///     ProcessId::new(0),
-///     ProcessId::new(1),
-///     Time::ZERO,
-///     Time::ZERO + Duration::from_millis(10),
-/// );
-/// let at = Time::ZERO + Duration::from_millis(5);
-/// assert_eq!(lf.judge(at, ProcessId::new(1), ProcessId::new(0)), LinkFault::Partitioned);
-/// let healed = Time::ZERO + Duration::from_millis(10);
-/// assert_eq!(lf.judge(healed, ProcessId::new(1), ProcessId::new(0)), LinkFault::Pass);
+/// let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
+/// let at = |ms| Time::ZERO + Duration::from_millis(ms);
+/// let mut lf = LinkFaults::new(42).partition(p0, p1, at(0), at(10));
+/// assert_eq!(lf.judge(at(5), p1, p0), LinkFault::Partitioned);
+/// assert_eq!(lf.judge(at(10), p1, p0), LinkFault::Pass);
 /// ```
 pub type LinkFaults = iabc_types::LinkFaults<Time>;
 
