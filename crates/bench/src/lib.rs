@@ -103,7 +103,7 @@ impl Effort {
     }
 
     /// The measured window for a given throughput.
-    pub fn duration_for(&self, throughput: f64) -> Duration {
+    fn duration_for(&self, throughput: f64) -> Duration {
         let secs = self.target_msgs as f64 / throughput;
         Duration::from_secs_f64(
             secs.clamp(self.min_duration.as_secs_f64(), self.max_duration.as_secs_f64()),

@@ -127,16 +127,11 @@ impl<V: ConsensusValue, A: SingleConsensus<V>> InstanceManager<V, A> {
     }
 
     /// Instance numbers currently running (proposed, undecided), ascending.
-    pub fn running_instances(&self) -> Vec<u64> {
+    fn running_instances(&self) -> Vec<u64> {
         self.slots
             .iter()
             .filter_map(|(k, s)| matches!(s, Slot::Running(_)).then_some(*k))
             .collect()
-    }
-
-    /// Number of messages buffered for instances not yet proposed in.
-    pub fn pending_messages(&self) -> usize {
-        self.pending.values().map(Vec::len).sum()
     }
 
     /// Proposes in instance `k` (Algorithm 1 line 17), flushing any
@@ -343,7 +338,7 @@ mod tests {
         assert!(m.decision(1).is_none());
         assert!(!out.has_effects(), "buffering must look like no protocol activity");
         assert!(out.is_empty());
-        assert_eq!(m.pending_messages(), 1);
+        assert_eq!(m.pending[&1].len(), 1);
         // Proposing flushes the buffer: we decide instantly.
         m.propose(1, ids(&[1]), &AlwaysHeld, ProcessSet::new(), &mut out);
         assert_eq!(m.decision(1), Some(&ids(&[9])));
@@ -453,7 +448,7 @@ mod tests {
             &mut out,
         );
         assert!(out.sends.is_empty());
-        assert_eq!(m.pending_messages(), 0);
+        assert!(m.pending.is_empty());
     }
 
     #[test]

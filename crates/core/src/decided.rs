@@ -44,7 +44,7 @@ use iabc_types::{AppMessage, CodecError, Decode, Encode, WireSize};
 /// Upper bound on a single record body, mirroring the network layer's
 /// frame cap (`iabc-net`'s `MAX_FRAME`): a length prefix beyond this is
 /// corruption, not a real record.
-pub const MAX_RECORD: usize = 16 << 20;
+const MAX_RECORD: usize = 16 << 20;
 
 /// One fully a-delivered consensus instance: the decided value plus the
 /// payloads of every message it ordered (in delivery order). Carrying

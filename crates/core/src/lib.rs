@@ -49,7 +49,6 @@ pub mod envelope;
 pub mod monitor;
 pub mod msgset;
 pub mod node;
-pub mod pending;
 pub mod proposal;
 mod recovery;
 pub mod stacks;
@@ -62,7 +61,6 @@ pub use envelope::Envelope;
 pub use monitor::{AbcastChecker, Violation};
 pub use msgset::MsgSet;
 pub use node::AbcastNode;
-pub use pending::{DurablePendingStore, MemPendingStore, PendingStore};
 pub use proposal::{PipelineConfig, WindowController};
 pub use stacks::{ConsensusFamily, RbKind, StackParams, VariantKind};
 pub use store::{CostModel, OrderingValue, ReceivedStore};

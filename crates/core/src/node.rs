@@ -17,7 +17,6 @@ use iabc_types::{AppMessage, Duration, IdRanges, IdSet, MsgId, ProcessId, Proces
 
 use crate::decided::{DecidedEntry, DecidedLog};
 use crate::envelope::Envelope;
-use crate::pending::PendingStore;
 use crate::proposal::{PipelineConfig, ProposalPolicy, Selection};
 use crate::recovery::{Recovery, TIMER_CATCHUP};
 use crate::store::{CostModel, NodeOracle, OrderingValue, ReceivedStore};
@@ -171,16 +170,6 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
     pub fn set_decided_log(&mut self, log: Box<dyn DecidedLog<V>>) {
         if let Some(r) = self.recovery.as_mut() {
             r.set_log(log);
-        }
-    }
-
-    /// Replaces the pending-broadcast store — typically with a
-    /// [`crate::pending::DurablePendingStore`] sidecar, so accepted but
-    /// undecided broadcasts survive a restart. Call before the node
-    /// starts. No-op unless `catch_up` is on at a non-learner.
-    pub fn set_pending_store(&mut self, store: Box<dyn PendingStore>) {
-        if let Some(r) = self.recovery.as_mut() {
-            r.set_pending(store);
         }
     }
 
@@ -580,14 +569,16 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
     }
 
     /// Restart path: rebuilds the ordering state from the reloaded decided
-    /// log and returns the pending broadcasts to flood afresh. The logged
-    /// prefix was a-delivered before the crash, so it is not re-delivered:
-    /// its ids count as ordered *and* delivered (an old copy re-flooded to
-    /// this incarnation's fresh RB layer is refused), the apply cursor
-    /// jumps past it, and `next_seq` past every own id in the log and the
-    /// pending set, so no id is reused.
-    fn recover(&mut self) -> Vec<AppMessage> {
-        let Some(r) = self.recovery.as_mut() else { return Vec::new() };
+    /// log. The logged prefix was a-delivered before the crash, so it is
+    /// not re-delivered: its ids count as ordered *and* delivered (an old
+    /// copy re-flooded to this incarnation's fresh RB layer is refused),
+    /// the apply cursor jumps past it, and `next_seq` past every own id in
+    /// the log. Only *logged* own ids are known here: the pending set is in
+    /// memory, so the sequence number of a broadcast accepted but not yet
+    /// logged before the crash can be reused. Closing that gap takes a
+    /// durable pending set, written with the decided log's group commit.
+    fn recover(&mut self) {
+        let Some(r) = self.recovery.as_mut() else { return };
         let logged = r.reload_log();
         for e in logged {
             for id in e.value.ids().iter() {
@@ -602,11 +593,6 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
             self.next_apply = last.k.saturating_add(1);
             self.proposed_hi = self.proposed_hi.max(last.k);
         }
-        let live = r.restart_pending(&self.ordered_ever);
-        for m in live.iter().filter(|m| m.id().sender() == self.me) {
-            self.next_seq = self.next_seq.max(m.id().seq().saturating_add(1));
-        }
-        live
     }
 
     /// Applies a catch-up reply's entries through the normal decision path
@@ -645,9 +631,7 @@ impl<V: OrderingValue, A: SingleConsensus<V>> Node for AbcastNode<V, A> {
     type Output = AbcastEvent;
 
     fn on_start(&mut self, ctx: &mut Ctx<V>) {
-        for m in self.recover() {
-            self.drive_bcast(ctx, |bcast, out| bcast.broadcast(m, out));
-        }
+        self.recover();
         // Learners send no heartbeats. Peers that know the learner set
         // (StackParams::with_learner_set) exclude them from suspicion,
         // rotation and quorums natively; peers that don't will suspect
@@ -1731,48 +1715,6 @@ mod tests {
         assert_eq!(recovery(&node).pending_broadcasts(), 0, "logged broadcast must clear");
         // Without catch-up there is no pending tracking at all.
         assert!(test_node(1).recovery.is_none());
-    }
-
-    #[test]
-    fn restart_refloods_pending_broadcasts_and_resumes_seq() {
-        // The previous incarnation accepted (0, 5) but crashed before its
-        // instance was decided: the pending sidecar survived.
-        let mut store = crate::pending::MemPendingStore::new();
-        store.record(msg(0, 5));
-        let mut node = catchup_node();
-        node.set_pending_store(Box::new(store));
-        let mut c = ctx();
-        node.on_start(&mut c);
-        assert_eq!(recovery(&node).pending_refloods(), 1);
-        let reflooded = sends(&mut c).into_iter().any(|(_, m)| match m {
-            Envelope::WithFrontier { inner, .. } => matches!(
-                *inner,
-                Envelope::Bcast(BcastMsg::Data(ref am)) if am.id() == msg(0, 5).id()
-            ),
-            _ => false,
-        });
-        assert!(reflooded, "pending broadcast must be re-flooded at start");
-        // next_seq resumes past the pending id even though the log is empty.
-        node.on_command(AbcastCommand::Broadcast(Payload::zeroed(8)), &mut c);
-        let bid = broadcast_id(&mut c);
-        assert_eq!(bid, MsgId::new(ProcessId::new(0), 6), "no id reuse past pending");
-    }
-
-    #[test]
-    fn recovery_clears_pending_entries_already_in_the_log() {
-        // Crash happened between the log append and the pending clear: the
-        // entry is in both. Recovery must finish the clear, not re-flood.
-        let mut log = MemDecidedLog::new();
-        assert!(log.append(log_entry(1, &[msg(0, 0)])));
-        let mut store = crate::pending::MemPendingStore::new();
-        store.record(msg(0, 0));
-        let mut node = catchup_node();
-        node.set_decided_log(Box::new(log));
-        node.set_pending_store(Box::new(store));
-        let mut c = ctx();
-        node.on_start(&mut c);
-        assert_eq!(recovery(&node).pending_broadcasts(), 0, "logged entry must be cleared");
-        assert_eq!(recovery(&node).pending_refloods(), 0, "logged entry must not re-flood");
     }
 
     #[test]

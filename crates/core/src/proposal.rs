@@ -63,7 +63,7 @@ pub const FRESHNESS_WARMUP: u64 = 8;
 /// observation). Deliberately light: delivery latency under load swings
 /// with queue depth, and a jumpy threshold would make the gate flap
 /// between deferring everything and nothing.
-pub const FRESHNESS_ALPHA: f64 = 0.1;
+const FRESHNESS_ALPHA: f64 = 0.1;
 
 /// Safety factor on the flood delay estimate: an id is mature once it is
 /// `FRESHNESS_FACTOR ×` the EWMA delivery latency old. At factor 1 about

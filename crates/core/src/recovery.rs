@@ -19,7 +19,6 @@ use iabc_types::{AppMessage, Duration, IdRanges, ProcessId};
 
 use crate::decided::{DecidedEntry, DecidedLog, MemDecidedLog};
 use crate::envelope::Envelope;
-use crate::pending::{MemPendingStore, PendingStore};
 use crate::store::OrderingValue;
 use crate::AbcastEvent;
 
@@ -50,10 +49,13 @@ pub(crate) struct Recovery<V> {
     /// node piggybacks and serves. In memory unless [`Recovery::set_log`]
     /// swapped in a durable one before start.
     log: Box<dyn DecidedLog<V>>,
-    /// Accepted-but-undecided broadcasts (`None` at a learner): recorded at
+    /// This process's accepted-but-undecided broadcasts by sequence number
+    /// (always empty at a learner, which never broadcasts): recorded at
     /// `on_command`, settled when their instance reaches the log,
-    /// re-flooded on restart and after catch-up episodes.
-    pending: Option<Box<dyn PendingStore>>,
+    /// re-flooded after catch-up episodes. Every entry is an own
+    /// broadcast, so sequence order is acceptance order. In memory only:
+    /// a restarted process starts with none.
+    pending: BTreeMap<u64, AppMessage>,
     /// Learner (read replica) mode: every lead is requested at once.
     learner: bool,
     /// Applied instances whose deliveries are still draining, oldest first
@@ -92,12 +94,11 @@ struct PendingLogEntry<V> {
 }
 
 impl<V: OrderingValue> Recovery<V> {
-    /// An empty in-memory log, plus a pending set unless `learner` (a read
-    /// replica never broadcasts).
+    /// An empty in-memory log and pending set.
     pub(crate) fn new(learner: bool) -> Self {
         Recovery {
             log: Box::new(MemDecidedLog::new()),
-            pending: (!learner).then(|| Box::new(MemPendingStore::new()) as Box<dyn PendingStore>),
+            pending: BTreeMap::new(),
             learner,
             pending_log: VecDeque::new(),
             peer_frontiers: BTreeMap::new(),
@@ -114,13 +115,6 @@ impl<V: OrderingValue> Recovery<V> {
     /// Replaces the decided log (before start).
     pub(crate) fn set_log(&mut self, log: Box<dyn DecidedLog<V>>) {
         self.log = log;
-    }
-
-    /// Replaces the pending store (before start; no-op at a learner).
-    pub(crate) fn set_pending(&mut self, store: Box<dyn PendingStore>) {
-        if self.pending.is_some() {
-            self.pending = Some(store);
-        }
     }
 
     /// The decided frontier: the highest instance fully a-delivered and
@@ -146,13 +140,11 @@ impl<V: OrderingValue> Recovery<V> {
         Envelope::WithFrontier { frontier: self.log.frontier(), delivered: Vec::new(), inner: Box::new(env) }
     }
 
-    /// Records an accepted broadcast *before* it is flooded: once the
-    /// application sees `Broadcast`, the payload must survive a crash
-    /// until its instance is logged.
+    /// Records an accepted broadcast *before* it is flooded, so a flood
+    /// shed while this process was cut off is repeated once a catch-up
+    /// episode settles. Recording an id already pending is a no-op.
     pub(crate) fn record(&mut self, m: &AppMessage) {
-        if let Some(pending) = self.pending.as_mut() {
-            pending.record(m.clone());
-        }
+        self.pending.entry(m.id().seq()).or_insert_with(|| m.clone());
     }
 
     /// Queues applied instance `k`, which newly ordered `remaining` ids, for
@@ -175,44 +167,23 @@ impl<V: OrderingValue> Recovery<V> {
 
     /// Appends every fully delivered instance at the front of the queue to
     /// the log, preserving contiguity, and settles `me`'s broadcasts they
-    /// order. Clearing only here (not at decision time) keeps the window
-    /// closed — a crash between decision and append still re-floods.
+    /// order (settling an id not pending is a no-op).
     pub(crate) fn drain_completed(&mut self, me: ProcessId) {
         while self.pending_log.front().is_some_and(|p| p.remaining == 0) {
             let Some(p) = self.pending_log.pop_front() else { break };
-            if let Some(pending) = self.pending.as_mut() {
-                for id in p.value.ids().iter().filter(|id| id.sender() == me) {
-                    pending.settle(id);
-                }
+            for id in p.value.ids().iter().filter(|id| id.sender() == me) {
+                self.pending.remove(&id.seq());
             }
             self.log.append(DecidedEntry { k: p.k, value: p.value, payloads: p.payloads });
         }
     }
 
-    /// Restart, part one: reloads the log and returns its whole prefix.
-    /// Entries are only appended once every id in the instance has been
-    /// delivered, so the caller marks it delivered, not re-delivers it.
+    /// Restart: reloads the log and returns its whole prefix. Entries are
+    /// only appended once every id in the instance has been delivered, so
+    /// the caller marks it delivered, not re-delivers it.
     pub(crate) fn reload_log(&mut self) -> &[DecidedEntry<V>] {
         self.log.reload();
         self.log.range(1, self.log.frontier())
-    }
-
-    /// Restart, part two (after the caller rebuilt `ordered_ever` from the
-    /// log): reloads the pending set, settles entries whose instance
-    /// already made it into the log — the previous incarnation crashed
-    /// between the append and the settle — and returns the rest, to be
-    /// broadcast afresh (the old incarnation's RB state died with it;
-    /// receivers dedupe by id).
-    pub(crate) fn restart_pending(&mut self, ordered_ever: &IdRanges) -> Vec<AppMessage> {
-        let Some(pending) = self.pending.as_mut() else { return Vec::new() };
-        pending.reload();
-        let (logged, live): (Vec<AppMessage>, Vec<AppMessage>) =
-            pending.entries().iter().cloned().partition(|m| ordered_ever.contains(m.id()));
-        for m in logged {
-            pending.settle(m.id());
-        }
-        self.pending_refloods += live.len() as u64;
-        live
     }
 
     /// Bootstrap probe at start (a quiet cluster sends no frontiers): one
@@ -336,9 +307,8 @@ impl<V: OrderingValue> Recovery<V> {
     /// relay frames (the live RB layer has already seen these ids, so a
     /// fresh broadcast would no-op). Receivers dedupe by id.
     fn reflood_pending(&mut self, ordered_ever: &IdRanges, ctx: &mut Ctx<V>) {
-        let Some(pending) = self.pending.as_ref() else { return };
         let mut sent = 0;
-        for m in pending.entries().iter().filter(|m| !ordered_ever.contains(m.id())) {
+        for m in self.pending.values().filter(|m| !ordered_ever.contains(m.id())) {
             ctx.send_to_others(self.wrap(Envelope::Bcast(BcastMsg::Relay(m.clone()))));
             sent += 1;
         }
@@ -354,10 +324,10 @@ mod tests {
     impl<V: OrderingValue> Recovery<V> {
         /// Accepted broadcasts whose instance has not reached the log yet.
         pub(crate) fn pending_broadcasts(&self) -> usize {
-            self.pending.as_ref().map_or(0, |p| p.entries().len())
+            self.pending.len()
         }
 
-        /// Pending broadcasts re-flooded so far (restart and post-catch-up).
+        /// Pending broadcasts re-flooded so far (after catch-up episodes).
         pub(crate) fn pending_refloods(&self) -> u64 {
             self.pending_refloods
         }
@@ -388,5 +358,23 @@ mod tests {
         assert_eq!(r.frontier(), 2);
         let logged = r.reload_log();
         assert_eq!(logged[0].payloads, vec![own, peer], "payloads in delivery order");
+    }
+
+    /// Recording an id already pending and settling one that is not are
+    /// no-ops; what stays pending keeps acceptance order.
+    #[test]
+    fn mem_store_records_and_clears_in_order() {
+        let me = ProcessId::new(0);
+        let mut r: Recovery<IdSet> = Recovery::new(false);
+        for seq in [1, 2, 3, 1] {
+            r.record(&msg(0, seq));
+        }
+        assert_eq!(r.pending_broadcasts(), 3, "duplicate record is a no-op");
+        // An all-duplicates instance logs at once, settling (0, 2) and the
+        // absent (0, 9).
+        r.queue(1, IdSet::from_ids([msg(0, 2).id(), msg(0, 9).id()]), 0);
+        r.drain_completed(me);
+        let seqs: Vec<u64> = r.pending.values().map(|m| m.id().seq()).collect();
+        assert_eq!(seqs, vec![1, 3]);
     }
 }

@@ -19,7 +19,7 @@ use crate::parser::FnItem;
 /// calling thread for an unbounded (or scheduler-decided) time. `lock()`
 /// itself is deliberately absent — lock acquisition order is O1's domain,
 /// not B1's.
-pub const BLOCKING_OPS: &[&str] = &[
+const BLOCKING_OPS: &[&str] = &[
     "write_all",
     "write_vectored",
     "write",
@@ -406,7 +406,7 @@ impl CallGraph {
     }
 
     /// All workspace functions a call to `name` may resolve to.
-    pub fn resolve(&self, name: &str) -> &[usize] {
+    fn resolve(&self, name: &str) -> &[usize] {
         self.by_name.get(name).map(Vec::as_slice).unwrap_or(&[])
     }
 

@@ -5,8 +5,8 @@ use std::fmt;
 /// One lint finding: a rule violation at a file/line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule name (`D1`, `D2`, `P1`, `W1`, `W2`, `O1`, `B1`, `L1`, or `A1`
-    /// for a malformed `lint:allow` annotation).
+    /// Rule name (`D1`, `D2`, `P1`, `W1`, `W2`, `O1`, `B1`, `E1`, `L1`,
+    /// `U1`, or `A1` for a malformed `lint:allow` annotation).
     pub rule: String,
     /// Workspace-relative path.
     pub file: String,
@@ -105,6 +105,8 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Number of files analyzed.
     pub files_scanned: usize,
+    /// Workspace-relative paths of the files rule U1 read for namings.
+    pub corpus: Vec<String>,
 }
 
 impl Report {
@@ -173,6 +175,7 @@ mod tests {
         let r = Report {
             findings: vec![Finding::new("D2", "crates/x/src/a.rs", 3, "use \"BTreeMap\"".into())],
             files_scanned: 2,
+            corpus: Vec::new(),
         };
         let j = r.to_json();
         assert!(j.contains("\"rule\": \"D2\""));
@@ -225,6 +228,7 @@ mod tests {
                 Finding::new("B1", "crates/net/src/t.rs", 2, "block".into()),
             ],
             files_scanned: 2,
+            corpus: Vec::new(),
         };
         assign_ids(&mut r.findings, &|_| Some("a as u8\nwrite under lock\n".into()));
         let ids = baseline_ids(&r.to_json());

@@ -195,7 +195,7 @@ fn rule_b1(graph: &CallGraph, findings: &mut Vec<Finding>) {
 /// loop serves every connection of the process, so a single blocking
 /// call here stalls them all — rule E1 flags every function defined in
 /// these files that may block, directly or through a callee.
-pub const EVENT_LOOP_FILES: &[&str] = &[
+const EVENT_LOOP_FILES: &[&str] = &[
     "crates/net/src/event_loop.rs",
     // Loop-resident helper: the reconnect state machine runs on the loop
     // thread, so it inherits the no-blocking contract.
@@ -207,14 +207,14 @@ pub const EVENT_LOOP_FILES: &[&str] = &[
 /// `read`/`write` calls return `WouldBlock` instead of parking — and
 /// `Poller::wait` is the loop's single sanctioned parking point,
 /// accounted for with a reasoned `lint:allow(E1)` at its call site.
-pub const EVENT_LOOP_SANCTIONED_FILES: &[&str] = &["crates/net/src/poll.rs"];
+const EVENT_LOOP_SANCTIONED_FILES: &[&str] = &["crates/net/src/poll.rs"];
 
 /// The `Node` callbacks the loop hosts. Handlers now run on the loop, so
 /// a blocking call inside a `Node` stalls that process's I/O (as it
 /// stalled the node thread before) — that is the node's contract, not the
 /// transport's: E1 polices the code the transport owns and stops at this
 /// boundary instead of flagging every path into a protocol stack.
-pub const EVENT_LOOP_HOSTED_CALLBACKS: &[&str] =
+const EVENT_LOOP_HOSTED_CALLBACKS: &[&str] =
     &["on_start", "on_message", "on_command", "on_timer"];
 
 fn rule_e1(graph: &CallGraph, findings: &mut Vec<Finding>) {

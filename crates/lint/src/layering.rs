@@ -20,7 +20,7 @@
 use crate::findings::Finding;
 
 /// Layer of each workspace crate (strictly-lower-only dependencies).
-pub const LAYERS: &[(&str, u32)] = &[
+const LAYERS: &[(&str, u32)] = &[
     ("iabc-types", 0),
     ("iabc-runtime", 1),
     ("iabc-fd", 2),
@@ -35,7 +35,7 @@ pub const LAYERS: &[(&str, u32)] = &[
 ];
 
 /// Crates nothing may depend on.
-pub const TERMINAL: &[&str] = &["iabc-bench", "iabc-lint"];
+const TERMINAL: &[&str] = &["iabc-bench", "iabc-lint"];
 
 fn layer_of(name: &str) -> Option<u32> {
     LAYERS.iter().find(|(n, _)| *n == name).map(|(_, l)| *l)

@@ -18,6 +18,7 @@
 //! | `B1` | blocking I/O / sleeps / cross-object waits while a `.lock()` guard is live |
 //! | `E1` | blocking operations (direct or through the call graph) in the event-driven transport's I/O loop — one loop serves every connection, so a parked loop stalls the whole process. Handlers now run on the loop, so a blocking call inside a `Node` stalls that process's I/O (as it stalled the node thread before); the rule stops at that boundary |
 //! | `L1` | crate-layering violations in `Cargo.toml` dependencies |
+//! | `U1` | a bare `pub` item of library code under `crates/*/src` (not `src/bin/`, not `main.rs`) that no other file names. The corpus is `crates/*/{src,tests,benches}`, `tests/`, `examples/`, `src/` and `benchmark/src`; a name inside a `use` item or a comment does not count, and an item named in the signature of a reached `pub` item of its own file is reached |
 //! | `A1` | malformed `lint:allow` annotations (reason is mandatory) |
 //!
 //! D1/D2/P1/W1/W2 are token-level per-file rules; O1/B1/E1 and the
@@ -42,15 +43,14 @@ mod layering;
 mod lexer;
 pub mod parser;
 mod rules;
+mod unused;
 
 pub use findings::{assign_ids, baseline_ids, Finding, Report};
-pub use flow::{analyze_files, EVENT_LOOP_FILES, EVENT_LOOP_SANCTIONED_FILES};
-pub use layering::{check_crate_deps, package_name, parse_dependencies, Dep, LAYERS};
+pub use flow::analyze_files;
+pub use layering::{check_crate_deps, package_name, parse_dependencies, Dep};
 pub use lexer::{tokenize, Token, TokenKind};
-pub use rules::{
-    lint_source, DETERMINISTIC_CRATES, REMOTE_INPUT_CRATES, REMOTE_INPUT_FILES, RULES,
-    WIRE_CRATES, WIRE_ENUMS,
-};
+pub use rules::{lint_source, REMOTE_INPUT_CRATES, RULES};
+pub use unused::unused_pub_items;
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -73,9 +73,9 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 
 /// Runs every rule over the workspace at `root`: all `crates/*/src/**/*.rs`
 /// files (D1/D2/P1/W1/W2 + allow hygiene), the workspace-level flow rules
-/// (O1/B1 and call-graph P1) over the same set, and all
-/// `crates/*/Cargo.toml` manifests (L1). Stable finding ids are assigned
-/// before the report is returned.
+/// (O1/B1 and call-graph P1) over the same set, all
+/// `crates/*/Cargo.toml` manifests (L1), and U1 over its wider corpus.
+/// Stable finding ids are assigned before the report is returned.
 ///
 /// # Errors
 ///
@@ -94,7 +94,7 @@ pub fn run_workspace(root: &Path) -> std::io::Result<Report> {
 
     let mut manifests: BTreeMap<String, String> = BTreeMap::new();
     let mut sources: Vec<(String, String)> = Vec::new();
-    for crate_dir in crate_dirs {
+    for crate_dir in &crate_dirs {
         // L1 over the manifest.
         let manifest_path = crate_dir.join("Cargo.toml");
         if let Ok(manifest) = std::fs::read_to_string(&manifest_path) {
@@ -125,6 +125,21 @@ pub fn run_workspace(root: &Path) -> std::io::Result<Report> {
     }
     report.findings.extend(flow::analyze_files(&sources));
 
+    // U1 reads every file that could name a library item, `benchmark/`
+    // included: it is never edited, but what it calls must stay `pub`.
+    let mut corpus = sources.clone();
+    let mut extra = Vec::new();
+    let crate_extras = crate_dirs.iter().flat_map(|c| [c.join("tests"), c.join("benches")]);
+    for dir in crate_extras.chain(["tests", "examples", "src", "benchmark/src"].map(|d| root.join(d))) {
+        collect_rs_files(&dir, &mut extra)?;
+    }
+    extra.sort();
+    for file in extra {
+        corpus.push((rel_path(root, &file), std::fs::read_to_string(&file)?));
+    }
+    report.findings.extend(unused::unused_pub_items(&corpus));
+    report.corpus = corpus.into_iter().map(|(rel, _)| rel).collect();
+
     report
         .findings
         .sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
@@ -139,10 +154,15 @@ pub fn run_workspace(root: &Path) -> std::io::Result<Report> {
     Ok(report)
 }
 
+/// Every `.rs` file under `dir` (none if it does not exist), lint
+/// fixtures skipped: they are text fed to the rules, not code.
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+    if !dir.is_dir() {
+        return Ok(());
+    }
     for entry in std::fs::read_dir(dir)? {
         let path = entry?.path();
-        if path.is_dir() {
+        if path.is_dir() && !path.ends_with("fixtures") {
             collect_rs_files(&path, out)?;
         } else if path.extension().is_some_and(|e| e == "rs") {
             out.push(path);

@@ -138,9 +138,11 @@ fn main() -> ExitCode {
             format!(" ({} known finding(s) suppressed by baseline)", suppressed.len())
         };
         eprintln!(
-            "iabc-lint: {} new finding(s) across {} file(s) in {elapsed:.2}s{suffix}",
+            "iabc-lint: {} new finding(s) across {} file(s), U1 corpus {} file(s), in \
+             {elapsed:.2}s{suffix}",
             new.len(),
-            report.files_scanned
+            report.files_scanned,
+            report.corpus.len()
         );
     }
 

@@ -15,7 +15,7 @@
 //!   detection — the workspace does not use them.
 //!
 //! Anything the parser cannot place in a function is simply invisible to
-//! the flow rules; the token-level rules in [`crate::rules`] still see
+//! the flow rules; the token-level rules in `rules.rs` still see
 //! every token, so the conservative direction is preserved.
 
 use crate::lexer::{Token, TokenKind};

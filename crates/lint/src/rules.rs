@@ -13,7 +13,7 @@ use crate::lexer::{tokenize, Token, TokenKind};
 /// clocks, ambient randomness, and hash-order iteration are forbidden
 /// here (rules D1/D2). `runtime` is sim-reachable too: its context/timer
 /// plumbing runs inside every simulated node.
-pub const DETERMINISTIC_CRATES: &[&str] =
+const DETERMINISTIC_CRATES: &[&str] =
     &["types", "runtime", "consensus", "broadcast", "fd", "core", "sim", "workload"];
 
 /// Individual files outside [`DETERMINISTIC_CRATES`] whose logic must be
@@ -21,7 +21,7 @@ pub const DETERMINISTIC_CRATES: &[&str] =
 /// *when* links heal — nemesis runs only reproduce if its draws come from
 /// a seed, never from ambient clocks or entropy (rules D1/D2). The fault
 /// plan's draws live in `types`, which D1/D2 cover whole.
-pub const DETERMINISTIC_FILES: &[&str] = &["crates/net/src/reconnect.rs"];
+const DETERMINISTIC_FILES: &[&str] = &["crates/net/src/reconnect.rs"];
 
 /// Crates whose code handles remote input: panics are forbidden (rule P1)
 /// — a malformed frame must poison the connection, not the process.
@@ -34,7 +34,7 @@ pub const REMOTE_INPUT_CRATES: &[&str] = &["net"];
 /// the recovery component acts on peer-chosen catch-up ranges, reply
 /// entries and piggybacked frontiers. All must degrade, never panic
 /// (rule P1).
-pub const REMOTE_INPUT_FILES: &[&str] = &[
+const REMOTE_INPUT_FILES: &[&str] = &[
     "crates/core/src/envelope.rs",
     "crates/core/src/decided.rs",
     "crates/core/src/recovery.rs",
@@ -46,16 +46,16 @@ pub const REMOTE_INPUT_FILES: &[&str] = &[
 /// The catch-up frames (`CatchUpRequest`/`CatchUpReply`) are `Envelope`
 /// variants — listed here so a match that names them through an imported
 /// path still counts as wire-facing.
-pub const WIRE_ENUMS: &[&str] =
+const WIRE_ENUMS: &[&str] =
     &["Envelope", "ConsMsg", "BcastMsg", "FdMsg", "CatchUpRequest", "CatchUpReply"];
 
 /// Crates whose integers can end up on the wire: narrowing `as`-casts are
 /// forbidden here (rule W2) — a silently truncated length or id corrupts
 /// the frame for every peer.
-pub const WIRE_CRATES: &[&str] = &["types", "net"];
+const WIRE_CRATES: &[&str] = &["types", "net"];
 
 /// All checkable rule names (used to validate `lint:allow` annotations).
-pub const RULES: &[&str] = &["D1", "D2", "P1", "W1", "W2", "O1", "B1", "E1", "L1"];
+pub const RULES: &[&str] = &["D1", "D2", "P1", "W1", "W2", "O1", "B1", "E1", "L1", "U1"];
 
 /// Lints one Rust source file. `rel_path` must be workspace-relative
 /// (e.g. `crates/net/src/tcp.rs`) — rule scoping is derived from the
@@ -225,7 +225,7 @@ fn non_test_code_tokens(tokens: &[Token]) -> Vec<&Token> {
 
 /// If `code[i]` starts a `#[cfg(… test …)]` attribute, returns the index
 /// of the last token of the item it decorates.
-fn cfg_test_item_end(code: &[&Token], i: usize) -> Option<usize> {
+pub(crate) fn cfg_test_item_end(code: &[&Token], i: usize) -> Option<usize> {
     if !(code[i].is_punct("#") && code.get(i + 1).is_some_and(|t| t.is_punct("["))) {
         return None;
     }

@@ -4,7 +4,8 @@
 //! they are not compiled.
 
 use iabc_lint::{
-    analyze_files, check_crate_deps, lint_source, package_name, parse_dependencies, Finding,
+    analyze_files, check_crate_deps, lint_source, package_name, parse_dependencies,
+    unused_pub_items, Finding,
 };
 
 /// Run the flow rules (O1/B1/P1-transitive) over one fixture as if it
@@ -230,6 +231,47 @@ fn e1_stops_at_the_hosted_node_callbacks() {
         ("crates/core/src/stack.rs".to_string(), node("persist")),
     ]);
     assert!(loud.iter().any(|f| f.rule == "E1"), "{loud:?}");
+}
+
+// --- U1: pub items no other file names ---------------------------------
+
+/// Run U1 over a two-file corpus: `lib` as a library file, plus
+/// `u1_user.rs` as a test file naming some of its items.
+fn u1_findings(lib_path: &str, lib: &str) -> Vec<Finding> {
+    unused_pub_items(&[
+        (lib_path.to_string(), lib.to_string()),
+        ("tests/user.rs".to_string(), include_str!("fixtures/u1_user.rs").to_string()),
+    ])
+}
+
+#[test]
+fn u1_bad_fires() {
+    let src = include_str!("fixtures/u1_bad.rs");
+    let f = u1_findings("crates/demo/src/lib.rs", src);
+    assert_only_rule(&f, "U1");
+    // `orphan`, `ReExported` (named only in a `use` and a comment) and
+    // `UNEXPLAINED` (its allow has no reason); not the test module's helper.
+    let lines: Vec<usize> = f.iter().map(|f| f.line).collect();
+    assert_eq!(lines, vec![4, 10, 14], "{f:?}");
+    // The reasonless allow is itself an A1.
+    assert_eq!(rules_of(&lint_source("crates/demo/src/lib.rs", src)), vec!["A1"]);
+}
+
+#[test]
+fn u1_good_is_quiet() {
+    // Named elsewhere, named in a reached sibling's signature, not bare
+    // `pub`, or allowed with a reason.
+    let f = u1_findings("crates/demo/src/lib.rs", include_str!("fixtures/u1_good.rs"));
+    assert!(f.is_empty(), "{f:?}");
+}
+
+#[test]
+fn u1_out_of_scope_is_quiet() {
+    // Binaries, tests and examples are corpus, never candidates.
+    for path in ["crates/demo/src/main.rs", "crates/demo/src/bin/tool.rs", "examples/demo.rs"] {
+        let f = u1_findings(path, include_str!("fixtures/u1_bad.rs"));
+        assert!(f.is_empty(), "{path}: {f:?}");
+    }
 }
 
 // --- A1: allow hygiene -------------------------------------------------

@@ -29,10 +29,26 @@ fn workspace_is_lint_clean() {
 }
 
 #[test]
+fn u1_reads_the_whole_corpus() {
+    // U1's clean verdict means nothing if its corpus came up short: the
+    // standalone benchmark and the root integration tests name library
+    // items no crate of the workspace does.
+    let report = iabc_lint::run_workspace(workspace_root()).expect("workspace scan");
+    for dir in ["benchmark/src/", "tests/", "examples/", "src/", "crates/net/tests/"] {
+        assert!(
+            report.corpus.iter().any(|p| p.starts_with(dir)),
+            "U1 read nothing under {dir}: {:?}",
+            report.corpus
+        );
+    }
+    assert!(report.findings.iter().all(|f| f.rule != "U1"), "{:?}", report.findings);
+}
+
+#[test]
 fn all_rules_are_enabled() {
     // The clean run above only means something if the full rule set is on.
     // Guard against a rule being dropped from the registry.
-    for rule in ["D1", "D2", "P1", "W1", "W2", "O1", "B1", "E1", "L1"] {
+    for rule in ["D1", "D2", "P1", "W1", "W2", "O1", "B1", "E1", "L1", "U1"] {
         assert!(
             iabc_lint::RULES.contains(&rule),
             "rule {rule} missing from RULES — workspace_is_lint_clean no longer covers it"

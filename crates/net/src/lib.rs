@@ -10,7 +10,7 @@
 //! to end. ([`ThreadCluster`] is the same type under its old name.)
 //!
 //! It drives any [`Node`](iabc_runtime::Node) whose messages encode to
-//! the wire — the very same [`AbcastNode`](iabc_core::AbcastNode) state
+//! the wire — the very same `iabc_core::AbcastNode` state
 //! machines the simulator runs, under the same link-fault plan
 //! ([`NetFaultPlan`]). `Action::Work` is ignored (real CPUs charge
 //! themselves).
@@ -29,7 +29,7 @@ pub(crate) mod timers;
 
 pub use cluster::ThreadCluster;
 pub use netfault::{NetFaultPlan, NetFaultReport, NetFaultStats};
-pub use pool::{BufferPool, PoolStats};
+pub use pool::BufferPool;
 pub use tcp::TcpCluster;
 
 use iabc_types::{ProcessId, Time};

@@ -205,19 +205,19 @@ impl Poller {
 mod sys {
     use std::io;
 
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
-    pub const POLLERR: i16 = 0x008;
-    pub const POLLHUP: i16 = 0x010;
-    pub const POLLNVAL: i16 = 0x020;
+    pub(super) const POLLIN: i16 = 0x001;
+    pub(super) const POLLOUT: i16 = 0x004;
+    pub(super) const POLLERR: i16 = 0x008;
+    pub(super) const POLLHUP: i16 = 0x010;
+    pub(super) const POLLNVAL: i16 = 0x020;
 
     /// `struct pollfd` from `<poll.h>` — identical layout on every Unix.
     #[repr(C)]
     #[derive(Debug, Clone, Copy)]
-    pub struct PollFd {
-        pub fd: i32,
-        pub events: i16,
-        pub revents: i16,
+    pub(super) struct PollFd {
+        pub(super) fd: i32,
+        pub(super) events: i16,
+        pub(super) revents: i16,
     }
 
     extern "C" {
@@ -229,7 +229,7 @@ mod sys {
     }
 
     /// `poll(2)` over the scratch array, retrying `EINTR`.
-    pub fn poll(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
+    pub(super) fn poll(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
         loop {
             // SAFETY: `fds` is a live, exclusively borrowed slice of
             // `#[repr(C)]` pollfd structs; the kernel writes only the
@@ -395,7 +395,7 @@ mod pipe_sys {
     }
 
     /// A nonblocking close-on-exec pipe, returned as `(read_fd, write_fd)`.
-    pub fn pipe() -> io::Result<(i32, i32)> {
+    pub(super) fn pipe() -> io::Result<(i32, i32)> {
         let mut fds = [0i32; 2];
         // SAFETY: `fds` is a live 2-element array, exactly what pipe2
         // writes into on success.
@@ -408,7 +408,7 @@ mod pipe_sys {
     /// Nonblocking read: `Some(n)` bytes, `None` on `WouldBlock`; EOF and
     /// errors also report `None` (to a wake-byte drain they all mean
     /// "nothing more to swallow"). Retries `EINTR`.
-    pub fn try_read(fd: i32, buf: &mut [u8]) -> Option<usize> {
+    pub(super) fn try_read(fd: i32, buf: &mut [u8]) -> Option<usize> {
         loop {
             // SAFETY: `buf` is a live, exclusively borrowed slice; the
             // kernel writes at most `buf.len()` bytes into it.
@@ -431,7 +431,7 @@ mod pipe_sys {
     ///
     /// Propagates write failures other than `WouldBlock`/`Interrupted` —
     /// for a wake pipe that means the read end closed (`EPIPE`).
-    pub fn try_write(fd: i32, buf: &[u8]) -> io::Result<usize> {
+    pub(super) fn try_write(fd: i32, buf: &[u8]) -> io::Result<usize> {
         loop {
             // SAFETY: `buf` is a live borrowed slice; the kernel reads at
             // most `buf.len()` bytes from it.
@@ -449,7 +449,7 @@ mod pipe_sys {
     }
 
     /// Best-effort `close(2)` (nothing useful to do with the error).
-    pub fn close(fd: i32) {
+    pub(super) fn close(fd: i32) {
         // SAFETY: called once per owned fd, from the owner's Drop.
         let _ = unsafe { libc_close(fd) };
     }
@@ -462,7 +462,8 @@ mod pipe_sys {
 /// # Errors
 ///
 /// Propagates I/O errors other than `WouldBlock`/`Interrupted`.
-pub fn try_write_shared(stream: &TcpStream, buf: &[u8]) -> io::Result<Option<usize>> {
+#[cfg(not(target_os = "linux"))]
+fn try_write_shared(stream: &TcpStream, buf: &[u8]) -> io::Result<Option<usize>> {
     let mut shared = stream;
     loop {
         match shared.write(buf) {

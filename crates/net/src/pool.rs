@@ -14,62 +14,34 @@
 //! but it also means one anomalous spike (a rolled-back oversized frame, a
 //! single huge batch) would otherwise pin tens of megabytes forever. The
 //! return path therefore shrinks any buffer whose capacity exceeds the
-//! pool's *shrink threshold* back down to the threshold. Steady-state
+//! *shrink threshold* (1 MiB) back down to the threshold. Steady-state
 //! traffic below the threshold never reallocates; an anomalous spike costs
 //! one `realloc` after the spike instead of unbounded resident memory.
-//! [`PoolStats::high_water_bytes`] still records the spike, so the
-//! high-water mark is an honest "largest buffer ever used" metric rather
-//! than a claim about current residency.
 //!
 //! # Lock discipline
 //!
-//! One mutex guards the free list and the stats; it is held only for the
-//! push/pop and never across I/O or allocation of the buffer contents.
+//! One mutex guards the free list; it is held only for the push/pop and
+//! never across I/O or allocation of the buffer contents.
 //! Poisoning is recovered (`unwrap_or_else(PoisonError::into_inner)`): the
 //! free list is valid after any partial mutation, and a panicking user of
 //! one buffer must not wedge every other connection sharing the pool.
 
-use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-/// Default capacity above which a returned buffer is shrunk back down
-/// (1 MiB). Large enough that coalesced batches of ordinary frames never
-/// hit it; small enough that a rolled-back `MAX_FRAME`-sized encode (16
-/// MiB+) does not stay resident.
-pub const DEFAULT_SHRINK_THRESHOLD: usize = 1 << 20;
+/// Capacity above which a returned buffer is shrunk back down (1 MiB).
+/// Large enough that coalesced batches of ordinary frames never hit it;
+/// small enough that a rolled-back `MAX_FRAME`-sized encode (16 MiB+) does
+/// not stay resident.
+const SHRINK_THRESHOLD: usize = 1 << 20;
 
-#[derive(Debug, Default)]
-struct PoolState {
-    /// LIFO free list (most recently returned buffer is reused first —
-    /// its pages are the warmest).
-    free: VecDeque<Vec<u8>>,
-    stats: PoolStats,
-}
-
-/// Usage counters for a [`BufferPool`] (see [`BufferPool::stats`]).
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Largest capacity any pooled buffer ever reached, in bytes —
-    /// recorded on return, *before* the shrink clamp, so spikes show up
-    /// even though they are not kept resident.
-    pub high_water_bytes: usize,
-    /// Buffers currently handed out.
-    pub in_use: usize,
-    /// Buffers currently parked on the free list.
-    pub free: usize,
-    /// Total `get` calls served.
-    pub gets: u64,
-    /// Of those, how many reused a pooled buffer (vs. allocating fresh).
-    pub reuses: u64,
-    /// Returned buffers that were shrunk back to the threshold.
-    pub shrinks: u64,
-}
+/// LIFO free list (most recently returned buffer is reused first — its
+/// pages are the warmest).
+type FreeList = Arc<Mutex<Vec<Vec<u8>>>>;
 
 /// A shared grow-on-demand pool of byte buffers (see module docs).
 #[derive(Debug, Clone)]
 pub struct BufferPool {
-    state: Arc<Mutex<PoolState>>,
-    shrink_threshold: usize,
+    free: FreeList,
 }
 
 impl Default for BufferPool {
@@ -79,45 +51,19 @@ impl Default for BufferPool {
 }
 
 impl BufferPool {
-    /// A pool with the default shrink threshold
-    /// ([`DEFAULT_SHRINK_THRESHOLD`]).
+    /// An empty pool.
     pub fn new() -> Self {
-        BufferPool::with_shrink_threshold(DEFAULT_SHRINK_THRESHOLD)
-    }
-
-    /// A pool that clamps returned buffers to `threshold` bytes of
-    /// capacity. `0` keeps nothing pooled beyond empty buffers (useful in
-    /// tests); steady-state users want the default.
-    pub fn with_shrink_threshold(threshold: usize) -> Self {
-        BufferPool {
-            state: Arc::new(Mutex::new(PoolState::default())),
-            shrink_threshold: threshold,
-        }
+        BufferPool { free: FreeList::default() }
     }
 
     /// Takes a cleared buffer out of the pool (recycled if available,
     /// fresh otherwise). Dropping the returned [`PooledBuf`] gives the
     /// buffer back.
     pub fn get(&self) -> PooledBuf {
-        let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        s.stats.gets += 1;
-        s.stats.in_use += 1;
-        let buf = match s.free.pop_back() {
-            Some(mut b) => {
-                s.stats.reuses += 1;
-                s.stats.free -= 1;
-                b.clear();
-                b
-            }
-            None => Vec::new(),
-        };
-        drop(s);
-        PooledBuf { buf, pool: Arc::clone(&self.state), shrink_threshold: self.shrink_threshold }
-    }
-
-    /// A snapshot of the pool's usage counters.
-    pub fn stats(&self) -> PoolStats {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).stats.clone()
+        let recycled = self.free.lock().unwrap_or_else(|e| e.into_inner()).pop();
+        let mut buf = recycled.unwrap_or_default();
+        buf.clear();
+        PooledBuf { buf, pool: Arc::clone(&self.free) }
     }
 }
 
@@ -126,8 +72,7 @@ impl BufferPool {
 #[derive(Debug)]
 pub struct PooledBuf {
     buf: Vec<u8>,
-    pool: Arc<Mutex<PoolState>>,
-    shrink_threshold: usize,
+    pool: FreeList,
 }
 
 impl std::ops::Deref for PooledBuf {
@@ -145,23 +90,20 @@ impl std::ops::DerefMut for PooledBuf {
 
 impl Drop for PooledBuf {
     fn drop(&mut self) {
-        let mut buf = std::mem::take(&mut self.buf);
-        let capacity = buf.capacity();
         // Shrink *outside* the pool lock: shrink_to may memcpy/realloc.
-        let shrunk = capacity > self.shrink_threshold;
-        if shrunk {
-            buf.clear();
-            buf.shrink_to(self.shrink_threshold);
-        }
-        let mut s = self.pool.lock().unwrap_or_else(|e| e.into_inner());
-        s.stats.in_use -= 1;
-        s.stats.high_water_bytes = s.stats.high_water_bytes.max(capacity);
-        if shrunk {
-            s.stats.shrinks += 1;
-        }
-        s.stats.free += 1;
-        s.free.push_back(buf);
+        let buf = shrink(std::mem::take(&mut self.buf), SHRINK_THRESHOLD);
+        self.pool.lock().unwrap_or_else(|e| e.into_inner()).push(buf);
     }
+}
+
+/// `buf`, cleared and shrunk to `threshold` bytes of capacity if it holds
+/// more.
+fn shrink(mut buf: Vec<u8>, threshold: usize) -> Vec<u8> {
+    if buf.capacity() > threshold {
+        buf.clear();
+        buf.shrink_to(threshold);
+    }
+    buf
 }
 
 #[cfg(test)]
@@ -180,12 +122,7 @@ mod tests {
         let b = pool.get();
         assert!(b.is_empty(), "recycled buffers must come back cleared");
         assert_eq!(b.capacity(), cap, "capacity under the threshold survives pooling");
-        let stats = pool.stats();
-        assert_eq!(stats.gets, 2);
-        assert_eq!(stats.reuses, 1);
-        assert_eq!(stats.shrinks, 0);
-        assert_eq!(stats.in_use, 1);
-        assert_eq!(stats.free, 0);
+        assert_eq!(pool.get().capacity(), 0, "the one pooled buffer is out: the next is fresh");
     }
 
     /// An encode-only blob for driving `write_frame_into` past `MAX_FRAME`.
@@ -220,15 +157,9 @@ mod tests {
 
         let recycled = pool.get();
         assert!(
-            recycled.capacity() <= DEFAULT_SHRINK_THRESHOLD,
+            recycled.capacity() <= SHRINK_THRESHOLD,
             "returned scratch must be clamped to the shrink threshold, got {}",
             recycled.capacity()
-        );
-        let stats = pool.stats();
-        assert_eq!(stats.shrinks, 1);
-        assert!(
-            stats.high_water_bytes >= inflated,
-            "the spike must still be visible in the high-water stat"
         );
     }
 
@@ -237,22 +168,21 @@ mod tests {
         let pool = BufferPool::new();
         let mut a = pool.get();
         let mut b = pool.get();
-        a.push(1);
-        b.push(2);
-        assert_eq!(pool.stats().in_use, 2);
+        a.extend_from_slice(&[1; 100]);
+        b.extend_from_slice(&[2; 5000]);
+        assert_eq!((a[0], b[0]), (1, 2), "outstanding buffers are distinct");
+        let caps = [a.capacity(), b.capacity()];
         drop(a);
         drop(b);
-        let s = pool.stats();
-        assert_eq!(s.in_use, 0);
-        assert_eq!(s.free, 2);
+        assert_eq!(pool.free.lock().unwrap().len(), 2, "both returned to the free list");
+        // LIFO: the buffer returned last is handed out first.
+        assert_eq!([pool.get().capacity(), pool.get().capacity()], [caps[1], caps[0]]);
     }
 
     #[test]
     fn zero_threshold_pools_only_empty_buffers() {
-        let pool = BufferPool::with_shrink_threshold(0);
-        let mut b = pool.get();
-        b.extend_from_slice(&[1, 2, 3]);
-        drop(b);
-        assert_eq!(pool.get().capacity(), 0);
+        let kept = shrink(vec![1, 2, 3], 0);
+        assert!(kept.is_empty());
+        assert_eq!(kept.capacity(), 0);
     }
 }

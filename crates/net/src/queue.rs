@@ -13,7 +13,7 @@ use iabc_types::{TrafficClass, WireSize};
 /// Frames one peer's lanes hold before the event loop applies
 /// backpressure. The cap is **soft**: while a connected peer's lanes are
 /// at it the loop stops taking application commands (see
-/// [`crate::event_loop`]); frames the protocol emits in reply to socket
+/// `event_loop.rs`); frames the protocol emits in reply to socket
 /// input are never refused, because a loop that stops reading to wait for
 /// a peer that has stopped reading is a deadlock.
 pub const MAX_OUTBOUND_FRAMES: usize = 16 * 1024;
@@ -25,7 +25,7 @@ pub const MAX_OUTBOUND_FRAMES: usize = 16 * 1024;
 /// while payload floods degrade gracefully instead of growing without
 /// bound. Shed payloads are re-delivered by the protocol layer (catch-up
 /// plus the sender's pending-set re-flood), not the transport.
-pub const DOWN_BULK_WATERMARK: usize = 1024;
+const DOWN_BULK_WATERMARK: usize = 1024;
 
 /// The two outbound lanes of one peer link (see module docs).
 #[derive(Debug)]
@@ -35,7 +35,7 @@ pub struct Lanes<M> {
     capacity: usize,
     /// Set while the peer connection is down but expected back (reconnect
     /// in progress): ordering frames are retained up to capacity, bulk
-    /// frames shed their oldest past [`DOWN_BULK_WATERMARK`]. The
+    /// frames shed their oldest past `DOWN_BULK_WATERMARK`. The
     /// connected path is untouched by this flag.
     down: bool,
     /// Frames shed (bulk watermark or ordering overflow) while down.
@@ -102,7 +102,7 @@ impl<M: WireSize> Lanes<M> {
     /// enforce while the link is up; while it is **down** there is no
     /// drainer to wait for, so ordering frames park up to capacity (newest
     /// dropped past it) and bulk frames shed their oldest past
-    /// [`DOWN_BULK_WATERMARK`].
+    /// `DOWN_BULK_WATERMARK`.
     pub fn push(&mut self, msg: M) {
         match msg.traffic_class() {
             TrafficClass::Ordering => {

@@ -6,7 +6,7 @@
 //!
 //! # The I/O architecture: the node runs on its process's poll loop
 //!
-//! A process is a single [`crate::event_loop`] thread, `iabc-io-<p>`. It
+//! A process is a single event-loop (`event_loop.rs`) thread, `iabc-io-<p>`. It
 //! drives all of the process's `2·(n−1)` streams through a `poll(2)`-based
 //! readiness loop ([`crate::poll`]) **and hosts the [`Node`] itself**:
 //!
@@ -34,7 +34,7 @@
 //! application: while a connected peer's lanes are at
 //! [`crate::queue::MAX_OUTBOUND_FRAMES`] the loop leaves commands in
 //! their channel, and never stops reading sockets (see
-//! [`crate::event_loop`]).
+//! `event_loop.rs`).
 //!
 //! # Lock discipline
 //!

@@ -43,30 +43,3 @@ pub enum Action<M, O> {
     /// Emit an application-visible output (e.g. `adeliver`).
     Output(O),
 }
-
-impl<M, O> Action<M, O> {
-    /// Whether this action is a network send.
-    pub fn is_send(&self) -> bool {
-        matches!(self, Action::Send { .. })
-    }
-
-    /// Whether this action is an application output.
-    pub fn is_output(&self) -> bool {
-        matches!(self, Action::Output(_))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn classification_helpers() {
-        let send: Action<u8, ()> = Action::Send { to: ProcessId::new(1), msg: 7 };
-        let out: Action<u8, ()> = Action::Output(());
-        let work: Action<u8, ()> = Action::Work { duration: Duration::from_micros(1) };
-        assert!(send.is_send() && !send.is_output());
-        assert!(out.is_output() && !out.is_send());
-        assert!(!work.is_send() && !work.is_output());
-    }
-}

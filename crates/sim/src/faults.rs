@@ -30,9 +30,8 @@ pub use iabc_types::LinkFault;
 ///
 /// let s = CrashSchedule::new()
 ///     .crash(ProcessId::new(0), Time::ZERO + Duration::from_millis(10));
-/// assert_eq!(s.crashes().len(), 1);
-/// assert!(s.is_faulty(ProcessId::new(0)));
-/// assert!(!s.is_faulty(ProcessId::new(1)));
+/// assert_eq!(s.crashes(), &[(ProcessId::new(0), Time::ZERO + Duration::from_millis(10))]);
+/// assert!(s.restarts().is_empty());
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CrashSchedule {
@@ -89,13 +88,8 @@ impl CrashSchedule {
     }
 
     /// Whether `p` is scheduled to crash at some point.
-    pub fn is_faulty(&self, p: ProcessId) -> bool {
+    fn is_faulty(&self, p: ProcessId) -> bool {
         self.crashes.iter().any(|&(q, _)| q == p)
-    }
-
-    /// Number of faulty processes.
-    pub fn fault_count(&self) -> usize {
-        self.crashes.len()
     }
 }
 
@@ -169,7 +163,7 @@ mod tests {
         let s = CrashSchedule::new()
             .crash(ProcessId::new(1), Time::ZERO + Duration::from_secs(1))
             .crash(ProcessId::new(3), Time::ZERO + Duration::from_secs(2));
-        assert_eq!(s.fault_count(), 2);
+        assert_eq!(s.crashes().len(), 2);
         assert!(s.is_faulty(ProcessId::new(1)));
         assert!(s.is_faulty(ProcessId::new(3)));
         assert!(!s.is_faulty(ProcessId::new(0)));
@@ -185,7 +179,7 @@ mod tests {
 
     #[test]
     fn default_plan_is_fault_free() {
-        assert_eq!(FaultPlan::none().crashes.fault_count(), 0);
+        assert!(FaultPlan::none().crashes.crashes().is_empty());
         assert!(FaultPlan::none().crashes.restarts().is_empty());
     }
 
@@ -212,7 +206,7 @@ mod tests {
     #[test]
     fn plan_with_links_keeps_crashes_empty() {
         let plan = FaultPlan::with_links(LinkFaults::new(1).drop(10));
-        assert_eq!(plan.crashes.fault_count(), 0);
+        assert!(plan.crashes.crashes().is_empty());
         assert!(plan.links.is_some());
         assert!(FaultPlan::none().links.is_none());
     }

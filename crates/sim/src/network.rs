@@ -73,23 +73,6 @@ impl NetworkParams {
         }
     }
 
-    /// An idealized instantaneous network (zero cost everywhere) — useful
-    /// for pure-protocol unit tests where timing is irrelevant.
-    pub fn instant() -> Self {
-        NetworkParams {
-            bandwidth_bytes_per_sec: u64::MAX,
-            frame_overhead_bytes: 0,
-            propagation: Duration::from_nanos(1),
-            send_cpu_overhead: Duration::ZERO,
-            send_cpu_per_byte_ps: 0,
-            recv_cpu_overhead: Duration::ZERO,
-            recv_cpu_per_byte_ps: 0,
-            local_send_cpu: Duration::ZERO,
-            local_recv_cpu: Duration::ZERO,
-            loopback_delay: Duration::from_nanos(1),
-        }
-    }
-
     /// Wire transmission time of a message with `bytes` of payload
     /// (headers added): `(bytes + frame_overhead) / bandwidth`.
     pub fn tx_time(&self, bytes: usize) -> Duration {
@@ -152,7 +135,19 @@ mod tests {
 
     #[test]
     fn instant_network_is_free() {
-        let p = NetworkParams::instant();
+        // Unbounded bandwidth and zero CPU costs: nothing is charged.
+        let p = NetworkParams {
+            bandwidth_bytes_per_sec: u64::MAX,
+            frame_overhead_bytes: 0,
+            propagation: Duration::from_nanos(1),
+            send_cpu_overhead: Duration::ZERO,
+            send_cpu_per_byte_ps: 0,
+            recv_cpu_overhead: Duration::ZERO,
+            recv_cpu_per_byte_ps: 0,
+            local_send_cpu: Duration::ZERO,
+            local_recv_cpu: Duration::ZERO,
+            loopback_delay: Duration::from_nanos(1),
+        };
         assert_eq!(p.tx_time(1 << 20), Duration::ZERO);
         assert_eq!(p.send_cpu(1 << 20), Duration::ZERO);
         assert_eq!(p.recv_cpu(1 << 20), Duration::ZERO);

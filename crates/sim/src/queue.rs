@@ -90,11 +90,6 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Total number of events ever scheduled (monotone counter).
-    pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
-    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -140,6 +135,5 @@ mod tests {
         q.push(Time::from_nanos(1), ());
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(Time::from_nanos(1)));
-        assert_eq!(q.scheduled_total(), 2);
     }
 }

@@ -82,16 +82,6 @@ impl FifoResource {
     pub fn jobs(&self) -> u64 {
         self.jobs
     }
-
-    /// Utilization over the interval `[0, horizon]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `horizon` is zero.
-    pub fn utilization(&self, horizon: Time) -> f64 {
-        assert!(horizon > Time::ZERO, "horizon must be positive");
-        self.busy_total.as_secs_f64() / horizon.as_secs_f64()
-    }
 }
 
 /// How far the ordering lane's *contended service time* may run ahead of
@@ -107,12 +97,12 @@ impl FifoResource {
 /// much service time beyond parity, then one bulk job runs and pays the
 /// debt down. Saturated, the classes converge to an equal time share;
 /// uncontended, ordering keeps full priority.
-pub const ORDERING_ADVANTAGE: Duration = Duration::from_micros(1000);
+const ORDERING_ADVANTAGE: Duration = Duration::from_micros(1000);
 
 /// A single-server queue with two service classes: priority of
 /// [`TrafficClass::Ordering`] over [`TrafficClass::Bulk`] in *order*,
 /// bounded to an (approximately equal) *time share* by a deficit rule —
-/// see [`ORDERING_ADVANTAGE`] — so neither class can starve the other.
+/// see `ORDERING_ADVANTAGE` — so neither class can starve the other.
 ///
 /// Unlike [`FifoResource`] — which can compute a job's completion time at
 /// submission because FIFO order is fixed — a priority server must *hold*
@@ -155,14 +145,14 @@ impl<J> Default for ClassedResource<J> {
 
 impl<J> ClassedResource<J> {
     /// Creates an idle two-class resource with the default
-    /// [`ORDERING_ADVANTAGE`] deficit bound.
+    /// `ORDERING_ADVANTAGE` deficit bound.
     pub fn new() -> Self {
         ClassedResource::with_ordering_advantage(ORDERING_ADVANTAGE)
     }
 
     /// Creates an idle resource whose ordering lane may run `advantage` of
     /// contended service time ahead of bulk before a bulk job is served.
-    pub fn with_ordering_advantage(advantage: Duration) -> Self {
+    fn with_ordering_advantage(advantage: Duration) -> Self {
         ClassedResource {
             busy_until: Time::ZERO,
             queues: [VecDeque::new(), VecDeque::new()],
@@ -174,13 +164,8 @@ impl<J> ClassedResource<J> {
         }
     }
 
-    /// The deficit bound in force (fixed at construction).
-    pub fn current_advantage(&self) -> Duration {
-        self.ordering_advantage
-    }
-
     /// Whether the server is idle at `now` with nothing queued.
-    pub fn is_idle(&self, now: Time) -> bool {
+    fn is_idle(&self, now: Time) -> bool {
         now >= self.busy_until && self.queues.iter().all(VecDeque::is_empty)
     }
 
@@ -287,16 +272,6 @@ impl<J> ClassedResource<J> {
     pub fn jobs(&self, class: TrafficClass) -> u64 {
         self.jobs[class.index()]
     }
-
-    /// Utilization of the server by one class over `[0, horizon]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `horizon` is zero.
-    pub fn utilization(&self, horizon: Time, class: TrafficClass) -> f64 {
-        assert!(horizon > Time::ZERO, "horizon must be positive");
-        self.busy_total[class.index()].as_secs_f64() / horizon.as_secs_f64()
-    }
 }
 
 #[cfg(test)]
@@ -349,8 +324,6 @@ mod tests {
         r.acquire(Time::ZERO, us(30));
         assert_eq!(r.busy_total(), us(40));
         assert_eq!(r.jobs(), 2);
-        let horizon = Time::ZERO + us(80);
-        assert!((r.utilization(horizon) - 0.5).abs() < 1e-9);
     }
 
     // ---- ClassedResource ----
@@ -500,7 +473,7 @@ mod tests {
             r.enqueue(BLK, us(9_000), "b");
         }
         while r.pop_next(r.busy_until()).is_some() {}
-        assert_eq!(r.current_advantage(), ORDERING_ADVANTAGE);
+        assert_eq!(r.ordering_advantage, ORDERING_ADVANTAGE);
     }
 
     #[test]
@@ -528,9 +501,6 @@ mod tests {
         assert_eq!(r.busy_total(BLK), us(70));
         assert_eq!(r.jobs(ORD), 1);
         assert_eq!(r.jobs(BLK), 2);
-        let horizon = Time::ZERO + us(100);
-        assert!((r.utilization(horizon, ORD) - 0.1).abs() < 1e-9);
-        assert!((r.utilization(horizon, BLK) - 0.7).abs() < 1e-9);
         assert_eq!(r.queued_demand(ORD), Duration::ZERO);
         assert_eq!(r.queued_demand(BLK), Duration::ZERO);
     }

@@ -339,11 +339,6 @@ impl<N: Node> SimWorld<N> {
         self.now
     }
 
-    /// Whether process `p` has crashed (so far).
-    pub fn is_crashed(&self, p: ProcessId) -> bool {
-        self.crashed[p.as_usize()]
-    }
-
     /// Whether hosts run the two-class priority lane (see
     /// [`SimBuilder::priority_lane`]).
     pub fn priority_lane(&self) -> bool {
@@ -353,11 +348,6 @@ impl<N: Node> SimWorld<N> {
     /// Read access to a node's protocol state (for tests and probes).
     pub fn node(&self, p: ProcessId) -> &N {
         &self.nodes[p.as_usize()]
-    }
-
-    /// Mutable access to a node's protocol state.
-    pub fn node_mut(&mut self, p: ProcessId) -> &mut N {
-        &mut self.nodes[p.as_usize()]
     }
 
     /// All outputs produced so far, in production order.
@@ -400,7 +390,7 @@ impl<N: Node> SimWorld<N> {
     /// # Panics
     ///
     /// Panics if `at` is in the past.
-    pub fn schedule_crash(&mut self, p: ProcessId, at: Time) {
+    fn schedule_crash(&mut self, p: ProcessId, at: Time) {
         assert!(at >= self.now, "cannot schedule a crash in the past");
         self.queue.push(at, SimEvent::Crash { p });
     }
@@ -417,7 +407,7 @@ impl<N: Node> SimWorld<N> {
     ///
     /// Panics if `at` is in the past or if `p` already has a pending
     /// replacement.
-    pub fn schedule_restart(&mut self, p: ProcessId, at: Time, node: N) {
+    fn schedule_restart(&mut self, p: ProcessId, at: Time, node: N) {
         assert!(at >= self.now, "cannot schedule a restart in the past");
         let slot = &mut self.replacements[p.as_usize()];
         assert!(slot.is_none(), "process {p} already has a pending restart");
@@ -845,7 +835,7 @@ mod tests {
         // A healthy process broadcasts; p2 must not deliver.
         w.schedule_command(p(0), Time::ZERO + Duration::from_millis(1), 5);
         w.run_to_quiescence();
-        assert!(w.is_crashed(p(2)));
+        assert!(w.crashed[p(2).as_usize()]);
         assert!(w.outputs().iter().all(|r| r.process != p(2)));
         // p0 and p1 still delivered p0's fanout.
         assert_eq!(w.outputs().iter().filter(|r| r.output == (p(0), 5)).count(), 2);
@@ -906,7 +896,7 @@ mod tests {
         // A fan-out after the restart reaches the *new* node.
         w.schedule_command(p(0), Time::ZERO + Duration::from_millis(8), 7);
         w.run_to_quiescence();
-        assert!(!w.is_crashed(p(1)));
+        assert!(!w.crashed[p(1).as_usize()]);
         let p1_outputs: Vec<(u8, u64)> = w
             .outputs()
             .iter()

@@ -193,11 +193,6 @@ impl ProcessSet {
         ProcessSet(self.0 | other.0)
     }
 
-    /// Set intersection.
-    pub fn intersection(self, other: ProcessSet) -> ProcessSet {
-        ProcessSet(self.0 & other.0)
-    }
-
     /// Set difference (`self \ other`).
     pub fn difference(self, other: ProcessSet) -> ProcessSet {
         ProcessSet(self.0 & !other.0)
@@ -288,8 +283,6 @@ mod tests {
         let a: ProcessSet = [0u16, 1, 2].into_iter().map(ProcessId::new).collect();
         let b: ProcessSet = [2u16, 3].into_iter().map(ProcessId::new).collect();
         assert_eq!(a.union(b).len(), 4);
-        assert_eq!(a.intersection(b).len(), 1);
-        assert!(a.intersection(b).contains(ProcessId::new(2)));
         assert_eq!(a.difference(b).len(), 2);
         assert!(!a.difference(b).contains(ProcessId::new(2)));
     }

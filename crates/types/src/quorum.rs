@@ -67,16 +67,16 @@ pub fn min_quorum_intersection(n: usize, q: usize) -> usize {
     (2 * q).saturating_sub(n)
 }
 
-/// Whether `f` failures are survivable by an algorithm that needs any two
-/// `(n−f)`-quorums to intersect in at least `f+1` processes — the condition
-/// `n − 2f ≥ f + 1` of §3.3.3, equivalent to `f < n/3`.
-pub fn intersection_covers_correct_witness(n: usize, f: usize) -> bool {
-    min_quorum_intersection(n, n - f) > f
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+/// Whether `f` failures are survivable by an algorithm that needs any two
+/// `(n−f)`-quorums to intersect in at least `f+1` processes — the condition
+/// `n − 2f ≥ f + 1` of §3.3.3, equivalent to `f < n/3`.
+fn intersection_covers_correct_witness(n: usize, f: usize) -> bool {
+    min_quorum_intersection(n, n - f) > f
+}
 
     #[test]
     fn majority_matches_paper_examples() {

@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// ```
 /// use iabc_types::Duration;
 /// let d = Duration::from_micros(150) + Duration::from_micros(50);
-/// assert_eq!(d.as_millis_f64(), 0.2);
+/// assert_eq!(d, Duration::from_micros(200));
 /// ```
 #[derive(
     Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
@@ -69,12 +69,12 @@ impl Duration {
     }
 
     /// Duration in microseconds (float).
-    pub fn as_micros_f64(self) -> f64 {
+    fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1e3
     }
 
     /// Duration in milliseconds (float).
-    pub fn as_millis_f64(self) -> f64 {
+    fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
@@ -91,24 +91,6 @@ impl Duration {
     /// Saturating subtraction.
     pub const fn saturating_sub(self, other: Duration) -> Duration {
         Duration(self.0.saturating_sub(other.0))
-    }
-
-    /// Multiplies by a float factor, rounding to the nearest nanosecond.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is negative or NaN.
-    pub fn mul_f64(self, factor: f64) -> Duration {
-        assert!(factor.is_finite() && factor >= 0.0, "invalid factor: {factor}");
-        // Explicit saturation at u64::MAX nanoseconds (~584 years). A bare
-        // float→int `as` would saturate too, but silently; this spells the
-        // bound out.
-        let scaled = (self.0 as f64 * factor).round();
-        if scaled >= u64::MAX as f64 {
-            Duration(u64::MAX)
-        } else {
-            Duration(scaled as u64)
-        }
     }
 }
 
@@ -300,7 +282,7 @@ mod tests {
         let d = Duration::from_secs_f64(0.0015);
         assert_eq!(d, Duration::from_micros(1500));
         assert!((d.as_millis_f64() - 1.5).abs() < 1e-12);
-        assert_eq!(d.mul_f64(2.0), Duration::from_millis(3));
+        assert!((d.as_micros_f64() - 1500.0).abs() < 1e-9);
     }
 
     #[test]

@@ -18,7 +18,5 @@ pub mod stats;
 
 pub use coalesce::BatchCoalescer;
 pub use gen::{arrival_schedule, batched_schedule, ArrivalKind};
-pub use runner::{
-    run_abcast_experiment, run_variant, ExperimentResult, WorkloadSpec, CI_SMOKE_SEED,
-};
+pub use runner::{run_variant, ExperimentResult, WorkloadSpec, CI_SMOKE_SEED};
 pub use stats::LatencyStats;

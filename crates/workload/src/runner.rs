@@ -214,7 +214,7 @@ impl ExperimentResult {
 ///
 /// Generic over the stack: `factory` builds process `p`'s node — any of
 /// the eight [`iabc_core::stacks`] constructors applied to `spec.stack`.
-pub fn run_abcast_experiment<V, A>(
+fn run_abcast_experiment<V, A>(
     net: &NetworkParams,
     spec: &WorkloadSpec,
     factory: impl FnMut(ProcessId) -> AbcastNode<V, A>,

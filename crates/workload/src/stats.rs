@@ -4,8 +4,8 @@ use iabc_types::Duration;
 
 /// Running latency statistics with exact percentiles.
 ///
-/// Stores every sample (runs are bounded), computes mean/stddev via
-/// Welford's algorithm, and sorts lazily for percentiles.
+/// Stores every sample (runs are bounded), keeps a running mean, and
+/// sorts lazily for percentiles.
 ///
 /// # Example
 ///
@@ -26,7 +26,6 @@ pub struct LatencyStats {
     samples: Vec<Duration>,
     sorted: bool,
     mean: f64,
-    m2: f64,
     min: Option<Duration>,
     max: Option<Duration>,
 }
@@ -42,19 +41,10 @@ impl LatencyStats {
         self.sorted = false;
         let x = latency.as_secs_f64();
         let n = self.samples.len() as f64 + 1.0;
-        let delta = x - self.mean;
-        self.mean += delta / n;
-        self.m2 += delta * (x - self.mean);
+        self.mean += (x - self.mean) / n;
         self.min = Some(self.min.map_or(latency, |m| m.min(latency)));
         self.max = Some(self.max.map_or(latency, |m| m.max(latency)));
         self.samples.push(latency);
-    }
-
-    /// Merges another collector's samples into this one.
-    pub fn merge(&mut self, other: &LatencyStats) {
-        for &s in &other.samples {
-            self.record(s);
-        }
     }
 
     /// Number of samples.
@@ -73,15 +63,6 @@ impl LatencyStats {
             0.0
         } else {
             self.mean * 1e3
-        }
-    }
-
-    /// Standard deviation in milliseconds (0 if fewer than 2 samples).
-    pub fn stddev_ms(&self) -> f64 {
-        if self.samples.len() < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.samples.len() as f64 - 1.0)).sqrt() * 1e3
         }
     }
 
@@ -133,20 +114,17 @@ mod tests {
         let mut s = LatencyStats::new();
         assert!(s.is_empty());
         assert_eq!(s.mean_ms(), 0.0);
-        assert_eq!(s.stddev_ms(), 0.0);
         assert_eq!(s.percentile(0.99), Duration::ZERO);
         assert_eq!(s.min(), Duration::ZERO);
     }
 
     #[test]
-    fn mean_and_stddev() {
+    fn mean_min_and_max() {
         let mut s = LatencyStats::new();
         for v in [2u64, 4, 4, 4, 5, 5, 7, 9] {
             s.record(ms(v));
         }
         assert!((s.mean_ms() - 5.0).abs() < 1e-9);
-        // Sample stddev of this classic set is ~2.138.
-        assert!((s.stddev_ms() - 2.138).abs() < 0.01);
         assert_eq!(s.min(), ms(2));
         assert_eq!(s.max(), ms(9));
     }
@@ -161,17 +139,6 @@ mod tests {
         assert_eq!(s.percentile(1.0), ms(100));
         assert_eq!(s.percentile(0.5), ms(50));
         assert_eq!(s.percentile(0.95), ms(95));
-    }
-
-    #[test]
-    fn merge_combines_samples() {
-        let mut a = LatencyStats::new();
-        a.record(ms(1));
-        let mut b = LatencyStats::new();
-        b.record(ms(3));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert!((a.mean_ms() - 2.0).abs() < 1e-9);
     }
 
     #[test]

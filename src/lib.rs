@@ -86,8 +86,5 @@ pub mod prelude {
         SimBuilder, SimWorld, StopReason,
     };
     pub use iabc_types::{AppMessage, Duration, IdSet, MsgId, Payload, ProcessId, ProcessSet, Time};
-    pub use iabc_workload::{
-        run_abcast_experiment, run_variant, ArrivalKind, ExperimentResult, LatencyStats,
-        WorkloadSpec,
-    };
+    pub use iabc_workload::{run_variant, ArrivalKind, ExperimentResult, LatencyStats, WorkloadSpec};
 }
