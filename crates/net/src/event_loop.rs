@@ -25,17 +25,23 @@
 //! park in `poll` (until a socket is ready, a wake byte arrives, or the
 //! earliest timer is due, at most [`TICK`]) → accept and read sockets,
 //! running `on_message` per decoded frame → fire due timers → take
-//! application commands → link maintenance → flush every peer's lanes.
+//! application commands → link maintenance → flush every peer's lanes →
+//! release outputs.
 //!
 //! # What crosses a thread
 //!
 //! Three things. **Commands** come in through a channel; the sender then
-//! calls [`Waker::wake`], which costs a pipe byte only if the loop is
-//! parked. **Outputs** leave through the cluster's shared output channel,
-//! each stamped with a clock read taken as it is emitted. **Stop** is a
-//! flag plus a wake. Everything else — frames, timers, self-sends — stays
-//! on this thread. Self-sends go to a local FIFO that is drained after
-//! the current handler returns, never re-entrantly.
+//! calls [`Waker::wake`], which costs a pipe byte only if it is the wake
+//! that finds the loop parked with no signal pending. **Outputs** leave
+//! through the cluster's shared output channel as one batch per pass,
+//! sent after the pass's frames were written: the application thread is
+//! woken once per pass, not once per output, and a woken application
+//! cannot preempt the loop between a decision and the `write` that
+//! carries it to the peers. Each output is still stamped with a clock
+//! read taken as it is emitted. **Stop** is a flag plus a wake.
+//! Everything else — frames, timers, self-sends — stays on this thread.
+//! Self-sends go to a local FIFO that is drained after the current
+//! handler returns, never re-entrantly.
 //!
 //! # Receive path (decode in place)
 //!
@@ -133,17 +139,24 @@ const MAX_COMMANDS_PER_PASS: usize = 256;
 ///   every wake, consumed (swapped false) by the loop before it reads the
 ///   command channel.
 /// * `sleeping` — "the loop is parked (or about to park) in `poll` with a
-///   real timeout". Only a wake that observes this writes the one-byte
-///   pipe nudge; while the loop is busy, a wake is two atomic ops and the
-///   loop picks the signal up on its current pass.
+///   real timeout". Only the wake that flips `signal` from false to true
+///   *and* observes this writes the one-byte pipe nudge: one byte per
+///   park, however many commands arrive while the loop sleeps. While the
+///   loop is busy, a wake is two atomic ops and the loop picks the
+///   signal up on its current pass.
 ///
 /// The no-lost-wakeup argument is the classic sleeper/waker handshake:
 /// the loop *stores* `sleeping = true` and then *loads* `signal`; a waker
-/// *stores* `signal = true` and then *loads* `sleeping`. Both sides are
+/// *swaps* `signal` to true and then *loads* `sleeping`. Both sides are
 /// `SeqCst`, so in every interleaving at least one of them sees the
 /// other's store — the loop aborts the park, or the waker sends the byte.
-/// (And even an impossible miss only costs one [`TICK`]: the park timeout
-/// means correctness never rests on the byte.)
+/// A later wake that finds `signal` already set skips both steps, and is
+/// covered by the earlier wake that set it: only the loop clears
+/// `signal`, so that wake's signal is still pending, and either it saw
+/// `sleeping` and wrote the byte, or the loop will see `signal` in
+/// `announce_sleep` / `take_signal` before it parks. (And even an
+/// impossible miss only costs one [`TICK`]: the park timeout means
+/// correctness never rests on the byte.)
 pub(crate) struct Waker {
     tx: WakeTx,
     signal: AtomicBool,
@@ -156,11 +169,10 @@ impl Waker {
     }
 
     /// Tells the loop to look at its command channel (and stop flag).
-    /// While the loop is busy this is two uncontended atomic ops; only a
-    /// parked loop costs a syscall.
+    /// While the loop is busy this is two uncontended atomic ops; only the
+    /// first wake of a parked loop costs a syscall.
     pub(crate) fn wake(&self) {
-        self.signal.store(true, Ordering::SeqCst);
-        if self.sleeping.load(Ordering::SeqCst) {
+        if !self.signal.swap(true, Ordering::SeqCst) && self.sleeping.load(Ordering::SeqCst) {
             // A full pipe already wakes the loop; errors mean the loop is
             // gone, and then there is nothing left to wake.
             let _ = self.tx.notify();
@@ -323,7 +335,8 @@ pub(crate) struct Process<N: Node> {
     pub(crate) epoch: Instant,
     pub(crate) node: N,
     pub(crate) commands: Receiver<N::Command>,
-    pub(crate) outputs: Sender<NetOutput<N::Output>>,
+    /// Receives one batch per pass that emitted outputs, in emission order.
+    pub(crate) outputs: Sender<Vec<NetOutput<N::Output>>>,
 }
 
 /// A running event loop plus the handles the cluster needs to stop it.
@@ -402,7 +415,9 @@ struct Host<N: Node> {
     n: usize,
     epoch: Instant,
     node: N,
-    outputs: Sender<NetOutput<N::Output>>,
+    outputs: Sender<Vec<NetOutput<N::Output>>>,
+    /// The outputs of the current pass, waiting for its flush.
+    batch: Vec<NetOutput<N::Output>>,
     timers: TimerHeap,
     /// Self-sends, waiting for the handler that issued them to return.
     local: VecDeque<N::Msg>,
@@ -437,8 +452,8 @@ impl<N: Node> Host<N> {
     }
 
     /// Performs the actions of the handler that ran at `now`. Nothing
-    /// here touches a socket: remote sends wait in the lanes for the
-    /// flush that ends the pass.
+    /// here touches a socket or the output channel: remote sends wait in
+    /// the lanes, and outputs in the batch, for the end of the pass.
     fn apply(&mut self, now: Instant, ctx: &mut Context<N::Msg, N::Output>) {
         for action in ctx.take_actions() {
             match action {
@@ -452,15 +467,22 @@ impl<N: Node> Host<N> {
                 }
                 Action::SetTimer { delay, timer } => self.timers.push(now + delay.into(), timer),
                 Action::Work { .. } => {} // real CPUs charge themselves
-                Action::Output(output) => {
-                    // The collector going away is not the node's problem.
-                    let _ = self.outputs.send(NetOutput {
-                        at: self.time_at(Instant::now()),
-                        process: self.me,
-                        output,
-                    });
-                }
+                Action::Output(output) => self.batch.push(NetOutput {
+                    at: self.time_at(Instant::now()),
+                    process: self.me,
+                    output,
+                }),
             }
+        }
+    }
+
+    /// Hands the pass's outputs to the application as one batch. Called
+    /// after the flush, so the frames a decision emitted are with the
+    /// kernel before the application thread wakes up to consume it.
+    fn release_outputs(&mut self) {
+        if !self.batch.is_empty() {
+            // The collector going away is not the node's problem.
+            let _ = self.outputs.send(std::mem::take(&mut self.batch));
         }
     }
 
@@ -540,6 +562,7 @@ fn run_loop<N>(
         epoch,
         node,
         outputs,
+        batch: Vec::new(),
         timers: TimerHeap::new(),
         local: VecDeque::new(),
         writers,
@@ -554,6 +577,7 @@ fn run_loop<N>(
     host.dispatch(Event::Start);
     let now = Duration::from_nanos(nanos_since(epoch, Instant::now()));
     service_writers(me, now, &mut host.writers, &mut faults, &stats, &mut reconnect);
+    host.release_outputs();
     loop {
         let stopping = stop.load(Ordering::Acquire);
         // With work already in hand the poll is a zero-timeout sample of
@@ -663,10 +687,11 @@ fn run_loop<N>(
 
         // Everything the handlers of this pass emitted leaves now. Link
         // maintenance first: sever freshly partitioned connections, dial
-        // due reconnect attempts.
+        // due reconnect attempts. Then the frames, then the outputs.
         let now = Duration::from_nanos(nanos_since(epoch, now));
         maintain_links(me, now, &mut host.writers, &mut reconnect, faults.as_ref(), &stats, &pool);
         service_writers(me, now, &mut host.writers, &mut faults, &stats, &mut reconnect);
+        host.release_outputs();
 
         if stopping {
             // The pass above flushed what the kernel would take without
@@ -987,7 +1012,11 @@ mod tests {
     struct Rig<M> {
         handle: EventLoopHandle,
         commands: Sender<Vec<(ProcessId, M)>>,
-        outputs: Receiver<NetOutput<(ProcessId, M)>>,
+        /// One batch per pass, as the loop releases them.
+        outputs: Receiver<Vec<NetOutput<(ProcessId, M)>>>,
+        /// Outputs of a received batch that [`Rig::output`] has not
+        /// returned yet.
+        received: VecDeque<NetOutput<(ProcessId, M)>>,
     }
 
     impl<M> Rig<M>
@@ -1015,7 +1044,16 @@ mod tests {
                 wake_rx,
                 Arc::new(Waker::new(wake_tx)),
             );
-            Rig { handle, commands, outputs }
+            Rig { handle, commands, outputs, received: VecDeque::new() }
+        }
+
+        /// The next output, batches flattened; `None` if none arrives
+        /// within `timeout`.
+        fn output(&mut self, timeout: StdDuration) -> Option<NetOutput<(ProcessId, M)>> {
+            if self.received.is_empty() {
+                self.received.extend(self.outputs.recv_timeout(timeout).ok()?);
+            }
+            self.received.pop_front()
         }
 
         /// One command: send `frames` to `to`, in this order.
@@ -1088,7 +1126,7 @@ mod tests {
     #[test]
     fn corrupt_inbound_frame_tears_the_connection_after_delivering_the_good_prefix() {
         let (mut theirs, ours) = blocking_pair();
-        let rig: Rig<Classed> = Rig::start(fixed(vec![ours], None));
+        let mut rig: Rig<Classed> = Rig::start(fixed(vec![ours], None));
         write_frame(&Tagged { from: PEER, msg: &Classed(42) }, &mut theirs).unwrap();
         // A malformed frame: the length prefix says 2 bytes, which can
         // never decode as a Tagged<Classed>.
@@ -1098,10 +1136,10 @@ mod tests {
         // loop may already have torn the socket down — ignore errors).
         let _ = write_frame(&Tagged { from: PEER, msg: &Classed(7) }, &mut theirs);
 
-        let first = rig.outputs.recv_timeout(StdDuration::from_secs(5)).unwrap();
+        let first = rig.output(StdDuration::from_secs(5)).unwrap();
         assert_eq!(first.output, (PEER, Classed(42)));
         assert!(
-            rig.outputs.recv_timeout(StdDuration::from_secs(2)).is_err(),
+            rig.output(StdDuration::from_secs(2)).is_none(),
             "no frame may be delivered after a decode error"
         );
         rig.stop();
@@ -1213,12 +1251,12 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         listener.set_nonblocking(true).unwrap();
-        let rig: Rig<Classed> =
+        let mut rig: Rig<Classed> =
             Rig::start(LoopTopology { listener: Some(listener), ..fixed(vec![], None) });
         let mut peer = TcpStream::connect(addr).unwrap();
         peer.write_all(&1u16.to_le_bytes()).unwrap();
         write_frame(&Tagged { from: PEER, msg: &Classed(21) }, &mut peer).unwrap();
-        let got = rig.outputs.recv_timeout(StdDuration::from_secs(5)).unwrap();
+        let got = rig.output(StdDuration::from_secs(5)).unwrap();
         assert_eq!(got.output, (PEER, Classed(21)));
         rig.stop();
     }
@@ -1292,7 +1330,7 @@ mod tests {
         // deadlock each other.
         let (ours, mut theirs) = blocking_pair();
         let (mut their_out, our_in) = blocking_pair();
-        let rig: Rig<Blob> = Rig::start(fixed(vec![our_in], Some(ours)));
+        let mut rig: Rig<Blob> = Rig::start(fixed(vec![our_in], Some(ours)));
         rig.send(PEER, (0..4).map(|i| Blob { id: 2 * i, len: 8 << 20 }));
         // The first bytes are out, so that batch is being written and the
         // frames of the next command queue up behind it.
@@ -1307,11 +1345,11 @@ mod tests {
         // Inbound frames are still read and handled...
         for id in [21, 23] {
             write_frame(&Tagged { from: PEER, msg: &Blob { id, len: 0 } }, &mut their_out).unwrap();
-            let out = rig.outputs.recv_timeout(StdDuration::from_secs(5)).unwrap();
+            let out = rig.output(StdDuration::from_secs(5)).unwrap();
             assert_eq!(out.output, (PEER, Blob { id, len: 0 }), "the held-back command ran");
         }
         // ...while the command stays where it is.
-        assert!(rig.outputs.recv_timeout(StdDuration::from_millis(100)).is_err());
+        assert!(rig.output(StdDuration::from_millis(100)).is_none());
         // The peer drains: everything arrives in order, and the command
         // is taken.
         let mut frames = FrameBuffer::new();
@@ -1327,9 +1365,64 @@ mod tests {
             }
         }
         assert!(got.iter().copied().eq((0..4).map(|i| 2 * i).chain((0..filler).map(|i| 100 + 2 * i))));
-        let out = rig.outputs.recv_timeout(StdDuration::from_secs(5)).unwrap();
+        let out = rig.output(StdDuration::from_secs(5)).unwrap();
         assert_eq!(out.output, (ME, marker));
         rig.stop();
+    }
+
+    #[test]
+    fn a_pass_releases_its_outputs_as_one_batch_after_its_frames_are_written() {
+        // One command: a frame for the peer, then three self-sends the
+        // relay reports as outputs. All four effects belong to one pass.
+        let (ours, mut theirs) = blocking_pair();
+        let rig: Rig<Classed> = Rig::start(fixed(vec![], Some(ours)));
+        let sends = [(PEER, 1), (ME, 3), (ME, 5), (ME, 7)].map(|(to, v)| (to, Classed(v)));
+        rig.commands.send(sends.to_vec()).unwrap();
+        rig.handle.waker.wake();
+        // The batch is whole and in emission order.
+        let batch = rig.outputs.recv_timeout(StdDuration::from_secs(5)).unwrap();
+        let got: Vec<_> = batch.into_iter().map(|o| o.output).collect();
+        assert_eq!(got, [3, 5, 7].map(|v| (ME, Classed(v))));
+        // It was released after the flush: the pass's frame is with the
+        // peer already, no wait needed.
+        theirs.set_nonblocking(true).unwrap();
+        let mut chunk = [0u8; 256];
+        let read = theirs.read(&mut chunk).expect("an output overtook the frame its pass wrote");
+        let mut frames = FrameBuffer::new();
+        frames.extend(&chunk[..read]);
+        let frame = frames.next_frame::<TaggedOwned<Classed>>().unwrap();
+        assert_eq!(frame.map(|t| t.msg), Some(Classed(1)));
+        rig.stop();
+    }
+
+    #[test]
+    fn a_parked_loop_gets_one_wake_byte_however_many_wakes_arrive() {
+        let (tx, mut rx) = wake_channel().unwrap();
+        let waker = Waker::new(tx);
+        // The loop parks; a burst of commands arrives.
+        assert!(waker.announce_sleep(), "nothing pending, so the park goes ahead");
+        for _ in 0..100 {
+            waker.wake();
+        }
+        assert_eq!(rx.drain_wakes(), 1, "only the wake that raised the signal writes");
+        // The loop wakes up and consumes the signal: the next park's
+        // first wake must write again, or that wake-up would be lost.
+        waker.finish_sleep();
+        assert!(waker.take_signal());
+        assert!(waker.announce_sleep());
+        waker.wake();
+        waker.wake();
+        assert_eq!(rx.drain_wakes(), 1);
+        waker.finish_sleep();
+        assert!(waker.take_signal());
+        // A wake that lands before the park is announced aborts it, and
+        // costs no byte: the loop sees the signal on its way down.
+        waker.wake();
+        assert!(!waker.announce_sleep(), "a pending signal must abort the park");
+        waker.wake();
+        assert_eq!(rx.drain_wakes(), 0);
+        assert!(waker.take_signal());
+        assert!(!waker.take_signal());
     }
 
     use proptest::prelude::*;

@@ -305,18 +305,20 @@ impl WakeTx {
 
 impl WakeRx {
     /// Swallows every pending wake byte (their only content is "look at
-    /// the queues"). One syscall in the common case: the drain stops as
-    /// soon as a read comes back short.
-    pub fn drain_wakes(&mut self) {
+    /// the queues") and returns how many there were. One syscall in the
+    /// common case: the drain stops as soon as a read comes back short.
+    pub fn drain_wakes(&mut self) -> usize {
         let mut sink = [0u8; 256];
+        let mut drained = 0;
         loop {
             #[cfg(target_os = "linux")]
             let n = pipe_sys::try_read(self.fd, &mut sink);
             #[cfg(not(target_os = "linux"))]
             let n = try_read(&mut self.stream, &mut sink).unwrap_or(Some(0));
             match n {
-                Some(n) if n == sink.len() => continue,
-                _ => return,
+                Some(n) if n == sink.len() => drained += n,
+                Some(n) => return drained + n,
+                None => return drained,
             }
         }
     }
@@ -671,7 +673,7 @@ mod tests {
             .wait(&[(&rx, Interest::READ)], &mut out, Duration::from_secs(5))
             .unwrap();
         assert!(n >= 1 && out[0].readable, "a notify byte must wake the poller");
-        rx.drain_wakes();
+        assert_eq!(rx.drain_wakes(), 1);
         // Coalesced notifies still only need one drain.
         tx.notify().unwrap();
         tx.notify().unwrap();
@@ -680,6 +682,7 @@ mod tests {
             .wait(&[(&rx, Interest::READ)], &mut out, Duration::from_secs(5))
             .unwrap();
         assert!(n >= 1 && out[0].readable);
-        rx.drain_wakes();
+        assert_eq!(rx.drain_wakes(), 3);
+        assert_eq!(rx.drain_wakes(), 0, "one drain empties the channel");
     }
 }

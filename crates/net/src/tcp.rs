@@ -28,9 +28,14 @@
 //!
 //! Only three things cross a thread: application **commands**
 //! ([`TcpCluster::send_command`] → a per-process channel plus a wake that
-//! costs a pipe byte only when the loop is parked), **outputs** (the
-//! shared channel [`TcpCluster::run_for`] reads, each output stamped as
-//! it is emitted) and **stop**. Back-pressure therefore lands on the
+//! costs a pipe byte only for the first command that finds the loop
+//! parked), **outputs** and **stop**. Outputs leave a loop as one batch
+//! per pass, on a shared channel, after the pass's frames were written;
+//! each is still stamped as it is emitted. The cluster keeps the outputs
+//! of a received batch it has not returned yet, so
+//! [`TcpCluster::wait_for_outputs`] and [`TcpCluster::run_for`] hand them
+//! out one by one, in each process's emission order, no matter how the
+//! batches fell. Back-pressure therefore lands on the
 //! application: while a connected peer's lanes are at
 //! [`crate::queue::MAX_OUTBOUND_FRAMES`] the loop leaves commands in
 //! their channel, and never stops reading sockets (see
@@ -47,6 +52,7 @@
 //! through the sanctioned nonblocking shims in [`crate::poll`]. A node
 //! handler that blocks stalls its own process's I/O.
 
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -61,26 +67,41 @@ use crate::netfault::{NetFaultPlan, NetFaultReport, NetFaultStats};
 use crate::poll::wake_channel;
 use crate::NetOutput;
 
-/// Collects outputs from `rx` until `count` have arrived, `timeout`
-/// elapses, or every producer is gone.
+/// Collects up to `count` outputs: first from `received`, then from the
+/// batches on `rx`, until `count` are in hand, `timeout` elapses, or every
+/// producer is gone. What a batch brings beyond `count` stays in
+/// `received` for the next call. A `timeout` too long to add to the clock
+/// means no deadline.
 fn collect_outputs<O>(
-    rx: &Receiver<NetOutput<O>>,
+    rx: &Receiver<Vec<NetOutput<O>>>,
+    received: &mut VecDeque<NetOutput<O>>,
     count: usize,
     timeout: std::time::Duration,
 ) -> Vec<NetOutput<O>> {
-    let deadline = Instant::now() + timeout;
     let mut out = Vec::new();
-    while out.len() < count {
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            break;
+    let mut deadline = None;
+    loop {
+        let take = (count - out.len()).min(received.len());
+        out.extend(received.drain(..take));
+        if out.len() == count {
+            return out;
         }
-        match rx.recv_timeout(left) {
-            Ok(rec) => out.push(rec),
-            Err(_) => break,
+        // The buffer is empty: only now is the clock worth reading.
+        let batch = match *deadline.get_or_insert_with(|| Instant::now().checked_add(timeout)) {
+            Some(deadline) => {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return out;
+                }
+                rx.recv_timeout(left).ok()
+            }
+            None => rx.recv().ok(),
+        };
+        match batch {
+            Some(batch) => received.extend(batch),
+            None => return out,
         }
     }
-    out
 }
 
 /// A mesh of loop-back TCP connections between `n` local "processes",
@@ -114,7 +135,9 @@ where
     N::Msg: Encode,
 {
     commands: Vec<Sender<N::Command>>,
-    outputs: Receiver<NetOutput<N::Output>>,
+    outputs: Receiver<Vec<NetOutput<N::Output>>>,
+    /// Outputs of received batches not yet returned to the caller.
+    received: VecDeque<NetOutput<N::Output>>,
     io_loops: Vec<EventLoopHandle>,
     fault_stats: Vec<Arc<NetFaultStats>>,
 }
@@ -272,7 +295,7 @@ where
             ));
         }
 
-        TcpCluster { commands, outputs, io_loops, fault_stats }
+        TcpCluster { commands, outputs, received: VecDeque::new(), io_loops, fault_stats }
     }
 
     /// Per-process fault/reconnect counter snapshots (indexed by process
@@ -291,20 +314,23 @@ where
         self.io_loops[p.as_usize()].waker.wake();
     }
 
-    /// Collects outputs for (wall-clock) `dur`.
+    /// Collects outputs for (wall-clock) `dur`, starting with those an
+    /// earlier call left buffered.
     pub fn run_for(&mut self, dur: std::time::Duration) -> Vec<NetOutput<N::Output>> {
-        collect_outputs(&self.outputs, usize::MAX, dur)
+        collect_outputs(&self.outputs, &mut self.received, usize::MAX, dur)
     }
 
     /// Collects outputs until `count` have arrived or `timeout` elapses —
     /// the latency-friendly alternative to [`TcpCluster::run_for`] when
     /// the caller knows how many outputs to expect (benches, tests).
+    /// Returns at most `count`: the rest of a batch waits for the next
+    /// call, so none is lost or returned twice.
     pub fn wait_for_outputs(
         &mut self,
         count: usize,
         timeout: std::time::Duration,
     ) -> Vec<NetOutput<N::Output>> {
-        collect_outputs(&self.outputs, count, timeout)
+        collect_outputs(&self.outputs, &mut self.received, count, timeout)
     }
 
     /// Stops every process and closes its sockets. Never hangs on a dead
@@ -542,6 +568,68 @@ mod tests {
         cluster.send_command(ProcessId::new(0), 7);
         let outs = cluster.wait_for_outputs(2, std::time::Duration::from_secs(5));
         assert_eq!(outs.iter().map(|o| o.output).collect::<Vec<_>>(), vec![7, 8]);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn a_wait_without_deadline_returns_once_an_output_arrived() {
+        let mut cluster = TcpCluster::start(2, |_| Echo);
+        cluster.send_command(ProcessId::new(0), 3);
+        let outs = cluster.wait_for_outputs(1, std::time::Duration::MAX);
+        assert_eq!(outs.len(), 1);
+        assert_eq!(outs[0].output, (ProcessId::new(0), 3));
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn outputs_cross_batch_boundaries_exactly_once_in_emission_order() {
+        // Every frame makes its receiver emit three outputs in one pass,
+        // so batches hold several outputs and single-output waits leave
+        // the rest of a batch buffered between calls.
+        struct Burst {
+            seq: u32,
+        }
+        impl Node for Burst {
+            type Msg = Num;
+            type Command = u32;
+            type Output = u32;
+            fn on_command(&mut self, cmd: u32, ctx: &mut Context<Num, u32>) {
+                ctx.send_to_all(Num(cmd));
+            }
+            fn on_message(&mut self, _from: ProcessId, _m: Num, ctx: &mut Context<Num, u32>) {
+                for _ in 0..3 {
+                    ctx.output(self.seq);
+                    self.seq += 1;
+                }
+            }
+        }
+        const COMMANDS: u32 = 20;
+        let total = 3 * 3 * COMMANDS as usize;
+        let mut cluster = TcpCluster::start(3, |_| Burst { seq: 0 });
+        for v in 0..COMMANDS {
+            cluster.send_command(ProcessId::new((v % 3) as u16), v);
+        }
+        let mut outs = Vec::new();
+        for _ in 0..total / 3 {
+            let one = cluster.wait_for_outputs(1, std::time::Duration::from_secs(5));
+            assert_eq!(one.len(), 1, "a single-output wait returned {}", one.len());
+            outs.extend(one);
+        }
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while outs.len() < total && Instant::now() < deadline {
+            outs.extend(cluster.run_for(std::time::Duration::from_millis(50)));
+        }
+        // Nothing beyond the expected outputs arrives late.
+        outs.extend(cluster.run_for(std::time::Duration::from_millis(50)));
+        assert_eq!(outs.len(), total);
+        for p in 0..3 {
+            let seqs: Vec<u32> =
+                outs.iter().filter(|o| o.process == ProcessId::new(p)).map(|o| o.output).collect();
+            assert!(
+                seqs.into_iter().eq(0..3 * COMMANDS),
+                "process {p} lost, repeated or reordered an output"
+            );
+        }
         cluster.shutdown();
     }
 
