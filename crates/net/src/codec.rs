@@ -1,6 +1,6 @@
 //! Length-prefixed framing for TCP transports.
 
-use std::io::{self, Write};
+use std::io;
 
 use iabc_types::{Decode, Encode, ProcessId};
 
@@ -35,108 +35,18 @@ pub fn write_frame_into<T: Encode>(value: &T, scratch: &mut Vec<u8>) -> io::Resu
     Ok(())
 }
 
-/// Writes one `[u32 length][body]` frame.
+/// Writes one `[u32 length][body]` frame (tests feeding a loop by hand).
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the writer; fails if the encoded value
 /// exceeds [`MAX_FRAME`].
-pub fn write_frame<T: Encode, W: Write>(value: &T, w: &mut W) -> io::Result<()> {
+#[cfg(test)]
+pub(crate) fn write_frame<T: Encode, W: io::Write>(value: &T, w: &mut W) -> io::Result<()> {
     let mut buf = Vec::with_capacity(4 + value.wire_size());
     write_frame_into(value, &mut buf)?;
     w.write_all(&buf)?;
     w.flush()
-}
-
-/// An incremental frame decoder that owns its bytes (accumulates copies,
-/// yields complete frames).
-///
-/// No production path uses it any more: sockets read into [`RecvBuffer`].
-/// `FrameBuffer` is the simple reference `recv_buffer_props.rs` pins
-/// `RecvBuffer`'s decoded frames to, and the reader tests use to check
-/// what a transport wrote.
-///
-/// Decode errors are **sticky**: after an oversized or malformed frame the
-/// buffer is poisoned and every further call fails fast — a byte stream
-/// that has lost framing can never resynchronize, so retrying on the same
-/// bytes would spin forever. Callers must drop the connection on the first
-/// error.
-#[derive(Debug, Default)]
-pub struct FrameBuffer {
-    buf: Vec<u8>,
-    // Consumed prefix of `buf`: frames are dropped O(1) by advancing this
-    // cursor, and the buffer is compacted only once the live region starts
-    // deep enough to amortize the memmove.
-    start: usize,
-    poisoned: bool,
-}
-
-impl FrameBuffer {
-    /// Creates an empty buffer.
-    pub fn new() -> Self {
-        FrameBuffer::default()
-    }
-
-    /// Appends raw bytes from the wire. Bytes arriving after a decode
-    /// error are discarded — the stream is already unframeable.
-    pub fn extend(&mut self, bytes: &[u8]) {
-        if self.poisoned {
-            return;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Whether a previous decode error poisoned this buffer.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
-
-    /// Bytes buffered but not yet consumed by a decoded frame (0 after
-    /// poisoning — the buffer is discarded). For metrics and tests.
-    pub fn pending_bytes(&self) -> usize {
-        self.buf.len() - self.start
-    }
-
-    fn poison(&mut self, reason: &str) -> io::Error {
-        self.poisoned = true;
-        self.buf = Vec::new();
-        self.start = 0;
-        io::Error::new(io::ErrorKind::InvalidData, reason.to_string())
-    }
-
-    /// Extracts the next complete frame, if one is buffered.
-    ///
-    /// # Errors
-    ///
-    /// Fails on oversized or malformed frames, and on every call after the
-    /// first failure (the buffer is poisoned — close the connection).
-    pub fn next_frame<T: Decode>(&mut self) -> io::Result<Option<T>> {
-        if self.poisoned {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "frame buffer poisoned"));
-        }
-        let pending = &self.buf[self.start..];
-        if pending.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes([pending[0], pending[1], pending[2], pending[3]]) as usize;
-        if len > MAX_FRAME {
-            return Err(self.poison("frame too large"));
-        }
-        if pending.len() < 4 + len {
-            return Ok(None);
-        }
-        match T::from_bytes(&pending[4..4 + len]) {
-            Ok(value) => {
-                self.start += 4 + len;
-                if self.start >= 4096 && self.start * 2 >= self.buf.len() {
-                    self.buf.drain(..self.start);
-                    self.start = 0;
-                }
-                Ok(Some(value))
-            }
-            Err(e) => Err(self.poison(&e.to_string())),
-        }
-    }
 }
 
 /// `(sender, message)` as one frame: the transport frame format is
@@ -187,12 +97,12 @@ impl<M: Decode + iabc_types::WireSize> Decode for TaggedOwned<M> {
 /// ([`iabc_types::Decode::decode_in_place`]) from the very bytes the
 /// kernel wrote.
 ///
-/// Unlike [`FrameBuffer`], the owned reference decoder, which copies every
-/// chunk into itself before decoding, `RecvBuffer` has no re-assembly
-/// copy — payload bytes are copied exactly once, slice → payload store,
-/// and nothing else on the receive path copies at all.
+/// There is no re-assembly copy — payload bytes are copied exactly once,
+/// slice → payload store, and nothing else on the receive path copies at
+/// all. (The tests pin it to `FrameBuffer`, an owned copy-then-decode
+/// reference kept in the crate's test support.)
 ///
-/// Same framing contract as [`FrameBuffer`]: `[u32 LE length][body]`,
+/// Framing contract: `[u32 LE length][body]`,
 /// frames over [`MAX_FRAME`] rejected, and decode errors are **sticky** —
 /// a stream that lost framing can never resynchronize, so after the first
 /// error every call fails fast and the caller must drop the connection.
@@ -304,8 +214,15 @@ impl RecvBuffer {
     }
 }
 
+/// The reference decoder the tests compare [`RecvBuffer`] to; it lives in
+/// the integration tests' support directory, which shares it.
+#[cfg(test)]
+#[path = "../tests/support/frame_buffer.rs"]
+mod frame_buffer;
+
 #[cfg(test)]
 mod tests {
+    use super::frame_buffer::FrameBuffer;
     use super::*;
 
     #[test]

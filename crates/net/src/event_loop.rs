@@ -23,10 +23,11 @@
 //! # One pass
 //!
 //! park in `poll` (until a socket is ready, a wake byte arrives, or the
-//! earliest timer is due, at most [`TICK`]) → accept and read sockets,
-//! running `on_message` per decoded frame → fire due timers → take
-//! application commands → link maintenance → flush every peer's lanes →
-//! release outputs.
+//! earliest timer is due, at most [`TICK`]) → read sockets, running
+//! `on_message` per decoded frame → accept new connections → fire due
+//! timers → take application commands → link maintenance (sever, dial) →
+//! flush every peer's lanes → release outputs. Before its first pass the
+//! loop dials its links, then runs `on_start`, flushes and releases.
 //!
 //! # What crosses a thread
 //!
@@ -67,24 +68,32 @@
 //! — the application is what gets pushed back on — and keeps reading
 //! sockets, firing timers and running the handlers they trigger.
 //!
-//! # Partition healing (reconnect with backoff)
+//! # Links: one way to connect, partition healing included
 //!
-//! A write error or reader EOF does not end a link that has a reconnect
-//! address. The loop flips the lanes into **down-mode** (ordering
-//! retained, bulk shed past a watermark — see [`crate::queue`]), salvages
-//! the un-sent whole frames of the scratch for replay, and hands the peer
-//! to the [`Reconnector`]: an immediate first attempt, then exponential
-//! backoff with deterministic jitter capped at ~1 s, at most one attempt
-//! in flight. A successful loop-back connect re-runs the 2-byte id
-//! handshake, replays the salvaged frames, and the next flush drains the
-//! parked backlog — the decided-frontier piggyback on those frames is
-//! what pulls both sides back together. Inbound, the loop polls its
-//! listener, accepts replacement connections mid-run, and consumes their
-//! handshake bytes before promoting them to readers.
+//! Every outbound link starts **down** and is dialed by the
+//! [`Reconnector`], its first connection included: the loop's first pass
+//! dials every peer's listener before the node's `on_start` runs, so the
+//! start-up frames find their links connected. A loop-back connect to a
+//! bound listener completes in the kernel even before the peer's loop
+//! runs; the bytes wait in the socket until the peer accepts.
+//!
+//! A write error or reader EOF does not end a link. The loop flips the
+//! lanes into **down-mode** (ordering retained, bulk shed past a
+//! watermark — see [`crate::queue`]), salvages the un-sent whole frames of
+//! the scratch for replay, and hands the peer back to the
+//! [`Reconnector`]: an immediate first attempt, then exponential backoff
+//! with deterministic jitter capped at ~1 s, at most one attempt in
+//! flight. A successful loop-back connect replays the salvaged frames, and
+//! the next flush drains the parked backlog — the decided-frontier
+//! piggyback on those frames is what pulls both sides back together.
+//! Nothing precedes the frames on a connection — every frame carries its
+//! sender's id — so a stream the listener accepts is read from its first
+//! byte: it joins the readers at once.
 //!
 //! An optional [`NetFaultPlan`] drives nemesis runs. The loop holds the
 //! plan itself: its partition windows sever the matching links once per
-//! pass (and gate reconnect attempts until the window closes), and its
+//! pass (and gate dial attempts until the window closes — a window open
+//! at start-up holds back a link's first connection the same way), and its
 //! draw-only half judges each frame's drop/duplicate verdict at encode
 //! time. Without a plan, none of that code runs on the frame path.
 //!
@@ -208,14 +217,6 @@ struct Inbound {
     open: bool,
 }
 
-/// A freshly accepted connection whose 2-byte id handshake has not fully
-/// arrived yet; promoted to an [`Inbound`] once it has.
-struct PendingAccept {
-    stream: TcpStream,
-    id: [u8; 2],
-    got: usize,
-}
-
 /// The live half of one outbound connection (present while connected).
 struct Conn {
     stream: TcpStream,
@@ -253,19 +254,19 @@ impl Conn {
 }
 
 /// One outbound (us → peer) link: the lanes always, a [`Conn`] while the
-/// connection is up, and the reconnect address if the link may heal.
+/// connection is up, and the peer's listener address to dial.
 struct Writer<M> {
     peer: ProcessId,
-    /// Where to reconnect after a connection loss. `None` pins the legacy
-    /// semantics: loss is permanent and ends the link.
-    addr: Option<SocketAddr>,
+    /// The peer's listener: every connection of this link, the first one
+    /// included, is dialed here.
+    addr: SocketAddr,
     /// Frames the node has emitted for this peer and no flush has encoded
     /// yet. Owned by this thread alone.
     lanes: Lanes<M>,
     conn: Option<Conn>,
-    /// This link will never send again (and must not reconnect); frames
-    /// for it are dropped, as sends to a crashed process are.
-    finished: bool,
+    /// Some connection of this link has been up: the next one to come up
+    /// replaces it, and counts as a reconnect.
+    was_up: bool,
     /// Shed frames already folded into the shared stats (delta tracking
     /// against the lanes' monotone counter).
     shed_reported: u64,
@@ -300,24 +301,15 @@ enum WriterState {
     Dead,
 }
 
-/// One outbound link handed to [`spawn`].
-pub(crate) struct OutboundLink {
-    pub(crate) peer: ProcessId,
-    /// Reconnect target (the peer's listener). `None` disables healing
-    /// for this link: a connection loss ends it permanently.
-    pub(crate) addr: Option<SocketAddr>,
-    /// Connected, handshaken, nonblocking.
-    pub(crate) stream: TcpStream,
-}
-
-/// The sockets one event loop owns, handed to [`spawn`].
+/// Where one event loop's links go, handed to [`spawn`]. No connection
+/// exists yet: the loop dials every link itself and accepts every inbound
+/// stream from its listener, at start-up as after a loss.
 pub(crate) struct LoopTopology {
-    /// This process's listener (nonblocking), polled for mid-run
-    /// re-accepts. `None` fixes the inbound set at spawn time.
-    pub(crate) listener: Option<TcpListener>,
-    /// Accepted streams (already handshaken, nonblocking).
-    pub(crate) inbound: Vec<TcpStream>,
-    pub(crate) outbound: Vec<OutboundLink>,
+    /// This process's listener (nonblocking). Peers dial it; the loop
+    /// accepts their connections and reads them from the first byte.
+    pub(crate) listener: TcpListener,
+    /// Every peer with its listener's address: one outbound link each.
+    pub(crate) peers: Vec<(ProcessId, SocketAddr)>,
     /// Nemesis fault plan; `None` keeps the frame path fault-layer-free.
     pub(crate) faults: Option<NetFaultPlan>,
     /// Shared fault/reconnect counters (always live: reconnects happen
@@ -460,9 +452,7 @@ impl<N: Node> Host<N> {
                 Action::Send { to, msg } if to == self.me => self.local.push_back(msg),
                 Action::Send { to, msg } => {
                     if let Some(Some(w)) = self.writers.get_mut(to.as_usize()) {
-                        if !w.finished {
-                            w.lanes.push(msg);
-                        }
+                        w.lanes.push(msg);
                     }
                 }
                 Action::SetTimer { delay, timer } => self.timers.push(now + delay.into(), timer),
@@ -531,31 +521,28 @@ fn run_loop<N>(
 {
     let pool = BufferPool::new();
     let Process { me, n, epoch, node, commands, outputs } = process;
-    let listener = topo.listener;
-    let stats = topo.stats;
-    let mut readers: Vec<Inbound> = topo
-        .inbound
-        .into_iter()
-        .map(|stream| Inbound { stream, recv: RecvBuffer::new(&pool), open: true })
-        .collect();
-    let mut pending: Vec<PendingAccept> = Vec::new();
-    let slots = topo.outbound.iter().map(|l| l.peer.as_usize() + 1).max().unwrap_or(0).max(n);
+    let LoopTopology { listener, peers, mut faults, stats } = topo;
+    let mut readers: Vec<Inbound> = Vec::new();
+    let slots = peers.iter().map(|(p, _)| p.as_usize() + 1).max().unwrap_or(0).max(n);
     let mut writers: Vec<Option<Writer<N::Msg>>> = (0..slots).map(|_| None).collect();
-    for link in topo.outbound {
-        let slot = link.peer.as_usize();
-        writers[slot] = Some(Writer {
-            peer: link.peer,
-            addr: link.addr,
-            lanes: Lanes::new(),
-            conn: Some(Conn::new(link.stream, &pool)),
-            finished: false,
+    // The jitter seed only desynchronizes concurrent probers.
+    let mut reconnect = Reconnector::new(slots, u64::from(me.index()) ^ 0x1abc);
+    for (peer, addr) in peers {
+        // Every link starts down, its first dial due at once: the first
+        // connection takes the same path as every redial.
+        let mut lanes = Lanes::new();
+        lanes.set_down(true);
+        reconnect.mark_down(peer, Duration::from_nanos(0));
+        writers[peer.as_usize()] = Some(Writer {
+            peer,
+            addr,
+            lanes,
+            conn: None,
+            was_up: false,
             shed_reported: 0,
             carryover: Vec::new(),
         });
     }
-    // The jitter seed only desynchronizes concurrent probers.
-    let mut reconnect = Reconnector::new(slots, u64::from(me.index()) ^ 0x1abc);
-    let mut faults = topo.faults;
     let mut host = Host {
         me,
         n,
@@ -568,14 +555,21 @@ fn run_loop<N>(
         writers,
     };
 
+    // Poll slots: these two are fixed, the readers follow, then the
+    // writers parked on a partial write.
+    const WAKE_SLOT: usize = 0;
+    const LISTENER_SLOT: usize = 1;
+    const READER_BASE: usize = 2;
     let mut poller = Poller::new();
     let mut readiness: Vec<Readiness> = Vec::new();
     // A wake announced commands that have not all been taken yet (the
     // per-pass cap, or back-pressure).
     let mut commands_waiting = false;
 
-    host.dispatch(Event::Start);
+    // Dial first, so `on_start`'s frames find their links connected.
     let now = Duration::from_nanos(nanos_since(epoch, Instant::now()));
+    maintain_links(me, now, &mut host.writers, &mut reconnect, faults.as_ref(), &stats, &pool);
+    host.dispatch(Event::Start);
     service_writers(me, now, &mut host.writers, &mut faults, &stats, &mut reconnect);
     host.release_outputs();
     loop {
@@ -590,26 +584,14 @@ fn run_loop<N>(
             timeout = park_timeout(&host.timers);
             parked = true;
         }
-        // Interest layout: [wake_rx, listener?, pending..., readers...,
-        // parked writers...]. A writer needs POLLOUT only while parked on
-        // a partial write, and only to end the park: every connected
-        // writer is flushed each pass regardless.
-        let listener_slot;
-        let pending_base;
-        let reader_base;
+        // A writer needs POLLOUT only while parked on a partial write, and
+        // only to end the park: every connected writer is flushed each
+        // pass regardless.
         {
             let mut interests: Vec<(&dyn PollSource, Interest)> =
-                Vec::with_capacity(2 + pending.len() + readers.len() + host.writers.len());
+                Vec::with_capacity(2 + readers.len() + host.writers.len());
             interests.push((&wake_rx, Interest::READ));
-            listener_slot = listener.as_ref().map(|l| {
-                interests.push((l, Interest::READ));
-                interests.len() - 1
-            });
-            pending_base = interests.len();
-            for p in &pending {
-                interests.push((&p.stream, Interest::READ));
-            }
-            reader_base = interests.len();
+            interests.push((&listener, Interest::READ));
             for r in &readers {
                 interests.push((&r.stream, if r.open { Interest::READ } else { Interest::NONE }));
             }
@@ -628,52 +610,27 @@ fn run_loop<N>(
         if parked {
             waker.finish_sleep();
         }
+        let ready = |slot: usize| readiness.get(slot).is_some_and(|r| r.readable);
         // Wake bytes exist only when a waker caught the loop parked;
         // everything else stays out of the pipe entirely.
-        if readiness.first().is_some_and(|r| r.readable) {
+        if ready(WAKE_SLOT) {
             wake_rx.drain_wakes();
         }
 
-        // Mid-run accepts: drain the listener backlog into the pending
-        // set; their handshake bytes promote them to readers below.
-        if let (Some(l), Some(slot)) = (listener.as_ref(), listener_slot) {
-            if readiness.get(slot).is_some_and(|r| r.readable) {
-                while let Ok(Some(stream)) = poll::try_accept(l) {
-                    pending.push(PendingAccept { stream, id: [0; 2], got: 0 });
-                }
-            }
-        }
-        let mut i = 0;
-        while i < pending.len() {
-            if readiness.get(pending_base + i).is_some_and(|r| r.readable) {
-                match service_pending(&mut pending[i]) {
-                    PendingOutcome::Wait => i += 1,
-                    PendingOutcome::Dead => {
-                        pending.swap_remove(i);
-                    }
-                    PendingOutcome::Ready => {
-                        let p = pending.swap_remove(i);
-                        readers.push(Inbound {
-                            stream: p.stream,
-                            recv: RecvBuffer::new(&pool),
-                            open: true,
-                        });
-                    }
-                }
-            } else {
-                i += 1;
-            }
-        }
-
         for (i, r) in readers.iter_mut().enumerate() {
-            if r.open && readiness.get(reader_base + i).is_some_and(|rd| rd.readable) {
+            if r.open && ready(READER_BASE + i) {
                 service_reader(r, &mut host);
             }
         }
-        // Dead readers leave the set: with a listener the peer's
-        // reconnect will accept a replacement; without one the slot is
-        // simply gone (legacy fixed topology).
+        // Dead readers leave the set: the peer's redial replaces them.
         readers.retain(|r| r.open);
+        // Accepts join the readers only now, after the pass over the
+        // polled ones, so every reader above matched its own poll slot.
+        if ready(LISTENER_SLOT) {
+            while let Ok(Some(stream)) = poll::try_accept(&listener) {
+                readers.push(Inbound { stream, recv: RecvBuffer::new(&pool), open: true });
+            }
+        }
 
         let now = Instant::now();
         while let Some(timer) = host.timers.pop_due(now) {
@@ -687,7 +644,7 @@ fn run_loop<N>(
 
         // Everything the handlers of this pass emitted leaves now. Link
         // maintenance first: sever freshly partitioned connections, dial
-        // due reconnect attempts. Then the frames, then the outputs.
+        // due attempts. Then the frames, then the outputs.
         let now = Duration::from_nanos(nanos_since(epoch, now));
         maintain_links(me, now, &mut host.writers, &mut reconnect, faults.as_ref(), &stats, &pool);
         service_writers(me, now, &mut host.writers, &mut faults, &stats, &mut reconnect);
@@ -703,45 +660,15 @@ fn run_loop<N>(
             for r in &readers {
                 poll::shutdown_stream(&r.stream, Shutdown::Both);
             }
-            for p in &pending {
-                poll::shutdown_stream(&p.stream, Shutdown::Both);
-            }
             return;
         }
     }
 }
 
-/// What [`service_pending`] decided about a half-handshaken accept.
-enum PendingOutcome {
-    /// Still waiting for handshake bytes.
-    Wait,
-    /// EOF or error before the handshake completed; drop it.
-    Dead,
-    /// Handshake complete; promote to a reader.
-    Ready,
-}
-
-/// Reads the outstanding handshake bytes of one pending accept.
-fn service_pending(p: &mut PendingAccept) -> PendingOutcome {
-    while p.got < p.id.len() {
-        let got = p.got;
-        match poll::try_read(&mut p.stream, &mut p.id[got..]) {
-            Ok(Some(0)) | Err(_) => {
-                poll::shutdown_stream(&p.stream, Shutdown::Both);
-                return PendingOutcome::Dead;
-            }
-            Ok(Some(n)) => p.got += n,
-            Ok(None) => return PendingOutcome::Wait,
-        }
-    }
-    // The id is advisory (frames carry their own `from` tag); consuming
-    // it is what matters, so the frame decoder starts at a frame boundary.
-    PendingOutcome::Ready
-}
-
 /// Once-per-pass link maintenance: sever connections a partition window
-/// now covers, and dial the reconnect attempts that have come due (gated
-/// off while the pair is partitioned).
+/// now covers, and dial the attempts that have come due (gated off while
+/// the pair is partitioned). A link's first connection is dialed here
+/// too, like every redial.
 fn maintain_links<M>(
     me: ProcessId,
     now: Duration,
@@ -752,9 +679,6 @@ fn maintain_links<M>(
     pool: &BufferPool,
 ) {
     for w in writers.iter_mut().flatten() {
-        if w.finished {
-            continue;
-        }
         // Fold newly shed frames (down-mode bulk watermark) into the
         // shared counters; the lanes' counter is monotone, so a delta
         // against what was already reported is exact.
@@ -783,35 +707,24 @@ fn maintain_links<M>(
             // fires on the first pass after the heal.
             continue;
         }
-        if let Some(addr) = w.addr.filter(|_| w.conn.is_none() && reconnect.due_attempt(w.peer, now)) {
-            match poll::connect_loopback(&addr) {
-                Ok(mut stream) => {
-                    // Re-run the 2-byte id handshake. Two bytes into a
-                    // fresh socket buffer cannot short-write; anything but
-                    // a complete write means the connection is already
-                    // broken, which is just a failed attempt.
-                    match poll::try_write(&mut stream, &me.index().to_le_bytes()) {
-                        Ok(Some(2)) => {
-                            let mut conn = Conn::new(stream, pool);
-                            // Replay the salvaged suffix of the dead
-                            // connection before any fresh batch: frame
-                            // order within the link is preserved, and the
-                            // peer's decoder starts clean (it discarded
-                            // any partial tail at EOF).
-                            if !w.carryover.is_empty() {
-                                conn.scratch.extend_from_slice(&w.carryover);
-                                w.carryover.clear();
-                            }
-                            w.conn = Some(conn);
-                            w.lanes.set_down(false);
-                            reconnect.mark_up(w.peer);
-                            stats.reconnects.fetch_add(1, Ordering::Relaxed);
-                        }
-                        _ => {
-                            poll::shutdown_stream(&stream, Shutdown::Both);
-                            reconnect.attempt_failed(w.peer, now);
-                        }
+        if w.conn.is_none() && reconnect.due_attempt(w.peer, now) {
+            match poll::connect_loopback(&w.addr) {
+                Ok(stream) => {
+                    let mut conn = Conn::new(stream, pool);
+                    // Replay the salvaged suffix of the dead connection
+                    // before any fresh batch: frame order within the link
+                    // is preserved, and the peer's decoder starts clean
+                    // (it discarded any partial tail at EOF).
+                    conn.scratch.extend_from_slice(&w.carryover);
+                    w.carryover.clear();
+                    w.conn = Some(conn);
+                    w.lanes.set_down(false);
+                    reconnect.mark_up(w.peer);
+                    // A link's first connection is not a reconnect.
+                    if w.was_up {
+                        stats.reconnects.fetch_add(1, Ordering::Relaxed);
                     }
+                    w.was_up = true;
                 }
                 Err(_) => reconnect.attempt_failed(w.peer, now),
             }
@@ -868,8 +781,12 @@ where
     }
 }
 
-/// One flush pass over every connected writer, applying the state
-/// transitions ([`service_writer`] reports them, this applies them).
+/// One flush pass over every connected writer. A connection that died
+/// is severed and its link handed back to the reconnector: the lanes park
+/// in down-mode and the un-sent scratch suffix is salvaged for replay.
+/// Catch-up repairs only *decided* instances and the pending re-flood only
+/// payloads, so an in-flight consensus frame lost here would wedge its
+/// instance for good.
 fn service_writers<M: Encode + WireSize>(
     me: ProcessId,
     now: Duration,
@@ -879,30 +796,12 @@ fn service_writers<M: Encode + WireSize>(
     reconnect: &mut Reconnector,
 ) {
     for w in writers.iter_mut().flatten() {
-        if w.conn.is_none() || w.finished {
-            continue;
-        }
-        match service_writer(me, w, faults.as_mut(), stats) {
-            WriterState::Idle | WriterState::Parked => {}
-            WriterState::Dead => {
-                if w.addr.is_some() {
-                    // Healable link: park the lanes in down-mode, salvage
-                    // the un-sent scratch suffix for replay, and let the
-                    // reconnector dial. Catch-up repairs only *decided*
-                    // instances and the pending re-flood only payloads,
-                    // so an in-flight consensus frame lost here would
-                    // wedge its instance for good.
-                    w.sever();
-                    w.lanes.set_down(true);
-                    reconnect.mark_down(w.peer, now);
-                } else {
-                    // Legacy fixed topology: loss is permanent.
-                    if let Some(c) = w.conn.take() {
-                        poll::shutdown_stream(&c.stream, Shutdown::Both);
-                    }
-                    w.finished = true;
-                }
-            }
+        if w.conn.is_some()
+            && matches!(service_writer(me, w, faults.as_mut(), stats), WriterState::Dead)
+        {
+            w.sever();
+            w.lanes.set_down(true);
+            reconnect.mark_down(w.peer, now);
         }
     }
 }
@@ -979,7 +878,7 @@ fn service_writer<M: Encode + WireSize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{write_frame, FrameBuffer};
+    use crate::codec::write_frame;
     use crate::poll::wake_channel;
     use crate::queue::tests::{Blob, Classed};
     use crate::queue::MAX_OUTBOUND_FRAMES;
@@ -1008,7 +907,8 @@ mod tests {
     }
 
     /// Process 0 of a two-process cluster: a [`Relay`] on a real event
-    /// loop, with the test playing the application and the peer.
+    /// loop over the production topology, with the test playing the
+    /// application and the peer.
     struct Rig<M> {
         handle: EventLoopHandle,
         commands: Sender<Vec<(ProcessId, M)>>,
@@ -1017,17 +917,24 @@ mod tests {
         /// Outputs of a received batch that [`Rig::output`] has not
         /// returned yet.
         received: VecDeque<NetOutput<(ProcessId, M)>>,
+        /// The loop's listener: connect here to feed the loop frames.
+        addr: SocketAddr,
+        stats: Arc<NetFaultStats>,
     }
 
     impl<M> Rig<M>
     where
         M: Clone + std::fmt::Debug + Encode + Decode + WireSize + Send + 'static,
     {
-        fn start(topo: LoopTopology) -> Rig<M> {
-            for s in topo.inbound.iter().chain(topo.outbound.iter().map(|l| &l.stream)) {
-                s.set_nonblocking(true).unwrap();
-                s.set_nodelay(true).unwrap();
-            }
+        /// Starts the loop on a fresh listener of its own. With `peer`,
+        /// the loop has a link to [`PEER`] and dials that listener for
+        /// it; accepting the dial gives the test the peer's end.
+        fn start(peer: Option<&TcpListener>, faults: Option<NetFaultPlan>) -> Rig<M> {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            listener.set_nonblocking(true).unwrap();
+            let addr = listener.local_addr().unwrap();
+            let peers = peer.map(|l| (PEER, l.local_addr().unwrap())).into_iter().collect();
+            let stats = Arc::new(NetFaultStats::default());
             let (wake_tx, wake_rx) = wake_channel().unwrap();
             let (commands, cmd_rx) = unbounded();
             let (out_tx, outputs) = unbounded();
@@ -1040,11 +947,19 @@ mod tests {
                     commands: cmd_rx,
                     outputs: out_tx,
                 },
-                topo,
+                LoopTopology { listener, peers, faults, stats: Arc::clone(&stats) },
                 wake_rx,
                 Arc::new(Waker::new(wake_tx)),
             );
-            Rig { handle, commands, outputs, received: VecDeque::new() }
+            Rig { handle, commands, outputs, received: VecDeque::new(), addr, stats }
+        }
+
+        /// A loop whose link to [`PEER`] is up, and the peer's end of it.
+        fn dialed() -> (Rig<M>, TcpStream) {
+            let peer = TcpListener::bind("127.0.0.1:0").unwrap();
+            let rig = Rig::start(Some(&peer), None);
+            let (theirs, _) = peer.accept().unwrap();
+            (rig, theirs)
         }
 
         /// The next output, batches flattened; `None` if none arrives
@@ -1068,41 +983,20 @@ mod tests {
         }
     }
 
-    /// A heal-free topology: no listener, no reconnect address, no faults.
-    fn fixed(inbound: Vec<TcpStream>, to_peer: Option<TcpStream>) -> LoopTopology {
-        LoopTopology {
-            listener: None,
-            inbound,
-            outbound: to_peer
-                .into_iter()
-                .map(|stream| OutboundLink { peer: PEER, addr: None, stream })
-                .collect(),
-            faults: None,
-            stats: Arc::new(NetFaultStats::default()),
-        }
-    }
-
-    fn blocking_pair() -> (TcpStream, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let a = TcpStream::connect(addr).unwrap();
-        let (b, _) = listener.accept().unwrap();
-        (a, b)
-    }
-
-    /// Reads frames off the peer's end until `done` says stop.
+    /// Reads frames off the peer's end, `chunk` bytes at most per read,
+    /// until `done` says stop; decodes them as a receiving loop does.
     fn read_frames<M: Decode + WireSize>(
         theirs: &mut TcpStream,
         chunk: usize,
         mut done: impl FnMut(&[M]) -> bool,
     ) -> Vec<M> {
-        let mut frames = FrameBuffer::new();
+        let pool = BufferPool::new();
+        let mut frames = RecvBuffer::new(&pool);
         let mut got: Vec<M> = Vec::new();
-        let mut chunk = vec![0u8; chunk];
         while !done(&got) {
-            let read = theirs.read(&mut chunk).unwrap();
+            let read = theirs.read(&mut frames.spare(chunk)[..chunk]).unwrap();
             assert!(read > 0, "stream closed before the frames arrived");
-            frames.extend(&chunk[..read]);
+            frames.commit(read);
             while let Some(t) = frames.next_frame::<TaggedOwned<M>>().unwrap() {
                 assert_eq!(t.from, ME);
                 got.push(t.msg);
@@ -1113,8 +1007,7 @@ mod tests {
 
     #[test]
     fn outbound_batch_drains_ordering_ahead_of_bulk_over_the_wire() {
-        let (ours, mut theirs) = blocking_pair();
-        let rig: Rig<Classed> = Rig::start(fixed(vec![], Some(ours)));
+        let (rig, mut theirs) = Rig::<Classed>::dialed();
         // One handler call, so the whole burst is one batch.
         rig.send(PEER, [2, 4, 1, 6, 3, 8, 5].map(Classed));
         let got = read_frames::<Classed>(&mut theirs, 4096, |got| got.len() == 7);
@@ -1125,8 +1018,8 @@ mod tests {
 
     #[test]
     fn corrupt_inbound_frame_tears_the_connection_after_delivering_the_good_prefix() {
-        let (mut theirs, ours) = blocking_pair();
-        let mut rig: Rig<Classed> = Rig::start(fixed(vec![ours], None));
+        let mut rig: Rig<Classed> = Rig::start(None, None);
+        let mut theirs = TcpStream::connect(rig.addr).unwrap();
         write_frame(&Tagged { from: PEER, msg: &Classed(42) }, &mut theirs).unwrap();
         // A malformed frame: the length prefix says 2 bytes, which can
         // never decode as a Tagged<Classed>.
@@ -1147,20 +1040,13 @@ mod tests {
 
     #[test]
     fn writer_death_reconnects_through_the_peer_listener_and_drains_the_parked_backlog() {
-        // The peer: a listener we control. The initial connection is torn
+        // The peer: a listener we control. The first connection is torn
         // down by "the peer" mid-run; the loop must flip the lanes into
-        // down-mode, redial our listener with the 2-byte handshake, and
-        // flush the ordering frames parked while the link was down.
+        // down-mode, redial our listener, and flush the ordering frames
+        // parked while the link was down.
         let peer_listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let peer_addr = peer_listener.local_addr().unwrap();
-        let initial = TcpStream::connect(peer_addr).unwrap();
+        let rig: Rig<Classed> = Rig::start(Some(&peer_listener), None);
         let (their_end, _) = peer_listener.accept().unwrap();
-        let topo = LoopTopology {
-            outbound: vec![OutboundLink { peer: PEER, addr: Some(peer_addr), stream: initial }],
-            ..fixed(vec![], None)
-        };
-        let stats = Arc::clone(&topo.stats);
-        let rig: Rig<Classed> = Rig::start(topo);
 
         // Kill the peer end: the loop's next write hits EPIPE/RST.
         drop(their_end);
@@ -1176,9 +1062,6 @@ mod tests {
             }
         };
         accepted.set_nonblocking(false).unwrap();
-        let mut hs = [0u8; 2];
-        accepted.read_exact(&mut hs).unwrap();
-        assert_eq!(u16::from_le_bytes(hs), 0, "handshake must carry the dialer's id");
         // A post-reconnect frame must arrive on the new stream (parked
         // backlog first — all odd, all ordering — then this one).
         rig.send(PEER, [Classed(9)]);
@@ -1189,72 +1072,60 @@ mod tests {
         // the write error — the parking policy itself is unit-tested in
         // `queue`.) The ordering lane is FIFO, so 9 drains last.
         assert_eq!(got.last(), Some(&Classed(9)));
-        assert!(stats.report().reconnects >= 1);
+        assert!(rig.stats.report().reconnects >= 1);
         rig.stop();
     }
 
     #[test]
     fn partition_window_severs_the_link_and_heals_after_it_closes() {
-        // A fault-plan partition: the loop must kill its own healthy
-        // connection when the window opens, refuse to redial inside the
-        // window, and reconnect after it closes.
+        // A fault-plan partition that opens after the first dial: the
+        // loop must kill its own healthy connection when the window
+        // opens, refuse to redial inside the window, and reconnect after
+        // it closes.
         let peer_listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let peer_addr = peer_listener.local_addr().unwrap();
-        let initial = TcpStream::connect(peer_addr).unwrap();
-        let (mut their_end, _) = peer_listener.accept().unwrap();
-        let topo = LoopTopology {
-            outbound: vec![OutboundLink { peer: PEER, addr: Some(peer_addr), stream: initial }],
-            faults: Some(NetFaultPlan::new(11).partition(
-                ME,
-                PEER,
-                Duration::from_millis(0),
-                Duration::from_millis(400),
-            )),
-            ..fixed(vec![], None)
-        };
-        let stats = Arc::clone(&topo.stats);
+        let plan = NetFaultPlan::new(11).partition(
+            ME,
+            PEER,
+            Duration::from_millis(150),
+            Duration::from_millis(500),
+        );
         let started = Instant::now();
-        let rig: Rig<Classed> = Rig::start(topo);
+        let rig: Rig<Classed> = Rig::start(Some(&peer_listener), Some(plan));
+        let (mut their_end, _) = peer_listener.accept().unwrap();
+        assert_eq!(rig.stats.report().links_severed, 0, "severed before the window opened");
 
         // The severance arrives within a few ticks: our end sees EOF.
         their_end.set_read_timeout(Some(StdDuration::from_secs(5))).unwrap();
         let mut sink = [0u8; 64];
         let eof_at = loop {
             match their_end.read(&mut sink) {
-                Ok(0) => break Instant::now(),
+                Ok(0) => break started.elapsed(),
                 Ok(_) => continue,
                 Err(e) => panic!("expected EOF from the severed link, got {e}"),
             }
         };
-        assert!(stats.report().links_severed >= 1);
+        assert!(eof_at >= StdDuration::from_millis(150), "severed before the window: {eof_at:?}");
+        assert_eq!(rig.stats.report().links_severed, 1);
         // The redial may only land after the window closes.
         let (mut healed, _) = peer_listener.accept().unwrap();
         let healed_at = started.elapsed();
         assert!(
-            healed_at >= StdDuration::from_millis(350),
+            healed_at >= StdDuration::from_millis(450),
             "redial landed inside the partition window ({healed_at:?}, eof at {eof_at:?})"
         );
-        let mut hs = [0u8; 2];
-        healed.read_exact(&mut hs).unwrap();
-        assert_eq!(u16::from_le_bytes(hs), 0);
         // Frames flow again on the healed link.
         rig.send(PEER, [Classed(5)]);
         read_frames::<Classed>(&mut healed, 1024, |got| got.contains(&Classed(5)));
-        assert!(stats.report().reconnects >= 1);
+        assert_eq!(rig.stats.report().reconnects, 1);
         rig.stop();
     }
 
     #[test]
-    fn mid_run_accept_promotes_after_the_handshake_and_frames_flow() {
-        // The loop owns a listener: a peer that connects mid-run, sends
-        // its 2-byte id, and then frames, must be read like any inbound.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        listener.set_nonblocking(true).unwrap();
-        let mut rig: Rig<Classed> =
-            Rig::start(LoopTopology { listener: Some(listener), ..fixed(vec![], None) });
-        let mut peer = TcpStream::connect(addr).unwrap();
-        peer.write_all(&1u16.to_le_bytes()).unwrap();
+    fn an_inbound_connection_is_read_from_its_first_byte() {
+        // Nothing precedes the frames: a peer that connects to the loop's
+        // listener and writes a frame straight away must be read at once.
+        let mut rig: Rig<Classed> = Rig::start(None, None);
+        let mut peer = TcpStream::connect(rig.addr).unwrap();
         write_frame(&Tagged { from: PEER, msg: &Classed(21) }, &mut peer).unwrap();
         let got = rig.output(StdDuration::from_secs(5)).unwrap();
         assert_eq!(got.output, (PEER, Classed(21)));
@@ -1266,8 +1137,7 @@ mod tests {
         // The peer end exists but never reads: our write eventually
         // WouldBlocks with a parked remainder. stop() must still return
         // promptly — the backlog to a dead peer is dropped, not awaited.
-        let (ours, theirs) = blocking_pair();
-        let rig: Rig<Blob> = Rig::start(fixed(vec![], Some(ours)));
+        let (rig, theirs) = Rig::<Blob>::dialed();
         // ~16 MiB, far past the socket buffers.
         rig.send(PEER, (0..4096).map(|id| Blob { id, len: 4096 }));
         std::thread::sleep(StdDuration::from_millis(100));
@@ -1287,8 +1157,7 @@ mod tests {
         // resume on writability — every frame must still arrive intact
         // and in FIFO order.
         const FRAMES: u32 = 2048;
-        let (ours, mut theirs) = blocking_pair();
-        let rig: Rig<Blob> = Rig::start(fixed(vec![], Some(ours)));
+        let (rig, mut theirs) = Rig::<Blob>::dialed();
         rig.send(PEER, (0..FRAMES).map(|i| Blob { id: 2 * i, len: 4096 }));
         let got = read_frames::<Blob>(&mut theirs, 64 * 1024, |got| got.len() == FRAMES as usize);
         // Every frame arrived intact (the Decode impl checks the body),
@@ -1301,9 +1170,8 @@ mod tests {
     fn wake_coalescing_still_delivers_every_command() {
         // Many one-frame commands with a wake each: however the flag
         // coalesces them, every frame must arrive exactly once.
-        let (ours, mut theirs) = blocking_pair();
+        let (rig, mut theirs) = Rig::<Classed>::dialed();
         theirs.set_nodelay(true).unwrap();
-        let rig: Rig<Classed> = Rig::start(fixed(vec![], Some(ours)));
         let total = 500u32;
         let (commands, waker) = (rig.commands.clone(), Arc::clone(&rig.handle.waker));
         std::thread::scope(|s| {
@@ -1328,14 +1196,12 @@ mod tests {
         // From then on the loop must leave commands in their channel —
         // and keep serving its inbound socket, or two such loops would
         // deadlock each other.
-        let (ours, mut theirs) = blocking_pair();
-        let (mut their_out, our_in) = blocking_pair();
-        let mut rig: Rig<Blob> = Rig::start(fixed(vec![our_in], Some(ours)));
+        let (mut rig, mut theirs) = Rig::<Blob>::dialed();
+        let mut their_out = TcpStream::connect(rig.addr).unwrap();
         rig.send(PEER, (0..4).map(|i| Blob { id: 2 * i, len: 8 << 20 }));
         // The first bytes are out, so that batch is being written and the
         // frames of the next command queue up behind it.
-        let mut first = [0u8; 1];
-        theirs.read_exact(&mut first).unwrap();
+        theirs.peek(&mut [0u8; 1]).unwrap();
         let filler = MAX_OUTBOUND_FRAMES as u32;
         rig.send(PEER, (0..filler).map(|i| Blob { id: 100 + 2 * i, len: 0 }));
         // A command whose effect is visible here: a self-send, which the
@@ -1352,19 +1218,9 @@ mod tests {
         assert!(rig.output(StdDuration::from_millis(100)).is_none());
         // The peer drains: everything arrives in order, and the command
         // is taken.
-        let mut frames = FrameBuffer::new();
-        frames.extend(&first);
-        let mut got: Vec<u32> = Vec::new();
-        let mut chunk = vec![0u8; 1 << 20];
-        while got.len() < 4 + filler as usize {
-            let read = theirs.read(&mut chunk).unwrap();
-            assert!(read > 0, "stream closed before the backlog arrived");
-            frames.extend(&chunk[..read]);
-            while let Some(t) = frames.next_frame::<TaggedOwned<Blob>>().unwrap() {
-                got.push(t.msg.id);
-            }
-        }
-        assert!(got.iter().copied().eq((0..4).map(|i| 2 * i).chain((0..filler).map(|i| 100 + 2 * i))));
+        let got = read_frames::<Blob>(&mut theirs, 1 << 20, |got| got.len() == 4 + filler as usize);
+        let got = got.iter().map(|b| b.id);
+        assert!(got.eq((0..4).map(|i| 2 * i).chain((0..filler).map(|i| 100 + 2 * i))));
         let out = rig.output(StdDuration::from_secs(5)).unwrap();
         assert_eq!(out.output, (ME, marker));
         rig.stop();
@@ -1374,8 +1230,7 @@ mod tests {
     fn a_pass_releases_its_outputs_as_one_batch_after_its_frames_are_written() {
         // One command: a frame for the peer, then three self-sends the
         // relay reports as outputs. All four effects belong to one pass.
-        let (ours, mut theirs) = blocking_pair();
-        let rig: Rig<Classed> = Rig::start(fixed(vec![], Some(ours)));
+        let (rig, mut theirs) = Rig::<Classed>::dialed();
         let sends = [(PEER, 1), (ME, 3), (ME, 5), (ME, 7)].map(|(to, v)| (to, Classed(v)));
         rig.commands.send(sends.to_vec()).unwrap();
         rig.handle.waker.wake();
@@ -1386,10 +1241,12 @@ mod tests {
         // It was released after the flush: the pass's frame is with the
         // peer already, no wait needed.
         theirs.set_nonblocking(true).unwrap();
-        let mut chunk = [0u8; 256];
-        let read = theirs.read(&mut chunk).expect("an output overtook the frame its pass wrote");
-        let mut frames = FrameBuffer::new();
-        frames.extend(&chunk[..read]);
+        let pool = BufferPool::new();
+        let mut frames = RecvBuffer::new(&pool);
+        let read = theirs
+            .read(frames.spare(256))
+            .expect("an output overtook the frame its pass wrote");
+        frames.commit(read);
         let frame = frames.next_frame::<TaggedOwned<Classed>>().unwrap();
         assert_eq!(frame.map(|t| t.msg), Some(Classed(1)));
         rig.stop();
@@ -1441,8 +1298,7 @@ mod tests {
             vals in proptest::collection::vec(any::<u32>(), 64..320),
             read_cap in 32usize..4096,
         ) {
-            let (ours, mut theirs) = blocking_pair();
-            let rig: Rig<Blob> = Rig::start(fixed(vec![], Some(ours)));
+            let (rig, mut theirs) = Rig::<Blob>::dialed();
             // One handler call, so the storm is one huge batch.
             rig.send(PEER, vals.iter().map(|&id| Blob { id, len: 2048 }));
             let got = read_frames::<Blob>(&mut theirs, read_cap, |got| got.len() >= vals.len());

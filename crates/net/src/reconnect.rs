@@ -158,7 +158,7 @@ impl Reconnector {
     }
 
     /// True while the link is down (waiting or attempting).
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub(crate) fn is_down(&self, peer: ProcessId) -> bool {
         self.links
             .get(peer.as_usize())

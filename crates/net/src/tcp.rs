@@ -25,6 +25,11 @@
 //! * **Timers** feed a deadline heap that bounds the loop's park;
 //!   **self-sends** go to a loop-local FIFO delivered after the current
 //!   handler returns.
+//! * **Connections** are the loop's business too. [`TcpCluster::start`]
+//!   only binds one listener per process; each loop dials its peers'
+//!   listeners itself, on the path that redials a lost connection, and
+//!   accepts theirs; a connection carries frames from its first byte,
+//!   each naming its sender.
 //!
 //! Only three things cross a thread: application **commands**
 //! ([`TcpCluster::send_command`] → a per-process channel plus a wake that
@@ -53,8 +58,7 @@
 //! handler that blocks stalls its own process's I/O.
 
 use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -62,7 +66,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use iabc_runtime::Node;
 use iabc_types::{Decode, Encode, ProcessId};
 
-use crate::event_loop::{self, EventLoopHandle, LoopTopology, OutboundLink, Process, Waker};
+use crate::event_loop::{self, EventLoopHandle, LoopTopology, Process, Waker};
 use crate::netfault::{NetFaultPlan, NetFaultReport, NetFaultStats};
 use crate::poll::wake_channel;
 use crate::NetOutput;
@@ -149,15 +153,18 @@ where
     N::Command: Send,
     N::Output: Send,
 {
-    /// Binds `n` loop-back listeners, connects the full mesh (blocking
-    /// handshakes, so the cluster is fully wired before this returns),
-    /// and starts one event-loop thread per process, which runs the
-    /// node's `on_start` first.
+    /// Binds `n` loop-back listeners and starts one event-loop thread per
+    /// process. This is not a wiring barrier: each loop dials its peers on
+    /// its own, before it runs its node's `on_start`, the way it redials a
+    /// lost connection. A link that cannot be dialed retries with backoff
+    /// rather than panicking; a command sent at once waits in its channel
+    /// until the loop takes it.
     ///
     /// # Panics
     ///
-    /// Panics if sockets cannot be bound or connected (loop-back only, so
-    /// this indicates local resource exhaustion).
+    /// Panics if a loop-back listener cannot be bound or report its
+    /// address, or a wake channel cannot be made (local resource
+    /// exhaustion).
     pub fn start(n: usize, factory: impl FnMut(ProcessId) -> N) -> Self {
         Self::start_with_faults(n, None, factory)
     }
@@ -165,9 +172,10 @@ where
     /// [`TcpCluster::start`] with an optional nemesis fault plan. Every
     /// process's event loop gets a clone of the plan, so both endpoints
     /// of a partitioned pair sever their half of the link; its windows
-    /// count from the same instant as [`NetOutput::at`]. `None` keeps the
-    /// frame path entirely fault-layer-free (the plan is never
-    /// consulted), so fault-off wire traffic is byte-identical to a
+    /// count from the same instant as [`NetOutput::at`]. A window open at
+    /// start-up holds back the pair's first connection until it closes.
+    /// `None` keeps the frame path entirely fault-layer-free (the plan is
+    /// never consulted), so fault-off wire traffic is byte-identical to a
     /// cluster started through [`TcpCluster::start`].
     ///
     /// # Panics
@@ -187,87 +195,41 @@ where
             sim_only.unwrap_or_default()
         );
         assert!(n > 0, "need at least one process");
-        // Process ids travel as u16 in the handshake and frame tags; every
-        // `i as u16` below is bounded by this assert.
+        // Process ids travel as u16 in frame tags; every `i as u16` below
+        // is bounded by this assert.
         assert!(n <= usize::from(u16::MAX) + 1, "process ids are u16 on the wire");
-        // Bind one listener per process on an ephemeral port.
-        // Setup-time expects below are documented under `# Panics`: they run
-        // before any remote bytes exist, on loop-back sockets only, where a
-        // failure means local resource exhaustion and there is no
-        // connection to poison yet.
+        // One nonblocking listener per process on an ephemeral port. The
+        // expects below are documented under `# Panics`: they run before
+        // any remote bytes exist, on loop-back sockets only, where a
+        // failure means local resource exhaustion.
         let listeners: Vec<TcpListener> = (0..n)
-            // lint:allow(P1): bootstrap bind, documented panic, no remote input yet
-            .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loop-back listener"))
+            .map(|_| {
+                // lint:allow(P1): bootstrap bind, documented panic, no remote input yet
+                let l = TcpListener::bind("127.0.0.1:0").expect("bind loop-back listener");
+                // lint:allow(P1): bootstrap, documented panic, no remote input yet
+                l.set_nonblocking(true).expect("nonblocking listener");
+                l
+            })
             .collect();
         let addrs: Vec<_> =
             // lint:allow(P1): bootstrap, documented panic, no remote input yet
             listeners.iter().map(|l| l.local_addr().expect("local addr")).collect();
 
-        // Outbound side: from i to j (i != j), a connected stream owned by
-        // process i's event loop.
-        let mut outbound: Vec<Vec<OutboundLink>> = (0..n).map(|_| vec![]).collect();
-        for (i, links) in outbound.iter_mut().enumerate() {
-            for (j, addr) in addrs.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                // lint:allow(P1): bootstrap connect, documented panic, no remote input yet
-                let mut stream = TcpStream::connect(addr).expect("connect to peer");
-                // lint:allow(P1): bootstrap, documented panic, no remote input yet
-                stream.set_nodelay(true).expect("nodelay");
-                // Identify ourselves so the acceptor can route. Written
-                // while the stream is still blocking — the handshake is
-                // part of the start barrier.
-                // lint:allow(P1): bootstrap handshake, documented panic, no remote input yet — lint:allow(W2): i < n and start() asserts n fits in u16
-                stream.write_all(&(i as u16).to_le_bytes()).expect("handshake");
-                // lint:allow(P1): bootstrap, documented panic, no remote input yet
-                stream.set_nonblocking(true).expect("nonblocking");
-                links.push(OutboundLink {
-                    // lint:allow(W2): j < n and start() asserts n fits in u16
-                    peer: ProcessId::new(j as u16),
-                    addr: Some(*addr),
-                    stream,
-                });
-            }
-        }
-
-        // Inbound side: accept n-1 connections per listener (blocking — the
-        // start barrier again), read the 2-byte sender handshake, then flip
-        // the stream nonblocking for the event loop.
-        let mut inbound_conns: Vec<Vec<TcpStream>> = Vec::with_capacity(n);
-        for listener in &listeners {
-            let mut accepted = Vec::with_capacity(n - 1);
-            for _ in 0..(n - 1) {
-                // lint:allow(P1): bootstrap accept, documented panic, no remote input yet
-                let (mut stream, _) = listener.accept().expect("accept peer connection");
-                // lint:allow(P1): bootstrap, documented panic, no remote input yet
-                stream.set_nodelay(true).expect("nodelay");
-                let mut id = [0u8; 2];
-                // lint:allow(P1): bootstrap handshake, documented panic, no remote input yet
-                stream.read_exact(&mut id).expect("handshake");
-                let _claimed_sender = ProcessId::new(u16::from_le_bytes(id));
-                // lint:allow(P1): bootstrap, documented panic, no remote input yet
-                stream.set_nonblocking(true).expect("nonblocking");
-                accepted.push(stream);
-            }
-            inbound_conns.push(accepted);
-        }
-
-        // The mesh is wired: start the processes. Each loop keeps its
-        // listener (flipped nonblocking) so severed peers can redial
-        // mid-run.
         let epoch = Instant::now();
         let (out_tx, outputs) = unbounded();
         let mut commands = Vec::with_capacity(n);
         let mut io_loops = Vec::with_capacity(n);
         let mut fault_stats = Vec::with_capacity(n);
-        for (j, ((inbound, outbound), listener)) in
-            inbound_conns.into_iter().zip(outbound).zip(listeners).enumerate()
-        {
-            // lint:allow(W2): j < n and start() asserts n fits in u16
+        for (j, listener) in listeners.into_iter().enumerate() {
+            // lint:allow(W2): j < n and the assert above bounds n to u16
             let me = ProcessId::new(j as u16);
-            // lint:allow(P1): bootstrap, documented panic, no remote input yet
-            listener.set_nonblocking(true).expect("nonblocking listener");
+            let peers = addrs
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| i != j)
+                // lint:allow(W2): i < n and the assert above bounds n to u16
+                .map(|(i, addr)| (ProcessId::new(i as u16), *addr))
+                .collect();
             // lint:allow(P1): bootstrap wake channel, documented panic, no remote input yet
             let (wake_tx, wake_rx) = wake_channel().expect("wake channel");
             let (cmd_tx, cmd_rx) = unbounded();
@@ -283,13 +245,7 @@ where
                     commands: cmd_rx,
                     outputs: out_tx.clone(),
                 },
-                LoopTopology {
-                    listener: Some(listener),
-                    inbound,
-                    outbound,
-                    faults: faults.clone(),
-                    stats,
-                },
+                LoopTopology { listener, peers, faults: faults.clone(), stats },
                 wake_rx,
                 Arc::new(Waker::new(wake_tx)),
             ));
@@ -351,8 +307,10 @@ where
 mod tests {
     use super::*;
     use crate::queue::tests::Blob;
+    use iabc_core::stacks::{self, StackParams};
+    use iabc_core::{AbcastCommand, AbcastEvent};
     use iabc_runtime::{Context, TimerId};
-    use iabc_types::{CodecError, Time, TrafficClass, WireSize};
+    use iabc_types::{CodecError, Duration, Payload, Time, TrafficClass, WireSize};
 
     #[derive(Clone, Debug, PartialEq)]
     struct Num(u32);
@@ -520,6 +478,65 @@ mod tests {
             outs[0].at
         );
         cluster.shutdown();
+    }
+
+    /// Broadcasts one payload from `from` and returns the processes that
+    /// delivered it within `timeout`, in delivery order.
+    fn deliver_one<N>(cluster: &mut TcpCluster<N>, from: ProcessId, n: usize) -> Vec<ProcessId>
+    where
+        N: Node<Command = AbcastCommand, Output = AbcastEvent> + Send + 'static,
+        N::Msg: Encode + Decode + Send,
+    {
+        cluster.send_command(from, AbcastCommand::Broadcast(Payload::zeroed(8)));
+        // The sender's `Broadcast` acknowledgement, then n deliveries.
+        let outs = cluster.wait_for_outputs(n + 1, std::time::Duration::from_secs(10));
+        outs.iter()
+            .filter(|o| matches!(o.output, AbcastEvent::Delivered { .. }))
+            .map(|o| o.process)
+            .collect()
+    }
+
+    #[test]
+    fn a_fault_free_cluster_counts_no_reconnect_and_no_severed_link() {
+        // Every link's first connection is dialed on the reconnect path;
+        // it must not count as a reconnect.
+        let params = StackParams::fault_free(3);
+        let mut cluster = TcpCluster::start(3, |p| stacks::indirect_ct(p, &params));
+        assert_eq!(deliver_one(&mut cluster, ProcessId::new(0), 3).len(), 3);
+        let reports = cluster.fault_reports();
+        cluster.shutdown();
+        for (p, r) in reports.iter().enumerate() {
+            assert_eq!((r.links_severed, r.reconnects), (0, 0), "process {p}: {r:?}");
+        }
+    }
+
+    #[test]
+    fn a_partition_open_at_start_holds_back_the_first_dial_until_it_closes() {
+        // p0 and p1 are cut from the start: their links are first dialed
+        // when the window closes. Nothing was up when it opened, so
+        // nothing is severed and nothing is a reconnect.
+        let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
+        let window = std::time::Duration::from_millis(300);
+        let plan = NetFaultPlan::new(3).partition(p0, p1, Duration::ZERO, window.into());
+        let params = StackParams::fault_free(3);
+        let started = Instant::now();
+        let mut cluster =
+            TcpCluster::start_with_faults(3, Some(plan), |p| stacks::indirect_ct(p, &params));
+        // p0 and p2 are a majority: they decide, and p1 delivers too.
+        let mut delivered = deliver_one(&mut cluster, p0, 3);
+        delivered.sort_unstable();
+        assert_eq!(delivered, (0..3).map(ProcessId::new).collect::<Vec<_>>());
+        // Under lazy RB a payload travels from its sender only: p1
+        // delivering a broadcast p0 made after the window is a p0 → p1
+        // frame that crossed the link.
+        std::thread::sleep(window.saturating_sub(started.elapsed()));
+        assert!(deliver_one(&mut cluster, p0, 3).contains(&p1), "p0 → p1 never came up");
+        let reports = cluster.fault_reports();
+        cluster.shutdown();
+        for p in [p0, p1] {
+            let r = &reports[p.as_usize()];
+            assert_eq!((r.links_severed, r.reconnects), (0, 0), "process {p:?}: {r:?}");
+        }
     }
 
     fn start_refusing(plan: NetFaultPlan) {

@@ -6,7 +6,10 @@
 //! for byte. Errors must surface as `Err` and poison the buffer (rule P1's
 //! contract: poison the connection, not the process).
 
-use iabc_net::codec::{write_frame_into, FrameBuffer, MAX_FRAME};
+mod support;
+
+use iabc_net::codec::{write_frame_into, MAX_FRAME};
+use support::FrameBuffer;
 use proptest::prelude::*;
 
 /// Drains the buffer: decodes until it yields `None` (needs more bytes) or

@@ -5,7 +5,10 @@
 //! number of pending bytes, and poison on exactly the same input. The
 //! zero-copy rewrite is an optimization, never a semantic change.
 
-use iabc_net::codec::{write_frame_into, FrameBuffer, RecvBuffer};
+mod support;
+
+use iabc_net::codec::{write_frame_into, RecvBuffer};
+use support::FrameBuffer;
 use iabc_net::BufferPool;
 use proptest::prelude::*;
 
