@@ -12,7 +12,9 @@
 //! Two implementations:
 //!
 //! * [`MemDecidedLog`] — in-memory, for simulations and learners that do
-//!   not need to survive a restart.
+//!   not need to survive a restart. It drops every instance that all
+//!   processes have logged ([`DecidedLog::release_through`]), so it holds
+//!   only the slowest member's lag.
 //! * [`DurableDecidedLog`] — an append-only file of length-prefixed
 //!   records reusing the `wire.rs` codec. Crash-truncation-safe: a torn
 //!   tail record (partial write at the moment of a crash) is detected
@@ -85,11 +87,13 @@ impl<V: Decode> Decode for DecidedEntry<V> {
 
 /// Append-only storage for the decision sequence, indexed by instance.
 ///
-/// Entries are strictly contiguous from instance 1; the *frontier* is
-/// the highest instance stored (0 when empty). The node appends an
-/// instance once it is fully a-delivered, so the frontier is exactly
-/// the prefix this process can serve to others — and, for a durable
-/// log, the prefix it resumes from after a restart.
+/// Entries are strictly contiguous from the first held instance (1 until
+/// a prefix is released); the *frontier* is the highest instance logged
+/// (0 when empty), released ones included. The node appends an instance
+/// once it is fully a-delivered, so the frontier is exactly the prefix
+/// this process has delivered — what it piggybacks, what it serves from
+/// the first held instance on and, for a durable log, the prefix it
+/// resumes from after a restart.
 pub trait DecidedLog<V>: Send {
     /// Re-synchronizes the in-memory view with the backing store (a
     /// no-op for memory-only logs). Called once at node start, before
@@ -103,41 +107,57 @@ pub trait DecidedLog<V>: Send {
     /// rather than a panic on the message path.
     fn append(&mut self, entry: DecidedEntry<V>) -> bool;
 
-    /// The highest instance stored (0 when empty).
+    /// The highest instance logged (0 when empty), released or not.
     fn frontier(&self) -> u64;
 
-    /// The entry for instance `k`, if stored.
+    /// The entry for instance `k`, if held.
     fn get(&self, k: u64) -> Option<&DecidedEntry<V>>;
 
-    /// The stored entries with `from_k <= k <= to_k` (clamped to what
-    /// exists; empty on an inverted or out-of-range request).
+    /// The held entries with `from_k <= k <= to_k` (clamped to the
+    /// frontier; empty on an inverted or out-of-range request). A range
+    /// that starts at a released instance is empty, never a suffix that
+    /// skips instances.
     fn range(&self, from_k: u64, to_k: u64) -> &[DecidedEntry<V>];
+
+    /// The number of entries held.
+    fn held(&self) -> usize;
+
+    /// Every process has logged the instances up to `floor`, so none will
+    /// fetch them: the log may drop them. It never drops past its own
+    /// frontier. By default it keeps everything (the durable log, which
+    /// also serves a restarted peer that lost the tail it advertised).
+    fn release_through(&mut self, _floor: u64) {}
 }
 
-/// Slices `entries` (contiguous from instance 1) to `from_k..=to_k`.
-fn slice_range<V>(entries: &[DecidedEntry<V>], from_k: u64, to_k: u64) -> &[DecidedEntry<V>] {
-    let frontier = entries.len() as u64;
+/// Slices `entries` (contiguous from instance `released + 1`) to
+/// `from_k..=to_k`; empty when `from_k` falls at or below `released`.
+fn slice_range<V>(entries: &[DecidedEntry<V>], released: u64, from_k: u64, to_k: u64) -> &[DecidedEntry<V>] {
     let lo = from_k.max(1);
-    let hi = to_k.min(frontier);
-    if lo > hi {
+    let hi = to_k.min(released + entries.len() as u64);
+    if lo <= released || lo > hi {
         return &[];
     }
-    // lo >= 1 and hi <= entries.len(), so the index math stays in range.
-    let start = usize::try_from(lo - 1).unwrap_or(usize::MAX).min(entries.len());
-    let end = usize::try_from(hi).unwrap_or(usize::MAX).min(entries.len());
+    // released < lo <= hi <= released + entries.len(), so the index math
+    // stays in range.
+    let start = usize::try_from(lo - released - 1).unwrap_or(usize::MAX).min(entries.len());
+    let end = usize::try_from(hi - released).unwrap_or(usize::MAX).min(entries.len());
     &entries[start..end]
 }
 
-/// An in-memory decided log (no durability).
+/// An in-memory decided log (no durability) that drops the prefix every
+/// process has logged.
 #[derive(Debug, Default)]
 pub struct MemDecidedLog<V> {
+    /// Instances dropped so far: `entries[i]` holds instance
+    /// `released + 1 + i`.
+    released: u64,
     entries: Vec<DecidedEntry<V>>,
 }
 
 impl<V> MemDecidedLog<V> {
     /// Creates an empty log.
     pub fn new() -> Self {
-        MemDecidedLog { entries: Vec::new() }
+        MemDecidedLog { released: 0, entries: Vec::new() }
     }
 }
 
@@ -145,7 +165,7 @@ impl<V: Send> DecidedLog<V> for MemDecidedLog<V> {
     fn reload(&mut self) {}
 
     fn append(&mut self, entry: DecidedEntry<V>) -> bool {
-        if entry.k != self.entries.len() as u64 + 1 {
+        if entry.k != self.frontier() + 1 {
             return false;
         }
         self.entries.push(entry);
@@ -153,7 +173,7 @@ impl<V: Send> DecidedLog<V> for MemDecidedLog<V> {
     }
 
     fn frontier(&self) -> u64 {
-        self.entries.len() as u64
+        self.released + self.entries.len() as u64
     }
 
     fn get(&self, k: u64) -> Option<&DecidedEntry<V>> {
@@ -161,7 +181,26 @@ impl<V: Send> DecidedLog<V> for MemDecidedLog<V> {
     }
 
     fn range(&self, from_k: u64, to_k: u64) -> &[DecidedEntry<V>] {
-        slice_range(&self.entries, from_k, to_k)
+        slice_range(&self.entries, self.released, from_k, to_k)
+    }
+
+    fn held(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Drops in chunks: only once the droppable prefix is at least half of
+    /// what is held. The entries kept are then no more than those dropped,
+    /// so shifting them down moves each entry at most once on average, and
+    /// what is held stays one slice.
+    fn release_through(&mut self, floor: u64) {
+        let droppable = floor.min(self.frontier()).saturating_sub(self.released);
+        if droppable == 0 || droppable.saturating_mul(2) < self.entries.len() as u64 {
+            return;
+        }
+        // droppable <= entries.len(): floor was clamped to the frontier.
+        let cut = usize::try_from(droppable).unwrap_or(usize::MAX).min(self.entries.len());
+        self.entries.drain(..cut);
+        self.released += cut as u64;
     }
 }
 
@@ -344,7 +383,11 @@ impl<V: Encode + Decode + WireSize + Send> DecidedLog<V> for DurableDecidedLog<V
     }
 
     fn range(&self, from_k: u64, to_k: u64) -> &[DecidedEntry<V>] {
-        slice_range(&self.entries, from_k, to_k)
+        slice_range(&self.entries, 0, from_k, to_k)
+    }
+
+    fn held(&self) -> usize {
+        self.entries.len()
     }
 }
 
@@ -383,6 +426,48 @@ mod tests {
         assert_eq!(log.range(3, 9).len(), 0);
         assert_eq!(log.range(2, 1).len(), 0);
         assert_eq!(log.range(0, u64::MAX).len(), 2);
+    }
+
+    /// A release drops the prefix in chunks and keeps the frontier. A
+    /// dropped instance reads as absent, and a range that starts at or
+    /// below it is empty, never a suffix that skips instances.
+    #[test]
+    fn mem_log_releases_its_prefix_in_chunks() {
+        let mut log = MemDecidedLog::new();
+        for k in 1..=10 {
+            assert!(log.append(entry(k)));
+        }
+        log.release_through(4);
+        assert_eq!(log.held(), 10, "4 of 10 held is under half: nothing dropped");
+        log.release_through(5);
+        assert_eq!((log.held(), log.frontier()), (5, 10), "half held: dropped, frontier kept");
+        assert!(log.get(5).is_none());
+        assert_eq!(log.get(6).map(|e| e.k), Some(6));
+        assert!(log.range(5, 10).is_empty(), "a range from a dropped instance is empty");
+        assert!(log.range(0, u64::MAX).is_empty());
+        let held: Vec<u64> = log.range(6, u64::MAX).iter().map(|e| e.k).collect();
+        assert_eq!(held, (6..=10).collect::<Vec<_>>());
+
+        assert!(!log.append(entry(10)), "duplicate must be refused");
+        assert!(!log.append(entry(12)), "gap must be refused");
+        assert!(log.append(entry(11)), "append still takes frontier() + 1");
+        log.release_through(u64::MAX);
+        assert_eq!((log.held(), log.frontier()), (0, 11), "a floor past the frontier is clamped");
+        assert!(log.append(entry(12)));
+        assert_eq!(log.range(12, 12).len(), 1);
+    }
+
+    #[test]
+    fn durable_log_keeps_its_prefix() {
+        let path = tmp("keep");
+        let _ = std::fs::remove_file(&path);
+        let mut log = DurableDecidedLog::open(&path).unwrap();
+        for k in 1..=4 {
+            assert!(log.append(entry(k)));
+        }
+        log.release_through(4);
+        assert_eq!((log.held(), log.range(1, 4).len()), (4, 4));
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

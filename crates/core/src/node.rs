@@ -277,6 +277,12 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
         self.recovery.as_ref().map_or(0, Recovery::frontier)
     }
 
+    /// Decided-log entries this node holds (0 with catch-up off): with the
+    /// default in-memory log, the instances some member may still fetch.
+    pub fn decided_log_held(&self) -> usize {
+        self.recovery.as_ref().map_or(0, Recovery::held)
+    }
+
     /// Catch-up requests this node sent so far.
     pub fn catch_up_requests(&self) -> u64 {
         self.recovery.as_ref().map_or(0, Recovery::catch_up_requests)

@@ -46,8 +46,10 @@ pub(crate) const CATCH_UP_RETRY_MAX: Duration = Duration::from_millis(400);
 /// one node.
 pub(crate) struct Recovery<V> {
     /// Every fully a-delivered instance, in order; its frontier is what the
-    /// node piggybacks and serves. In memory unless [`Recovery::set_log`]
-    /// swapped in a durable one before start.
+    /// node piggybacks. In memory unless [`Recovery::set_log`] swapped in a
+    /// durable one before start. The in-memory log drops what every member
+    /// has logged (see [`Recovery::note_frontier`]) and serves the rest; the
+    /// durable one keeps and serves everything.
     log: Box<dyn DecidedLog<V>>,
     /// This process's accepted-but-undecided broadcasts by sequence number
     /// (always empty at a learner, which never broadcasts): recorded at
@@ -121,6 +123,11 @@ impl<V: OrderingValue> Recovery<V> {
     /// logged.
     pub(crate) fn frontier(&self) -> u64 {
         self.log.frontier()
+    }
+
+    /// Entries the decided log holds.
+    pub(crate) fn held(&self) -> usize {
+        self.log.held()
     }
 
     /// Catch-up requests sent so far.
@@ -199,19 +206,40 @@ impl<V: OrderingValue> Recovery<V> {
     /// Serves a peer's catch-up request from the log, clamped to what we
     /// hold and to `CATCH_UP_BATCH`. Always answers, if only with an
     /// empty batch: the reply settles the request and carries our frontier.
+    /// A request from an instance the log dropped gets the empty batch too,
+    /// not a suffix that skips instances.
     pub(crate) fn serve(&self, from: ProcessId, from_k: u64, to_k: u64, ctx: &mut Ctx<V>) {
         let hi = to_k.min(from_k.saturating_add(CATCH_UP_BATCH - 1));
         let entries = self.log.range(from_k, hi).to_vec();
         ctx.send(from, self.wrap(Envelope::CatchUpReply { entries }));
     }
 
-    /// Records a peer's piggybacked frontier and starts catching up if it
-    /// proves the peer holds instances we have not delivered. `window` is
-    /// the node's current pipeline window.
+    /// Records a peer's piggybacked frontier, lets the log drop what every
+    /// member has logged, and starts catching up if the frontier proves the
+    /// peer holds instances we have not delivered. `window` is the node's
+    /// current pipeline window.
     pub(crate) fn note_frontier(&mut self, from: ProcessId, frontier: u64, window: usize, ctx: &mut Ctx<V>) {
         let known = self.peer_frontiers.entry(from).or_insert(0);
         *known = (*known).max(frontier);
+        self.release_collective_prefix(ctx.me(), ctx.n());
         self.maybe_catch_up(window, ctx);
+    }
+
+    /// Lets the log drop every instance all members `0..n` have logged: up
+    /// to the minimum of our frontier and every other member's highest
+    /// piggybacked one. A member with none recorded — crashed, not heard
+    /// from yet, a learner that never fetches from us — pins it at 0. Ids
+    /// outside `0..n` are remote input and count for no member.
+    ///
+    /// Out of line: inlined, it grows the node's `on_message`, which every
+    /// frame runs, catch-up off included.
+    #[inline(never)]
+    fn release_collective_prefix(&mut self, me: ProcessId, n: usize) {
+        let floor = ProcessId::all(n)
+            .filter(|&p| p != me)
+            .map(|p| self.peer_frontiers.get(&p).copied().unwrap_or(0))
+            .fold(self.log.frontier(), u64::min);
+        self.log.release_through(floor);
     }
 
     /// A reply arrived and the caller applied its entries, `ahead` of
@@ -319,6 +347,7 @@ impl<V: OrderingValue> Recovery<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iabc_runtime::Action;
     use iabc_types::{IdSet, MsgId, Payload, Time};
 
     impl<V: OrderingValue> Recovery<V> {
@@ -358,6 +387,54 @@ mod tests {
         assert_eq!(r.frontier(), 2);
         let logged = r.reload_log();
         assert_eq!(logged[0].payloads, vec![own, peer], "payloads in delivery order");
+    }
+
+    /// Logs instances `1..=last`, each ordering one message of p1.
+    fn log_through(r: &mut Recovery<IdSet>, last: u64) {
+        for k in 1..=last {
+            let m = msg(1, k);
+            r.queue(k, IdSet::from_ids([m.id()]), 1);
+            r.delivered(&m);
+            r.drain_completed(ProcessId::new(0));
+        }
+    }
+
+    /// The log drops only what every member `0..n` has logged: a member
+    /// never heard from pins it, and a frontier from an id outside `0..n`
+    /// stands in for no one. The frontier stays, and a request from a
+    /// dropped instance gets an empty batch that still carries it.
+    #[test]
+    fn the_log_drops_what_every_member_has_logged() {
+        let (me, p1, p2) = (ProcessId::new(0), ProcessId::new(1), ProcessId::new(2));
+        let mut r: Recovery<IdSet> = Recovery::new(false);
+        log_through(&mut r, 10);
+        let mut ctx: Ctx<IdSet> = Context::new(me, 3, Time::ZERO);
+        r.note_frontier(p1, 10, 1, &mut ctx);
+        r.note_frontier(ProcessId::new(3), 10, 1, &mut ctx);
+        assert_eq!(r.held(), 10, "p2 never sent a frontier: nothing dropped");
+        r.note_frontier(p2, 8, 1, &mut ctx);
+        assert_eq!((r.held(), r.frontier()), (2, 10), "8 of 10 dropped, frontier kept");
+        assert!(ctx.take_actions().is_empty(), "nobody is ahead: no request");
+
+        for from_k in [8, 3, 9] {
+            r.serve(p2, from_k, from_k + 20, &mut ctx);
+        }
+        let replies: Vec<(ProcessId, u64, Vec<u64>)> = ctx
+            .take_actions()
+            .into_iter()
+            .filter_map(|a| match a {
+                Action::Send { to, msg: Envelope::WithFrontier { frontier, inner, .. } } => match *inner {
+                    Envelope::CatchUpReply { entries } => Some((to, frontier, entries.iter().map(|e| e.k).collect())),
+                    _ => None,
+                },
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            replies,
+            vec![(p2, 10, vec![]), (p2, 10, vec![]), (p2, 10, vec![9, 10])],
+            "at and below the floor: empty; above it: what is held"
+        );
     }
 
     /// Recording an id already pending and settling one that is not are

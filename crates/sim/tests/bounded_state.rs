@@ -5,9 +5,10 @@
 //! retains at quiescence must be the same small numbers at both lengths,
 //! and mid-run it must be bounded by what is in flight. That includes the
 //! copies the default lazy RB keeps for a relay, which only the
-//! piggybacked a-delivered vector frees. The decided log
-//! (catch-up on) is retained on purpose — the run with a crash-restart
-//! asserts that it *does* grow, so the exemption is visible.
+//! piggybacked a-delivered vector frees, and the default in-memory decided
+//! log (catch-up on), which drops every instance all processes have
+//! logged. Only the durable decided log still grows: it is kept whole on
+//! purpose, and the run with a crash-restart asserts that it does.
 
 use iabc_consensus::SingleConsensus;
 use iabc_core::stacks::{self, StackParams};
@@ -22,8 +23,8 @@ const VICTIM: ProcessId = ProcessId::new(2);
 
 /// What one node retains: `store().len()`, `unordered_len()`,
 /// `ordered_pending()`, `buffered_decisions()`, `consensus_slots()`,
-/// `id_set_ranges()`, `rb_retained()`.
-type Retained = [usize; 7];
+/// `id_set_ranges()`, `rb_retained()`, `decided_log_held()`.
+type Retained = [usize; 8];
 
 fn retained<V: OrderingValue, A: SingleConsensus<V>>(node: &AbcastNode<V, A>) -> Retained {
     [
@@ -34,6 +35,7 @@ fn retained<V: OrderingValue, A: SingleConsensus<V>>(node: &AbcastNode<V, A>) ->
         node.consensus_slots(),
         node.id_set_ranges(),
         node.rb_retained(),
+        node.decided_log_held(),
     ]
 }
 
@@ -41,9 +43,11 @@ fn retained<V: OrderingValue, A: SingleConsensus<V>>(node: &AbcastNode<V, A>) ->
 /// manager's GC cache, one range per sender and id set, and at most the
 /// lazy RB copies of the last few messages — those the last a-delivered
 /// vectors to arrive did not cover yet (none once heartbeats carry them).
+/// The decided log is left to the callers: only the in-memory one is
+/// bounded.
 ///
 /// `caught_up` exempts the slot count, for the restarted process only. A
-/// known leak outside this test's subject (ROADMAP, "Make the heal live"):
+/// known leak outside this test's subject (ROADMAP, "Heal in O(backlog)"):
 /// while it catches up under load, a process proposes into instances its
 /// peers collected long ago; each decision then arrives through catch-up
 /// and the manager keeps the `Running` slot. One slot per such instance.
@@ -94,6 +98,15 @@ fn soak<V: OrderingValue, A: SingleConsensus<V>>(
     assert!(r[..3].iter().all(|&held| held <= in_flight), "mid-run {r:?} vs {in_flight} in flight");
     assert!(r[3] <= 1 && r[4] <= 16, "mid-run {r:?}: W = 1 buffers at most one decision");
     assert!(r[5] <= 2 * (N + in_flight), "mid-run {r:?}: a gap needs a message in flight");
+    // The in-memory decided log holds at most twice the slowest member's
+    // lag (it drops in chunks), a few instances here; the durable one
+    // holds every instance.
+    let held = r[7] as u64;
+    assert!(
+        held <= 2 * (N + in_flight) as u64 || held == p0.decided_frontier(),
+        "mid-run {r:?}: decided frontier {}",
+        p0.decided_frontier()
+    );
 
     // Heartbeats never quiesce: run a fixed stretch past the last send.
     world.run_until(at(count) + Duration::from_secs(2));
@@ -148,10 +161,27 @@ fn only_the_decided_log_grows_across_a_crash_restart() {
         // The copies a survivor held while the victim was down pinned the
         // minimum are gone once the restarted victim's vector arrives.
         assert_eq!(rs[6], rl[6], "p{p}: RB copies depend on the length of the run");
-        // The exemption, made visible: the log is kept from k = 1 on
-        // purpose (it serves restarted peers and learners).
+        // The one exemption, made visible: the durable log is kept from
+        // k = 1 on purpose (it serves restarted peers, including one that
+        // comes back below the frontier it advertised).
         assert!(fl > fs && *fs > 0, "p{p}: decided frontier {fs} then {fl}");
     }
     let frontiers: Vec<u64> = long.iter().map(|&(_, f)| f).collect();
     assert_eq!(frontiers, vec![frontiers[0]; N], "the restarted process caught up");
+}
+
+#[test]
+fn the_in_memory_decided_log_does_not_grow_with_the_run() {
+    let params = StackParams::with_heartbeat(N, Duration::from_millis(10), Duration::from_millis(60))
+        .with_catch_up(true);
+    let run = |count| soak(count, false, |p| stacks::indirect_ct(p, &params));
+    let (short, long) = (run(2_000), run(8_000));
+    for (p, ((rs, fs), (rl, fl))) in short.iter().zip(&long).enumerate() {
+        assert_flat(*rl, false, &format!("p{p} after 8,000"));
+        // Heartbeats carry every member's final frontier: no member can
+        // still fetch anything, so nothing is held.
+        assert_eq!(rl[7], 0, "p{p}: {} decided-log entries held", rl[7]);
+        assert_eq!(rs, rl, "p{p}: retained state depends on the length of the run");
+        assert!(fl > fs && *fs > 0, "p{p}: decided frontier {fs} then {fl}");
+    }
 }
