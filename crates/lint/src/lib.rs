@@ -19,9 +19,10 @@
 //! | `E1` | blocking operations (direct or through the call graph) in the event-driven transport's I/O loop — one loop serves every connection, so a parked loop stalls the whole process. Handlers now run on the loop, so a blocking call inside a `Node` stalls that process's I/O (as it stalled the node thread before); the rule stops at that boundary |
 //! | `L1` | crate-layering violations in `Cargo.toml` dependencies |
 //! | `U1` | a bare `pub` item of library code under `crates/*/src` (not `src/bin/`, not `main.rs`) that no other file names. The corpus is `crates/*/{src,tests,benches}`, `tests/`, `examples/`, `src/` and `benchmark/src`; a name inside a `use` item or a comment does not count, and an item named in the signature of a reached `pub` item of its own file is reached |
+//! | `R1` | an `Action::{Send,SetTimer,Work,Output}` path in non-test code under `crates/*/src` outside `crates/runtime/src`: the runtime's `Driver` is the one interpreter of `Action` both hosts share |
 //! | `A1` | malformed `lint:allow` annotations (reason is mandatory) |
 //!
-//! D1/D2/P1/W1/W2 are token-level per-file rules; O1/B1/E1 and the
+//! D1/D2/P1/W1/W2/R1 are token-level per-file rules; O1/B1/E1 and the
 //! call-graph half of P1 are flow-aware: a lightweight item/block parser
 //! ([`parser`]) recovers function bodies and lock-guard scopes, and a
 //! name-resolved call graph ([`callgraph`]) propagates lock-acquisition
@@ -72,7 +73,7 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 }
 
 /// Runs every rule over the workspace at `root`: all `crates/*/src/**/*.rs`
-/// files (D1/D2/P1/W1/W2 + allow hygiene), the workspace-level flow rules
+/// files (D1/D2/P1/W1/W2/R1 + allow hygiene), the workspace-level flow rules
 /// (O1/B1 and call-graph P1) over the same set, all
 /// `crates/*/Cargo.toml` manifests (L1), and U1 over its wider corpus.
 /// Stable finding ids are assigned before the report is returned.

@@ -55,7 +55,11 @@ const WIRE_ENUMS: &[&str] =
 const WIRE_CRATES: &[&str] = &["types", "net"];
 
 /// All checkable rule names (used to validate `lint:allow` annotations).
-pub const RULES: &[&str] = &["D1", "D2", "P1", "W1", "W2", "O1", "B1", "E1", "L1", "U1"];
+pub const RULES: &[&str] = &["D1", "D2", "P1", "W1", "W2", "O1", "B1", "E1", "L1", "U1", "R1"];
+
+/// The `Action` variants a host performs. Only the driver both hosts
+/// share, in `crates/runtime/src`, may name them (rule R1).
+const ACTION_VARIANTS: &[&str] = &["Send", "SetTimer", "Work", "Output"];
 
 /// Lints one Rust source file. `rel_path` must be workspace-relative
 /// (e.g. `crates/net/src/tcp.rs`) — rule scoping is derived from the
@@ -89,6 +93,9 @@ pub fn lint_source(rel_path: &str, source: &str) -> Vec<Finding> {
         rule_p1(rel_path, &code, &mut findings);
     }
     rule_w1(rel_path, &code, &mut findings);
+    if !rel_path.starts_with("crates/runtime/src/") {
+        rule_r1(rel_path, &code, &mut findings);
+    }
     if crate_name.is_some_and(|c| WIRE_CRATES.contains(&c)) {
         rule_w2(rel_path, &tokens, &mut findings);
     }
@@ -482,6 +489,31 @@ fn rule_w1(rel_path: &str, code: &[&Token], findings: &mut Vec<Finding>) {
                         .to_string(),
                 ));
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// R1 — one interpreter of `Action`
+// ---------------------------------------------------------------------
+
+fn rule_r1(rel_path: &str, code: &[&Token], findings: &mut Vec<Finding>) {
+    for w in code.windows(3) {
+        if w[0].is_ident("Action")
+            && w[1].is_punct("::")
+            && ACTION_VARIANTS.iter().any(|v| w[2].is_ident(v))
+        {
+            findings.push(Finding::new(
+                "R1",
+                rel_path,
+                w[0].line,
+                format!(
+                    "`Action::{}` outside `crates/runtime/src`: a second interpreter of \
+                     `Action` lets the hosts disagree on what a node did — run handlers \
+                     through `iabc_runtime::Driver` and implement `Effects` instead",
+                    w[2].text
+                ),
+            ));
         }
     }
 }

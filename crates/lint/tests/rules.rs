@@ -103,6 +103,29 @@ fn w1_good_is_quiet() {
     assert!(f.is_empty(), "{f:?}");
 }
 
+// --- R1: one interpreter of `Action` -----------------------------------
+
+#[test]
+fn r1_bad_fires() {
+    let f = lint_source("crates/sim/src/fixture.rs", include_str!("fixtures/r1_bad.rs"));
+    assert_only_rule(&f, "R1");
+    // Send, SetTimer, Work and the fully qualified Output.
+    assert_eq!(f.len(), 4, "{f:?}");
+}
+
+#[test]
+fn r1_good_is_quiet() {
+    let f = lint_source("crates/sim/src/fixture.rs", include_str!("fixtures/r1_good.rs"));
+    assert!(f.is_empty(), "{f:?}");
+}
+
+#[test]
+fn r1_spares_the_runtime_crate() {
+    // The driver is the one interpreter: it lives in `crates/runtime/src`.
+    let f = lint_source("crates/runtime/src/driver.rs", include_str!("fixtures/r1_bad.rs"));
+    assert!(f.is_empty(), "{f:?}");
+}
+
 // --- W2: narrowing casts in wire crates --------------------------------
 
 #[test]

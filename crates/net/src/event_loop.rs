@@ -41,8 +41,9 @@
 //! carries it to the peers. Each output is still stamped with a clock
 //! read taken as it is emitted. **Stop** is a flag plus a wake.
 //! Everything else — frames, timers, self-sends — stays on this thread.
-//! Self-sends go to a local FIFO that is drained after the current
-//! handler returns, never re-entrantly.
+//! Every handler runs through the node's [`Driver`], as in the simulator:
+//! it delivers self-sends itself, FIFO, each after the handler that
+//! issued it returns, never re-entrantly.
 //!
 //! # Receive path (decode in place)
 //!
@@ -105,7 +106,6 @@
 //! floods commands can starve the other inputs; level-triggered polling
 //! and the pending-command flag bring the loop straight back.
 
-use std::collections::VecDeque;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -113,7 +113,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration as StdDuration, Instant};
 
 use crossbeam::channel::{Receiver, Sender};
-use iabc_runtime::{Action, Context, Node, TimerId};
+use iabc_runtime::{Driver, Effects, Node, TimerId};
 use iabc_types::{Decode, Duration, Encode, LinkFault, ProcessId, Time, WireSize};
 
 use crate::codec::{write_frame_into, RecvBuffer, Tagged, TaggedOwned, RECV_CHUNK};
@@ -391,81 +391,47 @@ fn nanos_since(epoch: Instant, at: Instant) -> u64 {
     e.as_secs().saturating_mul(1_000_000_000).saturating_add(u64::from(e.subsec_nanos()))
 }
 
-/// What a node handler is invoked for.
-enum Event<M, C> {
-    Start,
-    Message(ProcessId, M),
-    Command(C),
-    Timer(TimerId),
-}
-
-/// The protocol half of the loop: the node and everything its actions
-/// touch. Kept apart from the inbound sockets so a reader can hand frames
-/// to it while its own receive buffer is borrowed.
-struct Host<N: Node> {
+/// The protocol half of the loop: what the node's handlers act on, as
+/// the [`Effects`] of its [`Driver`]. Kept apart from the inbound sockets
+/// so a reader can hand frames to the node while its own receive buffer
+/// is borrowed. Nothing here touches a socket or the output channel
+/// during a handler: remote sends wait in the lanes, and outputs in the
+/// batch, for the end of the pass.
+struct Host<M, O> {
     me: ProcessId,
-    n: usize,
     epoch: Instant,
-    node: N,
-    outputs: Sender<Vec<NetOutput<N::Output>>>,
+    outputs: Sender<Vec<NetOutput<O>>>,
     /// The outputs of the current pass, waiting for its flush.
-    batch: Vec<NetOutput<N::Output>>,
+    batch: Vec<NetOutput<O>>,
     timers: TimerHeap,
-    /// Self-sends, waiting for the handler that issued them to return.
-    local: VecDeque<N::Msg>,
     /// Outbound links by destination process id (`None`: self, or no link).
-    writers: Vec<Option<Writer<N::Msg>>>,
+    writers: Vec<Option<Writer<M>>>,
 }
 
-impl<N: Node> Host<N> {
-    fn time_at(&self, at: Instant) -> Time {
-        Time::from_nanos(nanos_since(self.epoch, at))
+impl<M: WireSize, O> Effects<M, O> for Host<M, O> {
+    fn now(&mut self) -> Time {
+        Time::from_nanos(nanos_since(self.epoch, Instant::now()))
     }
 
-    /// Runs one handler, applies its actions, then delivers the
-    /// self-sends it (and they, in turn) issued — FIFO, each only after
-    /// the handler before it has returned.
-    fn dispatch(&mut self, event: Event<N::Msg, N::Command>) {
-        let now = Instant::now();
-        let mut ctx = Context::new(self.me, self.n, self.time_at(now));
-        match event {
-            Event::Start => self.node.on_start(&mut ctx),
-            Event::Message(from, msg) => self.node.on_message(from, msg, &mut ctx),
-            Event::Command(cmd) => self.node.on_command(cmd, &mut ctx),
-            Event::Timer(timer) => self.node.on_timer(timer, &mut ctx),
-        }
-        self.apply(now, &mut ctx);
-        while let Some(msg) = self.local.pop_front() {
-            let now = Instant::now();
-            ctx.set_now(self.time_at(now));
-            self.node.on_message(self.me, msg, &mut ctx);
-            self.apply(now, &mut ctx);
+    fn send(&mut self, to: ProcessId, msg: M) {
+        if let Some(Some(w)) = self.writers.get_mut(to.as_usize()) {
+            w.lanes.push(msg);
         }
     }
 
-    /// Performs the actions of the handler that ran at `now`. Nothing
-    /// here touches a socket or the output channel: remote sends wait in
-    /// the lanes, and outputs in the batch, for the end of the pass.
-    fn apply(&mut self, now: Instant, ctx: &mut Context<N::Msg, N::Output>) {
-        for action in ctx.take_actions() {
-            match action {
-                Action::Send { to, msg } if to == self.me => self.local.push_back(msg),
-                Action::Send { to, msg } => {
-                    if let Some(Some(w)) = self.writers.get_mut(to.as_usize()) {
-                        w.lanes.push(msg);
-                    }
-                }
-                Action::SetTimer { delay, timer } => self.timers.push(now + delay.into(), timer),
-                Action::Work { .. } => {} // real CPUs charge themselves
-                Action::Output(output) => self.batch.push(NetOutput {
-                    at: self.time_at(Instant::now()),
-                    process: self.me,
-                    output,
-                }),
-            }
-        }
+    fn set_timer(&mut self, at: Time, timer: TimerId) {
+        self.timers.push(self.epoch + StdDuration::from_nanos(at.as_nanos()), timer);
     }
 
+    fn work(&mut self, _duration: Duration) {} // real CPUs charge themselves
+
+    fn output(&mut self, output: O) {
+        let at = self.now();
+        self.batch.push(NetOutput { at, process: self.me, output });
+    }
+}
+
+impl<M: WireSize, O> Host<M, O> {
     /// Hands the pass's outputs to the application as one batch. Called
     /// after the flush, so the frames a decision emitted are with the
     /// kernel before the application thread wakes up to consume it.
@@ -485,13 +451,16 @@ impl<N: Node> Host<N> {
     /// Takes queued commands until the channel is empty, the per-pass cap
     /// is reached or back-pressure sets in. Returns whether commands may
     /// still be waiting.
-    fn take_commands(&mut self, commands: &Receiver<N::Command>) -> bool {
+    fn take_commands<N>(&mut self, driver: &mut Driver<N>, commands: &Receiver<N::Command>) -> bool
+    where
+        N: Node<Msg = M, Output = O>,
+    {
         for _ in 0..MAX_COMMANDS_PER_PASS {
             if self.backpressured() {
                 return true;
             }
             match commands.try_recv() {
-                Ok(cmd) => self.dispatch(Event::Command(cmd)),
+                Ok(cmd) => driver.on_command(cmd, self),
                 // Empty — or the cluster handle is gone, and then no
                 // command will ever follow.
                 Err(_) => return false,
@@ -543,17 +512,8 @@ fn run_loop<N>(
             carryover: Vec::new(),
         });
     }
-    let mut host = Host {
-        me,
-        n,
-        epoch,
-        node,
-        outputs,
-        batch: Vec::new(),
-        timers: TimerHeap::new(),
-        local: VecDeque::new(),
-        writers,
-    };
+    let mut driver = Driver::new(me, n, node);
+    let mut host = Host { me, epoch, outputs, batch: Vec::new(), timers: TimerHeap::new(), writers };
 
     // Poll slots: these two are fixed, the readers follow, then the
     // writers parked on a partial write.
@@ -569,7 +529,7 @@ fn run_loop<N>(
     // Dial first, so `on_start`'s frames find their links connected.
     let now = Duration::from_nanos(nanos_since(epoch, Instant::now()));
     maintain_links(me, now, &mut host.writers, &mut reconnect, faults.as_ref(), &stats, &pool);
-    host.dispatch(Event::Start);
+    driver.on_start(&mut host);
     service_writers(me, now, &mut host.writers, &mut faults, &stats, &mut reconnect);
     host.release_outputs();
     loop {
@@ -619,7 +579,7 @@ fn run_loop<N>(
 
         for (i, r) in readers.iter_mut().enumerate() {
             if r.open && ready(READER_BASE + i) {
-                service_reader(r, &mut host);
+                service_reader(r, &mut driver, &mut host);
             }
         }
         // Dead readers leave the set: the peer's redial replaces them.
@@ -634,12 +594,12 @@ fn run_loop<N>(
 
         let now = Instant::now();
         while let Some(timer) = host.timers.pop_due(now) {
-            host.dispatch(Event::Timer(timer));
+            driver.on_timer(timer, &mut host);
         }
 
         commands_waiting |= waker.take_signal();
         if commands_waiting {
-            commands_waiting = host.take_commands(&commands);
+            commands_waiting = host.take_commands(&mut driver, &commands);
         }
 
         // Everything the handlers of this pass emitted leaves now. Link
@@ -736,7 +696,7 @@ fn maintain_links<M>(
 /// in place, run the node on each. Stops at `WouldBlock`, EOF, a decode
 /// error (poisoned framing ⇒ drop the connection), or the per-pass read
 /// cap.
-fn service_reader<N>(r: &mut Inbound, host: &mut Host<N>)
+fn service_reader<N>(r: &mut Inbound, driver: &mut Driver<N>, host: &mut Host<N::Msg, N::Output>)
 where
     N: Node,
     N::Msg: Decode,
@@ -746,7 +706,7 @@ where
     loop {
         loop {
             match r.recv.next_frame::<TaggedOwned<N::Msg>>() {
-                Ok(Some(t)) => host.dispatch(Event::Message(t.from, t.msg)),
+                Ok(Some(t)) => driver.on_message(t.from, t.msg, host),
                 Ok(None) => break,
                 Err(_) => {
                     poll::shutdown_stream(&r.stream, Shutdown::Both);
@@ -883,6 +843,8 @@ mod tests {
     use crate::queue::tests::{Blob, Classed};
     use crate::queue::MAX_OUTBOUND_FRAMES;
     use crossbeam::channel::unbounded;
+    use iabc_runtime::Context;
+    use std::collections::VecDeque;
     use std::io::{Read, Write};
     use std::marker::PhantomData;
 

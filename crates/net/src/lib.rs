@@ -10,10 +10,10 @@
 //! to end. ([`ThreadCluster`] is the same type under its old name.)
 //!
 //! It drives any [`Node`](iabc_runtime::Node) whose messages encode to
-//! the wire — the very same `iabc_core::AbcastNode` state
-//! machines the simulator runs, under the same link-fault plan
-//! ([`NetFaultPlan`]). `Action::Work` is ignored (real CPUs charge
-//! themselves).
+//! the wire — the very same `iabc_core::AbcastNode` state machines the
+//! simulator runs, through the same [`Driver`](iabc_runtime::Driver) and
+//! under the same link-fault plan ([`NetFaultPlan`]). `Action::Work` is
+//! ignored (real CPUs charge themselves).
 
 pub mod cluster;
 pub mod codec;

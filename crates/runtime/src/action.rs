@@ -13,8 +13,9 @@ pub enum Action<M, O> {
     /// Send `msg` to process `to` over the (quasi-)reliable channel.
     ///
     /// Sends to self are legal and are delivered back through
-    /// [`Node::on_message`](crate::Node::on_message) (executors route them
-    /// through a loop-back path that bypasses the NIC).
+    /// [`Node::on_message`](crate::Node::on_message) by the
+    /// [`Driver`](crate::Driver), at the same instant, after the issuing
+    /// handler has returned.
     Send {
         /// Destination process.
         to: ProcessId,

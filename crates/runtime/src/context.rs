@@ -9,9 +9,9 @@ use crate::timer::TimerId;
 /// exposes the read-only facts a protocol may depend on (its identity, the
 /// system size, the current time).
 ///
-/// A fresh context is passed to every callback; the executor drains it with
-/// [`Context::take_actions`] afterwards. Actions are performed in the order
-/// they were pushed.
+/// The [`Driver`](crate::Driver) drains it with [`Context::take_actions`]
+/// after every callback. Actions are performed in the order they were
+/// pushed.
 #[derive(Debug)]
 pub struct Context<M, O> {
     me: ProcessId,

@@ -4,10 +4,14 @@
 //! atomic broadcast, failure detectors) is written as a *pure state machine*:
 //! it reacts to events by mutating its state and pushing [`Action`]s into
 //! a [`Context`]. No I/O, no clocks, no threads — which is what lets the
-//! *same* protocol code run under the deterministic simulator (`iabc-sim`),
-//! the in-process thread runtime, and the TCP runtime (`iabc-net`), exactly
-//! like the paper's Neko framework ran the same Java protocols in simulation
-//! and on the cluster.
+//! *same* protocol code run under the deterministic simulator (`iabc-sim`)
+//! and the TCP runtime (`iabc-net`), exactly like the paper's Neko
+//! framework ran the same Java protocols in simulation and on the cluster.
+//!
+//! Both hosts run every handler through one [`Driver`], the only
+//! interpreter of [`Action`]s: it delivers self-sends itself, FIFO and
+//! after the issuing handler returns, and hands the host the rest through
+//! [`Effects`]. So the simulator schedules self-sends as the sockets do.
 //!
 //! # Example
 //!
@@ -40,10 +44,12 @@
 
 pub mod action;
 pub mod context;
+pub mod driver;
 pub mod node;
 pub mod timer;
 
 pub use action::Action;
 pub use context::Context;
+pub use driver::{Driver, Effects};
 pub use node::Node;
 pub use timer::TimerId;

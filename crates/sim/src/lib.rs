@@ -4,7 +4,8 @@
 //! engine *and* the two physical clusters (Setup 1: Pentium III / 100 Mb/s
 //! Ethernet; Setup 2: Pentium 4 / 1 Gb/s Ethernet). Protocol stacks written
 //! against `iabc-runtime`'s sans-io [`Node`](iabc_runtime::Node) trait run
-//! unchanged under this simulator, the thread runtime, or TCP.
+//! unchanged under this simulator or over TCP, through the same
+//! [`Driver`](iabc_runtime::Driver).
 //!
 //! # The contention model
 //!
@@ -19,7 +20,9 @@
 //!   saturates first in the paper's 1-byte experiments).
 //! * NIC stages cost `(size + frame_overhead) / bandwidth` (what saturates
 //!   first when consensus ships full payloads around — Figure 1).
-//! * Self-sends skip the NICs and pay only a small loop-back delay.
+//! * Self-sends never leave the process: the driver delivers each at the
+//!   issuing handler's instant, after that handler returns, FIFO — the
+//!   rule the sockets follow. They cost no CPU, NIC or wire time.
 //!
 //! Queueing at these resources is what produces the paper's latency-vs-load
 //! curves; nothing about the *shape* of those curves is hard-coded.

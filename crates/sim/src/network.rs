@@ -27,12 +27,6 @@ pub struct NetworkParams {
     pub recv_cpu_overhead: Duration,
     /// Additional CPU cost per payload byte received, in **picoseconds**.
     pub recv_cpu_per_byte_ps: u64,
-    /// CPU cost of a self-send (enqueue on a local queue).
-    pub local_send_cpu: Duration,
-    /// CPU cost of a self-receive.
-    pub local_recv_cpu: Duration,
-    /// Latency of the loop-back path (self-sends bypass the NIC).
-    pub loopback_delay: Duration,
 }
 
 impl NetworkParams {
@@ -50,9 +44,6 @@ impl NetworkParams {
             send_cpu_per_byte_ps: 30_000, // 30 ns/byte (JDK 1.4 serialization)
             recv_cpu_overhead: Duration::from_micros(110),
             recv_cpu_per_byte_ps: 30_000,
-            local_send_cpu: Duration::from_micros(4),
-            local_recv_cpu: Duration::from_micros(4),
-            loopback_delay: Duration::from_micros(2),
         }
     }
 
@@ -67,9 +58,6 @@ impl NetworkParams {
             send_cpu_per_byte_ps: 8_000, // 8 ns/byte (JDK 1.5 serialization)
             recv_cpu_overhead: Duration::from_micros(70),
             recv_cpu_per_byte_ps: 8_000,
-            local_send_cpu: Duration::from_micros(1),
-            local_recv_cpu: Duration::from_micros(1),
-            loopback_delay: Duration::from_micros(1),
         }
     }
 
@@ -144,9 +132,6 @@ mod tests {
             send_cpu_per_byte_ps: 0,
             recv_cpu_overhead: Duration::ZERO,
             recv_cpu_per_byte_ps: 0,
-            local_send_cpu: Duration::ZERO,
-            local_recv_cpu: Duration::ZERO,
-            loopback_delay: Duration::from_nanos(1),
         };
         assert_eq!(p.tx_time(1 << 20), Duration::ZERO);
         assert_eq!(p.send_cpu(1 << 20), Duration::ZERO);

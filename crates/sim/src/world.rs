@@ -1,6 +1,6 @@
 //! The simulation world: nodes, resources, event loop.
 
-use iabc_runtime::{Action, Context, Node, TimerId};
+use iabc_runtime::{Driver, Effects, Node, TimerId};
 use iabc_types::{Duration, ProcessId, Time, TrafficClass, WireSize};
 
 use crate::faults::{FaultPlan, FaultTraceEntry, LinkFault, LinkFaults};
@@ -45,8 +45,6 @@ enum SimEvent<M, C> {
     RxDone { from: ProcessId, to: ProcessId, bytes: usize, msg: M },
     /// Receiver CPU finished processing; deliver to the node.
     RecvCpuDone { from: ProcessId, to: ProcessId, msg: M },
-    /// A self-send arriving through the loop-back path.
-    LoopbackArrive { p: ProcessId, msg: M },
     /// Carries the process's timer epoch at arming time: timers armed
     /// before a crash must not fire into the replacement node.
     TimerFired { p: ProcessId, timer: TimerId, epoch: u64 },
@@ -59,7 +57,8 @@ enum SimEvent<M, C> {
     ResourceFree { p: ProcessId, kind: ResKind },
 }
 
-/// Which of a host's three servers a [`SimEvent::ResourceFree`] refers to.
+/// Which of a host's three servers a job or a [`SimEvent::ResourceFree`]
+/// refers to; also its index in [`Host::res`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ResKind {
     Cpu,
@@ -68,10 +67,9 @@ enum ResKind {
 }
 
 /// A queued job's payload in priority-lane mode: the event to fire when
-/// service completes, plus an extra post-service delay (the loop-back path
-/// adds `loopback_delay` after the send CPU finishes). `None` models
-/// fire-and-forget CPU work ([`Action::Work`]).
-type DeferredJob<M, C> = (Duration, Option<SimEvent<M, C>>);
+/// service completes. `None` models fire-and-forget CPU work
+/// ([`Action::Work`](iabc_runtime::Action::Work)).
+type DeferredJob<M, C> = Option<SimEvent<M, C>>;
 
 /// One server of a simulated host: the paper's single-class FIFO model, or
 /// the two-class priority server of the traffic-lane refactor.
@@ -80,88 +78,26 @@ type DeferredJob<M, C> = (Duration, Option<SimEvent<M, C>>);
 /// exactly the seed behaviour, preserved bit-for-bit (same events pushed in
 /// the same order) so the paper-figure bins and the pinned bench baselines
 /// are untouched when the lane is off. The classed arm holds queued jobs
-/// and re-schedules itself through [`SimEvent::ResourceFree`] events.
+/// and re-schedules itself through [`SimEvent::ResourceFree`] events (see
+/// [`Host::submit`] and [`Host::on_free`]).
 enum HostRes<M, C> {
     Fifo(FifoResource),
     Classed(ClassedResource<DeferredJob<M, C>>),
 }
 
-impl<M, C> HostRes<M, C> {
-    /// Submits a job: in FIFO mode the completion event is pushed at the
-    /// analytically computed time; in classed mode the job either starts
-    /// now (completion + `ResourceFree` pushed) or waits in its class
-    /// queue until a `ResourceFree` pops it.
-    #[allow(clippy::too_many_arguments)] // one call site per pipeline stage
-    fn submit(
-        &mut self,
-        queue: &mut EventQueue<SimEvent<M, C>>,
-        p: ProcessId,
-        kind: ResKind,
-        now: Time,
-        class: TrafficClass,
-        dur: Duration,
-        extra_delay: Duration,
-        ev: Option<SimEvent<M, C>>,
-    ) {
-        match self {
-            HostRes::Fifo(r) => {
-                let done = r.acquire(now, dur);
-                if let Some(ev) = ev {
-                    queue.push(done + extra_delay, ev);
-                }
-            }
-            HostRes::Classed(r) => {
-                if let Some(done) = r.try_start(now, class, dur) {
-                    if let Some(ev) = ev {
-                        queue.push(done + extra_delay, ev);
-                    }
-                    queue.push(done, SimEvent::ResourceFree { p, kind });
-                } else {
-                    r.enqueue(class, dur, (extra_delay, ev));
-                }
-            }
-        }
-    }
-
-    /// Handles this server's `ResourceFree`: start the next queued job
-    /// under the priority discipline and schedule the next wake-up.
-    ///
-    /// A `ResourceFree` can be stale: a completion event at the same
-    /// instant may have `try_start`ed a fresh job before this fires (the
-    /// completion is pushed first, so it runs first). Popping then would
-    /// commit a queued job one service slot early — before the in-service
-    /// job's own wake-up at `busy_until` — freezing the class choice too
-    /// soon, so an ordering frame arriving meanwhile could no longer
-    /// overtake it. Stale wake-ups must no-op; every started job schedules
-    /// its own `ResourceFree` at its true completion.
-    fn on_free(&mut self, queue: &mut EventQueue<SimEvent<M, C>>, p: ProcessId, kind: ResKind, now: Time) {
-        if let HostRes::Classed(r) = self {
-            if now < r.busy_until() {
-                return; // stale: the in-service job's wake-up will pop
-            }
-            if let Some((done, (extra_delay, ev))) = r.pop_next(now) {
-                if let Some(ev) = ev {
-                    queue.push(done + extra_delay, ev);
-                }
-                queue.push(done, SimEvent::ResourceFree { p, kind });
-            }
-        }
-    }
-}
-
-/// Predicate deciding whether a message is silently lost
+/// Predicate deciding whether a remote message is silently lost
 /// (see [`SimWorld::set_drop_filter`]).
 pub type DropFilter<M> = Box<dyn FnMut(ProcessId, ProcessId, &M) -> bool>;
 
 /// Aggregate counters of a finished (or paused) run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimStats {
-    /// Events processed so far.
+    /// Events processed so far; each self-delivery counts as one.
     pub events: u64,
-    /// `Send` actions accepted from nodes.
+    /// Remote frames: `Send`s to another process that passed the drop
+    /// filter. Self-sends never reach the host (the node's driver
+    /// delivers them), so they are not counted.
     pub messages_sent: u64,
-    /// Messages handed to `on_message`.
-    pub messages_delivered: u64,
     /// Messages removed by the drop filter.
     pub messages_dropped: u64,
     /// Messages lost because their sender crashed mid-pipeline.
@@ -176,8 +112,6 @@ pub struct SimStats {
     pub frames_delayed: u64,
     /// Per-process CPU busy time.
     pub cpu_busy: Vec<Duration>,
-    /// Per-process NIC transmit busy time.
-    pub nic_tx_busy: Vec<Duration>,
     /// Per-process CPU busy time attributable to [`TrafficClass::Ordering`]
     /// messages (consensus/FD frames and protocol bookkeeping).
     pub cpu_ordering_busy: Vec<Duration>,
@@ -245,42 +179,36 @@ impl SimBuilder {
         N: Node,
         F: FnMut(ProcessId) -> N,
     {
-        let nodes: Vec<N> = ProcessId::all(self.n).map(&mut factory).collect();
-        let make_res = || -> Vec<HostRes<N::Msg, N::Command>> {
-            (0..self.n)
-                .map(|_| {
-                    if self.priority_lane {
-                        HostRes::Classed(ClassedResource::new())
-                    } else {
-                        HostRes::Fifo(FifoResource::new())
-                    }
-                })
-                .collect()
+        let drivers = ProcessId::all(self.n).map(|p| Driver::new(p, self.n, factory(p))).collect();
+        let server = || -> HostRes<N::Msg, N::Command> {
+            if self.priority_lane {
+                HostRes::Classed(ClassedResource::new())
+            } else {
+                HostRes::Fifo(FifoResource::new())
+            }
         };
         let mut world = SimWorld {
-            n: self.n,
-            params: self.params,
             link_faults: self.faults.links.clone(),
-            nodes,
+            drivers,
             replacements: (0..self.n).map(|_| None).collect(),
-            epoch: vec![0; self.n],
             crashed: vec![false; self.n],
-            cpu: make_res(),
-            nic_tx: make_res(),
-            nic_rx: make_res(),
             priority_lane: self.priority_lane,
-            queue: EventQueue::new(),
-            now: Time::ZERO,
-            outputs: Vec::new(),
-            drop_filter: None,
-            stats: SimStats {
-                cpu_busy: vec![Duration::ZERO; self.n],
-                nic_tx_busy: vec![Duration::ZERO; self.n],
-                cpu_ordering_busy: vec![Duration::ZERO; self.n],
-                cpu_bulk_busy: vec![Duration::ZERO; self.n],
-                ..SimStats::default()
+            host: Host {
+                params: self.params,
+                epoch: vec![0; self.n],
+                res: (0..self.n).map(|_| [server(), server(), server()]).collect(),
+                queue: EventQueue::new(),
+                now: Time::ZERO,
+                outputs: Vec::new(),
+                drop_filter: None,
+                stats: SimStats {
+                    cpu_busy: vec![Duration::ZERO; self.n],
+                    cpu_ordering_busy: vec![Duration::ZERO; self.n],
+                    cpu_bulk_busy: vec![Duration::ZERO; self.n],
+                    ..SimStats::default()
+                },
+                max_events: self.max_events,
             },
-            max_events: self.max_events,
             started: false,
         };
         for &(p, at) in self.faults.crashes.crashes() {
@@ -303,40 +231,170 @@ impl SimBuilder {
 /// inject application commands with [`SimWorld::schedule_command`]; inspect
 /// results via [`SimWorld::outputs`] and [`SimWorld::stats`].
 pub struct SimWorld<N: Node> {
-    n: usize,
-    params: NetworkParams,
     /// Link-fault layer, if the plan configured one. `None` keeps the
     /// `TxDone → RxArrive` edge bit-for-bit the fault-free behaviour.
     link_faults: Option<LinkFaults>,
-    nodes: Vec<N>,
+    /// One per process: every handler call goes through it.
+    drivers: Vec<Driver<N>>,
     /// Pre-built replacement nodes, consumed by [`SimEvent::Restart`].
     replacements: Vec<Option<N>>,
+    crashed: Vec<bool>,
+    priority_lane: bool,
+    host: Host<N>,
+    started: bool,
+}
+
+/// The part of the world a handler's effects reach: the clock, the event
+/// queue, the servers, the outputs and the counters.
+struct Host<N: Node> {
+    params: NetworkParams,
     /// Per-process timer epoch, bumped at restart: timers armed by the
     /// crashed incarnation must not fire into the replacement node.
     epoch: Vec<u64>,
-    crashed: Vec<bool>,
-    cpu: Vec<HostRes<N::Msg, N::Command>>,
-    nic_tx: Vec<HostRes<N::Msg, N::Command>>,
-    nic_rx: Vec<HostRes<N::Msg, N::Command>>,
-    priority_lane: bool,
+    /// Each process's CPU, NIC(tx) and NIC(rx), indexed by [`ResKind`].
+    res: Vec<[HostRes<N::Msg, N::Command>; 3]>,
     queue: EventQueue<SimEvent<N::Msg, N::Command>>,
     now: Time,
     outputs: Vec<OutputRecord<N::Output>>,
     drop_filter: Option<DropFilter<N::Msg>>,
     stats: SimStats,
     max_events: u64,
-    started: bool,
+}
+
+impl<N: Node> Host<N> {
+    /// The effects of a handler running on process `p`.
+    fn at(&mut self, p: ProcessId) -> HostAt<'_, N> {
+        HostAt { p, host: self }
+    }
+
+    /// Queues `dur` of service on `p`'s `kind` server, firing `ev` when it
+    /// completes; CPU time also lands in the aggregate and per-class stats.
+    /// A FIFO server pushes the completion at the analytically computed
+    /// time; a classed one starts the job now or holds it in its class
+    /// queue until a `ResourceFree` pops it.
+    fn submit(
+        &mut self,
+        p: ProcessId,
+        kind: ResKind,
+        class: TrafficClass,
+        dur: Duration,
+        ev: DeferredJob<N::Msg, N::Command>,
+    ) {
+        let pi = p.as_usize();
+        if kind == ResKind::Cpu {
+            self.stats.cpu_busy[pi] += dur;
+            match class {
+                TrafficClass::Ordering => self.stats.cpu_ordering_busy[pi] += dur,
+                TrafficClass::Bulk => self.stats.cpu_bulk_busy[pi] += dur,
+            }
+        }
+        match &mut self.res[pi][kind as usize] {
+            HostRes::Fifo(r) => {
+                let done = r.acquire(self.now, dur);
+                if let Some(ev) = ev {
+                    self.queue.push(done, ev);
+                }
+            }
+            HostRes::Classed(r) => match r.try_start(self.now, class, dur) {
+                Some(done) => self.started(p, kind, done, ev),
+                None => r.enqueue(class, dur, ev),
+            },
+        }
+    }
+
+    /// Handles a `ResourceFree` of `p`'s `kind` server: start the next
+    /// queued job under the priority discipline.
+    ///
+    /// A `ResourceFree` can be stale: a completion event at the same
+    /// instant may have `try_start`ed a fresh job before this fires (the
+    /// completion is pushed first, so it runs first). Popping then would
+    /// commit a queued job one service slot early — before the in-service
+    /// job's own wake-up at `busy_until` — freezing the class choice too
+    /// soon, so an ordering frame arriving meanwhile could no longer
+    /// overtake it. Stale wake-ups must no-op; every started job schedules
+    /// its own `ResourceFree` at its true completion.
+    fn on_free(&mut self, p: ProcessId, kind: ResKind) {
+        if let HostRes::Classed(r) = &mut self.res[p.as_usize()][kind as usize] {
+            if self.now < r.busy_until() {
+                return; // stale: the in-service job's wake-up will pop
+            }
+            if let Some((done, ev)) = r.pop_next(self.now) {
+                self.started(p, kind, done, ev);
+            }
+        }
+    }
+
+    /// A classed job started: its completion event, then the server's
+    /// wake-up for the next one.
+    fn started(&mut self, p: ProcessId, kind: ResKind, done: Time, ev: DeferredJob<N::Msg, N::Command>) {
+        if let Some(ev) = ev {
+            self.queue.push(done, ev);
+        }
+        self.queue.push(done, SimEvent::ResourceFree { p, kind });
+    }
+}
+
+/// [`Host`] as the effects of one process's handlers.
+struct HostAt<'a, N: Node> {
+    p: ProcessId,
+    host: &'a mut Host<N>,
+}
+
+impl<N: Node> Effects<N::Msg, N::Output> for HostAt<'_, N> {
+    fn now(&mut self) -> Time {
+        self.host.now
+    }
+
+    fn send(&mut self, to: ProcessId, msg: N::Msg) {
+        let (p, host) = (self.p, &mut *self.host);
+        if let Some(filter) = &mut host.drop_filter {
+            if filter(p, to, &msg) {
+                host.stats.messages_dropped += 1;
+                return;
+            }
+        }
+        host.stats.messages_sent += 1;
+        let bytes = msg.wire_size();
+        let (class, cost) = (msg.traffic_class(), host.params.send_cpu(bytes));
+        host.submit(p, ResKind::Cpu, class, cost, Some(SimEvent::SendCpuDone { from: p, to, bytes, msg }));
+    }
+
+    fn set_timer(&mut self, at: Time, timer: TimerId) {
+        let epoch = self.host.epoch[self.p.as_usize()];
+        self.host.queue.push(at, SimEvent::TimerFired { p: self.p, timer, epoch });
+    }
+
+    fn work(&mut self, duration: Duration) {
+        // Protocol bookkeeping (rcv checks, propose/order costs) belongs
+        // to the ordering path.
+        self.host.submit(self.p, ResKind::Cpu, TrafficClass::Ordering, duration, None);
+    }
+
+    fn output(&mut self, output: N::Output) {
+        self.host.outputs.push(OutputRecord { at: self.host.now, process: self.p, output });
+    }
+
+    /// A self-delivery is an event: it counts against the budget, which
+    /// is what stops a node that self-sends forever.
+    fn admit_self_delivery(&mut self) -> bool {
+        let stats = &mut self.host.stats;
+        if stats.events >= self.host.max_events {
+            return false;
+        }
+        stats.events += 1;
+        true
+    }
 }
 
 impl<N: Node> SimWorld<N> {
     /// Number of processes.
     pub fn n(&self) -> usize {
-        self.n
+        self.drivers.len()
     }
 
     /// Current virtual time.
     pub fn now(&self) -> Time {
-        self.now
+        self.host.now
     }
 
     /// Whether hosts run the two-class priority lane (see
@@ -347,22 +405,22 @@ impl<N: Node> SimWorld<N> {
 
     /// Read access to a node's protocol state (for tests and probes).
     pub fn node(&self, p: ProcessId) -> &N {
-        &self.nodes[p.as_usize()]
+        self.drivers[p.as_usize()].node()
     }
 
     /// All outputs produced so far, in production order.
     pub fn outputs(&self) -> &[OutputRecord<N::Output>] {
-        &self.outputs
+        &self.host.outputs
     }
 
     /// Removes and returns all outputs produced so far.
     pub fn drain_outputs(&mut self) -> Vec<OutputRecord<N::Output>> {
-        std::mem::take(&mut self.outputs)
+        std::mem::take(&mut self.host.outputs)
     }
 
     /// Run counters and resource utilization.
     pub fn stats(&self) -> &SimStats {
-        &self.stats
+        &self.host.stats
     }
 
     /// The injected-fault trace, if the plan's [`LinkFaults`] enabled
@@ -378,8 +436,8 @@ impl<N: Node> SimWorld<N> {
     ///
     /// Panics if `at` is in the past.
     pub fn schedule_command(&mut self, p: ProcessId, at: Time, cmd: N::Command) {
-        assert!(at >= self.now, "cannot schedule a command in the past");
-        self.queue.push(at, SimEvent::Command { p, cmd });
+        assert!(at >= self.host.now, "cannot schedule a command in the past");
+        self.host.queue.push(at, SimEvent::Command { p, cmd });
     }
 
     /// Schedules a crash of process `p` at time `at`.
@@ -391,8 +449,8 @@ impl<N: Node> SimWorld<N> {
     ///
     /// Panics if `at` is in the past.
     fn schedule_crash(&mut self, p: ProcessId, at: Time) {
-        assert!(at >= self.now, "cannot schedule a crash in the past");
-        self.queue.push(at, SimEvent::Crash { p });
+        assert!(at >= self.host.now, "cannot schedule a crash in the past");
+        self.host.queue.push(at, SimEvent::Crash { p });
     }
 
     /// Schedules a restart of process `p` at time `at`, replacing its node
@@ -408,41 +466,42 @@ impl<N: Node> SimWorld<N> {
     /// Panics if `at` is in the past or if `p` already has a pending
     /// replacement.
     fn schedule_restart(&mut self, p: ProcessId, at: Time, node: N) {
-        assert!(at >= self.now, "cannot schedule a restart in the past");
+        assert!(at >= self.host.now, "cannot schedule a restart in the past");
         let slot = &mut self.replacements[p.as_usize()];
         assert!(slot.is_none(), "process {p} already has a pending restart");
         *slot = Some(node);
-        self.queue.push(at, SimEvent::Restart { p });
+        self.host.queue.push(at, SimEvent::Restart { p });
     }
 
-    /// Installs a message drop filter: any `Send` whose
+    /// Installs a message drop filter: any remote `Send` whose
     /// `(from, to, msg)` the filter maps to `true` is silently lost.
+    /// Self-sends never leave the process, so the filter never sees them.
     ///
     /// This models quasi-reliable channels under crashes — use it only to
     /// drop messages whose sender crashes in the same run (the integration
     /// tests reproducing §2.2 of the paper do exactly that) or to stress
     /// safety under adversarial schedules.
     pub fn set_drop_filter(&mut self, filter: DropFilter<N::Msg>) {
-        self.drop_filter = Some(filter);
+        self.host.drop_filter = Some(filter);
     }
 
     /// Runs until no events remain, the time horizon `until` is passed, or
-    /// the event budget is exhausted.
+    /// the event budget is exhausted. The budget is checked first: a
+    /// self-delivery chain it cut short leaves no event behind.
     pub fn run_until(&mut self, until: Time) -> StopReason {
         self.ensure_started();
         loop {
-            match self.queue.peek_time() {
-                None => return StopReason::Quiescent,
-                Some(t) if t > until => {
-                    self.now = until;
-                    return StopReason::TimeLimitReached;
-                }
-                Some(_) => {}
-            }
-            if self.stats.events >= self.max_events {
+            if self.host.stats.events >= self.host.max_events {
                 return StopReason::EventLimitReached;
             }
-            self.step();
+            match self.host.queue.peek_time() {
+                None => return StopReason::Quiescent,
+                Some(t) if t > until => {
+                    self.host.now = until;
+                    return StopReason::TimeLimitReached;
+                }
+                Some(_) => self.step(),
+            }
         }
     }
 
@@ -451,14 +510,7 @@ impl<N: Node> SimWorld<N> {
     /// Note that stacks with periodic timers (heartbeat failure detectors)
     /// never go quiescent; use [`SimWorld::run_until`] for those.
     pub fn run_to_quiescence(&mut self) -> StopReason {
-        self.ensure_started();
-        while !self.queue.is_empty() {
-            if self.stats.events >= self.max_events {
-                return StopReason::EventLimitReached;
-            }
-            self.step();
-        }
-        StopReason::Quiescent
+        self.run_until(Time::from_nanos(u64::MAX))
     }
 
     fn ensure_started(&mut self) {
@@ -466,16 +518,16 @@ impl<N: Node> SimWorld<N> {
             return;
         }
         self.started = true;
-        for p in ProcessId::all(self.n) {
-            self.with_node(p, |node, ctx| node.on_start(ctx));
+        for p in ProcessId::all(self.n()) {
+            self.drivers[p.as_usize()].on_start(&mut self.host.at(p));
         }
     }
 
     fn step(&mut self) {
-        let Some((t, ev)) = self.queue.pop() else { return };
-        debug_assert!(t >= self.now, "time went backwards");
-        self.now = t;
-        self.stats.events += 1;
+        let Some((t, ev)) = self.host.queue.pop() else { return };
+        debug_assert!(t >= self.host.now, "time went backwards");
+        self.host.now = t;
+        self.host.stats.events += 1;
         self.handle(ev);
     }
 
@@ -494,248 +546,100 @@ impl<N: Node> SimWorld<N> {
                 // Invalidate every timer armed by the dead incarnation
                 // *before* on_start, so the new node's own timers arm
                 // under the fresh epoch.
-                self.epoch[pi] += 1;
-                self.nodes[pi] = node;
-                self.with_node(p, |node, ctx| node.on_start(ctx));
+                self.host.epoch[pi] += 1;
+                self.drivers[pi] = Driver::new(p, self.n(), node);
+                self.drivers[pi].on_start(&mut self.host.at(p));
             }
             SimEvent::Command { p, cmd } => {
                 if self.alive(p) {
-                    self.with_node(p, |node, ctx| node.on_command(cmd, ctx));
+                    self.drivers[p.as_usize()].on_command(cmd, &mut self.host.at(p));
                 }
             }
             SimEvent::TimerFired { p, timer, epoch } => {
-                if self.alive(p) && epoch == self.epoch[p.as_usize()] {
-                    self.with_node(p, |node, ctx| node.on_timer(timer, ctx));
+                if self.alive(p) && epoch == self.host.epoch[p.as_usize()] {
+                    self.drivers[p.as_usize()].on_timer(timer, &mut self.host.at(p));
                 }
             }
             SimEvent::SendCpuDone { from, to, bytes, msg } => {
                 if !self.alive(from) {
-                    self.stats.messages_lost_to_crash += 1;
+                    self.host.stats.messages_lost_to_crash += 1;
                     return;
                 }
-                let tx = self.params.tx_time(bytes);
-                let class = msg.traffic_class();
-                self.nic_tx[from.as_usize()].submit(
-                    &mut self.queue,
-                    from,
-                    ResKind::NicTx,
-                    self.now,
-                    class,
-                    tx,
-                    Duration::ZERO,
-                    Some(SimEvent::TxDone { from, to, bytes, msg }),
-                );
+                let (class, tx) = (msg.traffic_class(), self.host.params.tx_time(bytes));
+                self.host.submit(from, ResKind::NicTx, class, tx, Some(SimEvent::TxDone { from, to, bytes, msg }));
             }
             SimEvent::TxDone { from, to, bytes, msg } => {
                 if !self.alive(from) {
-                    self.stats.messages_lost_to_crash += 1;
+                    self.host.stats.messages_lost_to_crash += 1;
                     return;
                 }
-                let mut arrive = self.now + self.params.propagation;
+                let mut arrive = self.host.now + self.host.params.propagation;
                 if let Some(lf) = &mut self.link_faults {
-                    match lf.judge(self.now, from, to) {
+                    match lf.judge(self.host.now, from, to) {
                         LinkFault::Pass => {}
                         LinkFault::Partitioned => {
-                            self.stats.frames_partitioned += 1;
+                            self.host.stats.frames_partitioned += 1;
                             return;
                         }
                         LinkFault::Dropped => {
-                            self.stats.frames_fault_dropped += 1;
+                            self.host.stats.frames_fault_dropped += 1;
                             return;
                         }
                         LinkFault::Duplicated => {
-                            self.stats.frames_duplicated += 1;
+                            self.host.stats.frames_duplicated += 1;
                             let copy = msg.clone();
-                            self.queue.push(
+                            self.host.queue.push(
                                 arrive,
                                 SimEvent::RxArrive { from, to, bytes, msg: copy },
                             );
                         }
                         LinkFault::Delayed(extra) => {
-                            self.stats.frames_delayed += 1;
+                            self.host.stats.frames_delayed += 1;
                             arrive += extra;
                         }
                         LinkFault::Reordered => {
                             // One extra propagation slot: anything sent on
                             // this link within the next slot overtakes it.
-                            self.stats.frames_delayed += 1;
-                            arrive += self.params.propagation;
+                            self.host.stats.frames_delayed += 1;
+                            arrive += self.host.params.propagation;
                         }
                     }
                 }
-                self.queue.push(arrive, SimEvent::RxArrive { from, to, bytes, msg });
+                self.host.queue.push(arrive, SimEvent::RxArrive { from, to, bytes, msg });
             }
             SimEvent::RxArrive { from, to, bytes, msg } => {
                 if !self.alive(to) {
                     return;
                 }
-                let tx = self.params.tx_time(bytes);
-                let class = msg.traffic_class();
-                self.nic_rx[to.as_usize()].submit(
-                    &mut self.queue,
-                    to,
-                    ResKind::NicRx,
-                    self.now,
-                    class,
-                    tx,
-                    Duration::ZERO,
-                    Some(SimEvent::RxDone { from, to, bytes, msg }),
-                );
+                let (class, tx) = (msg.traffic_class(), self.host.params.tx_time(bytes));
+                self.host.submit(to, ResKind::NicRx, class, tx, Some(SimEvent::RxDone { from, to, bytes, msg }));
             }
             SimEvent::RxDone { from, to, bytes, msg } => {
                 if !self.alive(to) {
                     return;
                 }
-                let cost = self.params.recv_cpu(bytes);
-                let class = msg.traffic_class();
-                self.note_cpu(to, class, cost);
-                self.cpu[to.as_usize()].submit(
-                    &mut self.queue,
-                    to,
-                    ResKind::Cpu,
-                    self.now,
-                    class,
-                    cost,
-                    Duration::ZERO,
-                    Some(SimEvent::RecvCpuDone { from, to, msg }),
-                );
-            }
-            SimEvent::LoopbackArrive { p, msg } => {
-                if !self.alive(p) {
-                    return;
-                }
-                let cost = self.params.local_recv_cpu;
-                let class = msg.traffic_class();
-                self.note_cpu(p, class, cost);
-                self.cpu[p.as_usize()].submit(
-                    &mut self.queue,
-                    p,
-                    ResKind::Cpu,
-                    self.now,
-                    class,
-                    cost,
-                    Duration::ZERO,
-                    Some(SimEvent::RecvCpuDone { from: p, to: p, msg }),
-                );
+                let (class, cost) = (msg.traffic_class(), self.host.params.recv_cpu(bytes));
+                self.host.submit(to, ResKind::Cpu, class, cost, Some(SimEvent::RecvCpuDone { from, to, msg }));
             }
             SimEvent::RecvCpuDone { from, to, msg } => {
                 if !self.alive(to) {
                     return;
                 }
-                self.stats.messages_delivered += 1;
-                self.with_node(to, |node, ctx| node.on_message(from, msg, ctx));
+                self.drivers[to.as_usize()].on_message(from, msg, &mut self.host.at(to));
             }
-            SimEvent::ResourceFree { p, kind } => {
-                let res = match kind {
-                    ResKind::Cpu => &mut self.cpu[p.as_usize()],
-                    ResKind::NicTx => &mut self.nic_tx[p.as_usize()],
-                    ResKind::NicRx => &mut self.nic_rx[p.as_usize()],
-                };
-                res.on_free(&mut self.queue, p, kind, self.now);
-            }
-        }
-    }
-
-    /// Accumulates a CPU cost into the aggregate and per-class stats.
-    fn note_cpu(&mut self, p: ProcessId, class: TrafficClass, cost: Duration) {
-        let pi = p.as_usize();
-        self.stats.cpu_busy[pi] += cost;
-        match class {
-            TrafficClass::Ordering => self.stats.cpu_ordering_busy[pi] += cost,
-            TrafficClass::Bulk => self.stats.cpu_bulk_busy[pi] += cost,
+            SimEvent::ResourceFree { p, kind } => self.host.on_free(p, kind),
         }
     }
 
     fn alive(&self, p: ProcessId) -> bool {
         !self.crashed[p.as_usize()]
     }
-
-    /// Runs a node callback and applies the actions it produced.
-    fn with_node(
-        &mut self,
-        p: ProcessId,
-        f: impl FnOnce(&mut N, &mut Context<N::Msg, N::Output>),
-    ) {
-        let mut ctx = Context::new(p, self.n, self.now);
-        f(&mut self.nodes[p.as_usize()], &mut ctx);
-        for action in ctx.take_actions() {
-            self.apply_action(p, action);
-        }
-    }
-
-    fn apply_action(&mut self, p: ProcessId, action: Action<N::Msg, N::Output>) {
-        match action {
-            Action::Send { to, msg } => {
-                if let Some(filter) = &mut self.drop_filter {
-                    if filter(p, to, &msg) {
-                        self.stats.messages_dropped += 1;
-                        return;
-                    }
-                }
-                self.stats.messages_sent += 1;
-                let pi = p.as_usize();
-                let class = msg.traffic_class();
-                if to == p {
-                    let cost = self.params.local_send_cpu;
-                    self.note_cpu(p, class, cost);
-                    let delay = self.params.loopback_delay;
-                    self.cpu[pi].submit(
-                        &mut self.queue,
-                        p,
-                        ResKind::Cpu,
-                        self.now,
-                        class,
-                        cost,
-                        delay,
-                        Some(SimEvent::LoopbackArrive { p, msg }),
-                    );
-                } else {
-                    let bytes = msg.wire_size();
-                    let cost = self.params.send_cpu(bytes);
-                    self.note_cpu(p, class, cost);
-                    self.stats.nic_tx_busy[pi] += self.params.tx_time(bytes);
-                    self.cpu[pi].submit(
-                        &mut self.queue,
-                        p,
-                        ResKind::Cpu,
-                        self.now,
-                        class,
-                        cost,
-                        Duration::ZERO,
-                        Some(SimEvent::SendCpuDone { from: p, to, bytes, msg }),
-                    );
-                }
-            }
-            Action::SetTimer { delay, timer } => {
-                let epoch = self.epoch[p.as_usize()];
-                self.queue.push(self.now + delay, SimEvent::TimerFired { p, timer, epoch });
-            }
-            Action::Work { duration } => {
-                // Protocol bookkeeping (rcv checks, propose/order costs)
-                // belongs to the ordering path.
-                self.note_cpu(p, TrafficClass::Ordering, duration);
-                self.cpu[p.as_usize()].submit(
-                    &mut self.queue,
-                    p,
-                    ResKind::Cpu,
-                    self.now,
-                    TrafficClass::Ordering,
-                    duration,
-                    Duration::ZERO,
-                    None,
-                );
-            }
-            Action::Output(output) => {
-                self.outputs.push(OutputRecord { at: self.now, process: p, output });
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iabc_runtime::TimerId;
+    use iabc_runtime::{Context, TimerId};
 
     /// One-byte test message.
     #[derive(Clone, Debug, PartialEq)]
@@ -776,10 +680,41 @@ mod tests {
         for rec in w.outputs() {
             assert_eq!(rec.output, (p(0), 7));
         }
-        // Self-delivery uses the loop-back and is the fastest.
+        // The self copy never leaves the process: it arrives at the
+        // command's instant, the remote copies later.
         let self_rec = w.outputs().iter().find(|r| r.process == p(0)).unwrap();
         let remote_rec = w.outputs().iter().find(|r| r.process == p(1)).unwrap();
+        assert_eq!(self_rec.at, Time::ZERO);
         assert!(self_rec.at < remote_rec.at);
+    }
+
+    #[test]
+    fn a_self_send_is_delivered_at_its_handlers_instant_ahead_of_queued_events() {
+        // Each command outputs its tag, then self-sends it; a delivery
+        // outputs the tag again. Both commands are queued for the same
+        // instant, so the first command's self-send must be delivered
+        // before the second command runs, at that very instant.
+        struct Tagger;
+        impl Node for Tagger {
+            type Msg = Byte;
+            type Command = u8;
+            type Output = u8;
+            fn on_command(&mut self, cmd: u8, ctx: &mut Context<Byte, u8>) {
+                ctx.output(cmd);
+                ctx.send(ctx.me(), Byte(cmd + 100));
+            }
+            fn on_message(&mut self, _f: ProcessId, m: Byte, ctx: &mut Context<Byte, u8>) {
+                ctx.output(m.0);
+            }
+        }
+        let at = Time::ZERO + Duration::from_millis(1);
+        let mut w = SimBuilder::new(2, NetworkParams::setup1()).build(|_| Tagger);
+        w.schedule_command(p(0), at, 1);
+        w.schedule_command(p(0), at, 2);
+        w.run_to_quiescence();
+        let got: Vec<(Time, u8)> = w.outputs().iter().map(|r| (r.at, r.output)).collect();
+        assert_eq!(got, [(at, 1), (at, 101), (at, 2), (at, 102)]);
+        assert_eq!(w.stats().messages_sent, 0, "self-sends are not frames");
     }
 
     #[test]
@@ -844,13 +779,15 @@ mod tests {
     #[test]
     fn crash_loses_messages_still_inside_the_host() {
         // p0 fans out and crashes immediately after the send action: the
-        // copies are still in p0's CPU/NIC pipeline, so nobody receives them.
+        // remote copies are still in p0's CPU/NIC pipeline, so no peer
+        // receives them. The self copy was delivered before the crash.
         let mut w = SimBuilder::new(3, NetworkParams::setup1()).build(|_| Fanout);
         w.schedule_command(p(0), Time::ZERO, 1);
         w.schedule_crash(p(0), Time::ZERO + Duration::from_nanos(1));
         w.run_to_quiescence();
-        assert_eq!(w.outputs().len(), 0);
-        assert!(w.stats().messages_lost_to_crash > 0);
+        let receivers: Vec<_> = w.outputs().iter().map(|r| (r.process, r.at)).collect();
+        assert_eq!(receivers, [(p(0), Time::ZERO)]);
+        assert_eq!(w.stats().messages_lost_to_crash, 2);
     }
 
     #[test]
