@@ -15,8 +15,12 @@ use crate::{BcastDest, BcastMsg, BcastOut, Broadcast};
 /// *original broadcaster*, every process holding one of its messages relays
 /// it once to everybody, restoring the Agreement property of reliable
 /// broadcast (a correct process with a copy ensures everyone correct gets
-/// one). Suspicion is sticky: a broadcaster once suspected has every later
-/// message relayed too.
+/// one). Suspicion follows the detector: while a broadcaster is suspected
+/// its later messages are relayed on arrival, and once the detector
+/// trusts it again ([`Broadcast::on_trust`]) they are not. Copies are
+/// held until [`Broadcast::on_stable`] either way, so a renewed suspicion
+/// relays every held copy not relayed before — a crashed broadcaster is
+/// eventually suspected for good, and then every holder relays it.
 ///
 /// This is the "Reliable broadcast in O(n) messages (when using a failure
 /// detector)" of Figures 6 and 7b — the variant under which indirect
@@ -32,8 +36,8 @@ pub struct LazyRb {
     by_sender: BTreeMap<ProcessId, VecDeque<AppMessage>>,
     /// Ids already relayed (relay at most once per process).
     relayed: IdRanges,
-    /// Broadcasters ever suspected; messages arriving from them later are
-    /// relayed immediately.
+    /// Broadcasters suspected now; messages arriving from them are relayed
+    /// immediately.
     suspected: BTreeSet<ProcessId>,
 }
 
@@ -104,6 +108,10 @@ impl Broadcast for LazyRb {
         for m in self.by_sender.get(&p).into_iter().flatten() {
             relay(&mut self.relayed, m, out);
         }
+    }
+
+    fn on_trust(&mut self, p: ProcessId) {
+        self.suspected.remove(&p);
     }
 
     fn on_stable(&mut self, stable: &[u64]) {
@@ -259,7 +267,7 @@ mod tests {
         rb.on_suspect(p(1), &mut out);
         rb.on_suspect(p(1), &mut out);
         assert_eq!(relayed(&out), vec![(1, 2), (1, 3)]);
-        // Sticky: a later message from the suspect is relayed on arrival,
+        // While suspected, a later message is relayed on arrival,
         // and pruning after the relay sends nothing again.
         let mut out = BcastOut::new();
         rb.on_message(p(2), BcastMsg::Relay(msg(1, 4)), &mut out);
@@ -267,6 +275,37 @@ mod tests {
         rb.on_suspect(p(1), &mut out);
         assert_eq!(relayed(&out), vec![(1, 4)]);
         assert_eq!(rb.retained(), Some(3), "only sender 2's copies are left");
+    }
+
+    #[test]
+    fn a_trusted_broadcaster_is_not_relayed_but_its_copies_are_held() {
+        let mut rb = LazyRb::new();
+        let mut out = BcastOut::new();
+        rb.on_suspect(p(0), &mut out);
+        rb.on_trust(p(0));
+        rb.on_message(p(0), BcastMsg::Data(msg(0, 0)), &mut out);
+        assert_eq!(out.deliveries.len(), 1);
+        assert!(out.sends.is_empty(), "a trusted broadcaster's message is not relayed");
+        assert_eq!(rb.retained(), Some(1), "the copy is held for a renewed suspicion");
+    }
+
+    #[test]
+    fn a_renewed_suspicion_relays_only_the_copies_not_relayed_before() {
+        let mut rb = holding(&[0, 1]);
+        let mut out = BcastOut::new();
+        rb.on_suspect(p(1), &mut out);
+        rb.on_message(p(1), BcastMsg::Data(msg(1, 2)), &mut out);
+        assert_eq!(relayed(&out), vec![(1, 0), (1, 1), (1, 2)]);
+        rb.on_trust(p(1));
+        let mut out = BcastOut::new();
+        rb.on_message(p(1), BcastMsg::Data(msg(1, 3)), &mut out);
+        rb.on_message(p(1), BcastMsg::Data(msg(1, 4)), &mut out);
+        assert!(out.sends.is_empty());
+        // Trusting an unsuspected process or re-trusting changes nothing.
+        rb.on_trust(p(1));
+        rb.on_trust(p(2));
+        rb.on_suspect(p(1), &mut out);
+        assert_eq!(relayed(&out), vec![(1, 3), (1, 4)]);
     }
 
     #[test]

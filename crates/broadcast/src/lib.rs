@@ -137,9 +137,10 @@ impl BcastOut {
 ///
 /// The composed node routes application broadcasts to
 /// [`Broadcast::broadcast`], incoming [`BcastMsg`]s to
-/// [`Broadcast::on_message`], failure-detector suspicions to
-/// [`Broadcast::on_suspect`] and the stability vector to
-/// [`Broadcast::on_stable`] (only [`LazyRb`] reacts to the last two).
+/// [`Broadcast::on_message`], failure-detector suspicions and their
+/// retractions to [`Broadcast::on_suspect`] and [`Broadcast::on_trust`],
+/// and the stability vector to [`Broadcast::on_stable`] (only [`LazyRb`]
+/// reacts to the last three).
 pub trait Broadcast: fmt::Debug {
     /// Broadcasts an application message.
     fn broadcast(&mut self, m: AppMessage, out: &mut BcastOut);
@@ -150,6 +151,13 @@ pub trait Broadcast: fmt::Debug {
     /// Informs the module that the failure detector now suspects `p`.
     fn on_suspect(&mut self, p: ProcessId, out: &mut BcastOut) {
         let _ = (p, out);
+    }
+
+    /// Informs the module that the failure detector trusts `p` again: a
+    /// suspicion of `p` reported through [`Broadcast::on_suspect`] is
+    /// retracted.
+    fn on_trust(&mut self, p: ProcessId) {
+        let _ = p;
     }
 
     /// Informs the module that every process has a-delivered sender `s`'s

@@ -395,6 +395,9 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
                 }
                 FdEvent::Trust(p) => {
                     self.suspected.remove(p);
+                    // Lazy RB stops relaying the trusted broadcaster's
+                    // messages (held copies stay for a renewed suspicion).
+                    self.bcast.on_trust(p);
                 }
             }
         }
@@ -1328,6 +1331,38 @@ mod tests {
         assert_eq!(node.rb_retained(), 1, "p2 has not been heard from");
         node.on_message(ProcessId::new(2), with_vector(vec![0, 1, 0]), &mut c);
         assert_eq!(node.rb_retained(), 0, "a-delivered everywhere");
+    }
+
+    /// The detector's retraction reaches the broadcast layer: lazy RB
+    /// relays a suspect's messages, and stops once a heartbeat brings the
+    /// trust back.
+    #[test]
+    fn a_detector_trust_stops_the_lazy_relays() {
+        let params = StackParams::with_heartbeat(3, Duration::from_millis(10), Duration::from_millis(50));
+        let mut node = stacks::indirect_ct(ProcessId::new(0), &params);
+        let mut c = ctx();
+        node.on_start(&mut c);
+        c.set_now(Time::ZERO + Duration::from_millis(100));
+        node.on_timer(TimerId::new(TIMER_FD, 1), &mut c); // the liveness check
+        assert_eq!(node.suspected.len(), 2, "silent peers are suspected");
+        c.take_actions();
+        let relayed = |c: &mut Ctx<IdSet>| -> Vec<MsgId> {
+            sends(c)
+                .into_iter()
+                .filter_map(|(_, m)| match m {
+                    Envelope::Bcast(BcastMsg::Relay(m)) => Some(m.id()),
+                    _ => None,
+                })
+                .collect()
+        };
+        deliver_data(&mut node, 1, msg(1, 0), &mut c);
+        assert_eq!(relayed(&mut c), [msg(1, 0).id(), msg(1, 0).id()], "one relay to each peer");
+        node.on_message(ProcessId::new(1), Envelope::Fd(FdMsg::Heartbeat(0)), &mut c);
+        assert_eq!(node.suspected.len(), 1);
+        deliver_data(&mut node, 1, msg(1, 1), &mut c);
+        deliver_data(&mut node, 2, msg(2, 0), &mut c);
+        assert_eq!(relayed(&mut c), [msg(2, 0).id(), msg(2, 0).id()], "only the suspect is relayed");
+        assert_eq!(node.rb_retained(), 3, "the trusted sender's copies are still held");
     }
 
     /// Trap: once a-delivered, a message cannot re-enter the store through

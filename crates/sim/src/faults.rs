@@ -97,8 +97,10 @@ impl CrashSchedule {
 /// virtual time. The world applies each [`LinkFault`] at the
 /// `TxDone → RxArrive` edge — the frame has left the sender NIC but not yet
 /// started propagating, the one point where the network itself can
-/// misbehave without touching host state. Crashes stay in
-/// [`CrashSchedule`]: only the simulator crashes processes.
+/// misbehave without touching host state. A [`LinkFault::Partitioned`]
+/// frame is held there until [`LinkFaults::link_opens_at`], as the sockets
+/// park a severed link's frames and replay them after the redial. Crashes
+/// stay in [`CrashSchedule`]: only the simulator crashes processes.
 ///
 /// # Example
 ///

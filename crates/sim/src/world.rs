@@ -102,7 +102,8 @@ pub struct SimStats {
     pub messages_dropped: u64,
     /// Messages lost because their sender crashed mid-pipeline.
     pub messages_lost_to_crash: u64,
-    /// Frames lost to an open partition window (link faults).
+    /// Frames held by an open partition window until it closed (link
+    /// faults).
     pub frames_partitioned: u64,
     /// Frames dropped by the lossy-link probability (link faults).
     pub frames_fault_dropped: u64,
@@ -578,8 +579,11 @@ impl<N: Node> SimWorld<N> {
                     match lf.judge(self.host.now, from, to) {
                         LinkFault::Pass => {}
                         LinkFault::Partitioned => {
+                            // Held, as the sockets park a severed link's
+                            // frames and replay them after the redial: it
+                            // leaves as the window closes.
                             self.host.stats.frames_partitioned += 1;
-                            return;
+                            arrive = lf.link_opens_at(self.host.now, from, to) + self.host.params.propagation;
                         }
                         LinkFault::Dropped => {
                             self.host.stats.frames_fault_dropped += 1;
@@ -854,21 +858,26 @@ mod tests {
     #[test]
     fn partition_window_cuts_and_heals_a_link() {
         use crate::faults::LinkFaults;
-        // p0 ↔ p2 partitioned for the first 5 ms: a fan-out at 1 ms misses
-        // p2; a fan-out at 8 ms (healed) reaches everyone.
-        let links = LinkFaults::new(0).partition(p(0), p(2), Time::ZERO, Time::ZERO + Duration::from_millis(5));
-        let mut w = SimBuilder::new(3, NetworkParams::setup1())
-            .faults(FaultPlan::with_links(links))
-            .build(|_| Fanout);
+        // p0 ↔ p2 partitioned for the first 5 ms: a fan-out at 1 ms reaches
+        // p2 only when the window closes, ahead of the fan-out sent at that
+        // instant; p1's link is untouched.
+        let heal = Time::ZERO + Duration::from_millis(5);
+        let links = LinkFaults::new(0).partition(p(0), p(2), Time::ZERO, heal);
+        let net = NetworkParams::setup1();
+        let mut w = SimBuilder::new(3, net.clone()).faults(FaultPlan::with_links(links)).build(|_| Fanout);
         w.schedule_command(p(0), Time::ZERO + Duration::from_millis(1), 1);
-        w.schedule_command(p(0), Time::ZERO + Duration::from_millis(8), 2);
+        w.schedule_command(p(0), heal, 2);
         w.run_to_quiescence();
-        let got = |proc: ProcessId, byte: u8| {
-            w.outputs().iter().any(|r| r.process == proc && r.output == (p(0), byte))
+        let at = |proc: ProcessId| -> Vec<(Time, u8)> {
+            w.outputs().iter().filter(|r| r.process == proc).map(|r| (r.at, r.output.1)).collect()
         };
-        assert!(!got(p(2), 1), "partitioned frame must be lost");
-        assert!(got(p(1), 1), "unaffected link delivers");
-        assert!(got(p(2), 2), "healed link delivers");
+        let (p1, p2) = (at(p(1)), at(p(2)));
+        assert_eq!(p1.iter().map(|&(_, b)| b).collect::<Vec<_>>(), [1, 2], "unaffected link delivers");
+        assert!(p1[0].0 < heal);
+        assert_eq!(p2.iter().map(|&(_, b)| b).collect::<Vec<_>>(), [1, 2], "the held frame goes first");
+        // The held frame left p0's NIC inside the window; it arrives at the
+        // close plus propagation, then p2 receives it.
+        assert_eq!(p2[0].0, heal + net.propagation + net.tx_time(1) + net.recv_cpu(1));
         assert_eq!(w.stats().frames_partitioned, 1);
     }
 

@@ -12,7 +12,7 @@
 //!
 //! | grammar | simulator | sockets |
 //! |---|---|---|
-//! | `partition`, `isolate` | frames judged inside the window are lost | the connection is severed and redials wait for the heal |
+//! | `partition`, `isolate` | frames judged inside the window are held until it closes | the connection is severed, its frames parked, and redials wait for the heal |
 //! | `drop`, `duplicate` | at the `TxDone → RxArrive` edge | at encode time |
 //! | `delay`, `reorder`, `record_trace` | yes | refused when the cluster starts |
 //!
@@ -31,7 +31,8 @@ use crate::{splitmix64, Duration, ProcessId};
 pub enum LinkFault {
     /// Deliver normally.
     Pass,
-    /// A partition window covers the link right now: the frame is lost.
+    /// A partition window covers the link right now: the frame waits for
+    /// the link to open again ([`LinkFaults::link_opens_at`]).
     Partitioned,
     /// Randomly dropped by the lossy link.
     Dropped,
@@ -206,11 +207,29 @@ impl<T: Copy + Ord> LinkFaults<T> {
         .find_map(|(set, name)| set.then_some(name))
     }
 
-    /// Whether any partition window covers the `a`–`b` link at `now`.
-    pub fn partitioned_at(&self, now: T, a: ProcessId, b: ProcessId) -> bool {
-        self.partitions.iter().any(|w| {
+    /// The partition windows covering the `a`–`b` link at `now`.
+    fn windows_over(&self, now: T, a: ProcessId, b: ProcessId) -> impl Iterator<Item = &PartitionWindow<T>> {
+        self.partitions.iter().filter(move |w| {
             ((w.a == a && w.b == b) || (w.a == b && w.b == a)) && now >= w.from && now < w.until
         })
+    }
+
+    /// Whether any partition window covers the `a`–`b` link at `now`.
+    pub fn partitioned_at(&self, now: T, a: ProcessId, b: ProcessId) -> bool {
+        self.windows_over(now, a, b).next().is_some()
+    }
+
+    /// The first instant at or after `now` at which no partition window
+    /// covers the `a`–`b` link: `now` itself on an open link, else the
+    /// close of the windows covering it, windows that overlap or touch
+    /// counting as one.
+    pub fn link_opens_at(&self, now: T, a: ProcessId, b: ProcessId) -> T {
+        let mut t = now;
+        // Each step moves `t` to a window end past it, so this ends.
+        while let Some(until) = self.windows_over(t, a, b).map(|w| w.until).max() {
+            t = until;
+        }
+        t
     }
 
     /// The recorded fault trace, if [`LinkFaults::record_trace`] was set.
@@ -295,6 +314,21 @@ mod tests {
         assert_eq!(lf.judge(at(20), p(0), p(1)), LinkFault::Pass);
         // Unrelated links are untouched.
         assert_eq!(lf.judge(at(15), p(0), p(2)), LinkFault::Pass);
+    }
+
+    #[test]
+    fn a_link_opens_when_the_last_window_covering_it_closes() {
+        let lf = LinkFaults::new(0)
+            .partition(p(0), p(1), at(10), at(20))
+            .partition(p(1), p(0), at(15), at(30))
+            .partition(p(0), p(1), at(30), at(35))
+            .partition(p(0), p(1), at(40), at(50))
+            .partition(p(0), p(2), at(0), at(100));
+        assert_eq!(lf.link_opens_at(at(5), p(0), p(1)), at(5), "an open link opens now");
+        assert_eq!(lf.link_opens_at(at(10), p(1), p(0)), at(35), "overlapping and touching windows chain");
+        assert_eq!(lf.link_opens_at(at(35), p(0), p(1)), at(35));
+        assert_eq!(lf.link_opens_at(at(49), p(0), p(1)), at(50));
+        assert_eq!(lf.link_opens_at(at(50), p(1), p(2)), at(50), "other links are untouched");
     }
 
     #[test]
