@@ -3,9 +3,9 @@
 //!
 //! Each process of a [`crate::tcp::TcpCluster`] is exactly one thread,
 //! `iabc-io-<p>`. It owns the process's [`Node`] and *all* of its I/O —
-//! the `n-1` inbound streams (peers → us), the `n-1` outbound streams (us
-//! → peers), the listener (mid-run re-accepts) and a wake channel — and
-//! runs the node's handlers **inline**: a frame decoded from a socket is
+//! one duplex connection per peer, the listener the lower ids dial, and a
+//! wake channel — and runs the node's handlers **inline**: a frame
+//! decoded from a socket is
 //! passed straight to `on_message`, the `Send` actions it returns go into
 //! per-peer outbound lanes this thread owns, and they are encoded and
 //! written before the loop parks again. There is no node thread, no queue
@@ -24,10 +24,11 @@
 //!
 //! park in `poll` (until a socket is ready, a wake byte arrives, or the
 //! earliest timer is due, at most [`TICK`]) → read sockets, running
-//! `on_message` per decoded frame → accept new connections → fire due
-//! timers → take application commands → link maintenance (sever, dial) →
-//! flush every peer's lanes → release outputs. Before its first pass the
-//! loop dials its links, then runs `on_start`, flushes and releases.
+//! `on_message` per decoded frame → accept new connections and adopt
+//! those whose hello arrived → fire due timers → take application
+//! commands → link maintenance (sever, dial) → flush every peer's lanes →
+//! release outputs. Before its first pass the loop dials its links to
+//! higher ids, then runs `on_start`, flushes and releases.
 //!
 //! # What crosses a thread
 //!
@@ -47,11 +48,11 @@
 //!
 //! # Receive path (decode in place)
 //!
-//! Each inbound stream reads directly into a pooled [`RecvBuffer`]; frames
+//! Each connection reads directly into a pooled [`RecvBuffer`]; frames
 //! are decoded in place from the arena the kernel wrote
 //! ([`iabc_types::Decode::decode_in_place`]) and handed to the node — no
-//! re-assembly copy. A decode error poisons the buffer and tears the
-//! connection down (framing is unrecoverable).
+//! re-assembly copy. A decode error poisons the buffer and severs the link
+//! (framing is unrecoverable).
 //!
 //! # Send path and back-pressure
 //!
@@ -63,44 +64,59 @@
 //! `POLLOUT`; frames emitted meanwhile wait in the lanes.
 //!
 //! The loop cannot park on its own full queue, and two loops that stopped
-//! reading while parked on `POLLOUT` would deadlock each other. So
-//! [`crate::queue::MAX_OUTBOUND_FRAMES`] is a soft cap: while any
-//! *connected* peer's lanes are at it, the loop stops taking **commands**
-//! — the application is what gets pushed back on — and keeps reading
-//! sockets, firing timers and running the handlers they trigger.
+//! reading while parked on `POLLOUT` would deadlock each other — over one
+//! duplex socket as over two. So [`crate::queue::MAX_OUTBOUND_FRAMES`] is
+//! a soft cap: while any peer's lanes are at it and not shedding (the
+//! link is connected, or its first connection is still to come), the
+//! loop stops taking **commands** — the application is what gets pushed
+//! back on — and keeps reading sockets, firing timers and running the
+//! handlers they trigger.
 //!
-//! # Links: one way to connect, partition healing included
+//! # Links: one connection per pair, one way to connect
 //!
-//! Every outbound link starts **down** and is dialed by the
-//! [`Reconnector`], its first connection included: the loop's first pass
-//! dials every peer's listener before the node's `on_start` runs, so the
-//! start-up frames find their links connected. A loop-back connect to a
+//! Each pair of processes shares **one duplex connection**, so a reply
+//! carries the TCP acknowledgement of the frame it answers instead of
+//! paying a pure ACK segment on a one-way connection of its own. The
+//! lower id of the pair dials it; only the dialing end runs the
+//! [`Reconnector`], and it dials every connection of the link through it,
+//! the first one included: the loop's first pass dials every higher peer's
+//! listener before the node's `on_start` runs. A loop-back connect to a
 //! bound listener completes in the kernel even before the peer's loop
 //! runs; the bytes wait in the socket until the peer accepts.
 //!
-//! A write error or reader EOF does not end a link. The loop flips the
-//! lanes into **down-mode** (ordering retained, bulk shed past a
-//! watermark — see [`crate::queue`]), salvages the un-sent whole frames of
-//! the scratch for replay, and hands the peer back to the
-//! [`Reconnector`]: an immediate first attempt, then exponential backoff
-//! with deterministic jitter capped at ~1 s, at most one attempt in
-//! flight. A successful loop-back connect replays the salvaged frames, and
-//! the next flush drains the parked backlog — the decided-frontier
-//! piggyback on those frames is what pulls both sides back together.
-//! Nothing precedes the frames on a connection — every frame carries its
-//! sender's id — so a stream the listener accepts is read from its first
-//! byte: it joins the readers at once.
+//! Every connection opens with one frame, the **hello**
+//! `[u32 len = 2][u16 dialer id]`, written as the connect completes. An
+//! accepted stream stays unidentified, polled for reads, until its hello
+//! arrives; only then is it adopted as that peer's connection. The hello
+//! is remote input: a stream whose first frame is anything but a 2-byte
+//! id below our own is shut down and never adopted. Until a link's first
+//! connection, its lanes hold their frames as a connected link's do.
+//!
+//! EOF, a read error, a decode error, a write error and a partition
+//! window all **sever** the link alike. The loop flips the lanes into
+//! **down-mode** (ordering retained, bulk shed past a watermark — see
+//! [`crate::queue`]), salvages the un-sent whole frames of the scratch for
+//! replay, and ends the sending half only: the receiving half drains
+//! until the peer's EOF, so frames either kernel had accepted before the
+//! cut still arrive. A dialed link goes back to the [`Reconnector`]: an
+//! immediate first attempt, then exponential backoff with deterministic
+//! jitter capped at ~1 s, at most one attempt in flight. The accepting end
+//! waits for the next hello; adopting it severs any older connection of
+//! the link first. A fresh connection replays the salvaged frames, and the
+//! next flush drains the parked backlog — the decided-frontier piggyback
+//! on those frames is what pulls both sides back together.
 //!
 //! An optional [`NetFaultPlan`] drives nemesis runs. The loop holds the
 //! plan itself: its partition windows sever the matching links once per
-//! pass (and gate dial attempts until the window closes — a window open
-//! at start-up holds back a link's first connection the same way), and its
+//! pass at both ends (and gate the dialer's attempts until the window
+//! closes — a window open at start-up holds back a link's first
+//! connection the same way), and its
 //! draw-only half judges each frame's drop/duplicate verdict at encode
 //! time. Without a plan, none of that code runs on the frame path.
 //!
 //! # Fairness
 //!
-//! Reads are capped per stream per pass ([`MAX_READS_PER_TICK`]) and
+//! Reads are capped per connection per pass ([`MAX_READS_PER_TICK`]) and
 //! commands per pass ([`MAX_COMMANDS_PER_PASS`]), so neither a peer that
 //! refills its socket as fast as we drain it nor an application that
 //! floods commands can starve the other inputs; level-triggered polling
@@ -210,56 +226,132 @@ impl Waker {
     }
 }
 
-/// One inbound (peer → us) connection.
-struct Inbound {
-    stream: TcpStream,
-    recv: RecvBuffer,
-    open: bool,
+/// Bytes of the hello that opens every connection: one frame,
+/// `[u32 len = 2][u16 dialer id]`, little-endian like every frame.
+const HELLO_LEN: usize = 6;
+
+/// The hello process `me` writes on every connection it dials.
+fn hello(me: ProcessId) -> [u8; HELLO_LEN] {
+    let [len0, len1, len2, len3] = 2u32.to_le_bytes();
+    let [id0, id1] = me.index().to_le_bytes();
+    [len0, len1, len2, len3, id0, id1]
 }
 
-/// The live half of one outbound connection (present while connected).
+/// What the first bytes of an accepted stream say about its dialer.
+#[derive(Debug, PartialEq, Eq)]
+enum Hello {
+    /// Not all of it has arrived yet.
+    Incomplete,
+    /// A well-formed hello from a process this one accepts links from.
+    From(ProcessId),
+    /// Anything else: a length other than 2, or an id that does not dial
+    /// us (our own, one we dial ourselves, or none of the cluster's).
+    Refused,
+}
+
+/// Judges the first `bytes` of an accepted stream, read by process `me`.
+/// Only a lower id dials a higher one, so a valid dialer id lies below
+/// `me` — which also puts it in `0..n` and makes it not our own. This is
+/// remote input: nothing but an exact hello is adopted.
+fn judge_hello(bytes: &[u8], me: ProcessId) -> Hello {
+    if bytes.len() >= 4 && bytes[..4] != 2u32.to_le_bytes() {
+        return Hello::Refused;
+    }
+    match *bytes {
+        [_, _, _, _, id0, id1] => match u16::from_le_bytes([id0, id1]) {
+            id if id < me.index() => Hello::From(ProcessId::new(id)),
+            _ => Hello::Refused,
+        },
+        _ => Hello::Incomplete,
+    }
+}
+
+/// An accepted stream whose hello has not named its dialer yet. It is
+/// polled for reads, and nothing but the hello is read from it: the
+/// frames behind it wait in the socket for the link that adopts it.
+struct Pending {
+    stream: TcpStream,
+    hello: [u8; HELLO_LEN],
+    got: usize,
+}
+
+impl Pending {
+    /// Reads what is missing of the hello, never a byte past it.
+    fn read_hello(&mut self, me: ProcessId) -> Hello {
+        loop {
+            let verdict = judge_hello(&self.hello[..self.got], me);
+            if verdict != Hello::Incomplete {
+                return verdict;
+            }
+            match poll::try_read(&mut self.stream, &mut self.hello[self.got..]) {
+                Ok(Some(0)) | Err(_) => return Hello::Refused,
+                Ok(Some(n)) => self.got += n,
+                Ok(None) => return Hello::Incomplete,
+            }
+        }
+    }
+}
+
+/// The live connection of one link: one duplex stream, the buffer its
+/// frames are read into, and the send scratch.
 struct Conn {
     stream: TcpStream,
+    recv: RecvBuffer,
     /// Encoded-but-unsent bytes live in `scratch[sent..]`; the buffer is
     /// pooled, so an anomalous batch is clamped on return instead of
     /// staying resident.
     scratch: PooledBuf,
     sent: usize,
     /// Per-frame end offsets within the encoded batch: where
-    /// [`Conn::salvage`] may cut.
+    /// [`Conn::sever`] may cut.
     bounds: Vec<usize>,
 }
 
 impl Conn {
-    fn new(stream: TcpStream, pool: &BufferPool) -> Conn {
-        Conn { stream, scratch: pool.get(), sent: 0, bounds: Vec::new() }
+    /// A connection whose first bytes replay `carryover`.
+    fn new(stream: TcpStream, pool: &BufferPool, carryover: &mut Vec<u8>) -> Conn {
+        let mut scratch = pool.get();
+        scratch.extend_from_slice(carryover);
+        carryover.clear();
+        Conn { stream, recv: RecvBuffer::new(pool), scratch, sent: 0, bounds: Vec::new() }
     }
 
-    /// Rescues the un-sent whole-frame suffix of a dying connection:
+    /// Ends the sending half and rescues its un-sent whole-frame suffix:
     /// everything from the first frame boundary at or past `sent`. The
     /// frame straddling `sent` is replayed in full — the receiver
     /// discards a partial tail on EOF — and frames fully handed to the
-    /// kernel are not (a graceful shutdown delivers them). Replays over
+    /// kernel are not (the peer reads them before our FIN). Replays over
     /// a seeded scratch (no boundary data) fall back to offset 0; the
     /// worst case is a duplicated frame, which every protocol layer
-    /// dedupes.
-    fn salvage(self) -> Vec<u8> {
-        if self.scratch.len() <= self.sent {
-            return Vec::new();
-        }
-        let start =
-            self.bounds.iter().copied().filter(|&b| b <= self.sent).max().unwrap_or(0);
-        self.scratch[start..].to_vec()
+    /// dedupes. The receiving half lives on as a [`Draining`] stream.
+    fn sever(self) -> (Vec<u8>, Draining) {
+        poll::shutdown_stream(&self.stream, Shutdown::Write);
+        let rescued = if self.scratch.len() <= self.sent {
+            Vec::new()
+        } else {
+            let start =
+                self.bounds.iter().copied().filter(|&b| b <= self.sent).max().unwrap_or(0);
+            self.scratch[start..].to_vec()
+        };
+        (rescued, Draining { stream: self.stream, recv: self.recv })
     }
 }
 
-/// One outbound (us → peer) link: the lanes always, a [`Conn`] while the
-/// connection is up, and the peer's listener address to dial.
-struct Writer<M> {
+/// The receiving half of a severed connection, read until the peer's
+/// EOF: frames either kernel had accepted before the cut still arrive,
+/// as they did when each direction had a connection of its own.
+struct Draining {
+    stream: TcpStream,
+    recv: RecvBuffer,
+}
+
+/// One peer's link: its lanes always, a [`Conn`] while the connection is
+/// up, and — when this process dials it — the peer's listener.
+struct Link<M> {
     peer: ProcessId,
-    /// The peer's listener: every connection of this link, the first one
-    /// included, is dialed here.
-    addr: SocketAddr,
+    /// The peer's listener if this process dials the link (`me < peer`);
+    /// `None` when the peer dials us and the link waits for its hello.
+    dial: Option<SocketAddr>,
     /// Frames the node has emitted for this peer and no flush has encoded
     /// yet. Owned by this thread alone.
     lanes: Lanes<M>,
@@ -270,7 +362,7 @@ struct Writer<M> {
     /// Shed frames already folded into the shared stats (delta tracking
     /// against the lanes' monotone counter).
     shed_reported: u64,
-    /// Frame bytes rescued from a dying connection ([`Conn::salvage`]),
+    /// Frame bytes rescued from a dying connection ([`Conn::sever`]),
     /// replayed ahead of any new batch once the link heals. This is what
     /// makes a healed link quasi-reliable: a consensus frame lost
     /// mid-severance has no protocol-level retransmit (catch-up repairs
@@ -278,17 +370,44 @@ struct Writer<M> {
     carryover: Vec<u8>,
 }
 
-impl<M> Writer<M> {
-    /// Takes the connection down and keeps its un-sent whole frames for
-    /// replay on the next one: the *link* is the unit of reliability, not
-    /// the connection.
-    fn sever(&mut self) {
-        if let Some(c) = self.conn.take() {
-            poll::shutdown_stream(&c.stream, Shutdown::Both);
-            let mut rescued = c.salvage();
-            rescued.extend_from_slice(&self.carryover);
-            self.carryover = rescued;
+impl<M> Link<M> {
+    /// Takes the connection down, if one is up: its un-sent whole frames
+    /// wait for the next one (the *link* is the unit of reliability, not
+    /// the connection), its receiving half drains into `draining`, the
+    /// lanes park, and a dialed link goes back to the reconnector. The
+    /// counter lands before the shutdown, so an observer who sees the EOF
+    /// also sees the severance recorded.
+    fn sever(
+        &mut self,
+        now: Duration,
+        reconnect: &mut Reconnector,
+        stats: &NetFaultStats,
+        draining: &mut Vec<Draining>,
+    ) {
+        let Some(c) = self.conn.take() else { return };
+        stats.links_severed.fetch_add(1, Ordering::Relaxed);
+        let (mut rescued, rx) = c.sever();
+        draining.push(rx);
+        rescued.extend_from_slice(&self.carryover);
+        self.carryover = rescued;
+        self.lanes.set_down(true);
+        if self.dial.is_some() {
+            reconnect.mark_down(self.peer, now);
         }
+    }
+
+    /// Brings `stream` up as the link's connection: it replays the
+    /// salvaged suffix of the dead one before any fresh batch, so frame
+    /// order within the link is preserved and the peer's decoder starts
+    /// clean (it discarded any partial tail at EOF).
+    fn attach(&mut self, stream: TcpStream, pool: &BufferPool, stats: &NetFaultStats) {
+        self.conn = Some(Conn::new(stream, pool, &mut self.carryover));
+        self.lanes.set_down(false);
+        // A link's first connection is not a reconnect.
+        if self.was_up {
+            stats.reconnects.fetch_add(1, Ordering::Relaxed);
+        }
+        self.was_up = true;
     }
 }
 
@@ -302,13 +421,14 @@ enum WriterState {
 }
 
 /// Where one event loop's links go, handed to [`spawn`]. No connection
-/// exists yet: the loop dials every link itself and accepts every inbound
-/// stream from its listener, at start-up as after a loss.
+/// exists yet: the loop dials the links to higher ids and accepts the
+/// others from its listener, at start-up as after a loss.
 pub(crate) struct LoopTopology {
-    /// This process's listener (nonblocking). Peers dial it; the loop
-    /// accepts their connections and reads them from the first byte.
+    /// This process's listener (nonblocking). Lower ids dial it; the
+    /// loop adopts each stream its hello names.
     pub(crate) listener: TcpListener,
-    /// Every peer with its listener's address: one outbound link each.
+    /// Every peer with its listener's address: one link each, dialed
+    /// by the lower id of the pair.
     pub(crate) peers: Vec<(ProcessId, SocketAddr)>,
     /// Nemesis fault plan; `None` keeps the frame path fault-layer-free.
     pub(crate) faults: Option<NetFaultPlan>,
@@ -392,11 +512,11 @@ fn nanos_since(epoch: Instant, at: Instant) -> u64 {
 }
 
 /// The protocol half of the loop: what the node's handlers act on, as
-/// the [`Effects`] of its [`Driver`]. Kept apart from the inbound sockets
-/// so a reader can hand frames to the node while its own receive buffer
-/// is borrowed. Nothing here touches a socket or the output channel
-/// during a handler: remote sends wait in the lanes, and outputs in the
-/// batch, for the end of the pass.
+/// the [`Effects`] of its [`Driver`]. A reader takes its link's [`Conn`]
+/// out while it hands frames to the node, so the handlers can push into
+/// that same link's lanes. Nothing here touches a socket or the output
+/// channel during a handler: remote sends wait in the lanes, and outputs
+/// in the batch, for the end of the pass.
 struct Host<M, O> {
     me: ProcessId,
     epoch: Instant,
@@ -404,8 +524,8 @@ struct Host<M, O> {
     /// The outputs of the current pass, waiting for its flush.
     batch: Vec<NetOutput<O>>,
     timers: TimerHeap,
-    /// Outbound links by destination process id (`None`: self, or no link).
-    writers: Vec<Option<Writer<M>>>,
+    /// Links by peer process id (`None`: self, or no link).
+    links: Vec<Option<Link<M>>>,
 }
 
 impl<M: WireSize, O> Effects<M, O> for Host<M, O> {
@@ -414,8 +534,8 @@ impl<M: WireSize, O> Effects<M, O> for Host<M, O> {
     }
 
     fn send(&mut self, to: ProcessId, msg: M) {
-        if let Some(Some(w)) = self.writers.get_mut(to.as_usize()) {
-            w.lanes.push(msg);
+        if let Some(Some(l)) = self.links.get_mut(to.as_usize()) {
+            l.lanes.push(msg);
         }
     }
 
@@ -442,10 +562,12 @@ impl<M: WireSize, O> Host<M, O> {
         }
     }
 
-    /// Whether the application must be held back: some connected peer's
-    /// lanes are at the cap (see the module docs on back-pressure).
+    /// Whether the application must be held back: some link's lanes are
+    /// at the cap while they are not shedding — the link is connected, or
+    /// its first connection is still to come (see the module docs on
+    /// back-pressure).
     fn backpressured(&self) -> bool {
-        self.writers.iter().flatten().any(|w| w.conn.is_some() && w.lanes.is_full())
+        self.links.iter().flatten().any(|l| !l.lanes.is_down() && l.lanes.is_full())
     }
 
     /// Takes queued commands until the channel is empty, the per-pass cap
@@ -491,21 +613,24 @@ fn run_loop<N>(
     let pool = BufferPool::new();
     let Process { me, n, epoch, node, commands, outputs } = process;
     let LoopTopology { listener, peers, mut faults, stats } = topo;
-    let mut readers: Vec<Inbound> = Vec::new();
     let slots = peers.iter().map(|(p, _)| p.as_usize() + 1).max().unwrap_or(0).max(n);
-    let mut writers: Vec<Option<Writer<N::Msg>>> = (0..slots).map(|_| None).collect();
+    let mut links: Vec<Option<Link<N::Msg>>> = (0..slots).map(|_| None).collect();
     // The jitter seed only desynchronizes concurrent probers.
     let mut reconnect = Reconnector::new(slots, u64::from(me.index()) ^ 0x1abc);
     for (peer, addr) in peers {
-        // Every link starts down, its first dial due at once: the first
-        // connection takes the same path as every redial.
-        let mut lanes = Lanes::new();
-        lanes.set_down(true);
-        reconnect.mark_down(peer, Duration::from_nanos(0));
-        writers[peer.as_usize()] = Some(Writer {
+        // The lower id of the pair dials the link, its first dial due at
+        // once: the first connection takes the same path as every redial.
+        // The higher id waits for the hello. Until that first connection
+        // the lanes hold their frames as a connected link's do: only a
+        // link that lost a connection sheds.
+        let dial = (me < peer).then_some(addr);
+        if dial.is_some() {
+            reconnect.mark_down(peer, Duration::from_nanos(0));
+        }
+        links[peer.as_usize()] = Some(Link {
             peer,
-            addr,
-            lanes,
+            dial,
+            lanes: Lanes::new(),
             conn: None,
             was_up: false,
             shed_reported: 0,
@@ -513,24 +638,32 @@ fn run_loop<N>(
         });
     }
     let mut driver = Driver::new(me, n, node);
-    let mut host = Host { me, epoch, outputs, batch: Vec::new(), timers: TimerHeap::new(), writers };
-
-    // Poll slots: these two are fixed, the readers follow, then the
-    // writers parked on a partial write.
+    let mut host = Host { me, epoch, outputs, batch: Vec::new(), timers: TimerHeap::new(), links };
+    // Accepted streams waiting for their hello, and severed connections
+    // read until their peer's EOF.
+    let mut pending: Vec<Pending> = Vec::new();
+    let mut draining: Vec<Draining> = Vec::new();
+    // Poll slots: these two are fixed; the connected links follow, in
+    // `polled` order, then the draining streams, then the pending ones.
+    // Both vectors are scratch kept across passes.
     const WAKE_SLOT: usize = 0;
     const LISTENER_SLOT: usize = 1;
-    const READER_BASE: usize = 2;
-    let mut poller = Poller::new();
+    const LINK_BASE: usize = 2;
+    let mut polled: Vec<usize> = Vec::new();
     let mut readiness: Vec<Readiness> = Vec::new();
+    let mut poller = Poller::new();
     // A wake announced commands that have not all been taken yet (the
     // per-pass cap, or back-pressure).
     let mut commands_waiting = false;
+    let since_epoch = || Duration::from_nanos(nanos_since(epoch, Instant::now()));
 
-    // Dial first, so `on_start`'s frames find their links connected.
-    let now = Duration::from_nanos(nanos_since(epoch, Instant::now()));
-    maintain_links(me, now, &mut host.writers, &mut reconnect, faults.as_ref(), &stats, &pool);
+    // Dial first, so `on_start`'s frames to higher ids find their links
+    // connected.
+    let now = since_epoch();
+    let plan = faults.as_ref();
+    maintain_links(me, now, &mut host.links, &mut reconnect, plan, &stats, &pool, &mut draining);
     driver.on_start(&mut host);
-    service_writers(me, now, &mut host.writers, &mut faults, &stats, &mut reconnect);
+    service_links(me, now, &mut host.links, &mut faults, &stats, &mut reconnect, &mut draining);
     host.release_outputs();
     loop {
         let stopping = stop.load(Ordering::Acquire);
@@ -544,28 +677,28 @@ fn run_loop<N>(
             timeout = park_timeout(&host.timers);
             parked = true;
         }
-        // A writer needs POLLOUT only while parked on a partial write, and
-        // only to end the park: every connected writer is flushed each
-        // pass regardless.
-        {
-            let mut interests: Vec<(&dyn PollSource, Interest)> =
-                Vec::with_capacity(2 + readers.len() + host.writers.len());
-            interests.push((&wake_rx, Interest::READ));
-            interests.push((&listener, Interest::READ));
-            for r in &readers {
-                interests.push((&r.stream, if r.open { Interest::READ } else { Interest::NONE }));
-            }
-            for c in host.writers.iter().flatten().filter_map(|w| w.conn.as_ref()) {
-                if c.scratch.len() > c.sent {
-                    interests.push((&c.stream, Interest::WRITE));
-                }
-            }
-            // A poll failure is unrecoverable for this loop; treat it as a
-            // stop request rather than spinning on the error.
-            // lint:allow(E1): poll(2) bounded by the tick and the next timer deadline is the loop's one sanctioned parking point
-            if poller.wait(&interests, &mut readiness, timeout).is_err() {
-                stop.store(true, Ordering::Release);
-            }
+        // Every stream is read whenever it has bytes. A connection needs
+        // POLLOUT only while parked on a partial write, and only to end
+        // the park: every connected link is flushed each pass regardless.
+        polled.clear();
+        let connected = host.links.iter().flatten().filter(|l| l.conn.is_some());
+        polled.extend(connected.map(|l| l.peer.as_usize()));
+        let draining_base = LINK_BASE + polled.len();
+        let pending_base = draining_base + draining.len();
+        let links = &host.links;
+        let interests = [(&wake_rx as &dyn PollSource, Interest::READ), (&listener, Interest::READ)]
+            .into_iter()
+            .chain(polled.iter().filter_map(|&p| links[p].as_ref()?.conn.as_ref()).map(|c| {
+                let parked = c.scratch.len() > c.sent;
+                (&c.stream as &dyn PollSource, Interest { readable: true, writable: parked })
+            }))
+            .chain(draining.iter().map(|d| (&d.stream as &dyn PollSource, Interest::READ)))
+            .chain(pending.iter().map(|p| (&p.stream as &dyn PollSource, Interest::READ)));
+        // A poll failure is unrecoverable for this loop; treat it as a
+        // stop request rather than spinning on the error.
+        // lint:allow(E1): poll(2) bounded by the tick and the next timer deadline is the loop's one sanctioned parking point
+        if poller.wait(interests, &mut readiness, timeout).is_err() {
+            stop.store(true, Ordering::Release);
         }
         if parked {
             waker.finish_sleep();
@@ -577,18 +710,56 @@ fn run_loop<N>(
             wake_rx.drain_wakes();
         }
 
-        for (i, r) in readers.iter_mut().enumerate() {
-            if r.open && ready(READER_BASE + i) {
-                service_reader(r, &mut driver, &mut host);
+        for (slot, &p) in polled.iter().enumerate() {
+            if !ready(LINK_BASE + slot) {
+                continue;
+            }
+            // The connection leaves its link while the node handles its
+            // frames, so their sends can land in the link's lanes.
+            let Some(mut conn) = host.links[p].as_mut().and_then(|l| l.conn.take()) else {
+                continue;
+            };
+            let open = service_reader(&mut conn.stream, &mut conn.recv, &mut driver, &mut host);
+            if let Some(link) = host.links[p].as_mut() {
+                link.conn = Some(conn);
+                // EOF or a read error severs the link, as a write error
+                // does.
+                if !open {
+                    link.sever(since_epoch(), &mut reconnect, &stats, &mut draining);
+                }
             }
         }
-        // Dead readers leave the set: the peer's redial replaces them.
-        readers.retain(|r| r.open);
-        // Accepts join the readers only now, after the pass over the
-        // polled ones, so every reader above matched its own poll slot.
+        // Severed halves are read until their peer's EOF, then dropped;
+        // one severed just above joins the poll next pass.
+        let mut slot = draining_base;
+        draining.retain_mut(|d| {
+            let polled = slot < pending_base && ready(slot);
+            slot += 1;
+            !polled || service_reader(&mut d.stream, &mut d.recv, &mut driver, &mut host)
+        });
+        // Accepts join the pending streams only now, after the pass over
+        // the polled ones, so every stream above matched its own poll
+        // slot. A fresh stream is asked for its hello at once: its dialer
+        // wrote it on connecting.
+        let polled_pending = pending.len();
         if ready(LISTENER_SLOT) {
             while let Ok(Some(stream)) = poll::try_accept(&listener) {
-                readers.push(Inbound { stream, recv: RecvBuffer::new(&pool), open: true });
+                pending.push(Pending { stream, hello: [0; HELLO_LEN], got: 0 });
+            }
+        }
+        let mut i = 0;
+        for slot in pending_base.. {
+            let Some(p) = pending.get_mut(i) else { break };
+            let due = slot - pending_base >= polled_pending || ready(slot);
+            let verdict = if due { p.read_hello(me) } else { Hello::Incomplete };
+            match verdict {
+                Hello::Incomplete => i += 1,
+                Hello::From(peer) => {
+                    let stream = pending.remove(i).stream;
+                    let links = &mut host.links;
+                    adopt(peer, stream, links, &mut reconnect, &stats, &pool, &mut draining);
+                }
+                Hello::Refused => poll::shutdown_stream(&pending.remove(i).stream, Shutdown::Both),
             }
         }
 
@@ -606,97 +777,120 @@ fn run_loop<N>(
         // maintenance first: sever freshly partitioned connections, dial
         // due attempts. Then the frames, then the outputs.
         let now = Duration::from_nanos(nanos_since(epoch, now));
-        maintain_links(me, now, &mut host.writers, &mut reconnect, faults.as_ref(), &stats, &pool);
-        service_writers(me, now, &mut host.writers, &mut faults, &stats, &mut reconnect);
+        let (links, plan) = (&mut host.links, faults.as_ref());
+        maintain_links(me, now, links, &mut reconnect, plan, &stats, &pool, &mut draining);
+        service_links(me, now, &mut host.links, &mut faults, &stats, &mut reconnect, &mut draining);
         host.release_outputs();
 
         if stopping {
             // The pass above flushed what the kernel would take without
             // blocking; everything else is dropped (crashed-peer
             // semantics). Tear the sockets down and exit.
-            for c in host.writers.iter().flatten().filter_map(|w| w.conn.as_ref()) {
-                poll::shutdown_stream(&c.stream, Shutdown::Both);
-            }
-            for r in &readers {
-                poll::shutdown_stream(&r.stream, Shutdown::Both);
+            let conns = host.links.iter().flatten().filter_map(|l| l.conn.as_ref());
+            for stream in conns
+                .map(|c| &c.stream)
+                .chain(draining.iter().map(|d| &d.stream))
+                .chain(pending.iter().map(|p| &p.stream))
+            {
+                poll::shutdown_stream(stream, Shutdown::Both);
             }
             return;
         }
     }
 }
 
+/// Makes an accepted stream whose hello named `peer` that link's
+/// connection. A connection still up is older — its dialer has given up
+/// on it — so it is severed first and its salvage replays on this one.
+/// Adoption is the accepting end's half of a (re)connect and counts as
+/// one, as the dial does at the other end.
+fn adopt<M>(
+    peer: ProcessId,
+    stream: TcpStream,
+    links: &mut [Option<Link<M>>],
+    reconnect: &mut Reconnector,
+    stats: &NetFaultStats,
+    pool: &BufferPool,
+    draining: &mut Vec<Draining>,
+) {
+    let Some(Some(link)) = links.get_mut(peer.as_usize()) else {
+        // A peer with no link here: nothing can adopt the stream.
+        poll::shutdown_stream(&stream, Shutdown::Both);
+        return;
+    };
+    // A link the peer dials never goes back to the reconnector, so the
+    // severance needs no clock.
+    link.sever(Duration::from_nanos(0), reconnect, stats, draining);
+    link.attach(stream, pool, stats);
+}
+
 /// Once-per-pass link maintenance: sever connections a partition window
 /// now covers, and dial the attempts that have come due (gated off while
 /// the pair is partitioned). A link's first connection is dialed here
-/// too, like every redial.
+/// too, like every redial; only links to higher ids are dialed at all.
+#[allow(clippy::too_many_arguments)]
 fn maintain_links<M>(
     me: ProcessId,
     now: Duration,
-    writers: &mut [Option<Writer<M>>],
+    links: &mut [Option<Link<M>>],
     reconnect: &mut Reconnector,
     faults: Option<&NetFaultPlan>,
     stats: &NetFaultStats,
     pool: &BufferPool,
+    draining: &mut Vec<Draining>,
 ) {
-    for w in writers.iter_mut().flatten() {
+    for l in links.iter_mut().flatten() {
         // Fold newly shed frames (down-mode bulk watermark) into the
         // shared counters; the lanes' counter is monotone, so a delta
         // against what was already reported is exact.
-        if w.conn.is_none() {
-            let shed = w.lanes.shed_count();
-            if shed > w.shed_reported {
-                stats.frames_shed.fetch_add(shed - w.shed_reported, Ordering::Relaxed);
-                w.shed_reported = shed;
+        if l.conn.is_none() {
+            let shed = l.lanes.shed_count();
+            if shed > l.shed_reported {
+                stats.frames_shed.fetch_add(shed - l.shed_reported, Ordering::Relaxed);
+                l.shed_reported = shed;
             }
         }
-        let partitioned = faults.is_some_and(|f| f.partitioned_at(now, me, w.peer));
-        if partitioned {
-            if w.conn.is_some() {
-                // The window opened: kill the connection the way a real
-                // partition would — mid-stream. The counter lands before
-                // the shutdown so an observer who sees the EOF also sees
-                // the severance recorded. Un-sent frames are salvaged for
-                // replay after the heal; losing them here would wedge any
-                // consensus instance they carried.
-                stats.links_severed.fetch_add(1, Ordering::Relaxed);
-                w.lanes.set_down(true);
-                reconnect.mark_down(w.peer, now);
-                w.sever();
-            }
-            // No dialing into an open window; the deadline stays due and
-            // fires on the first pass after the heal.
+        if faults.is_some_and(|f| f.partitioned_at(now, me, l.peer)) {
+            // The window opened: kill the connection the way a real
+            // partition would — mid-stream. Un-sent frames are salvaged
+            // for replay after the heal; losing them here would wedge any
+            // consensus instance they carried. No dialing into an open
+            // window; the deadline stays due and fires on the first pass
+            // after the heal.
+            l.sever(now, reconnect, stats, draining);
             continue;
         }
-        if w.conn.is_none() && reconnect.due_attempt(w.peer, now) {
-            match poll::connect_loopback(&w.addr) {
-                Ok(stream) => {
-                    let mut conn = Conn::new(stream, pool);
-                    // Replay the salvaged suffix of the dead connection
-                    // before any fresh batch: frame order within the link
-                    // is preserved, and the peer's decoder starts clean
-                    // (it discarded any partial tail at EOF).
-                    conn.scratch.extend_from_slice(&w.carryover);
-                    w.carryover.clear();
-                    w.conn = Some(conn);
-                    w.lanes.set_down(false);
-                    reconnect.mark_up(w.peer);
-                    // A link's first connection is not a reconnect.
-                    if w.was_up {
-                        stats.reconnects.fetch_add(1, Ordering::Relaxed);
-                    }
-                    w.was_up = true;
+        let Some(addr) = l.dial else { continue };
+        if l.conn.is_none() && reconnect.due_attempt(l.peer, now) {
+            // A fresh socket's send buffer takes the 6-byte hello whole;
+            // anything else counts as a failed attempt.
+            let connected = poll::connect_loopback(&addr).ok().and_then(|mut stream| {
+                let sent = poll::try_write(&mut stream, &hello(me));
+                matches!(sent, Ok(Some(HELLO_LEN))).then_some(stream)
+            });
+            match connected {
+                Some(stream) => {
+                    l.attach(stream, pool, stats);
+                    reconnect.mark_up(l.peer);
+                    stats.dials.fetch_add(1, Ordering::Relaxed);
                 }
-                Err(_) => reconnect.attempt_failed(w.peer, now),
+                None => reconnect.attempt_failed(l.peer, now),
             }
         }
     }
 }
 
-/// Drains one inbound stream: read into the pooled arena, decode frames
-/// in place, run the node on each. Stops at `WouldBlock`, EOF, a decode
-/// error (poisoned framing ⇒ drop the connection), or the per-pass read
-/// cap.
-fn service_reader<N>(r: &mut Inbound, driver: &mut Driver<N>, host: &mut Host<N::Msg, N::Output>)
+/// Reads one stream: into the pooled arena, decoding frames in place and
+/// running the node on each. Stops at `WouldBlock` or the per-pass read
+/// cap, and returns whether the stream is still open — `false` at EOF, a
+/// read error, or a decode error (poisoned framing). Frames decoded
+/// before any of those were delivered.
+fn service_reader<N>(
+    stream: &mut TcpStream,
+    recv: &mut RecvBuffer,
+    driver: &mut Driver<N>,
+    host: &mut Host<N::Msg, N::Output>,
+) -> bool
 where
     N: Node,
     N::Msg: Decode,
@@ -705,85 +899,74 @@ where
     let mut drained = false;
     loop {
         loop {
-            match r.recv.next_frame::<TaggedOwned<N::Msg>>() {
+            match recv.next_frame::<TaggedOwned<N::Msg>>() {
                 Ok(Some(t)) => driver.on_message(t.from, t.msg, host),
                 Ok(None) => break,
-                Err(_) => {
-                    poll::shutdown_stream(&r.stream, Shutdown::Both);
-                    r.open = false;
-                    return;
-                }
+                Err(_) => return false,
             }
         }
         if drained || reads >= MAX_READS_PER_TICK {
-            return;
+            return true;
         }
-        let spare = r.recv.spare(RECV_CHUNK);
+        let spare = recv.spare(RECV_CHUNK);
         let want = spare.len();
-        match poll::try_read(&mut r.stream, spare) {
-            Ok(Some(0)) | Err(_) => {
-                // EOF or error: the connection is gone. Frames already
-                // decoded were delivered; the peer's reconnect (via our
-                // listener) replaces the stream if the pair heals.
-                r.open = false;
-                return;
-            }
+        match poll::try_read(stream, spare) {
+            Ok(Some(0)) | Err(_) => return false,
             Ok(Some(n)) => {
-                r.recv.commit(n);
+                recv.commit(n);
                 reads += 1;
                 // A short read means the socket is (momentarily) empty:
                 // decode what arrived and skip the would-be-EAGAIN read.
                 // Level-triggered polling re-arms the stream if more lands.
                 drained = n < want;
             }
-            Ok(None) => return,
+            Ok(None) => return true,
         }
     }
 }
 
-/// One flush pass over every connected writer. A connection that died
-/// is severed and its link handed back to the reconnector: the lanes park
-/// in down-mode and the un-sent scratch suffix is salvaged for replay.
-/// Catch-up repairs only *decided* instances and the pending re-flood only
-/// payloads, so an in-flight consensus frame lost here would wedge its
-/// instance for good.
-fn service_writers<M: Encode + WireSize>(
+/// One flush pass over every connected link. A connection that died is
+/// severed and, if this process dials it, handed back to the reconnector:
+/// the lanes park in down-mode and the un-sent scratch suffix is salvaged
+/// for replay. Catch-up repairs only *decided* instances and the pending
+/// re-flood only payloads, so an in-flight consensus frame lost here
+/// would wedge its instance for good.
+fn service_links<M: Encode + WireSize>(
     me: ProcessId,
     now: Duration,
-    writers: &mut [Option<Writer<M>>],
+    links: &mut [Option<Link<M>>],
     faults: &mut Option<NetFaultPlan>,
     stats: &NetFaultStats,
     reconnect: &mut Reconnector,
+    draining: &mut Vec<Draining>,
 ) {
-    for w in writers.iter_mut().flatten() {
-        if w.conn.is_some()
-            && matches!(service_writer(me, w, faults.as_mut(), stats), WriterState::Dead)
+    for l in links.iter_mut().flatten() {
+        if l.conn.is_some()
+            && matches!(service_writer(me, l, faults.as_mut(), stats), WriterState::Dead)
         {
-            w.sever();
-            w.lanes.set_down(true);
-            reconnect.mark_down(w.peer, now);
+            l.sever(now, reconnect, stats, draining);
         }
     }
 }
 
-/// Pushes one outbound connection as far as the kernel allows: flush any
-/// parked suffix, then keep encoding and writing the lanes' backlog until
-/// they are empty (Idle), the socket is full (Parked), or the connection
-/// died (Dead).
+/// Pushes one connection as far as the kernel allows: flush any parked
+/// suffix, then keep encoding and writing the lanes' backlog until they
+/// are empty (Idle), the socket is full (Parked), or the connection died
+/// (Dead).
 ///
 /// # Panics
 ///
-/// Panics if called for a writer with no live connection (the service
+/// Panics if called for a link with no live connection (the service
 /// pass filters those).
 fn service_writer<M: Encode + WireSize>(
     from: ProcessId,
-    w: &mut Writer<M>,
+    l: &mut Link<M>,
     mut faults: Option<&mut NetFaultPlan>,
     stats: &NetFaultStats,
 ) -> WriterState {
-    let peer = w.peer;
-    // lint:allow(P1): service_writers only dispatches connected writers
-    let c = w.conn.as_mut().expect("service_writer needs a live conn");
+    let peer = l.peer;
+    // lint:allow(P1): service_links only dispatches connected links
+    let c = l.conn.as_mut().expect("service_writer needs a live conn");
     loop {
         while c.scratch.len() > c.sent {
             match poll::try_write(&mut c.stream, &c.scratch[c.sent..]) {
@@ -795,12 +978,12 @@ fn service_writer<M: Encode + WireSize>(
         c.scratch.clear();
         c.sent = 0;
         c.bounds.clear();
-        if w.lanes.is_empty() {
+        if l.lanes.is_empty() {
             return WriterState::Idle;
         }
         // The frames land back to back in one scratch buffer, so a single
         // plain write hands the kernel the whole batch.
-        for msg in w.lanes.drain() {
+        for msg in l.lanes.drain() {
             // The nemesis fault plan judges each frame as it leaves the
             // lanes for the wire; without a plan this is a no-op branch.
             // Partitions are enforced by `maintain_links` instead (a frame
@@ -839,6 +1022,7 @@ fn service_writer<M: Encode + WireSize>(
 mod tests {
     use super::*;
     use crate::codec::write_frame;
+    use crate::netfault::NetFaultReport;
     use crate::poll::wake_channel;
     use crate::queue::tests::{Blob, Classed};
     use crate::queue::MAX_OUTBOUND_FRAMES;
@@ -848,7 +1032,10 @@ mod tests {
     use std::io::{Read, Write};
     use std::marker::PhantomData;
 
+    /// The loop under test in most rigs; it dials [`PEER`].
     const ME: ProcessId = ProcessId::new(0);
+    /// The other process, played by the test (or, in an accepting rig,
+    /// the loop, dialed by the test as [`ME`]).
     const PEER: ProcessId = ProcessId::new(1);
 
     /// The node under the loops of these tests: a command is a list of
@@ -888,21 +1075,29 @@ mod tests {
     where
         M: Clone + std::fmt::Debug + Encode + Decode + WireSize + Send + 'static,
     {
-        /// Starts the loop on a fresh listener of its own. With `peer`,
-        /// the loop has a link to [`PEER`] and dials that listener for
-        /// it; accepting the dial gives the test the peer's end.
+        /// Starts the loop as [`ME`] on a fresh listener of its own.
+        /// With `peer`, the loop has a link to [`PEER`] and dials that
+        /// listener for it; [`accept_hello`] gives the test the peer's end.
         fn start(peer: Option<&TcpListener>, faults: Option<NetFaultPlan>) -> Rig<M> {
+            let peers = peer.map(|l| (PEER, l.local_addr().unwrap())).into_iter().collect();
+            Rig::start_as(ME, peers, faults)
+        }
+
+        fn start_as(
+            me: ProcessId,
+            peers: Vec<(ProcessId, SocketAddr)>,
+            faults: Option<NetFaultPlan>,
+        ) -> Rig<M> {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             listener.set_nonblocking(true).unwrap();
             let addr = listener.local_addr().unwrap();
-            let peers = peer.map(|l| (PEER, l.local_addr().unwrap())).into_iter().collect();
             let stats = Arc::new(NetFaultStats::default());
             let (wake_tx, wake_rx) = wake_channel().unwrap();
             let (commands, cmd_rx) = unbounded();
             let (out_tx, outputs) = unbounded();
             let handle = spawn(
                 Process {
-                    me: ME,
+                    me,
                     n: 2,
                     epoch: Instant::now(),
                     node: Relay(PhantomData),
@@ -916,12 +1111,21 @@ mod tests {
             Rig { handle, commands, outputs, received: VecDeque::new(), addr, stats }
         }
 
-        /// A loop whose link to [`PEER`] is up, and the peer's end of it.
+        /// A loop whose link to [`PEER`] is up, and the peer's end of it,
+        /// read past the hello.
         fn dialed() -> (Rig<M>, TcpStream) {
             let peer = TcpListener::bind("127.0.0.1:0").unwrap();
             let rig = Rig::start(Some(&peer), None);
-            let (theirs, _) = peer.accept().unwrap();
-            (rig, theirs)
+            (rig, accept_hello(&peer))
+        }
+
+        /// A loop running as [`PEER`], whose link to [`ME`] waits for
+        /// [`ME`] to dial it: the test connects to [`Rig::addr`] and plays
+        /// [`ME`]. The listener address it is given for [`ME`] is never
+        /// dialed.
+        fn accepting() -> Rig<M> {
+            let unused = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+            Rig::start_as(PEER, vec![(ME, unused)], None)
         }
 
         /// The next output, batches flattened; `None` if none arrives
@@ -945,9 +1149,31 @@ mod tests {
         }
     }
 
-    /// Reads frames off the peer's end, `chunk` bytes at most per read,
-    /// until `done` says stop; decodes them as a receiving loop does.
+    /// Accepts the loop's dial on `listener` and reads the hello that
+    /// opens the stream: exactly [`ME`]'s, and nothing past it.
+    fn accept_hello(listener: &TcpListener) -> TcpStream {
+        listener.set_nonblocking(false).unwrap();
+        let (mut theirs, _) = listener.accept().unwrap();
+        let mut first = [0u8; HELLO_LEN];
+        theirs.read_exact(&mut first).unwrap();
+        assert_eq!(first, hello(ME), "a dialed stream must open with the dialer's hello");
+        theirs
+    }
+
+    /// Reads frames from [`ME`] off the peer's end, `chunk` bytes at most
+    /// per read, until `done` says stop; decodes them as a receiving loop
+    /// does.
     fn read_frames<M: Decode + WireSize>(
+        theirs: &mut TcpStream,
+        chunk: usize,
+        done: impl FnMut(&[M]) -> bool,
+    ) -> Vec<M> {
+        read_frames_from(ME, theirs, chunk, done)
+    }
+
+    /// [`read_frames`] for frames sent by `from`.
+    fn read_frames_from<M: Decode + WireSize>(
+        from: ProcessId,
         theirs: &mut TcpStream,
         chunk: usize,
         mut done: impl FnMut(&[M]) -> bool,
@@ -960,7 +1186,7 @@ mod tests {
             assert!(read > 0, "stream closed before the frames arrived");
             frames.commit(read);
             while let Some(t) = frames.next_frame::<TaggedOwned<M>>().unwrap() {
-                assert_eq!(t.from, ME);
+                assert_eq!(t.from, from);
                 got.push(t.msg);
             }
         }
@@ -980,19 +1206,20 @@ mod tests {
 
     #[test]
     fn corrupt_inbound_frame_tears_the_connection_after_delivering_the_good_prefix() {
-        let mut rig: Rig<Classed> = Rig::start(None, None);
+        let mut rig: Rig<Classed> = Rig::accepting();
         let mut theirs = TcpStream::connect(rig.addr).unwrap();
-        write_frame(&Tagged { from: PEER, msg: &Classed(42) }, &mut theirs).unwrap();
+        theirs.write_all(&hello(ME)).unwrap();
+        write_frame(&Tagged { from: ME, msg: &Classed(42) }, &mut theirs).unwrap();
         // A malformed frame: the length prefix says 2 bytes, which can
         // never decode as a Tagged<Classed>.
         theirs.write_all(&2u32.to_le_bytes()).unwrap();
         theirs.write_all(&[0xAB, 0xCD]).unwrap();
         // A good frame after the corruption must never be delivered (the
         // loop may already have torn the socket down — ignore errors).
-        let _ = write_frame(&Tagged { from: PEER, msg: &Classed(7) }, &mut theirs);
+        let _ = write_frame(&Tagged { from: ME, msg: &Classed(7) }, &mut theirs);
 
         let first = rig.output(StdDuration::from_secs(5)).unwrap();
-        assert_eq!(first.output, (PEER, Classed(42)));
+        assert_eq!(first.output, (ME, Classed(42)));
         assert!(
             rig.output(StdDuration::from_secs(2)).is_none(),
             "no frame may be delivered after a decode error"
@@ -1008,9 +1235,10 @@ mod tests {
         // parked while the link was down.
         let peer_listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let rig: Rig<Classed> = Rig::start(Some(&peer_listener), None);
-        let (their_end, _) = peer_listener.accept().unwrap();
+        let their_end = accept_hello(&peer_listener);
 
-        // Kill the peer end: the loop's next write hits EPIPE/RST.
+        // Kill the peer end: the loop reads EOF (or its next write hits
+        // EPIPE/RST).
         drop(their_end);
         // Keep pushing ordering frames (odd ids) until the loop redials.
         peer_listener.set_nonblocking(true).unwrap();
@@ -1024,6 +1252,9 @@ mod tests {
             }
         };
         accepted.set_nonblocking(false).unwrap();
+        let mut first = [0u8; HELLO_LEN];
+        accepted.read_exact(&mut first).unwrap();
+        assert_eq!(first, hello(ME), "the redial opens with a hello too");
         // A post-reconnect frame must arrive on the new stream (parked
         // backlog first — all odd, all ordering — then this one).
         rig.send(PEER, [Classed(9)]);
@@ -1053,7 +1284,7 @@ mod tests {
         );
         let started = Instant::now();
         let rig: Rig<Classed> = Rig::start(Some(&peer_listener), Some(plan));
-        let (mut their_end, _) = peer_listener.accept().unwrap();
+        let mut their_end = accept_hello(&peer_listener);
         assert_eq!(rig.stats.report().links_severed, 0, "severed before the window opened");
 
         // The severance arrives within a few ticks: our end sees EOF.
@@ -1069,7 +1300,7 @@ mod tests {
         assert!(eof_at >= StdDuration::from_millis(150), "severed before the window: {eof_at:?}");
         assert_eq!(rig.stats.report().links_severed, 1);
         // The redial may only land after the window closes.
-        let (mut healed, _) = peer_listener.accept().unwrap();
+        let mut healed = accept_hello(&peer_listener);
         let healed_at = started.elapsed();
         assert!(
             healed_at >= StdDuration::from_millis(450),
@@ -1083,15 +1314,136 @@ mod tests {
     }
 
     #[test]
-    fn an_inbound_connection_is_read_from_its_first_byte() {
-        // Nothing precedes the frames: a peer that connects to the loop's
-        // listener and writes a frame straight away must be read at once.
-        let mut rig: Rig<Classed> = Rig::start(None, None);
-        let mut peer = TcpStream::connect(rig.addr).unwrap();
-        write_frame(&Tagged { from: PEER, msg: &Classed(21) }, &mut peer).unwrap();
-        let got = rig.output(StdDuration::from_secs(5)).unwrap();
-        assert_eq!(got.output, (PEER, Classed(21)));
+    fn a_severed_link_still_delivers_every_frame_its_peer_handed_the_kernel() {
+        // The peer streams frames across the moment a partition window
+        // opens and the loop severs the link. The loop ends only its
+        // sending half: every frame the peer's kernel accepted, before or
+        // after the cut, is still read and handled until the peer's EOF.
+        let peer_listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let window = (Duration::from_millis(150), Duration::from_millis(60_000));
+        let plan = NetFaultPlan::new(13).partition(ME, PEER, window.0, window.1);
+        let started = Instant::now();
+        let mut rig: Rig<Blob> = Rig::start(Some(&peer_listener), Some(plan));
+        let mut theirs = accept_hello(&peer_listener);
+        // Bursts paced over the first 300 ms, so the stream spans the cut.
+        let mut written = 0u32;
+        'stream: while started.elapsed() < StdDuration::from_millis(300) {
+            for _ in 0..100 {
+                let frame = Tagged { from: PEER, msg: &Blob { id: 2 * written, len: 64 } };
+                if write_frame(&frame, &mut theirs).is_err() {
+                    break 'stream;
+                }
+                written += 1;
+            }
+            std::thread::sleep(StdDuration::from_millis(1));
+        }
+        let _ = theirs.shutdown(Shutdown::Write);
+        assert_eq!(rig.stats.report().links_severed, 1, "the window never cut the link");
+        let mut got = 0;
+        while got < written {
+            let Some(out) = rig.output(StdDuration::from_secs(5)) else { break };
+            assert_eq!(out.output, (PEER, Blob { id: 2 * got, len: 64 }));
+            got += 1;
+        }
+        assert_eq!(got, written, "frames the peer's kernel had accepted were lost");
         rig.stop();
+    }
+
+    #[test]
+    fn an_accepted_connection_carries_both_directions_after_its_hello() {
+        // The test dials the loop as the lower id: hello and first frame
+        // in one write. The loop adopts the stream as its link to ME,
+        // reads the frame behind the hello, and sends back on the same
+        // stream.
+        let mut rig: Rig<Classed> = Rig::accepting();
+        let mut theirs = TcpStream::connect(rig.addr).unwrap();
+        let mut opening = hello(ME).to_vec();
+        write_frame_into(&Tagged { from: ME, msg: &Classed(21) }, &mut opening).unwrap();
+        theirs.write_all(&opening).unwrap();
+        let got = rig.output(StdDuration::from_secs(5)).unwrap();
+        assert_eq!(got.output, (ME, Classed(21)));
+        rig.send(ME, [Classed(22), Classed(23)]);
+        let back = read_frames_from::<Classed>(PEER, &mut theirs, 4096, |got| got.len() == 2);
+        assert_eq!(back, [Classed(23), Classed(22)], "ordering lane first");
+        let report = rig.stats.report();
+        assert_eq!(report, NetFaultReport::default(), "a first adoption is no reconnect");
+        rig.stop();
+    }
+
+    #[test]
+    fn a_refused_hello_is_shut_down_and_never_adopted() {
+        // PEER's loop accepts links from ME only. A stream that names
+        // the loop itself is shut down; one that names ME afterwards is
+        // adopted as the link's first connection.
+        let mut rig: Rig<Classed> = Rig::accepting();
+        let mut impostor = TcpStream::connect(rig.addr).unwrap();
+        impostor.write_all(&hello(PEER)).unwrap();
+        let _ = write_frame(&Tagged { from: PEER, msg: &Classed(1) }, &mut impostor);
+        impostor.set_read_timeout(Some(StdDuration::from_secs(5))).unwrap();
+        let read = impostor.read(&mut [0u8; 16]).unwrap_or(0);
+        assert_eq!(read, 0, "a refused stream must be shut down");
+        let output = rig.output(StdDuration::from_millis(100));
+        assert!(output.is_none(), "nothing behind a refused hello is read");
+        let mut theirs = TcpStream::connect(rig.addr).unwrap();
+        theirs.write_all(&hello(ME)).unwrap();
+        write_frame(&Tagged { from: ME, msg: &Classed(3) }, &mut theirs).unwrap();
+        assert_eq!(rig.output(StdDuration::from_secs(5)).unwrap().output, (ME, Classed(3)));
+        assert_eq!(rig.stats.report().reconnects, 0);
+        rig.stop();
+    }
+
+    /// A hello frame with an arbitrary length prefix and id.
+    fn hello_bytes(len: u32, id: u16) -> Vec<u8> {
+        [len.to_le_bytes().as_slice(), id.to_le_bytes().as_slice()].concat()
+    }
+
+    #[test]
+    fn an_exact_hello_from_a_lower_id_is_adopted_once_whole() {
+        let me = ProcessId::new(2);
+        let bytes = hello(ProcessId::new(1));
+        for cut in 0..HELLO_LEN {
+            assert_eq!(judge_hello(&bytes[..cut], me), Hello::Incomplete, "cut at {cut}");
+        }
+        assert_eq!(judge_hello(&bytes, me), Hello::From(ProcessId::new(1)));
+        assert_eq!(judge_hello(&hello(ProcessId::new(0)), me), Hello::From(ProcessId::new(0)));
+    }
+
+    #[test]
+    fn a_hello_of_another_length_is_refused() {
+        let me = ProcessId::new(2);
+        for len in [0, 1, 3, 4, 2 << 16] {
+            let bytes = hello_bytes(len, 1);
+            // The length alone condemns it: no need to wait for the id.
+            assert_eq!(judge_hello(&bytes[..4], me), Hello::Refused, "length {len}");
+            assert_eq!(judge_hello(&bytes, me), Hello::Refused, "length {len}");
+        }
+    }
+
+    #[test]
+    fn a_data_frame_in_place_of_the_hello_is_refused() {
+        let mut frame = Vec::new();
+        write_frame_into(&Tagged { from: ME, msg: &Classed(5) }, &mut frame).unwrap();
+        assert_eq!(judge_hello(&frame[..HELLO_LEN], PEER), Hello::Refused);
+    }
+
+    #[test]
+    fn a_hello_naming_ourselves_is_refused() {
+        assert_eq!(judge_hello(&hello(PEER), PEER), Hello::Refused);
+    }
+
+    #[test]
+    fn a_hello_naming_a_process_we_dial_is_refused() {
+        // Only the lower id of a pair dials: a higher one never should.
+        assert_eq!(judge_hello(&hello(ProcessId::new(3)), ProcessId::new(2)), Hello::Refused);
+    }
+
+    #[test]
+    fn a_hello_naming_no_process_of_the_cluster_is_refused() {
+        // n = 3: ids 3 and up name nobody.
+        let me = ProcessId::new(2);
+        for id in [3, 7, u16::MAX] {
+            assert_eq!(judge_hello(&hello_bytes(2, id), me), Hello::Refused, "id {id}");
+        }
     }
 
     #[test]
@@ -1156,10 +1508,10 @@ mod tests {
         // The peer stops reading: the first batch parks on a partial
         // write, the next command fills the lanes behind it to the cap.
         // From then on the loop must leave commands in their channel —
-        // and keep serving its inbound socket, or two such loops would
-        // deadlock each other.
+        // and keep reading the same connection's inbound direction, or
+        // two such loops would deadlock each other.
         let (mut rig, mut theirs) = Rig::<Blob>::dialed();
-        let mut their_out = TcpStream::connect(rig.addr).unwrap();
+        let mut their_out = theirs.try_clone().unwrap();
         rig.send(PEER, (0..4).map(|i| Blob { id: 2 * i, len: 8 << 20 }));
         // The first bytes are out, so that batch is being written and the
         // frames of the next command queue up behind it.

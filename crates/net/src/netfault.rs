@@ -35,12 +35,18 @@ pub struct NetFaultStats {
     pub frames_dropped: AtomicU64,
     /// Frames sent twice by the probabilistic fault path.
     pub frames_duplicated: AtomicU64,
-    /// Connections severed by a partition window opening.
+    /// Link ends taken down: by a partition window opening, by EOF or a
+    /// read error, by a write error, or by a newer connection replacing
+    /// the old one. Each end of a connection counts its own.
     pub links_severed: AtomicU64,
-    /// Connections re-established by the reconnect machinery.
+    /// Link ends back up after having been up: the dialing end counts
+    /// its connect, the accepting end its adoption of the hello.
     pub reconnects: AtomicU64,
     /// Frames shed from bulk lanes while a peer was down.
     pub frames_shed: AtomicU64,
+    /// Connections this process dialed that came up, first ones
+    /// included: a cluster of `n` opens `n(n − 1)/2` of them.
+    pub(crate) dials: AtomicU64,
 }
 
 impl NetFaultStats {

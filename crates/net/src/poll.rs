@@ -68,11 +68,6 @@ pub struct Interest {
 impl Interest {
     /// Read-only interest.
     pub const READ: Interest = Interest { readable: true, writable: false };
-    /// Write-only interest.
-    pub const WRITE: Interest = Interest { readable: false, writable: true };
-    /// No interest — the slot is skipped (kept so callers can use stable
-    /// indices for a mixed set of live and idle streams).
-    pub const NONE: Interest = Interest { readable: false, writable: false };
 }
 
 /// What the kernel reported about one stream. Hangups and errors are
@@ -98,9 +93,13 @@ impl Readiness {
 pub struct Poller {
     #[cfg(unix)]
     fds: Vec<sys::PollFd>,
-    /// Maps `fds` entries back to caller indices (interested subset only).
+    /// Each `fds` entry's caller index and interest (interested subset
+    /// only).
     #[cfg(unix)]
-    slots: Vec<usize>,
+    interests: Vec<(usize, Interest)>,
+    /// Every caller slot's interest, in order.
+    #[cfg(not(unix))]
+    interests: Vec<Interest>,
 }
 
 impl Poller {
@@ -111,48 +110,56 @@ impl Poller {
 
     /// Waits up to `timeout` for any interested stream to become ready.
     ///
-    /// `out` is resized to `streams.len()` and `out[i]` reports the
-    /// readiness of `streams[i]`; entries with [`Interest::NONE`] are
-    /// never reported ready. Returns the number of ready streams (0 on
+    /// `out` is refilled with one entry per stream, in order: `out[i]`
+    /// reports the readiness of the `i`-th stream; entries with
+    /// no interest are never reported ready. The streams arrive as
+    /// an iterator so a caller can poll a changing set without building
+    /// a list of it each time. Returns the number of ready streams (0 on
     /// timeout). Spurious readiness is allowed — callers must treat a
     /// `WouldBlock` from the subsequent I/O as "not actually ready".
     ///
     /// # Errors
     ///
     /// Propagates `poll(2)` failures other than `EINTR` (retried).
-    pub fn wait(
+    pub fn wait<'a>(
         &mut self,
-        streams: &[(&dyn PollSource, Interest)],
+        streams: impl IntoIterator<Item = (&'a dyn PollSource, Interest)>,
         out: &mut Vec<Readiness>,
         timeout: Duration,
     ) -> io::Result<usize> {
         out.clear();
-        out.resize(streams.len(), Readiness::clear());
-        self.wait_impl(streams, out, timeout)
+        #[cfg(unix)]
+        {
+            self.fds.clear();
+            self.interests.clear();
+        }
+        for (stream, interest) in streams {
+            out.push(Readiness::clear());
+            #[cfg(unix)]
+            {
+                let mut events = 0i16;
+                if interest.readable {
+                    events |= sys::POLLIN;
+                }
+                if interest.writable {
+                    events |= sys::POLLOUT;
+                }
+                if events != 0 {
+                    self.fds.push(sys::PollFd { fd: stream.poll_fd(), events, revents: 0 });
+                    self.interests.push((out.len() - 1, interest));
+                }
+            }
+            #[cfg(not(unix))]
+            {
+                let _ = stream;
+                self.interests.push(interest);
+            }
+        }
+        self.wait_impl(out, timeout)
     }
 
     #[cfg(unix)]
-    fn wait_impl(
-        &mut self,
-        streams: &[(&dyn PollSource, Interest)],
-        out: &mut [Readiness],
-        timeout: Duration,
-    ) -> io::Result<usize> {
-        self.fds.clear();
-        self.slots.clear();
-        for (i, (stream, interest)) in streams.iter().enumerate() {
-            let mut events = 0i16;
-            if interest.readable {
-                events |= sys::POLLIN;
-            }
-            if interest.writable {
-                events |= sys::POLLOUT;
-            }
-            if events != 0 {
-                self.fds.push(sys::PollFd { fd: stream.poll_fd(), events, revents: 0 });
-                self.slots.push(i);
-            }
-        }
+    fn wait_impl(&mut self, out: &mut [Readiness], timeout: Duration) -> io::Result<usize> {
         if self.fds.is_empty() {
             std::thread::sleep(timeout);
             return Ok(0);
@@ -163,13 +170,13 @@ impl Poller {
         let millis = i32::try_from(timeout.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX);
         sys::poll(&mut self.fds, millis)?;
         let mut ready = 0;
-        for (fd, &slot) in self.fds.iter().zip(&self.slots) {
+        for (fd, &(slot, interest)) in self.fds.iter().zip(&self.interests) {
             // POLLERR/POLLHUP/POLLNVAL arrive unrequested; fold them into
             // both directions so the caller's next op surfaces the error.
             let broken = fd.revents & (sys::POLLERR | sys::POLLHUP | sys::POLLNVAL) != 0;
             let r = Readiness {
-                readable: streams[slot].1.readable && (fd.revents & sys::POLLIN != 0 || broken),
-                writable: streams[slot].1.writable && (fd.revents & sys::POLLOUT != 0 || broken),
+                readable: interest.readable && (fd.revents & sys::POLLIN != 0 || broken),
+                writable: interest.writable && (fd.revents & sys::POLLOUT != 0 || broken),
             };
             if r.readable || r.writable {
                 out[slot] = r;
@@ -183,17 +190,12 @@ impl Poller {
     /// after a short nap. The loop's nonblocking ops turn the lie into
     /// `WouldBlock`, so behavior is correct — the nap bounds the spin.
     #[cfg(not(unix))]
-    fn wait_impl(
-        &mut self,
-        streams: &[(&dyn PollSource, Interest)],
-        out: &mut [Readiness],
-        timeout: Duration,
-    ) -> io::Result<usize> {
+    fn wait_impl(&mut self, out: &mut [Readiness], timeout: Duration) -> io::Result<usize> {
         std::thread::sleep(timeout.min(Duration::from_millis(1)));
         let mut ready = 0;
-        for (i, (_, interest)) in streams.iter().enumerate() {
+        for (slot, interest) in out.iter_mut().zip(&self.interests) {
             if interest.readable || interest.writable {
-                out[i] = Readiness { readable: interest.readable, writable: interest.writable };
+                *slot = Readiness { readable: interest.readable, writable: interest.writable };
                 ready += 1;
             }
         }
@@ -571,6 +573,10 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
+    fn one(stream: &dyn PollSource, interest: Interest) -> [(&dyn PollSource, Interest); 1] {
+        [(stream, interest)]
+    }
+
     fn pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -587,7 +593,7 @@ mod tests {
         let mut poller = Poller::new();
         let mut out = Vec::new();
         let n = poller
-            .wait(&[(&b, Interest::READ)], &mut out, Duration::from_millis(10))
+            .wait(one(&b, Interest::READ), &mut out, Duration::from_millis(10))
             .unwrap();
         // Spurious readiness is legal (and what the fallback produces),
         // but actual bytes must not be: the stream is idle.
@@ -597,7 +603,7 @@ mod tests {
         }
         assert_eq!(try_write(&mut a, b"x").unwrap(), Some(1));
         let n = poller
-            .wait(&[(&b, Interest::READ)], &mut out, Duration::from_secs(5))
+            .wait(one(&b, Interest::READ), &mut out, Duration::from_secs(5))
             .unwrap();
         assert!(n >= 1, "pending byte must wake the poller");
         assert!(out[0].readable);
@@ -615,7 +621,7 @@ mod tests {
         let mut out = Vec::new();
         let timeout = Duration::from_micros(400);
         let t0 = std::time::Instant::now();
-        let n = poller.wait(&[(&b, Interest::READ)], &mut out, timeout).unwrap();
+        let n = poller.wait(one(&b, Interest::READ), &mut out, timeout).unwrap();
         if n == 0 {
             assert!(t0.elapsed() >= timeout, "returned after {:?}", t0.elapsed());
         }
@@ -641,12 +647,11 @@ mod tests {
                 assert!(n > 0);
                 drained += n;
             } else {
-                poller.wait(&[(&b, Interest::READ)], &mut out, Duration::from_secs(5)).unwrap();
+                poller.wait(one(&b, Interest::READ), &mut out, Duration::from_secs(5)).unwrap();
             }
         }
-        let n = poller
-            .wait(&[(&a, Interest::WRITE)], &mut out, Duration::from_secs(5))
-            .unwrap();
+        let write = Interest { readable: false, writable: true };
+        let n = poller.wait(one(&a, write), &mut out, Duration::from_secs(5)).unwrap();
         assert!(n >= 1 && out[0].writable, "drained peer must re-arm the writer");
         assert!(try_write(&mut a, b"y").unwrap().is_some());
     }
@@ -658,9 +663,10 @@ mod tests {
         let mut poller = Poller::new();
         let mut out = Vec::new();
         poller
-            .wait(&[(&b, Interest::NONE)], &mut out, Duration::from_millis(5))
+            .wait(one(&b, Interest::default()), &mut out, Duration::from_millis(5))
             .unwrap();
-        assert_eq!(out[0], Readiness::default(), "NONE slots stay quiet even with data pending");
+        let quiet = "slots without interest stay quiet even with data pending";
+        assert_eq!(out[0], Readiness::default(), "{quiet}");
     }
 
     #[test]
@@ -670,7 +676,7 @@ mod tests {
         let mut out = Vec::new();
         tx.notify().unwrap();
         let n = poller
-            .wait(&[(&rx, Interest::READ)], &mut out, Duration::from_secs(5))
+            .wait(one(&rx, Interest::READ), &mut out, Duration::from_secs(5))
             .unwrap();
         assert!(n >= 1 && out[0].readable, "a notify byte must wake the poller");
         assert_eq!(rx.drain_wakes(), 1);
@@ -679,7 +685,7 @@ mod tests {
         tx.notify().unwrap();
         tx.notify().unwrap();
         let n = poller
-            .wait(&[(&rx, Interest::READ)], &mut out, Duration::from_secs(5))
+            .wait(one(&rx, Interest::READ), &mut out, Duration::from_secs(5))
             .unwrap();
         assert!(n >= 1 && out[0].readable);
         assert_eq!(rx.drain_wakes(), 3);

@@ -85,6 +85,11 @@ impl<M> Lanes<M> {
         self.down = down;
     }
 
+    /// Whether the lanes are in down-mode.
+    pub fn is_down(&self) -> bool {
+        self.down
+    }
+
     /// Frames shed so far while down (monotone; never reset).
     pub fn shed_count(&self) -> u64 {
         self.shed

@@ -7,7 +7,7 @@
 //! # The I/O architecture: the node runs on its process's poll loop
 //!
 //! A process is a single event-loop (`event_loop.rs`) thread, `iabc-io-<p>`. It
-//! drives all of the process's `2·(n−1)` streams through a `poll(2)`-based
+//! drives all of the process's `n−1` duplex streams through a `poll(2)`-based
 //! readiness loop ([`crate::poll`]) **and hosts the [`Node`] itself**:
 //!
 //! * **Inbound**: sockets read straight into pooled receive buffers,
@@ -26,10 +26,11 @@
 //!   **self-sends** go to a loop-local FIFO delivered after the current
 //!   handler returns.
 //! * **Connections** are the loop's business too. [`TcpCluster::start`]
-//!   only binds one listener per process; each loop dials its peers'
-//!   listeners itself, on the path that redials a lost connection, and
-//!   accepts theirs; a connection carries frames from its first byte,
-//!   each naming its sender.
+//!   only binds one listener per process. Each pair shares one duplex
+//!   connection, dialed by its lower id on the path that redials a lost
+//!   one and opened by a hello naming the dialer; the higher id accepts
+//!   it and adopts it once the hello arrives. Every frame after the hello
+//!   names its sender.
 //!
 //! Only three things cross a thread: application **commands**
 //! ([`TcpCluster::send_command`] → a per-process channel plus a wake that
@@ -154,11 +155,12 @@ where
     N::Output: Send,
 {
     /// Binds `n` loop-back listeners and starts one event-loop thread per
-    /// process. This is not a wiring barrier: each loop dials its peers on
-    /// its own, before it runs its node's `on_start`, the way it redials a
-    /// lost connection. A link that cannot be dialed retries with backoff
-    /// rather than panicking; a command sent at once waits in its channel
-    /// until the loop takes it.
+    /// process. This is not a wiring barrier: each loop dials its peers of
+    /// higher id on its own, before it runs its node's `on_start`, the way
+    /// it redials a lost connection, and adopts the connections of lower
+    /// ids as their hellos arrive. A link that cannot be dialed retries
+    /// with backoff rather than panicking; a command sent at once waits in
+    /// its channel until the loop takes it.
     ///
     /// # Panics
     ///
@@ -171,7 +173,7 @@ where
 
     /// [`TcpCluster::start`] with an optional nemesis fault plan. Every
     /// process's event loop gets a clone of the plan, so both endpoints
-    /// of a partitioned pair sever their half of the link; its windows
+    /// of a partitioned pair sever their end of the link; its windows
     /// count from the same instant as [`NetOutput::at`]. A window open at
     /// start-up holds back the pair's first connection until it closes.
     /// `None` keeps the frame path entirely fault-layer-free (the plan is
@@ -508,6 +510,94 @@ mod tests {
         for (p, r) in reports.iter().enumerate() {
             assert_eq!((r.links_severed, r.reconnects), (0, 0), "process {p}: {r:?}");
         }
+    }
+
+    /// Connections each process of `cluster` dialed, by process id.
+    fn dials<N: Node>(cluster: &TcpCluster<N>) -> Vec<u64>
+    where
+        N::Msg: Encode,
+    {
+        use std::sync::atomic::Ordering;
+        cluster.fault_stats.iter().map(|s| s.dials.load(Ordering::Relaxed)).collect()
+    }
+
+    #[test]
+    fn an_n3_cluster_opens_exactly_three_connections() {
+        // One duplex connection per pair, dialed by its lower id: p0
+        // dials p1 and p2, p1 dials p2, p2 dials nobody.
+        let mut cluster = TcpCluster::start(3, |_| Echo);
+        for p in 0..3u16 {
+            cluster.send_command(ProcessId::new(p), u32::from(p));
+        }
+        // Every process fans out to all three: every link carried frames
+        // both ways.
+        assert_eq!(cluster.wait_for_outputs(9, std::time::Duration::from_secs(5)).len(), 9);
+        assert_eq!(dials(&cluster), [2, 1, 0]);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn an_isolated_p0_heals_through_its_own_redials_with_both_directions_in_order() {
+        // p0 is cut from both peers over [300, 700) ms. Only the lower id
+        // of a pair dials, so p0 redials both of its links and p1 and p2
+        // adopt; frames queued on either side during the window arrive
+        // after the heal, in the order they were queued.
+        struct Relay;
+        type Ctx = Context<Num, (ProcessId, u32)>;
+        impl Node for Relay {
+            type Msg = Num;
+            type Command = Vec<(ProcessId, u32)>;
+            type Output = (ProcessId, u32);
+            fn on_command(&mut self, sends: Self::Command, ctx: &mut Ctx) {
+                for (to, v) in sends {
+                    ctx.send(to, Num(v));
+                }
+            }
+            fn on_message(&mut self, from: ProcessId, m: Num, ctx: &mut Ctx) {
+                ctx.output((from, m.0));
+            }
+        }
+        const QUEUED: u32 = 50;
+        let ms = std::time::Duration::from_millis;
+        let (p0, p1, p2) = (ProcessId::new(0), ProcessId::new(1), ProcessId::new(2));
+        let (opens, heals) = (ms(300), ms(700));
+        let plan = NetFaultPlan::new(5).isolate(p0, 3, opens.into(), heals.into());
+        let started = Instant::now();
+        let mut cluster = TcpCluster::start_with_faults(3, Some(plan), |_| Relay);
+        // Before the window: one frame over each of p0's links each way.
+        cluster.send_command(p0, vec![(p1, 0), (p2, 0)]);
+        cluster.send_command(p1, vec![(p0, 0)]);
+        cluster.send_command(p2, vec![(p0, 0)]);
+        assert_eq!(cluster.wait_for_outputs(4, ms(5000)).len(), 4);
+        // Well inside the window, queue frames both ways.
+        std::thread::sleep((opens + ms(100)).saturating_sub(started.elapsed()));
+        assert!(started.elapsed() < heals, "the test fell behind the window");
+        for v in 1..=QUEUED {
+            cluster.send_command(p0, vec![(p1, v), (p2, v)]);
+            cluster.send_command(p1, vec![(p0, v)]);
+            cluster.send_command(p2, vec![(p0, v)]);
+        }
+        let outs = cluster.wait_for_outputs(4 * QUEUED as usize, ms(10_000));
+        assert_eq!(outs.len(), 4 * QUEUED as usize, "a queued frame never crossed");
+        assert!(
+            outs.iter().all(|o| o.at >= Time::from_nanos(heals.as_nanos() as u64)),
+            "a frame crossed the cut"
+        );
+        for (to, from) in [(p1, p0), (p2, p0), (p0, p1), (p0, p2)] {
+            let got: Vec<u32> = outs
+                .iter()
+                .filter(|o| o.process == to && o.output.0 == from)
+                .map(|o| o.output.1)
+                .collect();
+            assert!(got.into_iter().eq(1..=QUEUED), "{from:?} → {to:?} lost or reordered frames");
+        }
+        let reports = cluster.fault_reports();
+        // Every end of a cut connection counts its severance and its
+        // comeback: p0 two of each, p1 and p2 one. Only p0 dialed again.
+        let counts: Vec<_> = reports.iter().map(|r| (r.links_severed, r.reconnects)).collect();
+        assert_eq!(counts, [(2, 2), (1, 1), (1, 1)]);
+        assert_eq!(dials(&cluster), [4, 1, 0]);
+        cluster.shutdown();
     }
 
     #[test]

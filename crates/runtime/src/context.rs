@@ -9,15 +9,15 @@ use crate::timer::TimerId;
 /// exposes the read-only facts a protocol may depend on (its identity, the
 /// system size, the current time).
 ///
-/// The [`Driver`](crate::Driver) drains it with [`Context::take_actions`]
-/// after every callback. Actions are performed in the order they were
-/// pushed.
+/// The [`Driver`](crate::Driver) drains it with [`Context::drain_actions`]
+/// after every callback, so one buffer serves every handler run. Actions
+/// are performed in the order they were pushed.
 #[derive(Debug)]
 pub struct Context<M, O> {
     me: ProcessId,
     n: usize,
     now: Time,
-    actions: Vec<Action<M, O>>,
+    pub(crate) actions: Vec<Action<M, O>>,
 }
 
 impl<M, O> Context<M, O> {
@@ -102,6 +102,12 @@ impl<M, O> Context<M, O> {
     /// Drains the collected actions, leaving the context empty and reusable.
     pub fn take_actions(&mut self) -> Vec<Action<M, O>> {
         std::mem::take(&mut self.actions)
+    }
+
+    /// Drains the collected actions in place: the context keeps its
+    /// buffer, capacity included, for the next handler.
+    pub fn drain_actions(&mut self) -> std::vec::Drain<'_, Action<M, O>> {
+        self.actions.drain(..)
     }
 
     /// Advances the context clock (used by executors that reuse a context

@@ -83,11 +83,12 @@ impl<N: Node> Driver<N> {
         self.ctx.set_now(fx.now());
         handler(&mut self.node, &mut self.ctx);
         loop {
-            for action in self.ctx.take_actions() {
+            let now = self.ctx.now();
+            for action in self.ctx.drain_actions() {
                 match action {
                     Action::Send { to, msg } if to == me => self.local.push_back(msg),
                     Action::Send { to, msg } => fx.send(to, msg),
-                    Action::SetTimer { delay, timer } => fx.set_timer(self.ctx.now() + delay, timer),
+                    Action::SetTimer { delay, timer } => fx.set_timer(now + delay, timer),
                     Action::Work { duration } => fx.work(duration),
                     Action::Output(out) => fx.output(out),
                 }
@@ -189,5 +190,21 @@ mod tests {
         log.budget = None;
         d.on_command(vec![4], &mut log);
         assert_eq!(log.outputs, [0, 1, 2, 0, 4, 40]);
+    }
+
+    #[test]
+    fn the_action_buffer_keeps_its_capacity_across_handler_runs() {
+        let mut d = Driver::new(ProcessId::new(0), 1, Chain);
+        let mut log = Log::default();
+        // Seven actions from the first handler size the buffer.
+        d.on_command(vec![1, 2, 3, 4, 5, 6], &mut log);
+        let (cap, buf) = (d.ctx.actions.capacity(), d.ctx.actions.as_ptr());
+        assert!(cap >= 7);
+        for _ in 0..10 {
+            d.on_command(vec![1, 2], &mut log);
+            assert!(d.ctx.is_empty());
+            assert_eq!(d.ctx.actions.capacity(), cap, "the buffer was given away");
+            assert_eq!(d.ctx.actions.as_ptr(), buf, "the buffer was reallocated");
+        }
     }
 }
