@@ -17,6 +17,7 @@
 //! | [`node`] | Algorithm 1's state and transitions: `on_command` R-broadcasts `m` (line 8); `rdeliver` adds its id to `unordered_p` (11–14); `maybe_propose` proposes instance `k + 1` with `(unordered_p, rcv)` while the window has room (15–18); `apply_decision` appends the decided ids to `ordered_p` in `(sender, seq)` order (18–21); `try_deliver` a-delivers the head of `ordered_p` once its payload is present (22–25) |
 //! | [`proposal`] | `ProposalPolicy`: which candidate ids a proposal carries and when — the window `W` (static, or the AIMD [`WindowController`]), the per-proposal cap, the freshness gate |
 //! | `recovery` | `Recovery`, present iff catch-up or learner mode is on: the decided log, the catch-up request machine, the pending set |
+//! | `collective` | `Collective`: per process, the highest decided frontier and a-delivered vector heard from it; their minimum over all `n` frees lazy RB copies and the in-memory decided log, and it builds the piggyback every frame rides in |
 //!
 //! # Example
 //!
@@ -44,6 +45,7 @@
 //! assert_eq!(delivered.len(), 3); // all three processes a-deliver m
 //! ```
 
+mod collective;
 pub mod decided;
 pub mod envelope;
 pub mod monitor;
@@ -87,4 +89,29 @@ pub enum AbcastEvent {
         /// which latency is computed).
         msg: AppMessage,
     },
+}
+
+/// What a node holds at one moment, collection by collection
+/// ([`AbcastNode::retained`]): each count stays O(in flight) however long
+/// the run (`crates/sim/tests/bounded_state.rs`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Retained {
+    /// Messages in the store: R-delivered, not yet a-delivered.
+    pub stored: usize,
+    /// Identifiers received but not yet ordered (`unordered_p`).
+    pub unordered: usize,
+    /// Identifiers ordered but not yet deliverable (payload still missing).
+    pub ordered: usize,
+    /// Decisions received ahead of order, waiting for a lower instance.
+    pub buffered_decisions: usize,
+    /// Consensus instance slots (live + GC cache).
+    pub consensus_slots: usize,
+    /// Ranges of the two ever-seen id sets (ordered, a-delivered): one per
+    /// sender and set once every gap closed.
+    pub id_ranges: usize,
+    /// Copies the broadcast layer holds for a relay on suspicion.
+    pub rb_copies: usize,
+    /// Decided-log entries held (0 with catch-up off): with the default
+    /// in-memory log, the instances some member may still fetch.
+    pub log_entries: usize,
 }

@@ -1,10 +1,21 @@
 //! The composed atomic broadcast node: Algorithm 1 of the paper.
 //!
-//! [`AbcastNode`] holds Algorithm 1's state and transitions (lines 8,
-//! 11–14, 15–18, 18–21, 22–25, each cited where it lives). How a proposal
-//! is chosen — window, cap, freshness — is `ProposalPolicy`'s
-//! (`proposal.rs`); the decided log, catch-up and the pending set are
-//! `Recovery`'s (`recovery.rs`).
+//! [`AbcastNode`] holds Algorithm 1's state and transitions, one function
+//! per step:
+//!
+//! | Algorithm 1 | Function |
+//! |---|---|
+//! | line 8: R-broadcast `m` | `on_command` |
+//! | lines 11–14: R-deliver, add the id to `unordered_p` | `rdeliver` |
+//! | lines 15–18: propose `(unordered_p, rcv)` | `maybe_propose` |
+//! | lines 18–21: append the decision to `ordered_p` | `apply_decision` |
+//! | lines 22–25: a-deliver the head of `ordered_p` | `try_deliver` |
+//!
+//! How a proposal is chosen — window, cap, freshness — is
+//! `ProposalPolicy`'s (`proposal.rs`); the decided log, catch-up and the
+//! pending set are `Recovery`'s (`recovery.rs`); what every process has
+//! a-delivered and logged, and the piggyback that spreads it, is
+//! `Collective`'s (`collective.rs`).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -15,12 +26,13 @@ use iabc_fd::{FailureDetector, FdDest, FdEvent, FdOut};
 use iabc_runtime::{Context, Node, TimerId};
 use iabc_types::{AppMessage, Duration, IdRanges, IdSet, MsgId, ProcessId, ProcessSet, Time};
 
+use crate::collective::Collective;
 use crate::decided::{DecidedEntry, DecidedLog};
 use crate::envelope::Envelope;
-use crate::proposal::{PipelineConfig, ProposalPolicy, Selection};
+use crate::proposal::{backlog_signal, PipelineConfig, ProposalPolicy, Selection};
 use crate::recovery::{Recovery, TIMER_CATCHUP};
 use crate::store::{CostModel, NodeOracle, OrderingValue, ReceivedStore};
-use crate::{AbcastCommand, AbcastEvent};
+use crate::{AbcastCommand, AbcastEvent, Retained};
 
 /// Timer-id kind reserved for the failure detector.
 const TIMER_FD: u32 = 1;
@@ -92,10 +104,9 @@ pub struct AbcastNode<V: OrderingValue, A: SingleConsensus<V>> {
     /// Decided log, catch-up and pending set (`Some` iff catch-up or
     /// learner mode is configured).
     recovery: Option<Recovery<V>>,
-    /// Highest a-delivered vector known per process, own included (one
-    /// row per process, empty until a vector arrives) — what frees the
-    /// broadcast layer's retained copies.
-    known_delivered: Vec<Vec<u64>>,
+    /// What every process has a-delivered and logged, and the piggyback
+    /// every frame rides in.
+    collective: Collective,
 }
 
 impl<V: OrderingValue, A: SingleConsensus<V>> fmt::Debug for AbcastNode<V, A> {
@@ -106,22 +117,13 @@ impl<V: OrderingValue, A: SingleConsensus<V>> fmt::Debug for AbcastNode<V, A> {
             .field("next_apply", &self.next_apply)
             .field("window", &self.window())
             .field("in_flight", &self.in_flight.len())
-            .field("unordered", &self.unordered.len())
-            .field("ordered_pending", &self.ordered.len())
             .field("delivered", &self.delivered_count)
+            .field("retained", &self.retained())
             .finish()
     }
 }
 
 type Ctx<V> = Context<Envelope<V>, AbcastEvent>;
-
-/// The window controller's backlog signal: unordered ids *minus* ids in
-/// buffered (decided, not yet applied) decisions — ordered work, not demand
-/// for window slots; counting it would inflate spill pressure exactly in
-/// the out-of-order bursts the controller must ride out.
-fn backlog_signal<V: OrderingValue>(unordered: &IdSet, buffered: &BTreeMap<u64, V>) -> usize {
-    unordered.len().saturating_sub(buffered.values().map(V::id_count).sum())
-}
 
 impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
     /// Assembles a node from its modules. `algo_factory` builds the state
@@ -159,7 +161,7 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
             nacks_sent: 0,
             learner: pipeline.learner,
             recovery: (pipeline.catch_up || pipeline.learner).then(|| Recovery::new(pipeline.learner)),
-            known_delivered: Vec::new(),
+            collective: Collective::new(me, pipeline.catch_up || pipeline.learner),
         }
     }
 
@@ -176,16 +178,6 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
     /// Messages a-delivered so far.
     pub fn delivered_count(&self) -> u64 {
         self.delivered_count
-    }
-
-    /// Identifiers ordered but not yet deliverable (payload still missing).
-    pub fn ordered_pending(&self) -> usize {
-        self.ordered.len()
-    }
-
-    /// Identifiers received but not yet ordered.
-    pub fn unordered_len(&self) -> usize {
-        self.unordered.len()
     }
 
     /// Serial number of the latest consensus instance proposed locally.
@@ -244,31 +236,14 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
         self.in_flight.len()
     }
 
-    /// Decisions received ahead of order, waiting for a lower instance.
-    pub fn buffered_decisions(&self) -> usize {
-        self.decision_buffer.len()
-    }
-
     /// The received-message store (for tests and probes).
     pub fn store(&self) -> &ReceivedStore {
         &self.store
     }
 
-    /// Ranges held by the two ever-seen id sets (ordered, a-delivered):
-    /// one per sender and set once every gap closed, however long the run.
-    pub fn id_set_ranges(&self) -> usize {
-        self.ordered_ever.range_count() + self.store.delivered_ranges()
-    }
-
     /// Consensus instance slots currently retained (live + GC cache).
     pub fn consensus_slots(&self) -> usize {
         self.mgr.slot_count()
-    }
-
-    /// Copies the broadcast layer holds for a relay on suspicion (0 for a
-    /// module that keeps none).
-    pub fn rb_retained(&self) -> usize {
-        self.bcast.retained().unwrap_or(0)
     }
 
     /// The highest instance fully a-delivered *and* logged (0 with
@@ -277,10 +252,18 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
         self.recovery.as_ref().map_or(0, Recovery::frontier)
     }
 
-    /// Decided-log entries this node holds (0 with catch-up off): with the
-    /// default in-memory log, the instances some member may still fetch.
-    pub fn decided_log_held(&self) -> usize {
-        self.recovery.as_ref().map_or(0, Recovery::held)
+    /// What this node holds now, collection by collection.
+    pub fn retained(&self) -> Retained {
+        Retained {
+            stored: self.store.len(),
+            unordered: self.unordered.len(),
+            ordered: self.ordered.len(),
+            buffered_decisions: self.decision_buffer.len(),
+            consensus_slots: self.mgr.slot_count(),
+            id_ranges: self.ordered_ever.range_count() + self.store.delivered_ranges(),
+            rb_copies: self.bcast.retained().unwrap_or(0),
+            log_entries: self.recovery.as_ref().map_or(0, Recovery::held),
+        }
     }
 
     /// Catch-up requests this node sent so far.
@@ -298,69 +281,16 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
         self.learner
     }
 
-    /// Wraps an outgoing frame with the decided frontier when catch-up is
-    /// on. With catch-up off this is the identity — the wire format is
-    /// then byte-for-byte the pre-catch-up one.
-    fn wrap(&self, env: Envelope<V>) -> Envelope<V> {
-        match &self.recovery {
-            Some(r) => r.wrap(env),
-            None => env,
-        }
-    }
-
-    /// Wraps an outgoing consensus or failure-detector frame. When the
-    /// broadcast module retains copies (which only the collective
-    /// a-delivered vector frees), the frame also carries this process's
-    /// a-delivered vector, in the frontier wrapper — frontier 0 with
-    /// catch-up off. Consensus frames move the vector while messages flow,
-    /// heartbeats (when a heartbeat detector runs) once they stop.
-    fn wrap_with_vector(&self, env: Envelope<V>, n: usize) -> Envelope<V> {
-        if self.bcast.retained().is_none() {
-            return self.wrap(env);
-        }
-        let delivered = self.delivered_vector(n);
-        Envelope::WithFrontier { frontier: self.decided_frontier(), delivered, inner: Box::new(env) }
-    }
-
-    /// Per sender, how many of its messages this process has a-delivered
-    /// from sequence number 0 on. The a-delivered prefix, not the RB layer's
-    /// R-delivered one: a restart marks logged ids delivered in the store,
-    /// while a fresh RB layer has seen nothing and would pin every peer.
-    fn delivered_vector(&self, n: usize) -> Vec<u64> {
-        ProcessId::all(n).map(|s| self.store.delivered_prefix(s)).collect()
-    }
-
-    /// Folds `from`'s piggybacked a-delivered vector into `known_delivered`
-    /// (element-wise max), then hands the broadcast layer the per-sender
-    /// minimum over all `n` processes, own vector included: what every
-    /// process has a-delivered. A process not heard from counts as 0, so a
-    /// crashed one pins the minimum. A vector of the wrong length is
-    /// malformed remote input and changes nothing.
-    fn on_delivered_vector(&mut self, from: ProcessId, delivered: &[u64], n: usize) {
-        if delivered.len() != n || from.as_usize() >= n || self.bcast.retained().is_none() {
-            return;
-        }
-        let own = self.delivered_vector(n);
-        self.known_delivered.resize(n, vec![0; n]);
-        for (p, vector) in [(self.me, own.as_slice()), (from, delivered)] {
-            for (known, &d) in self.known_delivered[p.as_usize()].iter_mut().zip(vector) {
-                *known = (*known).max(d);
-            }
-        }
-        let stable: Vec<u64> =
-            (0..n).map(|s| self.known_delivered.iter().map(|row| row[s]).min().unwrap_or(0)).collect();
-        self.bcast.on_stable(&stable);
-    }
-
     /// Runs one broadcast-layer call, then sends its frames and R-delivers
     /// what it delivered.
     fn drive_bcast(&mut self, ctx: &mut Ctx<V>, call: impl FnOnce(&mut (dyn Broadcast + Send), &mut BcastOut)) {
         let mut out = BcastOut::new();
         call(self.bcast.as_mut(), &mut out);
         for (dest, msg) in out.sends {
+            let env = self.collective.wrap(Envelope::Bcast(msg), false, ctx.n());
             match dest {
-                BcastDest::To(q) => ctx.send(q, self.wrap(Envelope::Bcast(msg))),
-                BcastDest::Others => ctx.send_to_others(self.wrap(Envelope::Bcast(msg))),
+                BcastDest::To(q) => ctx.send(q, env),
+                BcastDest::Others => ctx.send_to_others(env),
             }
         }
         for m in out.deliveries {
@@ -374,7 +304,8 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
         let mut out = FdOut::new();
         call(self.fd.as_mut(), ctx.now(), &mut out);
         for (dest, msg) in out.sends {
-            let env = self.wrap_with_vector(Envelope::Fd(msg), ctx.n());
+            // Heartbeats carry the a-delivered vector once messages stop.
+            let env = self.collective.wrap(Envelope::Fd(msg), self.bcast.retained().is_some(), ctx.n());
             match dest {
                 FdDest::To(q) => ctx.send(q, env),
                 FdDest::Others => ctx.send_to_others(env),
@@ -422,7 +353,8 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
             if msg.is_refusal() {
                 self.nacks_sent += 1;
             }
-            let env = self.wrap_with_vector(Envelope::Cons { k, msg }, ctx.n());
+            // Consensus frames carry the a-delivered vector while messages flow.
+            let env = self.collective.wrap(Envelope::Cons { k, msg }, self.bcast.retained().is_some(), ctx.n());
             match dest {
                 ConsDest::To(q) => ctx.send(q, env),
                 ConsDest::All => ctx.send_to_all(env),
@@ -499,10 +431,6 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
     /// Routes a decision for instance `k`: stale or duplicate decisions are
     /// dropped, future ones buffered, and the buffer is drained strictly in
     /// instance order.
-    ///
-    /// This replaces the seed's `debug_assert_eq!(k, self.k)` — which
-    /// compiled away in release builds and let a mismatched instance number
-    /// silently corrupt the ordering state — with real routing.
     fn handle_decision(&mut self, k: u64, v: V, ctx: &mut Ctx<V>) {
         if k < self.next_apply || self.decision_buffer.contains_key(&k) {
             return;
@@ -575,6 +503,7 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
         if let Some(r) = self.recovery.as_mut() {
             r.drain_completed(self.me);
         }
+        self.collective.refresh_own(ctx.n(), self.decided_frontier(), |s| self.store.delivered_prefix(s));
     }
 
     /// Restart path: rebuilds the ordering state from the reloaded decided
@@ -586,7 +515,7 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
     /// memory, so the sequence number of a broadcast accepted but not yet
     /// logged before the crash can be reused. Closing that gap takes a
     /// durable pending set, written with the decided log's group commit.
-    fn recover(&mut self) {
+    fn recover(&mut self, n: usize) {
         let Some(r) = self.recovery.as_mut() else { return };
         let logged = r.reload_log();
         for e in logged {
@@ -602,6 +531,7 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
             self.next_apply = last.k.saturating_add(1);
             self.proposed_hi = self.proposed_hi.max(last.k);
         }
+        self.collective.refresh_own(n, self.decided_frontier(), |s| self.store.delivered_prefix(s));
     }
 
     /// Applies a catch-up reply's entries through the normal decision path
@@ -629,7 +559,7 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
         self.try_deliver(ctx);
         let window = self.window();
         if let Some(r) = self.recovery.as_mut() {
-            r.on_reply(ahead, &self.ordered_ever, window, ctx);
+            r.on_reply(ahead, &self.ordered_ever, window, &self.collective, ctx);
         }
     }
 }
@@ -640,7 +570,7 @@ impl<V: OrderingValue, A: SingleConsensus<V>> Node for AbcastNode<V, A> {
     type Output = AbcastEvent;
 
     fn on_start(&mut self, ctx: &mut Ctx<V>) {
-        self.recover();
+        self.recover(ctx.n());
         // Learners send no heartbeats. Peers that know the learner set
         // (StackParams::with_learner_set) exclude them from suspicion,
         // rotation and quorums natively; peers that don't will suspect
@@ -651,7 +581,7 @@ impl<V: OrderingValue, A: SingleConsensus<V>> Node for AbcastNode<V, A> {
         }
         if ctx.n() > 1 {
             if let Some(r) = self.recovery.as_mut() {
-                r.probe(self.next_apply, ctx);
+                r.probe(self.next_apply, &self.collective, ctx);
             }
         }
     }
@@ -683,17 +613,20 @@ impl<V: OrderingValue, A: SingleConsensus<V>> Node for AbcastNode<V, A> {
             }
             Envelope::Fd(f) => self.drive_fd(ctx, |fd, now, out| fd.on_message(now, from, f, out)),
             Envelope::CatchUpRequest { from_k, to_k } => match &self.recovery {
-                Some(r) => r.serve(from, from_k, to_k, ctx),
+                Some(r) => r.serve(from, from_k, to_k, &self.collective, ctx),
                 // Catch-up off here: answer empty, not silence.
                 None => ctx.send(from, Envelope::CatchUpReply { entries: Vec::new() }),
             },
             Envelope::CatchUpReply { entries } => self.absorb_catch_up(entries, ctx),
             Envelope::WithFrontier { frontier, delivered, inner } => {
-                self.on_delivered_vector(from, &delivered, ctx.n());
+                let (floor, stable) = self.collective.note(from, frontier, &delivered, ctx.n());
+                if let Some(stable) = stable.filter(|_| self.bcast.retained().is_some()) {
+                    self.bcast.on_stable(stable);
+                }
                 // Catch-up off: tolerate the wrapper, ignore the hint.
                 let window = self.window();
                 if let Some(r) = self.recovery.as_mut() {
-                    r.note_frontier(from, frontier, window, ctx);
+                    r.on_piggyback(floor, window, &self.collective, ctx);
                 }
                 // Decode bounds nesting to one level, so this recursion
                 // cannot be driven deeper by remote input.
@@ -712,7 +645,7 @@ impl<V: OrderingValue, A: SingleConsensus<V>> Node for AbcastNode<V, A> {
             TIMER_CATCHUP => {
                 let window = self.window();
                 if let Some(r) = self.recovery.as_mut() {
-                    r.on_timer(timer.data(), window, ctx);
+                    r.on_timer(timer.data(), window, &self.collective, ctx);
                 }
             }
             _ => {}
@@ -802,7 +735,7 @@ mod tests {
         // Algorithm 1 verbatim: the second id waits for instance 1.
         assert_eq!(node.instance(), 1);
         assert_eq!(node.in_flight(), 1);
-        assert_eq!(node.unordered_len(), 2);
+        assert_eq!(node.retained().unordered, 2);
     }
 
     #[test]
@@ -816,7 +749,7 @@ mod tests {
         // the third id must wait for a slot.
         assert_eq!(node.instance(), 2);
         assert_eq!(node.in_flight(), 2);
-        assert_eq!(node.unordered_len(), 3);
+        assert_eq!(node.retained().unordered, 3);
     }
 
     #[test]
@@ -830,12 +763,12 @@ mod tests {
         // Instance 2 decides first: nothing may be delivered yet.
         deliver_decide(&mut node, 2, IdSet::from_ids([msg(1, 1).id()]), &mut c);
         assert_eq!(node.delivered_count(), 0, "future decision must be buffered");
-        assert_eq!(node.buffered_decisions(), 1);
+        assert_eq!(node.retained().buffered_decisions, 1);
 
         // Instance 1 decides: both apply, strictly in instance order.
         deliver_decide(&mut node, 1, IdSet::from_ids([msg(1, 0).id()]), &mut c);
         assert_eq!(node.delivered_count(), 2);
-        assert_eq!(node.buffered_decisions(), 0);
+        assert_eq!(node.retained().buffered_decisions, 0);
         assert_eq!(node.in_flight(), 0);
         assert_eq!(delivered_ids(&mut c), vec![msg(1, 0).id(), msg(1, 1).id()]);
     }
@@ -861,7 +794,7 @@ mod tests {
         assert!(c.take_actions().is_empty(), "stale decision must emit nothing");
         assert_eq!(node.delivered_count(), 1, "stale decision must not deliver");
         assert_eq!(node.instance(), 1, "stale decision must not trigger proposals");
-        assert_eq!(node.ordered_pending(), 0);
+        assert_eq!(node.retained().ordered, 0);
 
         // Same for a decision duplicating an already-buffered instance.
         let mut node = test_node(2);
@@ -870,13 +803,13 @@ mod tests {
         deliver_data(&mut node, 1, msg(1, 1), &mut c);
         node.handle_decision(2, IdSet::from_ids([msg(1, 1).id()]), &mut c);
         node.handle_decision(2, IdSet::from_ids([msg(2, 7).id()]), &mut c);
-        assert_eq!(node.buffered_decisions(), 1);
+        assert_eq!(node.retained().buffered_decisions, 1);
         // Instance 1 releases the buffered instance 2 as first decided:
         // the duplicate's id is never ordered, let alone delivered.
         c.take_actions();
         node.handle_decision(1, IdSet::from_ids([msg(1, 0).id()]), &mut c);
         assert_eq!(delivered_ids(&mut c), vec![msg(1, 0).id(), msg(1, 1).id()]);
-        assert_eq!(node.ordered_pending(), 0, "duplicate buffered decision dropped");
+        assert_eq!(node.retained().ordered, 0, "duplicate buffered decision dropped");
     }
 
     #[test]
@@ -1120,7 +1053,7 @@ mod tests {
         let all: Vec<MsgId> = (0..FRESHNESS_WARMUP).map(|s| msg_at(1, s, now).id()).collect();
         let mut k = node.instance();
         let mut guard = 0;
-        while node.unordered_len() > 0 {
+        while node.retained().unordered > 0 {
             deliver_decide(node, k, IdSet::from_ids(all.clone()), c);
             k += 1;
             guard += 1;
@@ -1149,7 +1082,7 @@ mod tests {
         c.take_actions();
         deliver_data(&mut node, 1, msg_at(1, next, c.now()), &mut c);
         assert_eq!(node.instance(), proposed, "fresh id must not be proposed yet");
-        assert_eq!(node.unordered_len(), 1, "gated id stays in unordered");
+        assert_eq!(node.retained().unordered, 1, "gated id stays in unordered");
         // The age-zero delivery itself fed the EWMA, so the wake-up uses
         // the *updated* estimate.
         let est = node.policy.flood_delay_estimate().expect("still warmed");
@@ -1191,7 +1124,7 @@ mod tests {
         deliver_decide(&mut node, proposed + 1, IdSet::from_ids([old.id()]), &mut c);
         assert_eq!(node.instance(), proposed + 2);
         assert_eq!(node.freshness_held(), 1, "the fresh id sat the proposal out");
-        assert_eq!(node.unordered_len(), 2, "old2 proposed, fresh still unordered");
+        assert_eq!(node.retained().unordered, 2, "old2 proposed, fresh still unordered");
         // Deciding old2 with only the fresh id left: defer + wake-up, and
         // the id is eventually proposed and decided (no permanent loss).
         deliver_decide(&mut node, proposed + 2, IdSet::from_ids([old2.id()]), &mut c);
@@ -1200,7 +1133,7 @@ mod tests {
         node.on_timer(TimerId::new(2, 0), &mut c);
         assert_eq!(node.instance(), proposed + 3);
         deliver_decide(&mut node, proposed + 3, IdSet::from_ids([fresh.id()]), &mut c);
-        assert_eq!(node.unordered_len(), 0);
+        assert_eq!(node.retained().unordered, 0);
     }
 
     #[test]
@@ -1299,6 +1232,7 @@ mod tests {
         assert!(out.iter().any(|(_, m)| matches!(m, Envelope::Bcast(BcastMsg::Data(_)))));
         let cons: Vec<_> = out.iter().filter(|(_, m)| !matches!(m, Envelope::Bcast(_))).collect();
         assert!(!cons.is_empty());
+        assert_eq!(node.collective.row(ProcessId::new(0)), Some((0, &[0, 1, 0][..])), "the own row");
         for (_, m) in cons {
             assert!(
                 matches!(m, Envelope::WithFrontier { frontier: 0, delivered, inner }
@@ -1317,7 +1251,7 @@ mod tests {
         let mut c = ctx();
         deliver_data(&mut node, 1, msg(1, 0), &mut c);
         deliver_decide(&mut node, 1, IdSet::from_ids([msg(1, 0).id()]), &mut c);
-        assert_eq!((node.delivered_count(), node.rb_retained()), (1, 1));
+        assert_eq!((node.delivered_count(), node.retained().rb_copies), (1, 1));
         c.take_actions();
         for bad in [vec![1, 1], vec![1, 1, 1, 1]] {
             node.on_message(ProcessId::new(1), with_vector(bad.clone()), &mut c);
@@ -1325,12 +1259,15 @@ mod tests {
         }
         node.on_message(ProcessId::new(7), with_vector(vec![1, 1, 1]), &mut c);
         assert!(c.take_actions().is_empty());
-        assert!(node.known_delivered.is_empty(), "nothing recorded");
-        assert_eq!(node.rb_retained(), 1);
+        for p in [1, 2] {
+            assert_eq!(node.collective.row(ProcessId::new(p)), Some((0, &[0, 0, 0][..])), "nothing recorded");
+        }
+        assert_eq!(node.collective.row(ProcessId::new(7)), None, "no row outside 0..n");
+        assert_eq!(node.retained().rb_copies, 1);
         node.on_message(ProcessId::new(1), with_vector(vec![0, 1, 0]), &mut c);
-        assert_eq!(node.rb_retained(), 1, "p2 has not been heard from");
+        assert_eq!(node.retained().rb_copies, 1, "p2 has not been heard from");
         node.on_message(ProcessId::new(2), with_vector(vec![0, 1, 0]), &mut c);
-        assert_eq!(node.rb_retained(), 0, "a-delivered everywhere");
+        assert_eq!(node.retained().rb_copies, 0, "a-delivered everywhere");
     }
 
     /// The detector's retraction reaches the broadcast layer: lazy RB
@@ -1362,7 +1299,7 @@ mod tests {
         deliver_data(&mut node, 1, msg(1, 1), &mut c);
         deliver_data(&mut node, 2, msg(2, 0), &mut c);
         assert_eq!(relayed(&mut c), [msg(2, 0).id(), msg(2, 0).id()], "only the suspect is relayed");
-        assert_eq!(node.rb_retained(), 3, "the trusted sender's copies are still held");
+        assert_eq!(node.retained().rb_copies, 3, "the trusted sender's copies are still held");
     }
 
     /// Trap: once a-delivered, a message cannot re-enter the store through
@@ -1382,15 +1319,15 @@ mod tests {
         node.rdeliver(m.clone(), &mut c);
         let entries = vec![log_entry(1, std::slice::from_ref(&m))];
         node.on_message(ProcessId::new(2), Envelope::CatchUpReply { entries }, &mut c);
-        assert_eq!((node.store().len(), node.unordered_len(), node.delivered_count()), (0, 0, 1));
+        assert_eq!((node.store().len(), node.retained().unordered, node.delivered_count()), (0, 0, 1));
         assert_eq!(delivered_ids(&mut c), vec![]);
         // Decided, payload lost on the way: the late copy must get in.
         let late = msg(2, 0);
         node.handle_decision(2, IdSet::from_ids([late.id()]), &mut c);
-        assert_eq!(node.ordered_pending(), 1);
+        assert_eq!(node.retained().ordered, 1);
         deliver_data(&mut node, 2, late.clone(), &mut c);
         assert_eq!(delivered_ids(&mut c), vec![late.id()]);
-        assert_eq!((node.store().len(), node.ordered_pending()), (0, 0));
+        assert_eq!((node.store().len(), node.retained().ordered), (0, 0));
 
         // The third door: a full-message decision brings its own payloads.
         let mut node = stacks::direct_ct_messages(ProcessId::new(0), &StackParams::fault_free(3));
@@ -1671,7 +1608,7 @@ mod tests {
         // payload never arrives: applied, ordered, stuck.
         deliver_data(&mut node, 2, msg(2, 0), &mut c);
         deliver_decide(&mut node, 1, IdSet::from_ids([msg(1, 0).id()]), &mut c);
-        assert_eq!((node.ordered_pending(), node.decided_frontier()), (1, 0));
+        assert_eq!((node.retained().ordered, node.decided_frontier()), (1, 0));
         c.take_actions();
         // A peer has delivered instance 1. Our frontier, not our apply
         // cursor, is what its lead is measured against.
@@ -1834,7 +1771,7 @@ mod tests {
         // re-flooded by a peer is R-delivered again. The logged ids must
         // count as delivered, or the copy would sit in the store for ever.
         deliver_data(&mut node, 1, msg(1, 0), &mut c);
-        assert_eq!((node.store().len(), node.unordered_len()), (0, 0));
+        assert_eq!((node.store().len(), node.retained().unordered), (0, 0));
         // Our own sequence resumes past the logged prefix: no id reuse.
         node.on_command(AbcastCommand::Broadcast(Payload::zeroed(8)), &mut c);
         let bid = broadcast_id(&mut c);
@@ -1925,7 +1862,7 @@ mod tests {
         c.set_now(c.now() + d1);
         node.on_timer(t1, &mut c);
         assert_eq!(node.instance(), proposed + 1, "still fresh at the stale wake-up");
-        assert_eq!(node.unordered_len(), 1, "the id is gated, not lost");
+        assert_eq!(node.retained().unordered, 1, "the id is gated, not lost");
         let (d2, t2) = armed_timer(&mut c, TIMER_PROPOSE);
 
         // The re-armed wake-up matures the id with NO background traffic.
@@ -1934,6 +1871,6 @@ mod tests {
         assert_eq!(node.instance(), proposed + 2, "re-armed wake-up proposes");
         deliver_decide(&mut node, proposed + 2, IdSet::from_ids([fresh.id()]), &mut c);
         assert!(delivered_ids(&mut c).contains(&fresh.id()));
-        assert_eq!(node.unordered_len(), 0);
+        assert_eq!(node.retained().unordered, 0);
     }
 }

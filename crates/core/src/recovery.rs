@@ -7,6 +7,8 @@
 //! state only through the node: caught-up entries go back to the node's one
 //! apply path (`handle_decision`), and the log learns of applied instances
 //! and deliveries through [`Recovery::queue`] and [`Recovery::delivered`].
+//! What peers have logged, and the wrapper its frames ride in, come from
+//! the node's [`Collective`].
 //!
 //! Every frame peers send here is remote input — catch-up ranges, reply
 //! entries, piggybacked frontiers — and must degrade, never panic.
@@ -17,6 +19,7 @@ use iabc_broadcast::BcastMsg;
 use iabc_runtime::{Context, TimerId};
 use iabc_types::{AppMessage, Duration, IdRanges, ProcessId};
 
+use crate::collective::Collective;
 use crate::decided::{DecidedEntry, DecidedLog, MemDecidedLog};
 use crate::envelope::Envelope;
 use crate::store::OrderingValue;
@@ -48,7 +51,7 @@ pub(crate) struct Recovery<V> {
     /// Every fully a-delivered instance, in order; its frontier is what the
     /// node piggybacks. In memory unless [`Recovery::set_log`] swapped in a
     /// durable one before start. The in-memory log drops what every member
-    /// has logged (see [`Recovery::note_frontier`]) and serves the rest; the
+    /// has logged (see [`Recovery::on_piggyback`]) and serves the rest; the
     /// durable one keeps and serves everything.
     log: Box<dyn DecidedLog<V>>,
     /// This process's accepted-but-undecided broadcasts by sequence number
@@ -63,8 +66,6 @@ pub(crate) struct Recovery<V> {
     /// Applied instances whose deliveries are still draining, oldest first
     /// (deliveries drain in instance order, so completion is front-first).
     pending_log: VecDeque<PendingLogEntry<V>>,
-    /// Highest decided frontier piggybacked by each peer.
-    peer_frontiers: BTreeMap<ProcessId, u64>,
     /// Whether a request is outstanding (one at a time: batches apply in
     /// order) — or, for a lead inside the window, the wait standing in for
     /// one.
@@ -103,7 +104,6 @@ impl<V: OrderingValue> Recovery<V> {
             pending: BTreeMap::new(),
             learner,
             pending_log: VecDeque::new(),
-            peer_frontiers: BTreeMap::new(),
             catch_up_inflight: false,
             catch_up_waited_at: None,
             catch_up_epoch: 0,
@@ -138,13 +138,6 @@ impl<V: OrderingValue> Recovery<V> {
     /// Decided entries learned through catch-up replies so far.
     pub(crate) fn caught_up_entries(&self) -> u64 {
         self.caught_up_entries
-    }
-
-    /// Wraps an outgoing frame with the decided frontier. Riding *every*
-    /// frame, the frontier needs no schedule of its own and spreads even
-    /// with the failure detector off.
-    pub(crate) fn wrap(&self, env: Envelope<V>) -> Envelope<V> {
-        Envelope::WithFrontier { frontier: self.log.frontier(), delivered: Vec::new(), inner: Box::new(env) }
     }
 
     /// Records an accepted broadcast *before* it is flooded, so a flood
@@ -194,12 +187,12 @@ impl<V: OrderingValue> Recovery<V> {
     }
 
     /// Bootstrap probe at start (a quiet cluster sends no frontiers): one
-    /// request to everyone from the apply cursor `from_k` primes
-    /// `peer_frontiers` from the wrapped replies and fetches any backlog.
-    pub(crate) fn probe(&mut self, from_k: u64, ctx: &mut Ctx<V>) {
+    /// request to everyone from the apply cursor `from_k` learns every
+    /// peer's frontier from the wrapped replies and fetches any backlog.
+    pub(crate) fn probe(&mut self, from_k: u64, c: &Collective, ctx: &mut Ctx<V>) {
         let to_k = from_k.saturating_add(CATCH_UP_BATCH - 1);
         self.catch_up_requests += 1;
-        ctx.send_to_others(self.wrap(Envelope::CatchUpRequest { from_k, to_k }));
+        ctx.send_to_others(c.wrap(Envelope::CatchUpRequest { from_k, to_k }, false, ctx.n()));
         self.arm_catch_up_retry(ctx);
     }
 
@@ -208,44 +201,32 @@ impl<V: OrderingValue> Recovery<V> {
     /// empty batch: the reply settles the request and carries our frontier.
     /// A request from an instance the log dropped gets the empty batch too,
     /// not a suffix that skips instances.
-    pub(crate) fn serve(&self, from: ProcessId, from_k: u64, to_k: u64, ctx: &mut Ctx<V>) {
+    pub(crate) fn serve(&self, from: ProcessId, from_k: u64, to_k: u64, c: &Collective, ctx: &mut Ctx<V>) {
         let hi = to_k.min(from_k.saturating_add(CATCH_UP_BATCH - 1));
         let entries = self.log.range(from_k, hi).to_vec();
-        ctx.send(from, self.wrap(Envelope::CatchUpReply { entries }));
+        ctx.send(from, c.wrap(Envelope::CatchUpReply { entries }, false, ctx.n()));
     }
 
-    /// Records a peer's piggybacked frontier, lets the log drop what every
-    /// member has logged, and starts catching up if the frontier proves the
-    /// peer holds instances we have not delivered. `window` is the node's
-    /// current pipeline window.
-    pub(crate) fn note_frontier(&mut self, from: ProcessId, frontier: u64, window: usize, ctx: &mut Ctx<V>) {
-        let known = self.peer_frontiers.entry(from).or_insert(0);
-        *known = (*known).max(frontier);
-        self.release_collective_prefix(ctx.me(), ctx.n());
-        self.maybe_catch_up(window, ctx);
-    }
-
-    /// Lets the log drop every instance all members `0..n` have logged: up
-    /// to the minimum of our frontier and every other member's highest
-    /// piggybacked one. A member with none recorded — crashed, not heard
-    /// from yet, a learner that never fetches from us — pins it at 0. Ids
-    /// outside `0..n` are remote input and count for no member.
-    ///
-    /// Out of line: inlined, it grows the node's `on_message`, which every
-    /// frame runs, catch-up off included.
-    #[inline(never)]
-    fn release_collective_prefix(&mut self, me: ProcessId, n: usize) {
-        let floor = ProcessId::all(n)
-            .filter(|&p| p != me)
-            .map(|p| self.peer_frontiers.get(&p).copied().unwrap_or(0))
-            .fold(self.log.frontier(), u64::min);
+    /// A piggyback was folded into `c`: lets the log drop through `floor`,
+    /// what every member has logged, and catches up if some peer's frontier
+    /// proves it holds instances we have not delivered. `window` is the
+    /// node's current pipeline window.
+    pub(crate) fn on_piggyback(&mut self, floor: u64, window: usize, c: &Collective, ctx: &mut Ctx<V>) {
         self.log.release_through(floor);
+        self.maybe_catch_up(window, c, ctx);
     }
 
     /// A reply arrived and the caller applied its entries, `ahead` of
     /// which were past its apply cursor: settles the request, re-floods
     /// the pending set, and keeps fetching if still behind.
-    pub(crate) fn on_reply(&mut self, ahead: u64, ordered_ever: &IdRanges, window: usize, ctx: &mut Ctx<V>) {
+    pub(crate) fn on_reply(
+        &mut self,
+        ahead: u64,
+        ordered_ever: &IdRanges,
+        window: usize,
+        c: &Collective,
+        ctx: &mut Ctx<V>,
+    ) {
         // Bump the epoch so the request's retry timer (still scheduled)
         // cannot re-request. The peer is answering again: restart the
         // retry backoff from its base.
@@ -257,17 +238,17 @@ impl<V: OrderingValue> Recovery<V> {
         // signal: repair any accepted broadcast whose payload flood may
         // have been shed while this node was unreachable. Pending sets are
         // empty in healthy runs, so this is free there.
-        self.reflood_pending(ordered_ever, ctx);
-        self.maybe_catch_up(window, ctx);
+        self.reflood_pending(ordered_ever, c, ctx);
+        self.maybe_catch_up(window, c, ctx);
     }
 
     /// The catch-up timer armed under `epoch` fired. Only the
     /// timer of the *current* outstanding request (or wait) may act:
     /// replies bump the epoch, so timers from settled requests are inert.
-    pub(crate) fn on_timer(&mut self, epoch: u64, window: usize, ctx: &mut Ctx<V>) {
+    pub(crate) fn on_timer(&mut self, epoch: u64, window: usize, c: &Collective, ctx: &mut Ctx<V>) {
         if self.catch_up_inflight && epoch == self.catch_up_epoch {
             self.catch_up_inflight = false;
-            self.maybe_catch_up(window, ctx);
+            self.maybe_catch_up(window, c, ctx);
         }
     }
 
@@ -276,8 +257,8 @@ impl<V: OrderingValue> Recovery<V> {
     /// request is outstanding. An instance we have applied but cannot
     /// deliver (its decision reached us, a payload did not) counts as
     /// missing: the reply's entry carries the payloads. Deterministic peer
-    /// choice: the highest advertised frontier, ties to the smallest
-    /// process id.
+    /// choice ([`Collective::best_peer`]): the highest advertised frontier,
+    /// ties to the smallest process id.
     ///
     /// A peer that is ahead by no more than our `window` proves nothing: a
     /// decision is announced once, by its decider, so a third process that
@@ -289,17 +270,12 @@ impl<V: OrderingValue> Recovery<V> {
     /// which has no other source of decisions. (The wait holds
     /// `catch_up_inflight`, so a lead that grows past the window *during*
     /// it is requested when it ends: at most 25 ms late.)
-    fn maybe_catch_up(&mut self, window: usize, ctx: &mut Ctx<V>) {
+    fn maybe_catch_up(&mut self, window: usize, c: &Collective, ctx: &mut Ctx<V>) {
         if self.catch_up_inflight {
             return;
         }
         let from_k = self.log.frontier().saturating_add(1);
-        let best = self
-            .peer_frontiers
-            .iter()
-            .filter(|&(_, &f)| f >= from_k)
-            .max_by_key(|&(&p, &f)| (f, std::cmp::Reverse(p)));
-        let Some((&peer, &frontier)) = best else { return };
+        let Some((peer, frontier)) = c.best_peer(from_k) else { return };
         if frontier - from_k < window as u64
             && !self.learner
             && self.catch_up_waited_at != Some(from_k)
@@ -312,7 +288,7 @@ impl<V: OrderingValue> Recovery<V> {
         // wrapped bound would re-request the wrong range forever.
         let to_k = frontier.min(from_k.saturating_add(CATCH_UP_BATCH - 1));
         self.catch_up_requests += 1;
-        ctx.send(peer, self.wrap(Envelope::CatchUpRequest { from_k, to_k }));
+        ctx.send(peer, c.wrap(Envelope::CatchUpRequest { from_k, to_k }, false, ctx.n()));
         self.arm_catch_up_retry(ctx);
     }
 
@@ -334,10 +310,10 @@ impl<V: OrderingValue> Recovery<V> {
     /// Re-floods every pending broadcast not yet ordered, as direct RB
     /// relay frames (the live RB layer has already seen these ids, so a
     /// fresh broadcast would no-op). Receivers dedupe by id.
-    fn reflood_pending(&mut self, ordered_ever: &IdRanges, ctx: &mut Ctx<V>) {
+    fn reflood_pending(&mut self, ordered_ever: &IdRanges, c: &Collective, ctx: &mut Ctx<V>) {
         let mut sent = 0;
         for m in self.pending.values().filter(|m| !ordered_ever.contains(m.id())) {
-            ctx.send_to_others(self.wrap(Envelope::Bcast(BcastMsg::Relay(m.clone()))));
+            ctx.send_to_others(c.wrap(Envelope::Bcast(BcastMsg::Relay(m.clone())), false, ctx.n()));
             sent += 1;
         }
         self.pending_refloods += sent;
@@ -408,16 +384,22 @@ mod tests {
         let (me, p1, p2) = (ProcessId::new(0), ProcessId::new(1), ProcessId::new(2));
         let mut r: Recovery<IdSet> = Recovery::new(false);
         log_through(&mut r, 10);
+        let mut c = Collective::new(me, true);
+        c.refresh_own(3, r.frontier(), |_| 0);
         let mut ctx: Ctx<IdSet> = Context::new(me, 3, Time::ZERO);
-        r.note_frontier(p1, 10, 1, &mut ctx);
-        r.note_frontier(ProcessId::new(3), 10, 1, &mut ctx);
+        let mut piggyback = |r: &mut Recovery<IdSet>, from, frontier, ctx: &mut Ctx<IdSet>| {
+            let (floor, _) = c.note(from, frontier, &[], 3);
+            r.on_piggyback(floor, 1, &c, ctx);
+        };
+        piggyback(&mut r, p1, 10, &mut ctx);
+        piggyback(&mut r, ProcessId::new(3), 10, &mut ctx);
         assert_eq!(r.held(), 10, "p2 never sent a frontier: nothing dropped");
-        r.note_frontier(p2, 8, 1, &mut ctx);
+        piggyback(&mut r, p2, 8, &mut ctx);
         assert_eq!((r.held(), r.frontier()), (2, 10), "8 of 10 dropped, frontier kept");
         assert!(ctx.take_actions().is_empty(), "nobody is ahead: no request");
 
         for from_k in [8, 3, 9] {
-            r.serve(p2, from_k, from_k + 20, &mut ctx);
+            r.serve(p2, from_k, from_k + 20, &c, &mut ctx);
         }
         let replies: Vec<(ProcessId, u64, Vec<u64>)> = ctx
             .take_actions()

@@ -87,8 +87,9 @@ fn heap_allocations_per_serial_message() {
         "allocations per message: {per_msg:.1} ({:.0} B), over {MEASURED} messages",
         bytes as f64 / MEASURED as f64
     );
-    // A regression guard. The count reads ≈ 113, nearly all of them the protocol's
-    // own (decoded envelopes, id sets, delivered vectors). One allocation
-    // more per frame (8 per message) or per pass crosses it.
-    assert!(per_msg < 125.0, "{per_msg:.1} allocations per message");
+    // A regression guard. The count reads ≈ 89, nearly all of them the
+    // protocol's own (decoded envelopes, id sets, the outgoing a-delivered
+    // vectors). One allocation more per frame (8 per message) or per pass
+    // crosses it.
+    assert!(per_msg < 95.0, "{per_msg:.1} allocations per message");
 }

@@ -12,7 +12,7 @@
 
 use iabc_consensus::SingleConsensus;
 use iabc_core::stacks::{self, StackParams};
-use iabc_core::{AbcastCommand, AbcastNode, DurableDecidedLog, OrderingValue};
+use iabc_core::{AbcastCommand, AbcastNode, DurableDecidedLog, OrderingValue, Retained};
 use iabc_sim::{CrashSchedule, FaultPlan, NetworkParams, SimBuilder};
 use iabc_types::{Duration, Payload, ProcessId, Time};
 
@@ -20,24 +20,6 @@ const N: usize = 3;
 /// One broadcast every 500 µs, round-robin over the senders.
 const SPACING: Duration = Duration::from_micros(500);
 const VICTIM: ProcessId = ProcessId::new(2);
-
-/// What one node retains: `store().len()`, `unordered_len()`,
-/// `ordered_pending()`, `buffered_decisions()`, `consensus_slots()`,
-/// `id_set_ranges()`, `rb_retained()`, `decided_log_held()`.
-type Retained = [usize; 8];
-
-fn retained<V: OrderingValue, A: SingleConsensus<V>>(node: &AbcastNode<V, A>) -> Retained {
-    [
-        node.store().len(),
-        node.unordered_len(),
-        node.ordered_pending(),
-        node.buffered_decisions(),
-        node.consensus_slots(),
-        node.id_set_ranges(),
-        node.rb_retained(),
-        node.decided_log_held(),
-    ]
-}
 
 /// Asserts the quiescent bounds: nothing held, nothing queued, the
 /// manager's GC cache, one range per sender and id set, and at most the
@@ -52,10 +34,11 @@ fn retained<V: OrderingValue, A: SingleConsensus<V>>(node: &AbcastNode<V, A>) ->
 /// peers collected long ago; each decision then arrives through catch-up
 /// and the manager keeps the `Running` slot. One slot per such instance.
 fn assert_flat(r: Retained, caught_up: bool, what: &str) {
-    assert_eq!(r[..4], [0, 0, 0, 0], "{what}: store/unordered/ordered/buffered {r:?}");
-    assert!(caught_up || r[4] <= 16, "{what}: {} consensus slots", r[4]);
-    assert!(r[5] <= 2 * N, "{what}: {} id ranges", r[5]);
-    assert!(r[6] <= N, "{what}: {} RB copies", r[6]);
+    let queued = [r.stored, r.unordered, r.ordered, r.buffered_decisions];
+    assert_eq!(queued, [0, 0, 0, 0], "{what}: store/unordered/ordered/buffered {r:?}");
+    assert!(caught_up || r.consensus_slots <= 16, "{what}: {} consensus slots", r.consensus_slots);
+    assert!(r.id_ranges <= 2 * N, "{what}: {} id ranges", r.id_ranges);
+    assert!(r.rb_copies <= N, "{what}: {} RB copies", r.rb_copies);
 }
 
 /// Drives `count` broadcasts through the stack `factory` builds and
@@ -93,15 +76,19 @@ fn soak<V: OrderingValue, A: SingleConsensus<V>>(
     world.run_until(at(mid)); // the broadcast due at `at(mid)` included
     let p0 = world.node(ProcessId::new(0));
     let in_flight = (sent_before(mid + 1) - p0.delivered_count()) as usize;
-    let r = retained(p0);
+    let r = p0.retained();
     assert!(p0.delivered_count() > 0, "nothing delivered by mid-run");
-    assert!(r[..3].iter().all(|&held| held <= in_flight), "mid-run {r:?} vs {in_flight} in flight");
-    assert!(r[3] <= 1 && r[4] <= 16, "mid-run {r:?}: W = 1 buffers at most one decision");
-    assert!(r[5] <= 2 * (N + in_flight), "mid-run {r:?}: a gap needs a message in flight");
+    let held = [r.stored, r.unordered, r.ordered];
+    assert!(held.iter().all(|&held| held <= in_flight), "mid-run {r:?} vs {in_flight} in flight");
+    assert!(
+        r.buffered_decisions <= 1 && r.consensus_slots <= 16,
+        "mid-run {r:?}: W = 1 buffers at most one decision"
+    );
+    assert!(r.id_ranges <= 2 * (N + in_flight), "mid-run {r:?}: a gap needs a message in flight");
     // The in-memory decided log holds at most twice the slowest member's
     // lag (it drops in chunks), a few instances here; the durable one
     // holds every instance.
-    let held = r[7] as u64;
+    let held = r.log_entries as u64;
     assert!(
         held <= 2 * (N + in_flight) as u64 || held == p0.decided_frontier(),
         "mid-run {r:?}: decided frontier {}",
@@ -116,7 +103,7 @@ fn soak<V: OrderingValue, A: SingleConsensus<V>>(
             if !(restart && p == VICTIM) {
                 assert_eq!(node.delivered_count(), sent_before(count), "{p} is behind");
             }
-            (retained(node), node.decided_frontier())
+            (node.retained(), node.decided_frontier())
         })
         .collect()
 }
@@ -160,7 +147,7 @@ fn only_the_decided_log_grows_across_a_crash_restart() {
         assert_flat(*rl, victim, &format!("p{p} after 8,000"));
         // The copies a survivor held while the victim was down pinned the
         // minimum are gone once the restarted victim's vector arrives.
-        assert_eq!(rs[6], rl[6], "p{p}: RB copies depend on the length of the run");
+        assert_eq!(rs.rb_copies, rl.rb_copies, "p{p}: RB copies depend on the length of the run");
         // The one exemption, made visible: the durable log is kept from
         // k = 1 on purpose (it serves restarted peers, including one that
         // comes back below the frontier it advertised).
@@ -180,7 +167,7 @@ fn the_in_memory_decided_log_does_not_grow_with_the_run() {
         assert_flat(*rl, false, &format!("p{p} after 8,000"));
         // Heartbeats carry every member's final frontier: no member can
         // still fetch anything, so nothing is held.
-        assert_eq!(rl[7], 0, "p{p}: {} decided-log entries held", rl[7]);
+        assert_eq!(rl.log_entries, 0, "p{p}: {} decided-log entries held", rl.log_entries);
         assert_eq!(rs, rl, "p{p}: retained state depends on the length of the run");
         assert!(fl > fs && *fs > 0, "p{p}: decided frontier {fs} then {fl}");
     }
