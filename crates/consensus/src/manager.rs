@@ -8,7 +8,9 @@
 //!   (they are flushed when `propose(k, …)` happens),
 //! * routes messages of running instances to their state machine,
 //! * fans failure-detector suspicions out to every running instance,
-//! * disseminates decisions — the one place that does.
+//! * disseminates decisions — the one place that does,
+//! * holds every decided value, reached here or [`InstanceManager::learn`]ed
+//!   elsewhere, in one `Done` slot until the caller collects it.
 //!
 //! # How a decision spreads
 //!
@@ -38,13 +40,14 @@ use crate::msg::{ConsDest, ConsMsg};
 use crate::value::{ConsensusValue, RcvOracle};
 use crate::{ConsEnv, ConsOut, SingleConsensus};
 
-/// Output buffer of manager calls: instance-tagged sends and decisions.
+/// Output buffer of manager calls: instance-tagged sends, and whether an
+/// instance decided (its value stays here: [`InstanceManager::decision`]).
 #[derive(Debug)]
 pub struct MgrOut<V> {
     /// Messages to send, tagged with their instance number.
     pub sends: Vec<(u64, ConsDest, ConsMsg<V>)>,
-    /// Instances that decided during this call.
-    pub decisions: Vec<(u64, V)>,
+    /// Whether some instance decided during this call.
+    pub decided: bool,
     /// Accumulated `rcv()` evaluation cost.
     pub work: Duration,
 }
@@ -52,7 +55,7 @@ pub struct MgrOut<V> {
 impl<V> MgrOut<V> {
     /// Creates an empty buffer.
     pub fn new() -> Self {
-        MgrOut { sends: Vec::new(), decisions: Vec::new(), work: Duration::ZERO }
+        MgrOut { sends: Vec::new(), decided: false, work: Duration::ZERO }
     }
 
     /// Whether nothing at all was produced — no protocol effects *and* no
@@ -63,10 +66,10 @@ impl<V> MgrOut<V> {
         !self.has_effects() && self.work.is_zero()
     }
 
-    /// Whether the call produced protocol effects (sends or decisions),
+    /// Whether the call produced protocol effects (sends or a decision),
     /// ignoring accrued `rcv()` accounting.
     pub fn has_effects(&self) -> bool {
-        !self.sends.is_empty() || !self.decisions.is_empty()
+        !self.sends.is_empty() || self.decided
     }
 }
 
@@ -124,6 +127,26 @@ impl<V: ConsensusValue, A: SingleConsensus<V>> InstanceManager<V, A> {
             Slot::Done { value, .. } => Some(value),
             Slot::Running(_) => None,
         }
+    }
+
+    /// The decided instances from `k` on, ascending, with their values.
+    pub fn decided_from(&self, k: u64) -> impl Iterator<Item = (u64, &V)> + '_ {
+        self.slots.range(k..).filter_map(|(&i, s)| match s {
+            Slot::Done { value, .. } => Some((i, value)),
+            Slot::Running(_) => None,
+        })
+    }
+
+    /// Learns the decision `v` of instance `k` from outside consensus (a
+    /// peer's decided log): a running or unopened instance at or above the
+    /// GC floor becomes `Done` (never relayed from here) and its parked
+    /// frames go. A `Done` value is never overwritten.
+    pub fn learn(&mut self, k: u64, v: V) {
+        if k < self.gc_floor || matches!(self.slots.get(&k), Some(Slot::Done { .. })) {
+            return;
+        }
+        self.slots.insert(k, Slot::Done { value: v, learned_from: None });
+        self.pending.remove(&k);
     }
 
     /// Instance numbers currently running (proposed, undecided), ascending.
@@ -199,8 +222,8 @@ impl<V: ConsensusValue, A: SingleConsensus<V>> InstanceManager<V, A> {
                         out.sends.push((k, ConsDest::Others, ConsMsg::Decide { value: value.clone() }));
                         learned_from = None;
                     }
-                    self.slots.insert(k, Slot::Done { value: value.clone(), learned_from });
-                    out.decisions.push((k, value));
+                    self.slots.insert(k, Slot::Done { value, learned_from });
+                    out.decided = true;
                     return;
                 }
                 let env = ConsEnv::new(rcv, suspected);
@@ -240,7 +263,8 @@ impl<V: ConsensusValue, A: SingleConsensus<V>> InstanceManager<V, A> {
 
     /// Garbage-collects decided instances strictly below `k`, keeping the
     /// `keep_last` most recent of them as the cache that straggler repair
-    /// and relay-on-suspicion are served from (see the module docs).
+    /// and relay-on-suspicion are served from (see the module docs), and
+    /// the frames parked below that floor, for instances the caller skipped.
     /// Running instances are never collected.
     ///
     /// Returns the number of slots freed. The atomic broadcast layer calls
@@ -256,8 +280,8 @@ impl<V: ConsensusValue, A: SingleConsensus<V>> InstanceManager<V, A> {
             .collect();
         for i in &doomed {
             self.slots.remove(i);
-            self.pending.remove(i);
         }
+        self.pending.retain(|&i, _| i >= cutoff);
         self.gc_floor = self.gc_floor.max(cutoff);
         doomed.len()
     }
@@ -277,8 +301,8 @@ impl<V: ConsensusValue, A: SingleConsensus<V>> InstanceManager<V, A> {
         }
         if let Some(value) = local.decision {
             out.sends.push((k, ConsDest::Others, ConsMsg::Decide { value: value.clone() }));
-            self.slots.insert(k, Slot::Done { value: value.clone(), learned_from: None });
-            out.decisions.push((k, value));
+            self.slots.insert(k, Slot::Done { value, learned_from: None });
+            out.decided = true;
         }
     }
 }
@@ -342,7 +366,7 @@ mod tests {
         // Proposing flushes the buffer: we decide instantly.
         m.propose(1, ids(&[1]), &AlwaysHeld, ProcessSet::new(), &mut out);
         assert_eq!(m.decision(1), Some(&ids(&[9])));
-        assert_eq!(out.decisions, vec![(1, ids(&[9]))]);
+        assert!(out.decided);
     }
 
     #[test]
@@ -490,7 +514,7 @@ mod tests {
         learner.propose(1, ids(&[0]), &AlwaysHeld, ProcessSet::new(), &mut out);
         let decide = ConsMsg::Decide { value: ids(&[1]) };
         learner.on_message(1, p(1), decide.clone(), &AlwaysHeld, ProcessSet::new(), &mut out);
-        assert_eq!(out.decisions, vec![(1, ids(&[1]))]);
+        assert_eq!(learner.decision(1), Some(&ids(&[1])));
         assert!(decide_sends(&out).is_empty(), "learning relays nothing");
         // A duplicate Decide is neither re-decided nor answered.
         let mut out = MgrOut::new();
@@ -530,7 +554,7 @@ mod tests {
         m.propose(1, ids(&[0]), &AlwaysHeld, suspected, &mut out);
         let mut out = MgrOut::new();
         m.on_message(1, p(1), ConsMsg::Decide { value: ids(&[1]) }, &AlwaysHeld, suspected, &mut out);
-        assert_eq!(out.decisions, vec![(1, ids(&[1]))]);
+        assert_eq!(m.decision(1), Some(&ids(&[1])));
         assert_eq!(decide_sends(&out), vec![(1, ConsDest::Others)]);
         let mut out = MgrOut::new();
         m.on_suspect(p(1), &AlwaysHeld, suspected, &mut out);
@@ -543,8 +567,69 @@ mod tests {
         out.work += Duration::from_micros(5);
         assert!(!out.has_effects(), "accounting alone is not activity");
         assert!(!out.is_empty());
-        out.decisions.push((1, ids(&[1])));
+        out.decided = true;
         assert!(out.has_effects());
+    }
+
+    #[test]
+    fn learning_closes_a_running_slot() {
+        let mut m = mgr(0, 3);
+        let mut out = MgrOut::new();
+        m.propose(1, ids(&[1]), &AlwaysHeld, ProcessSet::new(), &mut out);
+        m.learn(1, ids(&[7]));
+        assert_eq!(m.decision(1), Some(&ids(&[7])));
+        assert!(m.running_instances().is_empty());
+        // Learned values are announced by their decider: a suspicion of
+        // anyone relays nothing, while a straggler is still answered.
+        let mut suspected = ProcessSet::new();
+        suspected.insert(p(1));
+        let mut out = MgrOut::new();
+        m.on_suspect(p(1), &AlwaysHeld, suspected, &mut out);
+        assert!(!out.has_effects());
+        let estimate = ConsMsg::CtEstimate { round: 2, estimate: ids(&[1]), ts: 0 };
+        m.on_message(1, p(2), estimate, &AlwaysHeld, ProcessSet::new(), &mut out);
+        assert_eq!(decide_sends(&out), vec![(1, ConsDest::To(p(2)))]);
+    }
+
+    #[test]
+    fn learning_an_unopened_instance_drops_its_parked_frames() {
+        let mut m = mgr(0, 3);
+        let mut out = MgrOut::new();
+        let estimate = ConsMsg::CtEstimate { round: 1, estimate: ids(&[2]), ts: 0 };
+        m.on_message(2, p(1), estimate, &AlwaysHeld, ProcessSet::new(), &mut out);
+        assert_eq!(m.pending.len(), 1);
+        m.learn(2, ids(&[2]));
+        assert_eq!(m.decision(2), Some(&ids(&[2])));
+        assert!(m.pending.is_empty());
+        assert_eq!(m.decided_from(1).collect::<Vec<_>>(), vec![(2, &ids(&[2]))]);
+    }
+
+    #[test]
+    fn learning_ignores_the_collected_and_never_overwrites() {
+        let mut m = mgr(0, 3);
+        let mut out = MgrOut::new();
+        m.propose(1, ids(&[1]), &AlwaysHeld, ProcessSet::new(), &mut out);
+        m.on_message(1, p(2), ConsMsg::Decide { value: ids(&[1]) }, &AlwaysHeld, ProcessSet::new(), &mut out);
+        m.learn(1, ids(&[9]));
+        assert_eq!(m.decision(1), Some(&ids(&[1])), "a Done value stays");
+        m.learn(3, ids(&[3]));
+        m.learn(3, ids(&[9]));
+        assert_eq!(m.decision(3), Some(&ids(&[3])), "the first learned value stays");
+        m.gc_decided_below(5, 0);
+        m.learn(4, ids(&[4]));
+        assert_eq!((m.decision(4), m.slot_count()), (None, 0), "below the floor: nothing kept");
+    }
+
+    #[test]
+    fn gc_drops_frames_parked_below_its_floor() {
+        let mut m = mgr(0, 3);
+        let mut out = MgrOut::new();
+        for k in [2, 3, 6] {
+            let estimate = ConsMsg::CtEstimate { round: 1, estimate: ids(&[k]), ts: 0 };
+            m.on_message(k, p(1), estimate, &AlwaysHeld, ProcessSet::new(), &mut out);
+        }
+        m.gc_decided_below(9, 4);
+        assert_eq!(m.pending.keys().copied().collect::<Vec<_>>(), vec![6], "2 and 3 were skipped");
     }
 
     #[test]

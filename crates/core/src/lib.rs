@@ -16,7 +16,7 @@
 //! |---|---|
 //! | [`node`] | Algorithm 1's state and transitions: `on_command` R-broadcasts `m` (line 8); `rdeliver` adds its id to `unordered_p` (11–14); `maybe_propose` proposes instance `k + 1` with `(unordered_p, rcv)` while the window has room (15–18); `apply_decision` appends the decided ids to `ordered_p` in `(sender, seq)` order (18–21); `try_deliver` a-delivers the head of `ordered_p` once its payload is present (22–25) |
 //! | [`proposal`] | `ProposalPolicy`: which candidate ids a proposal carries and when — the window `W` (static, or the AIMD [`WindowController`]), the per-proposal cap, the freshness gate |
-//! | `recovery` | `Recovery`, present iff catch-up or learner mode is on: the decided log, the catch-up request machine, the pending set |
+//! | `recovery` | `Recovery`, present iff catch-up or learner mode is on: the decided log and the catch-up request machine |
 //! | `collective` | `Collective`: per process, the highest decided frontier and a-delivered vector heard from it; their minimum over all `n` frees lazy RB copies and the in-memory decided log, and it builds the piggyback every frame rides in |
 //!
 //! # Example
@@ -102,9 +102,9 @@ pub struct Retained {
     pub unordered: usize,
     /// Identifiers ordered but not yet deliverable (payload still missing).
     pub ordered: usize,
-    /// Decisions received ahead of order, waiting for a lower instance.
+    /// Decided instances past the apply cursor, waiting for a lower one.
     pub buffered_decisions: usize,
-    /// Consensus instance slots (live + GC cache).
+    /// Consensus instance slots (live + decided, not applied + GC cache).
     pub consensus_slots: usize,
     /// Ranges of the two ever-seen id sets (ordered, a-delivered): one per
     /// sender and set once every gap closed.

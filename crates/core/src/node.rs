@@ -12,15 +12,15 @@
 //! | lines 22–25: a-deliver the head of `ordered_p` | `try_deliver` |
 //!
 //! How a proposal is chosen — window, cap, freshness — is
-//! `ProposalPolicy`'s (`proposal.rs`); the decided log, catch-up and the
-//! pending set are `Recovery`'s (`recovery.rs`); what every process has
-//! a-delivered and logged, and the piggyback that spreads it, is
-//! `Collective`'s (`collective.rs`).
+//! `ProposalPolicy`'s (`proposal.rs`); the decided log and catch-up are
+//! `Recovery`'s (`recovery.rs`); what every process has a-delivered and
+//! logged, and the piggyback that spreads it, is `Collective`'s
+//! (`collective.rs`). The consensus manager holds every decision until it applies.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-use iabc_broadcast::{BcastDest, BcastOut, Broadcast};
+use iabc_broadcast::{BcastDest, BcastMsg, BcastOut, Broadcast};
 use iabc_consensus::{ConsDest, InstanceManager, MgrOut, RcvOracle, SingleConsensus};
 use iabc_fd::{FailureDetector, FdDest, FdEvent, FdOut};
 use iabc_runtime::{Context, Node, TimerId};
@@ -84,14 +84,12 @@ pub struct AbcastNode<V: OrderingValue, A: SingleConsensus<V>> {
     policy: ProposalPolicy,
     /// Serial number of the latest instance proposed locally (line 6).
     proposed_hi: u64,
-    /// The next instance whose decision may be applied; decisions for
-    /// higher instances are buffered, lower ones dropped as stale.
+    /// The next instance whose decision may be applied; the manager holds
+    /// decisions for higher instances until their turn.
     next_apply: u64,
     /// Per instance proposed here whose decision is not applied yet: the
     /// ids it proposed (excluded from newer proposals) and when.
     in_flight: BTreeMap<u64, (IdSet, Time)>,
-    /// Decisions that arrived ahead of `next_apply`, held until their turn.
-    decision_buffer: BTreeMap<u64, V>,
     /// Sequence number for this process's own broadcasts.
     next_seq: u64,
     delivered_count: u64,
@@ -101,8 +99,8 @@ pub struct AbcastNode<V: OrderingValue, A: SingleConsensus<V>> {
     nacks_sent: u64,
     /// Learner (read replica) mode — see [`PipelineConfig::learner`].
     learner: bool,
-    /// Decided log, catch-up and pending set (`Some` iff catch-up or
-    /// learner mode is configured).
+    /// Decided log and catch-up (`Some` iff catch-up or learner mode is
+    /// configured).
     recovery: Option<Recovery<V>>,
     /// What every process has a-delivered and logged, and the piggyback
     /// every frame rides in.
@@ -155,7 +153,6 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
             proposed_hi: 0,
             next_apply: 1,
             in_flight: BTreeMap::new(),
-            decision_buffer: BTreeMap::new(),
             next_seq: 0,
             delivered_count: 0,
             nacks_sent: 0,
@@ -258,7 +255,7 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
             stored: self.store.len(),
             unordered: self.unordered.len(),
             ordered: self.ordered.len(),
-            buffered_decisions: self.decision_buffer.len(),
+            buffered_decisions: self.mgr.decided_from(self.next_apply).count(),
             consensus_slots: self.mgr.slot_count(),
             id_ranges: self.ordered_ever.range_count() + self.store.delivered_ranges(),
             rb_copies: self.bcast.retained().unwrap_or(0),
@@ -335,7 +332,7 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
     }
 
     /// Runs one consensus-manager call with the node's `rcv` oracle and
-    /// suspect set, then sends its frames and applies its decisions.
+    /// suspect set, then sends its frames and applies what it decided.
     fn drive_mgr(
         &mut self,
         ctx: &mut Ctx<V>,
@@ -361,8 +358,8 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
                 ConsDest::Others => ctx.send_to_others(env),
             }
         }
-        for (k, v) in out.decisions {
-            self.handle_decision(k, v, ctx);
+        if out.decided {
+            self.apply_ready(ctx);
         }
     }
 
@@ -390,19 +387,22 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
         if self.learner {
             return; // learners never propose; they only consume decisions
         }
-        while self
-            .policy
-            .has_room(self.in_flight.len(), || backlog_signal(&self.unordered, &self.decision_buffer))
-        {
+        while self.policy.has_room(self.in_flight.len(), || {
+            backlog_signal(&self.unordered, self.mgr.decided_from(self.next_apply))
+        }) {
+            if self.mgr.decision(self.proposed_hi + 1).is_some() {
+                self.proposed_hi += 1; // learned past a gap: nothing to propose there
+                continue;
+            }
             // Ids already riding an in-flight instance are spoken for, and
-            // ids in a buffered (decided, not yet applied) decision are
-            // already ordered; proposing either again would spend a whole
+            // ids in a decided, not yet applied instance are already
+            // ordered; proposing either again would spend a whole
             // consensus round on ids the apply-time dedupe will skip.
             let mut candidate = self.unordered.clone();
             for (claimed, _) in self.in_flight.values() {
                 candidate.subtract(claimed);
             }
-            for decided in self.decision_buffer.values() {
+            for (_, decided) in self.mgr.decided_from(self.next_apply) {
                 candidate.subtract(&decided.ids());
             }
             if candidate.is_empty() {
@@ -422,25 +422,28 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
             let k = self.proposed_hi;
             ctx.work(self.cost.propose_per_id * proposal.id_count() as u64);
             self.in_flight.insert(k, (proposal.ids(), ctx.now()));
-            // May recurse into handle_decision (an instance can decide
+            // May recurse into apply_ready (an instance can decide
             // immediately); the loop re-reads window occupancy afterwards.
             self.drive_mgr(ctx, |mgr, rcv, suspected, out| mgr.propose(k, proposal, rcv, suspected, out));
         }
     }
 
-    /// Routes a decision for instance `k`: stale or duplicate decisions are
-    /// dropped, future ones buffered, and the buffer is drained strictly in
-    /// instance order.
+    /// A decision for instance `k` learned outside consensus: the manager
+    /// learns it unless it is stale, then whatever is ready applies.
     fn handle_decision(&mut self, k: u64, v: V, ctx: &mut Ctx<V>) {
-        if k < self.next_apply || self.decision_buffer.contains_key(&k) {
-            return;
+        if k >= self.next_apply {
+            self.mgr.learn(k, v);
         }
-        self.decision_buffer.insert(k, v);
-        loop {
-            let next = self.next_apply;
-            let Some(v) = self.decision_buffer.remove(&next) else { break };
+        self.apply_ready(ctx);
+    }
+
+    /// Applies the manager's decisions strictly in instance order, from
+    /// `next_apply` until the first instance not decided yet.
+    fn apply_ready(&mut self, ctx: &mut Ctx<V>) {
+        while let Some(v) = self.mgr.decision(self.next_apply).cloned() {
+            let k = self.next_apply;
             self.next_apply += 1;
-            self.apply_decision(next, v, ctx);
+            self.apply_decision(k, v, ctx);
         }
     }
 
@@ -467,19 +470,17 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
             // process applies decisions in the same order and skips the
             // duplicate here, so the total order stays identical.
         }
+        // Catch-up can apply an instance we never proposed: the propose
+        // cursor follows the apply cursor.
+        self.proposed_hi = self.proposed_hi.max(k);
         if let Some(r) = self.recovery.as_mut() {
-            // Catch-up can apply an instance we never proposed; proposing
-            // below an applied instance would leak that in-flight slot for
-            // good, so the propose cursor follows the apply cursor. (Gated
-            // on recovery: catch-up-off event sequences stay as they were.)
-            self.proposed_hi = self.proposed_hi.max(k);
             r.queue(k, v, newly_ordered);
         }
         self.try_deliver(ctx);
         // Feed the policy before proposing again, so the next round of
         // proposals sees the adapted window.
         let latency = proposed_at.map(|at| ctx.now().elapsed_since(at));
-        let backlog = backlog_signal(&self.unordered, &self.decision_buffer);
+        let backlog = backlog_signal(&self.unordered, self.mgr.decided_from(self.next_apply));
         self.policy.on_decision(k, self.proposed_hi, latency, backlog, window_was_full);
         // Bound the manager's footprint: old decided instances only serve
         // stragglers and relays on suspicion.
@@ -501,7 +502,7 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
             ctx.output(AbcastEvent::Delivered { msg });
         }
         if let Some(r) = self.recovery.as_mut() {
-            r.drain_completed(self.me);
+            r.drain_completed();
         }
         self.collective.refresh_own(ctx.n(), self.decided_frontier(), |s| self.store.delivered_prefix(s));
     }
@@ -511,10 +512,10 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
     /// not re-delivered: its ids count as ordered *and* delivered (an old
     /// copy re-flooded to this incarnation's fresh RB layer is refused),
     /// the apply cursor jumps past it, and `next_seq` past every own id in
-    /// the log. Only *logged* own ids are known here: the pending set is in
-    /// memory, so the sequence number of a broadcast accepted but not yet
-    /// logged before the crash can be reused. Closing that gap takes a
-    /// durable pending set, written with the decided log's group commit.
+    /// the log. Only *logged* own ids are known here, so the sequence
+    /// number of a broadcast accepted but not yet logged before the crash
+    /// can be reused. Closing that gap takes a durable record of accepted
+    /// broadcasts, written with the decided log's group commit.
     fn recover(&mut self, n: usize) {
         let Some(r) = self.recovery.as_mut() else { return };
         let logged = r.reload_log();
@@ -535,9 +536,9 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
     }
 
     /// Applies a catch-up reply's entries through the normal decision path
-    /// (`handle_decision` buffers, dedupes, and applies strictly in
-    /// instance order — there is no second apply path), then hands the
-    /// settled request back to recovery.
+    /// (`handle_decision`: the manager holds each until its turn, and
+    /// `apply_ready` applies strictly in instance order — there is no
+    /// second apply path), then hands the settled request back to recovery.
     fn absorb_catch_up(&mut self, entries: Vec<DecidedEntry<V>>, ctx: &mut Ctx<V>) {
         if self.recovery.is_none() {
             return;
@@ -558,8 +559,17 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
         // deliveries were waiting for.
         self.try_deliver(ctx);
         let window = self.window();
-        if let Some(r) = self.recovery.as_mut() {
-            r.on_reply(ahead, &self.ordered_ever, window, &self.collective, ctx);
+        if self.recovery.as_mut().is_some_and(|r| r.on_reply(ahead, window, &self.collective, ctx)) {
+            self.reflood_own(ctx);
+        }
+    }
+
+    /// Re-floods every own broadcast not ordered yet as RB relays, in
+    /// sequence order (the RB layer has seen these ids, so a broadcast
+    /// would no-op): its first flood may have been shed while we were cut off.
+    fn reflood_own(&self, ctx: &mut Ctx<V>) {
+        for m in self.unordered.iter().filter(|id| id.sender() == self.me).filter_map(|id| self.store.get(id)) {
+            ctx.send_to_others(self.collective.wrap(Envelope::Bcast(BcastMsg::Relay(m.clone())), false, ctx.n()));
         }
     }
 }
@@ -594,9 +604,6 @@ impl<V: OrderingValue, A: SingleConsensus<V>> Node for AbcastNode<V, A> {
         let id = MsgId::new(self.me, self.next_seq);
         self.next_seq += 1;
         let m = AppMessage::new(id, payload, ctx.now());
-        if let Some(r) = self.recovery.as_mut() {
-            r.record(&m);
-        }
         ctx.output(AbcastEvent::Broadcast { id });
         // Algorithm 1 line 8: R-broadcast(m).
         self.drive_bcast(ctx, |bcast, out| bcast.broadcast(m, out));
@@ -644,8 +651,8 @@ impl<V: OrderingValue, A: SingleConsensus<V>> Node for AbcastNode<V, A> {
             }
             TIMER_CATCHUP => {
                 let window = self.window();
-                if let Some(r) = self.recovery.as_mut() {
-                    r.on_timer(timer.data(), window, &self.collective, ctx);
+                if self.recovery.as_mut().is_some_and(|r| r.on_timer(timer.data(), window, &self.collective, ctx)) {
+                    self.reflood_own(ctx);
                 }
             }
             _ => {}
@@ -661,7 +668,7 @@ mod tests {
     use crate::proposal::{WindowController, FRESHNESS_FACTOR, FRESHNESS_WARMUP};
     use crate::recovery::{CATCH_UP_RETRY, CATCH_UP_RETRY_MAX};
     use crate::stacks::{self, StackParams};
-    use iabc_broadcast::{BcastMsg, EagerRb};
+    use iabc_broadcast::EagerRb;
     use iabc_consensus::{ConsMsg, CtConsensus, CtIndirect, RcvOracle};
     use iabc_fd::{FdMsg, NeverSuspect};
     use iabc_runtime::Action;
@@ -1283,15 +1290,6 @@ mod tests {
         node.on_timer(TimerId::new(TIMER_FD, 1), &mut c); // the liveness check
         assert_eq!(node.suspected.len(), 2, "silent peers are suspected");
         c.take_actions();
-        let relayed = |c: &mut Ctx<IdSet>| -> Vec<MsgId> {
-            sends(c)
-                .into_iter()
-                .filter_map(|(_, m)| match m {
-                    Envelope::Bcast(BcastMsg::Relay(m)) => Some(m.id()),
-                    _ => None,
-                })
-                .collect()
-        };
         deliver_data(&mut node, 1, msg(1, 0), &mut c);
         assert_eq!(relayed(&mut c), [msg(1, 0).id(), msg(1, 0).id()], "one relay to each peer");
         node.on_message(ProcessId::new(1), Envelope::Fd(FdMsg::Heartbeat(0)), &mut c);
@@ -1394,11 +1392,6 @@ mod tests {
 
     fn catchup_node() -> AbcastNode<IdSet, CtConsensus<IdSet>> {
         test_node_with(PipelineConfig { catch_up: true, ..PipelineConfig::fixed(1) })
-    }
-
-    /// A catch-up node's recovery component.
-    fn recovery(node: &AbcastNode<IdSet, CtConsensus<IdSet>>) -> &Recovery<IdSet> {
-        node.recovery.as_ref().expect("catch-up is on")
     }
 
     /// Drains the context and returns every `(to, msg)` send.
@@ -1680,19 +1673,32 @@ mod tests {
         assert_eq!(d, CATCH_UP_RETRY, "reply must reset the retry backoff");
     }
 
+    /// Ids relayed by the frames drained from `c`, wrapped or not, one per
+    /// frame.
+    fn relayed(c: &mut Ctx<IdSet>) -> Vec<MsgId> {
+        sends(c)
+            .iter()
+            .filter_map(|(_, m)| match unwrapped(m) {
+                Envelope::Bcast(BcastMsg::Relay(m)) => Some(m.id()),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
-    fn pending_set_tracks_accept_to_log_lifecycle() {
+    fn an_ordered_own_broadcast_is_not_reflooded() {
         let mut node = catchup_node();
         let mut c = ctx();
-        assert_eq!(recovery(&node).pending_broadcasts(), 0);
         node.on_command(AbcastCommand::Broadcast(Payload::zeroed(8)), &mut c);
-        assert_eq!(recovery(&node).pending_broadcasts(), 1, "accepted broadcast is pending");
-        // The instance ordering our id reaches the log: entry cleared.
-        deliver_decide(&mut node, 1, IdSet::from_ids([MsgId::new(ProcessId::new(0), 0)]), &mut c);
+        let own = broadcast_id(&mut c);
+        deliver_decide(&mut node, 1, IdSet::from_ids([own]), &mut c);
         assert_eq!(node.decided_frontier(), 1);
-        assert_eq!(recovery(&node).pending_broadcasts(), 0, "logged broadcast must clear");
-        // Without catch-up there is no pending tracking at all.
-        assert!(test_node(1).recovery.is_none());
+        c.take_actions();
+        // An episode that fetched instance 2 ends: nothing of ours is left.
+        let entries = vec![log_entry(2, &[msg(1, 0)])];
+        node.on_message(ProcessId::new(1), Envelope::CatchUpReply { entries }, &mut c);
+        assert_eq!(node.decided_frontier(), 2);
+        assert!(relayed(&mut c).is_empty());
     }
 
     #[test]
@@ -1701,21 +1707,68 @@ mod tests {
         let mut c = ctx();
         // Accept a broadcast; its id is not decided yet.
         node.on_command(AbcastCommand::Broadcast(Payload::zeroed(8)), &mut c);
-        c.take_actions();
+        let own = broadcast_id(&mut c);
         // A catch-up episode settles (peer entries for other ids): the
-        // still-pending broadcast is re-flooded as an RB relay.
+        // still-unordered broadcast is re-flooded as an RB relay.
         let entries = vec![log_entry(1, &[msg(1, 0)])];
         node.on_message(ProcessId::new(1), Envelope::CatchUpReply { entries }, &mut c);
-        assert_eq!(recovery(&node).pending_refloods(), 1);
-        let relayed = sends(&mut c).into_iter().any(|(_, m)| match m {
-            Envelope::WithFrontier { inner, .. } => matches!(
-                *inner,
-                Envelope::Bcast(BcastMsg::Relay(ref am))
-                    if am.id() == MsgId::new(ProcessId::new(0), 0)
-            ),
-            _ => false,
-        });
-        assert!(relayed, "undecided pending broadcast must re-flood after catch-up");
+        assert_eq!(relayed(&mut c), [own, own], "one relay to each peer");
+    }
+
+    #[test]
+    fn a_healthy_start_up_probe_refloods_nothing() {
+        let mut node = catchup_node();
+        let mut c = ctx();
+        node.on_start(&mut c);
+        node.on_command(AbcastCommand::Broadcast(Payload::zeroed(8)), &mut c);
+        c.take_actions();
+        // Nobody has logged anything: the replies fetch nothing.
+        for p in [1, 2] {
+            node.on_message(ProcessId::new(p), Envelope::CatchUpReply { entries: Vec::new() }, &mut c);
+        }
+        assert!(relayed(&mut c).is_empty());
+    }
+
+    /// One episode of three replies re-floods once, at its end, and the
+    /// instances it fills leave the consensus manager through its GC: the
+    /// node proposed into each of them before its entry arrived.
+    #[test]
+    fn one_catch_up_episode_refloods_once() {
+        let mut node = catchup_node();
+        let mut c = ctx();
+        node.on_command(AbcastCommand::Broadcast(Payload::zeroed(8)), &mut c);
+        let own = broadcast_id(&mut c);
+        // p1 has logged 130 instances, none of them ours: three batches.
+        node.on_message(ProcessId::new(1), wrapped_hb(130), &mut c);
+        c.take_actions();
+        let mut per_reply = Vec::new();
+        for (from, to) in [(1, 64), (65, 128), (129, 130)] {
+            let entries = (from..=to).map(|k| log_entry(k, &[msg(1, k)])).collect();
+            node.on_message(ProcessId::new(1), Envelope::CatchUpReply { entries }, &mut c);
+            per_reply.push(relayed(&mut c));
+        }
+        assert_eq!(per_reply, [vec![], vec![], vec![own, own]]);
+        assert_eq!((node.catch_up_requests(), node.decided_frontier()), (3, 130));
+        assert_eq!(node.instance(), 131, "our id rides the next instance");
+        assert_eq!(node.consensus_slots(), 9, "8 decided kept, 1 running");
+    }
+
+    /// Remote input: a catch-up entry past a gap waits in the manager for
+    /// its turn, and the propose cursor steps over its instance.
+    #[test]
+    fn an_instance_learned_past_a_gap_is_not_proposed_in() {
+        let mut node = test_node_with(PipelineConfig { catch_up: true, ..PipelineConfig::fixed(2) });
+        let mut c = ctx();
+        deliver_data(&mut node, 1, msg(1, 0), &mut c); // instance 1 = {m0}
+        deliver_data(&mut node, 1, msg(1, 1), &mut c); // instance 2 = {m1}
+        let entries = vec![log_entry(3, &[msg(2, 0)])];
+        node.on_message(ProcessId::new(2), Envelope::CatchUpReply { entries }, &mut c);
+        assert_eq!(node.retained().buffered_decisions, 1);
+        deliver_data(&mut node, 1, msg(1, 2), &mut c);
+        deliver_decide(&mut node, 1, IdSet::from_ids([msg(1, 0).id()]), &mut c);
+        assert_eq!(node.instance(), 4, "instance 3 is decided: m2 rides instance 4");
+        deliver_decide(&mut node, 2, IdSet::from_ids([msg(1, 1).id()]), &mut c);
+        assert_eq!(delivered_ids(&mut c), [msg(1, 0).id(), msg(1, 1).id(), msg(2, 0).id()]);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! (static `W = 1`, uncapped, gate off) it proposes every candidate, one
 //! instance at a time: Algorithm 1 verbatim.
 
-use std::collections::BTreeMap;
 
 use iabc_types::{Duration, Ewma, IdSet, MsgId, Time};
 
@@ -261,11 +260,14 @@ impl WindowController {
 }
 
 /// The window controller's backlog signal: unordered ids *minus* ids in
-/// buffered (decided, not yet applied) decisions — ordered work, not demand
-/// for window slots; counting it would inflate spill pressure exactly in
-/// the out-of-order bursts the controller must ride out.
-pub(crate) fn backlog_signal<V: OrderingValue>(unordered: &IdSet, buffered: &BTreeMap<u64, V>) -> usize {
-    unordered.len().saturating_sub(buffered.values().map(V::id_count).sum())
+/// `buffered` (decided, not yet applied) decisions — ordered work, not
+/// demand for window slots; counting it would inflate spill pressure
+/// exactly in the out-of-order bursts the controller must ride out.
+pub(crate) fn backlog_signal<'a, V: OrderingValue + 'a>(
+    unordered: &IdSet,
+    buffered: impl Iterator<Item = (u64, &'a V)>,
+) -> usize {
+    unordered.len().saturating_sub(buffered.map(|(_, v)| v.id_count()).sum())
 }
 
 /// What [`ProposalPolicy::select`] decided for the next instance.

@@ -1,23 +1,22 @@
-//! Recovery: everything catch-up turns on — the decided log, the catch-up
-//! request machine and the pending set.
+//! Recovery: everything catch-up turns on — the decided log and the
+//! catch-up request machine.
 //!
 //! A node holds a [`Recovery`] iff catch-up or learner mode is configured;
 //! without one, Algorithm 1 runs alone and the wire format is the
 //! pre-catch-up one. The component is sans-IO and acts on the ordering
 //! state only through the node: caught-up entries go back to the node's one
-//! apply path (`handle_decision`), and the log learns of applied instances
-//! and deliveries through [`Recovery::queue`] and [`Recovery::delivered`].
-//! What peers have logged, and the wrapper its frames ride in, come from
-//! the node's [`Collective`].
+//! apply path (`handle_decision`, which hands them to the consensus
+//! manager), and the log learns of applied instances and deliveries through
+//! [`Recovery::queue`] and [`Recovery::delivered`]. What peers have logged,
+//! and the wrapper its frames ride in, come from the node's [`Collective`].
 //!
 //! Every frame peers send here is remote input — catch-up ranges, reply
 //! entries, piggybacked frontiers — and must degrade, never panic.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
-use iabc_broadcast::BcastMsg;
 use iabc_runtime::{Context, TimerId};
-use iabc_types::{AppMessage, Duration, IdRanges, ProcessId};
+use iabc_types::{AppMessage, Duration, ProcessId};
 
 use crate::collective::Collective;
 use crate::decided::{DecidedEntry, DecidedLog, MemDecidedLog};
@@ -45,8 +44,7 @@ pub(crate) const CATCH_UP_RETRY: Duration = Duration::from_millis(25);
 /// Upper bound of the catch-up retry backoff.
 pub(crate) const CATCH_UP_RETRY_MAX: Duration = Duration::from_millis(400);
 
-/// The decided log, the catch-up request machine and the pending set of
-/// one node.
+/// The decided log and the catch-up request machine of one node.
 pub(crate) struct Recovery<V> {
     /// Every fully a-delivered instance, in order; its frontier is what the
     /// node piggybacks. In memory unless [`Recovery::set_log`] swapped in a
@@ -54,13 +52,6 @@ pub(crate) struct Recovery<V> {
     /// has logged (see [`Recovery::on_piggyback`]) and serves the rest; the
     /// durable one keeps and serves everything.
     log: Box<dyn DecidedLog<V>>,
-    /// This process's accepted-but-undecided broadcasts by sequence number
-    /// (always empty at a learner, which never broadcasts): recorded at
-    /// `on_command`, settled when their instance reaches the log,
-    /// re-flooded after catch-up episodes. Every entry is an own
-    /// broadcast, so sequence order is acceptance order. In memory only:
-    /// a restarted process starts with none.
-    pending: BTreeMap<u64, AppMessage>,
     /// Learner (read replica) mode: every lead is requested at once.
     learner: bool,
     /// Applied instances whose deliveries are still draining, oldest first
@@ -82,7 +73,8 @@ pub(crate) struct Recovery<V> {
     catch_up_requests: u64,
     /// Entries learned from replies while ahead of the apply cursor.
     caught_up_entries: u64,
-    pending_refloods: u64,
+    /// Whether this catch-up episode fetched an entry ahead of the cursor.
+    episode_fetched: bool,
 }
 
 /// One applied instance awaiting its deliveries; it collects their
@@ -97,11 +89,10 @@ struct PendingLogEntry<V> {
 }
 
 impl<V: OrderingValue> Recovery<V> {
-    /// An empty in-memory log and pending set.
+    /// An empty in-memory log.
     pub(crate) fn new(learner: bool) -> Self {
         Recovery {
             log: Box::new(MemDecidedLog::new()),
-            pending: BTreeMap::new(),
             learner,
             pending_log: VecDeque::new(),
             catch_up_inflight: false,
@@ -110,7 +101,7 @@ impl<V: OrderingValue> Recovery<V> {
             catch_up_retry: CATCH_UP_RETRY,
             catch_up_requests: 0,
             caught_up_entries: 0,
-            pending_refloods: 0,
+            episode_fetched: false,
         }
     }
 
@@ -140,13 +131,6 @@ impl<V: OrderingValue> Recovery<V> {
         self.caught_up_entries
     }
 
-    /// Records an accepted broadcast *before* it is flooded, so a flood
-    /// shed while this process was cut off is repeated once a catch-up
-    /// episode settles. Recording an id already pending is a no-op.
-    pub(crate) fn record(&mut self, m: &AppMessage) {
-        self.pending.entry(m.id().seq()).or_insert_with(|| m.clone());
-    }
-
     /// Queues applied instance `k`, which newly ordered `remaining` ids, for
     /// the log; it is appended once they are all delivered (at once for an
     /// all-duplicates decision).
@@ -166,14 +150,10 @@ impl<V: OrderingValue> Recovery<V> {
     }
 
     /// Appends every fully delivered instance at the front of the queue to
-    /// the log, preserving contiguity, and settles `me`'s broadcasts they
-    /// order (settling an id not pending is a no-op).
-    pub(crate) fn drain_completed(&mut self, me: ProcessId) {
+    /// the log, preserving contiguity.
+    pub(crate) fn drain_completed(&mut self) {
         while self.pending_log.front().is_some_and(|p| p.remaining == 0) {
             let Some(p) = self.pending_log.pop_front() else { break };
-            for id in p.value.ids().iter().filter(|id| id.sender() == me) {
-                self.pending.remove(&id.seq());
-            }
             self.log.append(DecidedEntry { k: p.k, value: p.value, payloads: p.payloads });
         }
     }
@@ -217,16 +197,9 @@ impl<V: OrderingValue> Recovery<V> {
     }
 
     /// A reply arrived and the caller applied its entries, `ahead` of
-    /// which were past its apply cursor: settles the request, re-floods
-    /// the pending set, and keeps fetching if still behind.
-    pub(crate) fn on_reply(
-        &mut self,
-        ahead: u64,
-        ordered_ever: &IdRanges,
-        window: usize,
-        c: &Collective,
-        ctx: &mut Ctx<V>,
-    ) {
+    /// which were past its apply cursor: settles the request and keeps
+    /// fetching if still behind. True: re-flood now (`episode_ended`).
+    pub(crate) fn on_reply(&mut self, ahead: u64, window: usize, c: &Collective, ctx: &mut Ctx<V>) -> bool {
         // Bump the epoch so the request's retry timer (still scheduled)
         // cannot re-request. The peer is answering again: restart the
         // retry backoff from its base.
@@ -234,22 +207,28 @@ impl<V: OrderingValue> Recovery<V> {
         self.catch_up_epoch = self.catch_up_epoch.wrapping_add(1);
         self.catch_up_retry = CATCH_UP_RETRY;
         self.caught_up_entries += ahead;
-        // A settling catch-up episode is the "I was behind and healed"
-        // signal: repair any accepted broadcast whose payload flood may
-        // have been shed while this node was unreachable. Pending sets are
-        // empty in healthy runs, so this is free there.
-        self.reflood_pending(ordered_ever, c, ctx);
+        self.episode_fetched |= ahead > 0;
         self.maybe_catch_up(window, c, ctx);
+        self.episode_ended()
     }
 
     /// The catch-up timer armed under `epoch` fired. Only the
     /// timer of the *current* outstanding request (or wait) may act:
     /// replies bump the epoch, so timers from settled requests are inert.
-    pub(crate) fn on_timer(&mut self, epoch: u64, window: usize, c: &Collective, ctx: &mut Ctx<V>) {
+    /// Returns whether the caller re-floods now.
+    pub(crate) fn on_timer(&mut self, epoch: u64, window: usize, c: &Collective, ctx: &mut Ctx<V>) -> bool {
         if self.catch_up_inflight && epoch == self.catch_up_epoch {
             self.catch_up_inflight = false;
             self.maybe_catch_up(window, c, ctx);
         }
+        self.episode_ended()
+    }
+
+    /// Whether a catch-up episode (requests and waits back to back) just
+    /// ended having fetched entries ahead of the apply cursor: the "I was
+    /// behind and healed" signal, on which the node re-floods, once.
+    fn episode_ended(&mut self) -> bool {
+        !self.catch_up_inflight && std::mem::take(&mut self.episode_fetched)
     }
 
     /// Issues a catch-up request when some peer has a-delivered instances
@@ -306,18 +285,6 @@ impl<V: OrderingValue> Recovery<V> {
         self.catch_up_epoch = self.catch_up_epoch.wrapping_add(1);
         ctx.set_timer(delay, TimerId::new(TIMER_CATCHUP, self.catch_up_epoch));
     }
-
-    /// Re-floods every pending broadcast not yet ordered, as direct RB
-    /// relay frames (the live RB layer has already seen these ids, so a
-    /// fresh broadcast would no-op). Receivers dedupe by id.
-    fn reflood_pending(&mut self, ordered_ever: &IdRanges, c: &Collective, ctx: &mut Ctx<V>) {
-        let mut sent = 0;
-        for m in self.pending.values().filter(|m| !ordered_ever.contains(m.id())) {
-            ctx.send_to_others(c.wrap(Envelope::Bcast(BcastMsg::Relay(m.clone())), false, ctx.n()));
-            sent += 1;
-        }
-        self.pending_refloods += sent;
-    }
 }
 
 #[cfg(test)]
@@ -326,40 +293,26 @@ mod tests {
     use iabc_runtime::Action;
     use iabc_types::{IdSet, MsgId, Payload, Time};
 
-    impl<V: OrderingValue> Recovery<V> {
-        /// Accepted broadcasts whose instance has not reached the log yet.
-        pub(crate) fn pending_broadcasts(&self) -> usize {
-            self.pending.len()
-        }
-
-        /// Pending broadcasts re-flooded so far (after catch-up episodes).
-        pub(crate) fn pending_refloods(&self) -> u64 {
-            self.pending_refloods
-        }
-    }
-
     fn msg(p: u16, seq: u64) -> AppMessage {
         AppMessage::new(MsgId::new(ProcessId::new(p), seq), Payload::zeroed(8), Time::ZERO)
     }
 
     /// An instance reaches the log only once all its ids are delivered,
-    /// and never ahead of an older one; only then are its own ids settled.
+    /// and never ahead of an older one.
     #[test]
     fn instances_are_logged_in_order_once_fully_delivered() {
-        let me = ProcessId::new(0);
         let mut r: Recovery<IdSet> = Recovery::new(false);
         let (own, peer, late) = (msg(0, 0), msg(1, 0), msg(1, 1));
-        r.record(&own);
         r.queue(1, IdSet::from_ids([own.id(), peer.id()]), 2);
         r.queue(2, IdSet::from_ids([late.id()]), 1);
         r.delivered(&own);
-        r.drain_completed(me);
-        assert_eq!((r.frontier(), r.pending_broadcasts()), (0, 1), "instance 1 half delivered");
+        r.drain_completed();
+        assert_eq!(r.frontier(), 0, "instance 1 half delivered");
         r.delivered(&peer);
-        r.drain_completed(me);
-        assert_eq!((r.frontier(), r.pending_broadcasts()), (1, 0), "logged, own id settled");
+        r.drain_completed();
+        assert_eq!(r.frontier(), 1);
         r.delivered(&late);
-        r.drain_completed(me);
+        r.drain_completed();
         assert_eq!(r.frontier(), 2);
         let logged = r.reload_log();
         assert_eq!(logged[0].payloads, vec![own, peer], "payloads in delivery order");
@@ -371,7 +324,7 @@ mod tests {
             let m = msg(1, k);
             r.queue(k, IdSet::from_ids([m.id()]), 1);
             r.delivered(&m);
-            r.drain_completed(ProcessId::new(0));
+            r.drain_completed();
         }
     }
 
@@ -417,23 +370,5 @@ mod tests {
             vec![(p2, 10, vec![]), (p2, 10, vec![]), (p2, 10, vec![9, 10])],
             "at and below the floor: empty; above it: what is held"
         );
-    }
-
-    /// Recording an id already pending and settling one that is not are
-    /// no-ops; what stays pending keeps acceptance order.
-    #[test]
-    fn mem_store_records_and_clears_in_order() {
-        let me = ProcessId::new(0);
-        let mut r: Recovery<IdSet> = Recovery::new(false);
-        for seq in [1, 2, 3, 1] {
-            r.record(&msg(0, seq));
-        }
-        assert_eq!(r.pending_broadcasts(), 3, "duplicate record is a no-op");
-        // An all-duplicates instance logs at once, settling (0, 2) and the
-        // absent (0, 9).
-        r.queue(1, IdSet::from_ids([msg(0, 2).id(), msg(0, 9).id()]), 0);
-        r.drain_completed(me);
-        let seqs: Vec<u64> = r.pending.values().map(|m| m.id().seq()).collect();
-        assert_eq!(seqs, vec![1, 3]);
     }
 }
