@@ -105,6 +105,10 @@ pub struct AbcastNode<V: OrderingValue, A: SingleConsensus<V>> {
     /// What every process has a-delivered and logged, and the piggyback
     /// every frame rides in.
     collective: Collective,
+    /// Out-buffers of the three module drivers, kept for their capacity.
+    bcast_out: BcastOut,
+    fd_out: FdOut,
+    mgr_out: MgrOut<V>,
 }
 
 impl<V: OrderingValue, A: SingleConsensus<V>> fmt::Debug for AbcastNode<V, A> {
@@ -159,6 +163,9 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
             learner: pipeline.learner,
             recovery: (pipeline.catch_up || pipeline.learner).then(|| Recovery::new(pipeline.learner)),
             collective: Collective::new(me, pipeline.catch_up || pipeline.learner),
+            bcast_out: BcastOut::new(),
+            fd_out: FdOut::new(),
+            mgr_out: MgrOut::new(),
         }
     }
 
@@ -280,27 +287,32 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
 
     /// Runs one broadcast-layer call, then sends its frames and R-delivers
     /// what it delivered.
+    ///
+    /// The three drivers take their out-buffer and put it back, rather
+    /// than borrow it: a delivery or a suspicion can re-enter a driver,
+    /// and the inner call then starts from an empty buffer of its own.
     fn drive_bcast(&mut self, ctx: &mut Ctx<V>, call: impl FnOnce(&mut (dyn Broadcast + Send), &mut BcastOut)) {
-        let mut out = BcastOut::new();
+        let mut out = std::mem::take(&mut self.bcast_out);
         call(self.bcast.as_mut(), &mut out);
-        for (dest, msg) in out.sends {
+        for (dest, msg) in out.sends.drain(..) {
             let env = self.collective.wrap(Envelope::Bcast(msg), false, ctx.n());
             match dest {
                 BcastDest::To(q) => ctx.send(q, env),
                 BcastDest::Others => ctx.send_to_others(env),
             }
         }
-        for m in out.deliveries {
+        for m in out.deliveries.drain(..) {
             self.rdeliver(m, ctx);
         }
+        self.bcast_out = out;
     }
 
     /// Runs one failure-detector call at `now`, then sends its frames, arms
     /// its timers and acts on its suspicions.
     fn drive_fd(&mut self, ctx: &mut Ctx<V>, call: impl FnOnce(&mut (dyn FailureDetector + Send), Time, &mut FdOut)) {
-        let mut out = FdOut::new();
+        let mut out = std::mem::take(&mut self.fd_out);
         call(self.fd.as_mut(), ctx.now(), &mut out);
-        for (dest, msg) in out.sends {
+        for (dest, msg) in out.sends.drain(..) {
             // Heartbeats carry the a-delivered vector once messages stop.
             let env = self.collective.wrap(Envelope::Fd(msg), self.bcast.retained().is_some(), ctx.n());
             match dest {
@@ -308,10 +320,10 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
                 FdDest::Others => ctx.send_to_others(env),
             }
         }
-        for (delay, data) in out.timers {
+        for (delay, data) in out.timers.drain(..) {
             ctx.set_timer(delay, TimerId::new(TIMER_FD, data));
         }
-        for change in out.changes {
+        for change in out.changes.drain(..) {
             match change {
                 FdEvent::Suspect(p) => {
                     self.suspected.insert(p);
@@ -329,6 +341,7 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
                 }
             }
         }
+        self.fd_out = out;
     }
 
     /// Runs one consensus-manager call with the node's `rcv` oracle and
@@ -338,7 +351,7 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
         ctx: &mut Ctx<V>,
         call: impl FnOnce(&mut InstanceManager<V, A>, &dyn RcvOracle<V>, ProcessSet, &mut MgrOut<V>),
     ) {
-        let mut out = MgrOut::new();
+        let mut out = std::mem::take(&mut self.mgr_out);
         let oracle = NodeOracle {
             store: &self.store,
             check_store: self.check_store,
@@ -346,7 +359,7 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
         };
         call(&mut self.mgr, &oracle, self.suspected, &mut out);
         ctx.work(out.work);
-        for (k, dest, msg) in out.sends {
+        for (k, dest, msg) in out.sends.drain(..) {
             if msg.is_refusal() {
                 self.nacks_sent += 1;
             }
@@ -358,7 +371,9 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
                 ConsDest::Others => ctx.send_to_others(env),
             }
         }
-        if out.decided {
+        let decided = out.decided;
+        self.mgr_out = MgrOut { sends: out.sends, ..MgrOut::new() };
+        if decided {
             self.apply_ready(ctx);
         }
     }
@@ -543,7 +558,7 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
         if self.recovery.is_none() {
             return;
         }
-        let mut ahead = 0;
+        let (mut ahead, mut stored) = (0, 0);
         for e in entries {
             ahead += u64::from(e.k >= self.next_apply);
             // Store the payloads directly: `rdeliver` would feed the
@@ -551,7 +566,7 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
             // these messages are already ordered — they must influence
             // neither proposals nor the freshness estimate.
             for m in e.payloads {
-                self.store.insert(m);
+                stored += u64::from(self.store.insert(m));
             }
             self.handle_decision(e.k, e.value, ctx);
         }
@@ -559,7 +574,7 @@ impl<V: OrderingValue, A: SingleConsensus<V>> AbcastNode<V, A> {
         // deliveries were waiting for.
         self.try_deliver(ctx);
         let window = self.window();
-        if self.recovery.as_mut().is_some_and(|r| r.on_reply(ahead, window, &self.collective, ctx)) {
+        if self.recovery.as_mut().is_some_and(|r| r.on_reply(ahead, stored, window, &self.collective, ctx)) {
             self.reflood_own(ctx);
         }
     }
@@ -1712,6 +1727,28 @@ mod tests {
         // still-unordered broadcast is re-flooded as an RB relay.
         let entries = vec![log_entry(1, &[msg(1, 0)])];
         node.on_message(ProcessId::new(1), Envelope::CatchUpReply { entries }, &mut c);
+        assert_eq!(relayed(&mut c), [own, own], "one relay to each peer");
+    }
+
+    #[test]
+    fn a_reply_that_only_brings_payloads_below_the_apply_cursor_refloods_own_ids() {
+        // A process cut off from its peers: the `Decide`s parked on its
+        // links arrive first and order p1's two messages, whose payloads
+        // never came. Its own broadcast was shed on the way out.
+        let mut node = catchup_node();
+        let mut c = ctx();
+        node.on_command(AbcastCommand::Broadcast(Payload::zeroed(8)), &mut c);
+        let own = broadcast_id(&mut c);
+        deliver_decide(&mut node, 1, IdSet::from_ids([msg(1, 0).id()]), &mut c);
+        deliver_decide(&mut node, 2, IdSet::from_ids([msg(1, 1).id()]), &mut c);
+        assert_eq!((node.retained().ordered, node.decided_frontier()), (2, 0));
+        c.take_actions();
+        // The reply's entries all sit below the apply cursor, but they
+        // carry the payloads: the episode healed something, so it ends in
+        // the re-flood of the own id still unordered.
+        let entries = vec![log_entry(1, &[msg(1, 0)]), log_entry(2, &[msg(1, 1)])];
+        node.on_message(ProcessId::new(1), Envelope::CatchUpReply { entries }, &mut c);
+        assert_eq!((node.caught_up_entries(), node.decided_frontier()), (0, 2));
         assert_eq!(relayed(&mut c), [own, own], "one relay to each peer");
     }
 

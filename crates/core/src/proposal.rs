@@ -442,9 +442,14 @@ impl ProposalPolicy {
     /// `broadcast_at`. A remote one is a sample of the flood delay
     /// (queueing included — under load that is the dominant term, and
     /// exactly what the gate must wait out).
+    ///
+    /// The sender's stamp can be later than `now`: a socket host runs its
+    /// handlers at a clock read taken when its pass began, before a frame
+    /// read later in the pass had arrived. Such a sample is 0.
     pub(crate) fn on_rdeliver(&mut self, broadcast_at: Time, remote: bool, now: Time) {
         if remote {
-            self.flood_delay.observe(now.elapsed_since(broadcast_at).as_secs_f64());
+            let delay = now.max(broadcast_at).elapsed_since(broadcast_at);
+            self.flood_delay.observe(delay.as_secs_f64());
         }
         self.newest_broadcast_at = self.newest_broadcast_at.max(broadcast_at);
     }
@@ -474,6 +479,16 @@ mod tests {
 
     fn msg_at(p: u16, seq: u64, at: Time) -> AppMessage {
         AppMessage::new(MsgId::new(ProcessId::new(p), seq), Payload::zeroed(8), at)
+    }
+
+    #[test]
+    fn a_remote_stamp_later_than_now_samples_no_delay() {
+        let mut policy = ProposalPolicy::new(PipelineConfig::fixed(1));
+        let now = Time::from_nanos(1_000);
+        for at in [now + Duration::from_micros(5), now] {
+            policy.on_rdeliver(at, true, now);
+        }
+        assert_eq!(policy.flood_delay.value(), 0.0);
     }
 
     /// The gate drops the fresh id first, then the cap keeps the two

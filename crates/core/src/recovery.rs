@@ -73,7 +73,8 @@ pub(crate) struct Recovery<V> {
     catch_up_requests: u64,
     /// Entries learned from replies while ahead of the apply cursor.
     caught_up_entries: u64,
-    /// Whether this catch-up episode fetched an entry ahead of the cursor.
+    /// Whether this catch-up episode fetched an entry ahead of the cursor
+    /// or a payload the node lacked.
     episode_fetched: bool,
 }
 
@@ -197,9 +198,23 @@ impl<V: OrderingValue> Recovery<V> {
     }
 
     /// A reply arrived and the caller applied its entries, `ahead` of
-    /// which were past its apply cursor: settles the request and keeps
-    /// fetching if still behind. True: re-flood now (`episode_ended`).
-    pub(crate) fn on_reply(&mut self, ahead: u64, window: usize, c: &Collective, ctx: &mut Ctx<V>) -> bool {
+    /// which were past its apply cursor, and stored `stored` payloads it
+    /// lacked: settles the request and keeps fetching if still behind.
+    /// True: re-flood now (`episode_ended`).
+    ///
+    /// Either count marks the episode as healing. A process cut off long
+    /// enough can learn every decision it missed from parked `Decide`s and
+    /// still lack their payloads: its replies then hold entries below the
+    /// apply cursor only, and its own broadcasts shed while it was cut off
+    /// still need the re-flood.
+    pub(crate) fn on_reply(
+        &mut self,
+        ahead: u64,
+        stored: u64,
+        window: usize,
+        c: &Collective,
+        ctx: &mut Ctx<V>,
+    ) -> bool {
         // Bump the epoch so the request's retry timer (still scheduled)
         // cannot re-request. The peer is answering again: restart the
         // retry backoff from its base.
@@ -207,7 +222,7 @@ impl<V: OrderingValue> Recovery<V> {
         self.catch_up_epoch = self.catch_up_epoch.wrapping_add(1);
         self.catch_up_retry = CATCH_UP_RETRY;
         self.caught_up_entries += ahead;
-        self.episode_fetched |= ahead > 0;
+        self.episode_fetched |= ahead > 0 || stored > 0;
         self.maybe_catch_up(window, c, ctx);
         self.episode_ended()
     }
@@ -225,8 +240,9 @@ impl<V: OrderingValue> Recovery<V> {
     }
 
     /// Whether a catch-up episode (requests and waits back to back) just
-    /// ended having fetched entries ahead of the apply cursor: the "I was
-    /// behind and healed" signal, on which the node re-floods, once.
+    /// ended having fetched entries ahead of the apply cursor or payloads
+    /// the node lacked: the "I was behind and healed" signal, on which the
+    /// node re-floods, once.
     fn episode_ended(&mut self) -> bool {
         !self.catch_up_inflight && std::mem::take(&mut self.episode_fetched)
     }

@@ -6,7 +6,10 @@
 // iterated, so hash order cannot leak into delivery order; O(1) lookup
 // matters on the rcv() hot path.
 // lint:allow(D2): lookup-only store, never iterated
+use std::collections::hash_map::RandomState;
+// lint:allow(D2): lookup-only store, never iterated
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 
 use iabc_consensus::RcvOracle;
 use iabc_types::{AppMessage, Duration, IdRanges, IdSet, MsgId, ProcessId};
@@ -92,7 +95,7 @@ impl CostModel {
 #[derive(Debug, Default)]
 pub struct ReceivedStore {
     // lint:allow(D2): lookup-only — no method iterates this map.
-    msgs: HashMap<MsgId, AppMessage>,
+    msgs: HashMap<MsgId, AppMessage, IdHash>,
     /// Identifiers a-delivered (their messages released).
     delivered: IdRanges,
 }
@@ -166,6 +169,72 @@ impl ReceivedStore {
     /// `sender` in its a-delivered vector.
     pub(crate) fn delivered_prefix(&self, sender: ProcessId) -> u64 {
         self.delivered.prefix(sender)
+    }
+}
+
+/// The hash of the store's map: multiply-shift over the two words of a
+/// [`MsgId`] (the sender and its sequence number), under a key drawn from
+/// the standard library's per-process randomness when the store is made.
+/// One 128-bit multiply, where SipHash runs its rounds. The key is secret,
+/// so a peer cannot pick ids that collide; it never shows elsewhere,
+/// because no method iterates the map.
+#[derive(Clone, Copy, Debug)]
+struct IdHash {
+    /// Odd, as multiply-shift requires.
+    key: u64,
+}
+
+impl Default for IdHash {
+    fn default() -> Self {
+        IdHash { key: RandomState::new().hash_one(0u64) | 1 }
+    }
+}
+
+impl BuildHasher for IdHash {
+    type Hasher = IdHasher;
+
+    fn build_hasher(&self) -> IdHasher {
+        IdHasher { key: self.key, acc: 0 }
+    }
+}
+
+/// One [`IdHash`] evaluation: the words written are folded into `acc`,
+/// and `finish` multiplies it by the key.
+struct IdHasher {
+    key: u64,
+    acc: u64,
+}
+
+impl IdHasher {
+    /// A [`MsgId`] writes its sender, then its sequence number: the sender
+    /// lands in the top 16 bits, so two ids fold to one word only when a
+    /// sequence number reaches 2^48.
+    fn mix(&mut self, word: u64) {
+        self.acc = self.acc.rotate_left(48) ^ word;
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(u64::from(b));
+        }
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.mix(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+
+    /// The high half of the 128-bit product, folded onto the low half so
+    /// that the map's bucket index (low bits) and its tag (high bits) both
+    /// depend on every bit of the id.
+    fn finish(&self) -> u64 {
+        let product = u128::from(self.acc) * u128::from(self.key);
+        (product >> 64) as u64 ^ product as u64
     }
 }
 
@@ -279,6 +348,19 @@ mod tests {
 
     fn msg(seq: u64) -> AppMessage {
         AppMessage::new(MsgId::new(ProcessId::new(0), seq), Payload::zeroed(1), Time::ZERO)
+    }
+
+    #[test]
+    fn the_id_hash_spreads_ids_over_the_low_bits() {
+        // The map indexes buckets by the low bits: 3 senders × 1,024
+        // consecutive ids must not crowd into a few of 4,096 buckets.
+        let hash = IdHash::default();
+        let ids = (0..3u16).flat_map(|p| (0..1024).map(move |seq| MsgId::new(ProcessId::new(p), seq)));
+        let hashes: Vec<u64> = ids.map(|id| hash.hash_one(id)).collect();
+        let distinct: std::collections::BTreeSet<u64> = hashes.iter().copied().collect();
+        assert_eq!(distinct.len(), hashes.len(), "two ids hashed alike");
+        let buckets: std::collections::BTreeSet<u64> = hashes.iter().map(|h| h & 4095).collect();
+        assert!(buckets.len() > 1900, "{} of 4096 buckets used", buckets.len());
     }
 
     #[test]

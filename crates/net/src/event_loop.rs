@@ -14,7 +14,8 @@
 //! Nothing here ever blocks — the loop parks only in [`Poller::wait`]
 //! with a bounded timeout; reads, writes, accepts and loop-back connects
 //! are nonblocking (`WouldBlock` re-arms interest instead of parking a
-//! thread), and the command channel is read with `try_recv`. Lint rule
+//! thread), and the command inbox is swapped out under a lock held for
+//! the swap alone. Lint rule
 //! `E1` enforces this shape mechanically: the only sanctioned kernel
 //! doorway is [`crate::poll`]. What E1 cannot see is the node itself: its
 //! handlers run on this thread, so a handler that blocks stalls this
@@ -23,25 +24,36 @@
 //! # One pass
 //!
 //! park in `poll` (until a socket is ready, a wake byte arrives, or the
-//! earliest timer is due, at most [`TICK`]) → read sockets, running
-//! `on_message` per decoded frame → accept new connections and adopt
-//! those whose hello arrived → fire due timers → take application
-//! commands → link maintenance (sever, dial) → flush every peer's lanes →
-//! release outputs. Before its first pass the loop dials its links to
-//! higher ids, then runs `on_start`, flushes and releases.
+//! earliest timer is due, at most [`TICK`]) → read the clock → read
+//! sockets, running `on_message` per decoded frame → accept new
+//! connections and adopt those whose hello arrived → read the clock →
+//! fire due timers → take application commands → link maintenance
+//! (sever, dial) → flush every peer's lanes → release outputs. Before its
+//! first pass the loop reads the clock, dials its links to higher ids,
+//! then runs `on_start`, flushes and releases.
+//!
+//! Those two clock reads are the pass clock: every handler of the pass
+//! reads the last one taken before it as its `now`, so a pass reads the
+//! clock for its handlers twice however many frames it handles. A frame
+//! that arrived after the first read can carry a sender's stamp later
+//! than that `now`. Outputs are the
+//! exception: each is stamped with a clock read of its own as it is
+//! emitted, so `NetOutput::at`, and every latency measured from it, is
+//! when the node produced the output, not when its pass began.
 //!
 //! # What crosses a thread
 //!
-//! Three things. **Commands** come in through a channel; the sender then
-//! calls [`Waker::wake`], which costs a pipe byte only if it is the wake
-//! that finds the loop parked with no signal pending. **Outputs** leave
-//! through the cluster's shared output channel as one batch per pass,
-//! sent after the pass's frames were written: the application thread is
-//! woken once per pass, not once per output, and a woken application
+//! Three things, each paid once per pass (`handoff.rs`). **Commands**
+//! come in through the process's inbox; the sender then calls
+//! [`Waker::wake`], which costs a pipe byte only if it is the wake that
+//! finds the loop parked with no signal pending, and the loop swaps the
+//! inbox out whole once all commands it took earlier ran. **Outputs**
+//! leave for the cluster's one outbox as one batch per pass, appended
+//! after the pass's frames were written: the application thread is woken
+//! once per pass at most, not once per output, and a woken application
 //! cannot preempt the loop between a decision and the `write` that
-//! carries it to the peers. Each output is still stamped with a clock
-//! read taken as it is emitted. **Stop** is a flag plus a wake.
-//! Everything else — frames, timers, self-sends — stays on this thread.
+//! carries it to the peers. **Stop** is a flag plus a wake. Everything
+//! else — frames, timers, self-sends — stays on this thread.
 //! Every handler runs through the node's [`Driver`], as in the simulator:
 //! it delivers self-sends itself, FIFO, each after the handler that
 //! issued it returns, never re-entrantly.
@@ -117,22 +129,24 @@
 //! # Fairness
 //!
 //! Reads are capped per connection per pass ([`MAX_READS_PER_TICK`]) and
-//! commands per pass ([`MAX_COMMANDS_PER_PASS`]), so neither a peer that
-//! refills its socket as fast as we drain it nor an application that
-//! floods commands can starve the other inputs; level-triggered polling
-//! and the pending-command flag bring the loop straight back.
+//! commands per pass ([`MAX_COMMANDS_PER_PASS`]; the rest of a swapped-out
+//! inbox is held for the next pass), so neither a peer that refills its
+//! socket as fast as we drain it nor an application that floods commands
+//! can starve the other inputs; level-triggered polling and the
+//! pending-command flag bring the loop straight back.
 
+use std::collections::VecDeque;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration as StdDuration, Instant};
 
-use crossbeam::channel::{Receiver, Sender};
 use iabc_runtime::{Driver, Effects, Node, TimerId};
 use iabc_types::{Decode, Duration, Encode, LinkFault, ProcessId, Time, WireSize};
 
 use crate::codec::{write_frame_into, RecvBuffer, Tagged, TaggedOwned, RECV_CHUNK};
+use crate::handoff::{Inbox, Producer};
 use crate::netfault::{NetFaultPlan, NetFaultStats};
 use crate::poll::{self, Interest, PollSource, Poller, Readiness, WakeRx, WakeTx};
 use crate::pool::{BufferPool, PooledBuf};
@@ -162,7 +176,7 @@ const MAX_COMMANDS_PER_PASS: usize = 256;
 ///
 /// * `signal` — "there may be commands the loop has not seen". Set by
 ///   every wake, consumed (swapped false) by the loop before it reads the
-///   command channel.
+///   command inbox.
 /// * `sleeping` — "the loop is parked (or about to park) in `poll` with a
 ///   real timeout". Only the wake that flips `signal` from false to true
 ///   *and* observes this writes the one-byte pipe nudge: one byte per
@@ -193,7 +207,7 @@ impl Waker {
         Waker { tx, signal: AtomicBool::new(false), sleeping: AtomicBool::new(false) }
     }
 
-    /// Tells the loop to look at its command channel (and stop flag).
+    /// Tells the loop to look at its command inbox (and stop flag).
     /// While the loop is busy this is two uncontended atomic ops; only the
     /// first wake of a parked loop costs a syscall.
     pub(crate) fn wake(&self) {
@@ -446,9 +460,9 @@ pub(crate) struct Process<N: Node> {
     /// fault-plan windows all count from it.
     pub(crate) epoch: Instant,
     pub(crate) node: N,
-    pub(crate) commands: Receiver<N::Command>,
-    /// Receives one batch per pass that emitted outputs, in emission order.
-    pub(crate) outputs: Sender<Vec<NetOutput<N::Output>>>,
+    pub(crate) commands: Arc<Inbox<N::Command>>,
+    /// Takes one batch per pass that emitted outputs, in emission order.
+    pub(crate) outputs: Producer<N::Output>,
 }
 
 /// A running event loop plus the handles the cluster needs to stop it.
@@ -514,13 +528,16 @@ fn nanos_since(epoch: Instant, at: Instant) -> u64 {
 /// The protocol half of the loop: what the node's handlers act on, as
 /// the [`Effects`] of its [`Driver`]. A reader takes its link's [`Conn`]
 /// out while it hands frames to the node, so the handlers can push into
-/// that same link's lanes. Nothing here touches a socket or the output
-/// channel during a handler: remote sends wait in the lanes, and outputs
-/// in the batch, for the end of the pass.
+/// that same link's lanes. Nothing here touches a socket or the outbox
+/// during a handler: remote sends wait in the lanes, and outputs in the
+/// batch, for the end of the pass.
 struct Host<M, O> {
     me: ProcessId,
     epoch: Instant,
-    outputs: Sender<Vec<NetOutput<O>>>,
+    /// The pass clock: what every handler reads as its `now`. Set from the
+    /// clock read after `poll` returns and again before the timers fire.
+    now: Time,
+    outputs: Producer<O>,
     /// The outputs of the current pass, waiting for its flush.
     batch: Vec<NetOutput<O>>,
     timers: TimerHeap,
@@ -530,7 +547,7 @@ struct Host<M, O> {
 
 impl<M: WireSize, O> Effects<M, O> for Host<M, O> {
     fn now(&mut self) -> Time {
-        Time::from_nanos(nanos_since(self.epoch, Instant::now()))
+        self.now
     }
 
     fn send(&mut self, to: ProcessId, msg: M) {
@@ -545,8 +562,10 @@ impl<M: WireSize, O> Effects<M, O> for Host<M, O> {
 
     fn work(&mut self, _duration: Duration) {} // real CPUs charge themselves
 
+    /// Stamped as emitted, not with the pass clock: `NetOutput::at` is
+    /// what latencies are measured against.
     fn output(&mut self, output: O) {
-        let at = self.now();
+        let at = Time::from_nanos(nanos_since(self.epoch, Instant::now()));
         self.batch.push(NetOutput { at, process: self.me, output });
     }
 }
@@ -556,10 +575,15 @@ impl<M: WireSize, O> Host<M, O> {
     /// after the flush, so the frames a decision emitted are with the
     /// kernel before the application thread wakes up to consume it.
     fn release_outputs(&mut self) {
-        if !self.batch.is_empty() {
-            // The collector going away is not the node's problem.
-            let _ = self.outputs.send(std::mem::take(&mut self.batch));
-        }
+        self.outputs.hand_over(&mut self.batch);
+    }
+
+    /// Sets the pass clock from a clock read at `at`, and returns it as
+    /// the time since the epoch.
+    fn set_clock(&mut self, at: Instant) -> Duration {
+        let since = nanos_since(self.epoch, at);
+        self.now = Time::from_nanos(since);
+        Duration::from_nanos(since)
     }
 
     /// Whether the application must be held back: some link's lanes are
@@ -570,25 +594,39 @@ impl<M: WireSize, O> Host<M, O> {
         self.links.iter().flatten().any(|l| !l.lanes.is_down() && l.lanes.is_full())
     }
 
-    /// Takes queued commands until the channel is empty, the per-pass cap
-    /// is reached or back-pressure sets in. Returns whether commands may
-    /// still be waiting.
-    fn take_commands<N>(&mut self, driver: &mut Driver<N>, commands: &Receiver<N::Command>) -> bool
+    /// Runs the commands `held` from an earlier pass, then what one swap
+    /// of the inbox brings, until none is left, the per-pass cap is
+    /// reached or back-pressure sets in. Returns whether commands may
+    /// still be waiting, held or in the inbox: everything queued after
+    /// the swap came with a wake of its own.
+    fn take_commands<N>(
+        &mut self,
+        driver: &mut Driver<N>,
+        inbox: &Inbox<N::Command>,
+        held: &mut VecDeque<N::Command>,
+    ) -> bool
     where
         N: Node<Msg = M, Output = O>,
     {
+        let mut swapped = false;
         for _ in 0..MAX_COMMANDS_PER_PASS {
+            if held.is_empty() && !swapped {
+                inbox.refill(held);
+                swapped = true;
+            }
+            if held.is_empty() {
+                return false;
+            }
             if self.backpressured() {
                 return true;
             }
-            match commands.try_recv() {
-                Ok(cmd) => driver.on_command(cmd, self),
-                // Empty — or the cluster handle is gone, and then no
-                // command will ever follow.
-                Err(_) => return false,
+            if let Some(cmd) = held.pop_front() {
+                driver.on_command(cmd, self);
             }
         }
-        true
+        // At the cap, an inbox not swapped this pass may hold commands
+        // whose wake this pass consumed.
+        !(swapped && held.is_empty())
     }
 }
 
@@ -638,7 +676,10 @@ fn run_loop<N>(
         });
     }
     let mut driver = Driver::new(me, n, node);
-    let mut host = Host { me, epoch, outputs, batch: Vec::new(), timers: TimerHeap::new(), links };
+    let mut host =
+        Host { me, epoch, now: Time::ZERO, outputs, batch: Vec::new(), timers: TimerHeap::new(), links };
+    // Commands swapped out of the inbox and not run yet.
+    let mut held = VecDeque::new();
     // Accepted streams waiting for their hello, and severed connections
     // read until their peer's EOF.
     let mut pending: Vec<Pending> = Vec::new();
@@ -655,11 +696,10 @@ fn run_loop<N>(
     // A wake announced commands that have not all been taken yet (the
     // per-pass cap, or back-pressure).
     let mut commands_waiting = false;
-    let since_epoch = || Duration::from_nanos(nanos_since(epoch, Instant::now()));
 
     // Dial first, so `on_start`'s frames to higher ids find their links
     // connected.
-    let now = since_epoch();
+    let now = host.set_clock(Instant::now());
     let plan = faults.as_ref();
     maintain_links(me, now, &mut host.links, &mut reconnect, plan, &stats, &pool, &mut draining);
     driver.on_start(&mut host);
@@ -703,6 +743,9 @@ fn run_loop<N>(
         if parked {
             waker.finish_sleep();
         }
+        // The pass's first clock read: the frames read below are handled
+        // at it.
+        let woke = host.set_clock(Instant::now());
         let ready = |slot: usize| readiness.get(slot).is_some_and(|r| r.readable);
         // Wake bytes exist only when a waker caught the loop parked;
         // everything else stays out of the pipe entirely.
@@ -725,7 +768,7 @@ fn run_loop<N>(
                 // EOF or a read error severs the link, as a write error
                 // does.
                 if !open {
-                    link.sever(since_epoch(), &mut reconnect, &stats, &mut draining);
+                    link.sever(woke, &mut reconnect, &stats, &mut draining);
                 }
             }
         }
@@ -763,20 +806,22 @@ fn run_loop<N>(
             }
         }
 
-        let now = Instant::now();
-        while let Some(timer) = host.timers.pop_due(now) {
+        // The second and last: timers come due at it, and they, the
+        // commands and link maintenance run at it.
+        let clock = Instant::now();
+        let now = host.set_clock(clock);
+        while let Some(timer) = host.timers.pop_due(clock) {
             driver.on_timer(timer, &mut host);
         }
 
         commands_waiting |= waker.take_signal();
         if commands_waiting {
-            commands_waiting = host.take_commands(&mut driver, &commands);
+            commands_waiting = host.take_commands(&mut driver, &commands, &mut held);
         }
 
         // Everything the handlers of this pass emitted leaves now. Link
         // maintenance first: sever freshly partitioned connections, dial
         // due attempts. Then the frames, then the outputs.
-        let now = Duration::from_nanos(nanos_since(epoch, now));
         let (links, plan) = (&mut host.links, faults.as_ref());
         maintain_links(me, now, links, &mut reconnect, plan, &stats, &pool, &mut draining);
         service_links(me, now, &mut host.links, &mut faults, &stats, &mut reconnect, &mut draining);
@@ -1022,13 +1067,12 @@ fn service_writer<M: Encode + WireSize>(
 mod tests {
     use super::*;
     use crate::codec::write_frame;
+    use crate::handoff::Collector;
     use crate::netfault::NetFaultReport;
     use crate::poll::wake_channel;
     use crate::queue::tests::{Blob, Classed};
     use crate::queue::MAX_OUTBOUND_FRAMES;
-    use crossbeam::channel::unbounded;
     use iabc_runtime::Context;
-    use std::collections::VecDeque;
     use std::io::{Read, Write};
     use std::marker::PhantomData;
 
@@ -1060,12 +1104,9 @@ mod tests {
     /// application and the peer.
     struct Rig<M> {
         handle: EventLoopHandle,
-        commands: Sender<Vec<(ProcessId, M)>>,
+        commands: Arc<Inbox<Vec<(ProcessId, M)>>>,
         /// One batch per pass, as the loop releases them.
-        outputs: Receiver<Vec<NetOutput<(ProcessId, M)>>>,
-        /// Outputs of a received batch that [`Rig::output`] has not
-        /// returned yet.
-        received: VecDeque<NetOutput<(ProcessId, M)>>,
+        outputs: Collector<(ProcessId, M)>,
         /// The loop's listener: connect here to feed the loop frames.
         addr: SocketAddr,
         stats: Arc<NetFaultStats>,
@@ -1093,22 +1134,22 @@ mod tests {
             let addr = listener.local_addr().unwrap();
             let stats = Arc::new(NetFaultStats::default());
             let (wake_tx, wake_rx) = wake_channel().unwrap();
-            let (commands, cmd_rx) = unbounded();
-            let (out_tx, outputs) = unbounded();
+            let commands = Arc::new(Inbox::new());
+            let outputs = Collector::new();
             let handle = spawn(
                 Process {
                     me,
                     n: 2,
                     epoch: Instant::now(),
                     node: Relay(PhantomData),
-                    commands: cmd_rx,
-                    outputs: out_tx,
+                    commands: Arc::clone(&commands),
+                    outputs: outputs.producer(),
                 },
                 LoopTopology { listener, peers, faults, stats: Arc::clone(&stats) },
                 wake_rx,
                 Arc::new(Waker::new(wake_tx)),
             );
-            Rig { handle, commands, outputs, received: VecDeque::new(), addr, stats }
+            Rig { handle, commands, outputs, addr, stats }
         }
 
         /// A loop whose link to [`PEER`] is up, and the peer's end of it,
@@ -1131,15 +1172,12 @@ mod tests {
         /// The next output, batches flattened; `None` if none arrives
         /// within `timeout`.
         fn output(&mut self, timeout: StdDuration) -> Option<NetOutput<(ProcessId, M)>> {
-            if self.received.is_empty() {
-                self.received.extend(self.outputs.recv_timeout(timeout).ok()?);
-            }
-            self.received.pop_front()
+            self.outputs.gather(1, timeout).pop()
         }
 
         /// One command: send `frames` to `to`, in this order.
         fn send(&self, to: ProcessId, frames: impl IntoIterator<Item = M>) {
-            self.commands.send(frames.into_iter().map(|m| (to, m)).collect()).unwrap();
+            self.commands.push(frames.into_iter().map(|m| (to, m)).collect());
             self.handle.waker.wake();
         }
 
@@ -1487,11 +1525,11 @@ mod tests {
         let (rig, mut theirs) = Rig::<Classed>::dialed();
         theirs.set_nodelay(true).unwrap();
         let total = 500u32;
-        let (commands, waker) = (rig.commands.clone(), Arc::clone(&rig.handle.waker));
+        let (commands, waker) = (Arc::clone(&rig.commands), Arc::clone(&rig.handle.waker));
         std::thread::scope(|s| {
             s.spawn(move || {
                 for v in 0..total {
-                    commands.send(vec![(PEER, Classed(v))]).unwrap();
+                    commands.push(vec![(PEER, Classed(v))]);
                     waker.wake();
                 }
             });
@@ -1507,7 +1545,7 @@ mod tests {
     fn full_lanes_hold_back_commands_but_never_socket_reads() {
         // The peer stops reading: the first batch parks on a partial
         // write, the next command fills the lanes behind it to the cap.
-        // From then on the loop must leave commands in their channel —
+        // From then on the loop must leave commands where they are —
         // and keep reading the same connection's inbound direction, or
         // two such loops would deadlock each other.
         let (mut rig, mut theirs) = Rig::<Blob>::dialed();
@@ -1518,25 +1556,30 @@ mod tests {
         theirs.peek(&mut [0u8; 1]).unwrap();
         let filler = MAX_OUTBOUND_FRAMES as u32;
         rig.send(PEER, (0..filler).map(|i| Blob { id: 100 + 2 * i, len: 0 }));
-        // A command whose effect is visible here: a self-send, which the
-        // relay reports as an output.
-        let marker = Blob { id: 7, len: 0 };
-        rig.send(ME, [marker.clone()]);
+        // Commands whose effect is visible here: self-sends, which the
+        // relay reports as outputs. The first is taken and held, the
+        // others wait in the inbox behind it.
+        let markers = [7, 9, 11].map(|id| Blob { id, len: 0 });
+        for marker in &markers {
+            rig.send(ME, [marker.clone()]);
+        }
         // Inbound frames are still read and handled...
         for id in [21, 23] {
             write_frame(&Tagged { from: PEER, msg: &Blob { id, len: 0 } }, &mut their_out).unwrap();
             let out = rig.output(StdDuration::from_secs(5)).unwrap();
             assert_eq!(out.output, (PEER, Blob { id, len: 0 }), "the held-back command ran");
         }
-        // ...while the command stays where it is.
+        // ...while the commands stay where they are.
         assert!(rig.output(StdDuration::from_millis(100)).is_none());
-        // The peer drains: everything arrives in order, and the command
-        // is taken.
+        // The peer drains: everything arrives in order, and the commands
+        // are taken, in send order.
         let got = read_frames::<Blob>(&mut theirs, 1 << 20, |got| got.len() == 4 + filler as usize);
         let got = got.iter().map(|b| b.id);
         assert!(got.eq((0..4).map(|i| 2 * i).chain((0..filler).map(|i| 100 + 2 * i))));
-        let out = rig.output(StdDuration::from_secs(5)).unwrap();
-        assert_eq!(out.output, (ME, marker));
+        for marker in markers {
+            let out = rig.output(StdDuration::from_secs(5)).unwrap();
+            assert_eq!(out.output, (ME, marker));
+        }
         rig.stop();
     }
 
@@ -1544,12 +1587,12 @@ mod tests {
     fn a_pass_releases_its_outputs_as_one_batch_after_its_frames_are_written() {
         // One command: a frame for the peer, then three self-sends the
         // relay reports as outputs. All four effects belong to one pass.
-        let (rig, mut theirs) = Rig::<Classed>::dialed();
+        let (mut rig, mut theirs) = Rig::<Classed>::dialed();
         let sends = [(PEER, 1), (ME, 3), (ME, 5), (ME, 7)].map(|(to, v)| (to, Classed(v)));
-        rig.commands.send(sends.to_vec()).unwrap();
+        rig.commands.push(sends.to_vec());
         rig.handle.waker.wake();
         // The batch is whole and in emission order.
-        let batch = rig.outputs.recv_timeout(StdDuration::from_secs(5)).unwrap();
+        let batch = rig.outputs.next_take(StdDuration::from_secs(5));
         let got: Vec<_> = batch.into_iter().map(|o| o.output).collect();
         assert_eq!(got, [3, 5, 7].map(|v| (ME, Classed(v))));
         // It was released after the flush: the pass's frame is with the
@@ -1564,6 +1607,18 @@ mod tests {
         let frame = frames.next_frame::<TaggedOwned<Classed>>().unwrap();
         assert_eq!(frame.map(|t| t.msg), Some(Classed(1)));
         rig.stop();
+    }
+
+    #[test]
+    fn every_wait_returns_at_once_after_the_loop_stopped() {
+        let Rig { handle, mut outputs, .. } = Rig::<Classed>::start(None, None);
+        handle.stop();
+        handle.join();
+        let started = Instant::now();
+        // As `run_for` and `wait_for_outputs` wait.
+        assert!(outputs.gather(usize::MAX, StdDuration::from_secs(30)).is_empty());
+        assert!(outputs.gather(1, StdDuration::MAX).is_empty());
+        assert!(started.elapsed() < StdDuration::from_secs(5), "a wait outlived the loop");
     }
 
     #[test]

@@ -24,6 +24,7 @@ pub mod queue;
 pub mod tcp;
 
 pub(crate) mod event_loop;
+pub(crate) mod handoff;
 pub(crate) mod reconnect;
 pub(crate) mod timers;
 

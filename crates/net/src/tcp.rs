@@ -32,19 +32,25 @@
 //!   it and adopts it once the hello arrives. Every frame after the hello
 //!   names its sender.
 //!
-//! Only three things cross a thread: application **commands**
-//! ([`TcpCluster::send_command`] → a per-process channel plus a wake that
-//! costs a pipe byte only for the first command that finds the loop
-//! parked), **outputs** and **stop**. Outputs leave a loop as one batch
-//! per pass, on a shared channel, after the pass's frames were written;
-//! each is still stamped as it is emitted. The cluster keeps the outputs
-//! of a received batch it has not returned yet, so
-//! [`TcpCluster::wait_for_outputs`] and [`TcpCluster::run_for`] hand them
-//! out one by one, in each process's emission order, no matter how the
-//! batches fell. Back-pressure therefore lands on the
-//! application: while a connected peer's lanes are at
-//! [`crate::queue::MAX_OUTBOUND_FRAMES`] the loop leaves commands in
-//! their channel, and never stops reading sockets (see
+//! Only three things cross a thread, and each costs a pass, not an item
+//! (`handoff.rs`):
+//!
+//! * **Commands.** [`TcpCluster::send_command`] pushes to the process's
+//!   inbox and wakes its loop; the wake costs a pipe byte only for the
+//!   first command that finds the loop parked. The loop swaps the inbox
+//!   out whole, at most once per pass.
+//! * **Outputs.** A pass appends the outputs it emitted to the cluster's
+//!   one outbox as a batch, after the pass's frames were written; each is
+//!   still stamped as it is emitted. [`TcpCluster::wait_for_outputs`] and
+//!   [`TcpCluster::run_for`] swap the outbox out whole, park while it is
+//!   empty, and hand its outputs out one by one, in each process's
+//!   emission order, no matter how the batches fell. They return at once
+//!   when every loop has stopped and nothing is left.
+//! * **Stop**, a flag plus a wake.
+//!
+//! Back-pressure therefore lands on the application: while a connected
+//! peer's lanes are at [`crate::queue::MAX_OUTBOUND_FRAMES`] the loop
+//! leaves commands where they are, and never stops reading sockets (see
 //! `event_loop.rs`).
 //!
 //! # Lock discipline
@@ -52,62 +58,29 @@
 //! The frame path takes no lock: lanes, timers, the node and the fault
 //! plan belong to the loop thread (each loop judges frames with its own
 //! clone of the plan; only the [`NetFaultStats`] counters are shared, as
-//! relaxed atomics). What remains is the command and output channels and
-//! [`crate::pool`]'s free list. The event loop never blocks: lint rule
-//! `E1` mechanically enforces that its module set reaches the kernel only
-//! through the sanctioned nonblocking shims in [`crate::poll`]. A node
-//! handler that blocks stalls its own process's I/O.
+//! relaxed atomics). What remains is one lock per hand-off — each inbox,
+//! the outbox — and [`crate::pool`]'s free list. A hand-off lock is held
+//! for one push, append or swap and never across a wake: a producer
+//! unparks the waiting consumer only after it dropped the lock, so the
+//! woken thread does not find it taken. A lock poisoned by a panic is
+//! recovered, since none of those updates can leave a queue half-made.
+//! The event loop never blocks: lint rule `E1` mechanically enforces that
+//! its module set reaches the kernel only through the sanctioned
+//! nonblocking shims in [`crate::poll`]. A node handler that blocks stalls
+//! its own process's I/O.
 
-use std::collections::VecDeque;
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use iabc_runtime::Node;
 use iabc_types::{Decode, Encode, ProcessId};
 
 use crate::event_loop::{self, EventLoopHandle, LoopTopology, Process, Waker};
+use crate::handoff::{Collector, Inbox};
 use crate::netfault::{NetFaultPlan, NetFaultReport, NetFaultStats};
 use crate::poll::wake_channel;
 use crate::NetOutput;
-
-/// Collects up to `count` outputs: first from `received`, then from the
-/// batches on `rx`, until `count` are in hand, `timeout` elapses, or every
-/// producer is gone. What a batch brings beyond `count` stays in
-/// `received` for the next call. A `timeout` too long to add to the clock
-/// means no deadline.
-fn collect_outputs<O>(
-    rx: &Receiver<Vec<NetOutput<O>>>,
-    received: &mut VecDeque<NetOutput<O>>,
-    count: usize,
-    timeout: std::time::Duration,
-) -> Vec<NetOutput<O>> {
-    let mut out = Vec::new();
-    let mut deadline = None;
-    loop {
-        let take = (count - out.len()).min(received.len());
-        out.extend(received.drain(..take));
-        if out.len() == count {
-            return out;
-        }
-        // The buffer is empty: only now is the clock worth reading.
-        let batch = match *deadline.get_or_insert_with(|| Instant::now().checked_add(timeout)) {
-            Some(deadline) => {
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    return out;
-                }
-                rx.recv_timeout(left).ok()
-            }
-            None => rx.recv().ok(),
-        };
-        match batch {
-            Some(batch) => received.extend(batch),
-            None => return out,
-        }
-    }
-}
 
 /// A mesh of loop-back TCP connections between `n` local "processes",
 /// each one thread: an event loop that hosts the process's node.
@@ -139,10 +112,9 @@ pub struct TcpCluster<N: Node>
 where
     N::Msg: Encode,
 {
-    commands: Vec<Sender<N::Command>>,
-    outputs: Receiver<Vec<NetOutput<N::Output>>>,
-    /// Outputs of received batches not yet returned to the caller.
-    received: VecDeque<NetOutput<N::Output>>,
+    /// Each process's command inbox, by process id.
+    commands: Vec<Arc<Inbox<N::Command>>>,
+    outputs: Collector<N::Output>,
     io_loops: Vec<EventLoopHandle>,
     fault_stats: Vec<Arc<NetFaultStats>>,
 }
@@ -160,7 +132,7 @@ where
     /// it redials a lost connection, and adopts the connections of lower
     /// ids as their hellos arrive. A link that cannot be dialed retries
     /// with backoff rather than panicking; a command sent at once waits in
-    /// its channel until the loop takes it.
+    /// its inbox until the loop takes it.
     ///
     /// # Panics
     ///
@@ -218,7 +190,7 @@ where
             listeners.iter().map(|l| l.local_addr().expect("local addr")).collect();
 
         let epoch = Instant::now();
-        let (out_tx, outputs) = unbounded();
+        let outputs = Collector::new();
         let mut commands = Vec::with_capacity(n);
         let mut io_loops = Vec::with_capacity(n);
         let mut fault_stats = Vec::with_capacity(n);
@@ -234,8 +206,8 @@ where
                 .collect();
             // lint:allow(P1): bootstrap wake channel, documented panic, no remote input yet
             let (wake_tx, wake_rx) = wake_channel().expect("wake channel");
-            let (cmd_tx, cmd_rx) = unbounded();
-            commands.push(cmd_tx);
+            let inbox = Arc::new(Inbox::new());
+            commands.push(Arc::clone(&inbox));
             let stats = Arc::new(NetFaultStats::default());
             fault_stats.push(Arc::clone(&stats));
             io_loops.push(event_loop::spawn(
@@ -244,8 +216,8 @@ where
                     n,
                     epoch,
                     node: factory(me),
-                    commands: cmd_rx,
-                    outputs: out_tx.clone(),
+                    commands: inbox,
+                    outputs: outputs.producer(),
                 },
                 LoopTopology { listener, peers, faults: faults.clone(), stats },
                 wake_rx,
@@ -253,7 +225,7 @@ where
             ));
         }
 
-        TcpCluster { commands, outputs, received: VecDeque::new(), io_loops, fault_stats }
+        TcpCluster { commands, outputs, io_loops, fault_stats }
     }
 
     /// Per-process fault/reconnect counter snapshots (indexed by process
@@ -265,30 +237,33 @@ where
     /// Sends an application command to process `p`: queues it and wakes
     /// `p`'s loop, which takes it on its current or next pass — unless a
     /// connected peer of `p` is a full queue behind, in which case it
-    /// waits in the channel until that peer drains.
+    /// waits, in send order, until that peer drains.
     pub fn send_command(&self, p: ProcessId, cmd: N::Command) {
-        // A send to a stopped process is not an error for the caller.
-        let _ = self.commands[p.as_usize()].send(cmd);
+        // A command to a stopped process waits in its inbox for good, as
+        // a send to a crashed process goes unanswered.
+        self.commands[p.as_usize()].push(cmd);
         self.io_loops[p.as_usize()].waker.wake();
     }
 
     /// Collects outputs for (wall-clock) `dur`, starting with those an
-    /// earlier call left buffered.
+    /// earlier call left buffered; returns early only once every process
+    /// has stopped and no output is left.
     pub fn run_for(&mut self, dur: std::time::Duration) -> Vec<NetOutput<N::Output>> {
-        collect_outputs(&self.outputs, &mut self.received, usize::MAX, dur)
+        self.outputs.gather(usize::MAX, dur)
     }
 
     /// Collects outputs until `count` have arrived or `timeout` elapses —
     /// the latency-friendly alternative to [`TcpCluster::run_for`] when
     /// the caller knows how many outputs to expect (benches, tests).
     /// Returns at most `count`: the rest of a batch waits for the next
-    /// call, so none is lost or returned twice.
+    /// call, so none is lost or returned twice. Returns early, with fewer,
+    /// once every process has stopped and no output is left.
     pub fn wait_for_outputs(
         &mut self,
         count: usize,
         timeout: std::time::Duration,
     ) -> Vec<NetOutput<N::Output>> {
-        collect_outputs(&self.outputs, &mut self.received, count, timeout)
+        self.outputs.gather(count, timeout)
     }
 
     /// Stops every process and closes its sockets. Never hangs on a dead
@@ -686,6 +661,39 @@ mod tests {
         assert_eq!(outs.len(), 1);
         assert_eq!(outs[0].output, (ProcessId::new(0), 3));
         cluster.shutdown();
+    }
+
+    #[test]
+    fn handlers_of_one_pass_share_its_clock_while_outputs_are_stamped_as_emitted() {
+        // A command reports the `now` its handler saw and self-sends. The
+        // self-delivery, a second handler of the same pass, spins for 2 ms
+        // before it reports its `now`.
+        const SPIN: std::time::Duration = std::time::Duration::from_millis(2);
+        struct Spin;
+        impl Node for Spin {
+            type Msg = Num;
+            type Command = ();
+            type Output = u64;
+            fn on_command(&mut self, _cmd: (), ctx: &mut Context<Num, u64>) {
+                ctx.output(ctx.now().as_nanos());
+                ctx.send(ctx.me(), Num(0));
+            }
+            fn on_message(&mut self, _from: ProcessId, _m: Num, ctx: &mut Context<Num, u64>) {
+                let spun = Instant::now();
+                while spun.elapsed() < SPIN {
+                    std::hint::spin_loop();
+                }
+                ctx.output(ctx.now().as_nanos());
+            }
+        }
+        let mut cluster = TcpCluster::start(1, |_| Spin);
+        cluster.send_command(ProcessId::new(0), ());
+        let outs = cluster.wait_for_outputs(2, std::time::Duration::from_secs(5));
+        cluster.shutdown();
+        assert_eq!(outs.len(), 2);
+        assert_eq!(outs[0].output, outs[1].output, "two handlers of one pass saw two clocks");
+        let apart = outs[1].at.elapsed_since(outs[0].at);
+        assert!(apart >= SPIN.into(), "outputs stamped {apart} apart, around a {SPIN:?} spin");
     }
 
     #[test]
